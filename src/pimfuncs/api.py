@@ -1,10 +1,13 @@
 """Public evaluator API: function x method x number-format dispatch.
 
 ``supported`` answers whether a combination exists; ``build_evaluator``
-constructs the tables for one combination and returns an object whose
-``evaluate``/``evaluate_batch`` run the device-style kernel.  Batch
-evaluation is a scalar loop, so batch results are bit-identical to
-scalar calls.
+constructs the tables for one combination and returns an ``Evaluator``
+holding one pipeline: a function from a float64 array to float32 results,
+elementwise.  The LUT families run it as array steps (reduce -> address
+-> lookup -> interpolate -> extend); CORDIC and CORDIC+LUT run their
+scalar kernel once per element.  ``evaluate`` and ``evaluate_batch`` both
+call the pipeline, so scalar and batch results are bit-identical and
+count the same ops.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from enum import Enum
 import numpy as np
 
 from . import cordic, lut
-from .combined import (CordicLutTables, build_cordic_lut, cordic_lut_memory_bytes,
-                       cordic_lut_rotate)
+from .combined import build_cordic_lut, cordic_lut_memory_bytes, cordic_lut_rotate
 from .cordic import CordicMode, HYP_DIRECT_MAX
 from .costmodel import OpCounts, SetupReport, counting, tally
-from .errors import DomainError, UnsupportedCombinationError
-from .fixedpoint import ldexp32, to_fixed, to_float
-from .rangeext import (LN_2, TWO_PI, exp_extend, exp_split, log_extend,
-                       reduce_2pi, sqrt_extend, sqrt_reduce)
-from .fixedpoint import split_float
+from .errors import UnsupportedCombinationError
+from .fixedpoint import (fixed_add, ldexp32, to_fixed, to_fixed_array,
+                         to_float, to_float_array)
+from .rangeext import (LN_2, TWO_PI, exp_extend, exp_split, exp_via, log_via,
+                       piecewise, reduce_2pi_array, sqrt_via)
 
 
 class FunctionId(Enum):
@@ -121,25 +123,25 @@ _REDUCED_DOMAIN = {
 
 
 class Evaluator:
+    """One built cell.  ``pipeline`` maps a float64 array to float32 results
+    elementwise and tallies its ops into the active counting context.
+    """
+
     def __init__(self, function: FunctionId, config: EvaluatorConfig,
-                 kernel, setup: SetupReport):
+                 pipeline, setup: SetupReport):
         self.function = function
         self.config = config
-        self._kernel = kernel
+        self.pipeline = pipeline
         self.setup = setup
 
     def evaluate(self, x) -> np.float32:
-        return np.float32(self._kernel(float(x)))
+        return self.pipeline(np.array([float(x)]))[0]
 
     def evaluate_batch(self, xs) -> tuple[np.ndarray, OpCounts]:
         arr = np.asarray(xs, dtype=np.float32)
-        out = np.empty(arr.shape, dtype=np.float32)
-        flat_in = arr.ravel()
-        flat_out = out.ravel()
         with counting() as c:
-            for i in range(flat_in.size):
-                flat_out[i] = self._kernel(float(flat_in[i]))
-        return out, c
+            out = self.pipeline(arr.ravel().astype(np.float64))
+        return out.reshape(arr.shape), c
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +208,14 @@ def _lut_query_fn(cfg: EvaluatorConfig):
         fq = lut.fixed_llut_query_interp if interp else lut.fixed_llut_query
 
         def query(t, r):
-            return to_float(fq(t, to_fixed(r)))
+            return to_float_array(fq(t, to_fixed_array(r)))
         return query
     if cfg.method in (MethodId.LLUT, MethodId.LLUT_INTERP):
         return lut.llut_query_interp if interp else lut.llut_query
     return lut.mlut_query_interp if interp else lut.mlut_query
 
 
-def _ml_lut_kernel(function: FunctionId, cfg: EvaluatorConfig):
+def _ml_lut_pipeline(function: FunctionId, cfg: EvaluatorConfig):
     tables = _lut_tables_for(function, cfg)
     query = _lut_query_fn(cfg)
     mem = sum(lut.lut_memory_bytes(t) for t in tables.values())
@@ -221,46 +223,32 @@ def _ml_lut_kernel(function: FunctionId, cfg: EvaluatorConfig):
     if function in (FunctionId.SIN, FunctionId.COS):
         t = tables["main"]
 
-        def kernel(x: float):
-            return query(t, reduce_2pi(x))
+        def pipeline(x):
+            return query(t, reduce_2pi_array(x))
     elif function is FunctionId.TAN:
         ts, tc = tables["sin"], tables["cos"]
 
-        def kernel(x: float):
-            r = reduce_2pi(x)
+        def pipeline(x):
+            r = reduce_2pi_array(x)
             s = query(ts, r)
             c = query(tc, r)
-            tally("float_div")
-            if c == 0.0:
-                return np.float32(math.copysign(math.inf, float(s)))
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.float32(s / c)
-    elif function is FunctionId.EXP:
+            tally("float_div", x.size)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.where(c == 0.0, np.copysign(np.float32(np.inf), s),
+                                s / c)
+    elif function in (FunctionId.EXP, FunctionId.LOG, FunctionId.SQRT):
         t = tables["main"]
+        via = {FunctionId.EXP: exp_via, FunctionId.LOG: log_via,
+               FunctionId.SQRT: sqrt_via}[function]
 
-        def kernel(x: float):
-            i, r = exp_split(x)
-            return exp_extend(query(t, r), i)
-    elif function is FunctionId.LOG:
-        t = tables["main"]
-
-        def kernel(x: float):
-            parts = split_float(x)
-            return log_extend(parts, query(t, parts.mantissa))
-    elif function is FunctionId.SQRT:
-        t = tables["main"]
-
-        def kernel(x: float):
-            if x == 0.0:
-                return np.float32(0.0)
-            m, e = sqrt_reduce(split_float(x))
-            return sqrt_extend(query(t, m), e)
+        def pipeline(x):
+            return via(lambda r: query(t, r), x)
     else:  # pragma: no cover - guarded by supported()
         raise UnsupportedCombinationError(function.value)
-    return kernel, mem
+    return pipeline, mem
 
 
-def _d_family_kernel(function: FunctionId, cfg: EvaluatorConfig):
+def _d_family_pipeline(function: FunctionId, cfg: EvaluatorConfig):
     dl = cfg.method is MethodId.DLLUT_INTERP
     if function is FunctionId.SIN:
         host = math.sin
@@ -283,34 +271,40 @@ def _d_family_kernel(function: FunctionId, cfg: EvaluatorConfig):
         tiny = math.ldexp(1.0, cfg.base_exponent)
     mem = lut.lut_memory_bytes(table)
 
-    if function is FunctionId.SIN:
-        def kernel(x: float):
-            negate = x < 0
-            r = reduce_2pi(abs(x))
-            if r < tiny:
-                v = np.float32(r)  # sin(r) ~= r below table resolution
-            else:
-                v = query(r)
-            return np.float32(-v) if negate else v
-    elif function is FunctionId.TANH:
-        def kernel(x: float):
-            ax = abs(x)
-            if ax < tiny:
-                return np.float32(x)  # tanh(x) ~= x below table resolution
-            v = query(ax)
-            return np.float32(-v) if x < 0 else v
-    else:  # GELU: gelu(x) = gelu(-x) + x for x < 0
-        def pos(x: float):
-            if x < tiny:
-                return ldexp32(np.float32(x), -1)  # gelu(x) ~= x/2 near zero
-            return query(x)
+    def as_is(x):  # sin(x) ~= tanh(x) ~= x below table resolution
+        return x.astype(np.float32)
 
-        def kernel(x: float):
-            if x >= 0:
-                return pos(x)
-            tally("float_add")
-            return np.float32(pos(-x) + np.float32(x))
-    return kernel, mem
+    if function is FunctionId.SIN:
+        def pipeline(x):
+            r = reduce_2pi_array(np.abs(x))
+            v = piecewise(r < tiny, r, as_is, query)
+            return np.where(x < 0, -v, v)
+    elif function is FunctionId.TANH:
+        def reflected(x):
+            v = query(np.abs(x))
+            return np.where(x < 0, -v, v)
+
+        def pipeline(x):
+            return piecewise(np.abs(x) < tiny, x, as_is, reflected)
+    else:  # GELU: gelu(x) = gelu(-x) + x for x < 0
+        def halved(x):  # gelu(x) ~= x/2 near zero
+            return ldexp32(x.astype(np.float32), -1)
+
+        def pipeline(x):
+            neg = ~(x >= 0)
+            tally("float_add", int(np.count_nonzero(neg)))
+            ax = np.where(neg, -x, x)
+            v = piecewise(ax < tiny, ax, halved, query)
+            v[neg] += x[neg].astype(np.float32)
+            return v
+    return pipeline, mem
+
+
+def _scalar_pipeline(kernel):
+    """Run a per-element scalar kernel (CORDIC families) over an array."""
+    def pipeline(x):
+        return np.array([kernel(v) for v in x.tolist()], dtype=np.float32)
+    return pipeline
 
 
 def _cordic_lut_kernel(function: FunctionId, cfg: EvaluatorConfig):
@@ -345,7 +339,6 @@ def _cordic_lut_kernel(function: FunctionId, cfg: EvaluatorConfig):
         i, r = exp_split(x)
         tally("float_mul")
         xc, yc = cordic_lut_rotate(start, to_fixed(r * LN_2))
-        from .fixedpoint import fixed_add
         return exp_extend(to_float(fixed_add(xc, yc)), i)
 
     def sinh_cosh(x: float):
@@ -385,13 +378,15 @@ def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
     with counting() as c:
         if config.method is MethodId.CORDIC:
             kernel, mem = _cordic_kernel(function, config)
+            pipeline = _scalar_pipeline(kernel)
         elif config.method in (MethodId.MLUT, MethodId.MLUT_INTERP,
                                MethodId.LLUT, MethodId.LLUT_INTERP):
-            kernel, mem = _ml_lut_kernel(function, config)
+            pipeline, mem = _ml_lut_pipeline(function, config)
         elif config.method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
-            kernel, mem = _d_family_kernel(function, config)
+            pipeline, mem = _d_family_pipeline(function, config)
         else:
             kernel, mem = _cordic_lut_kernel(function, config)
+            pipeline = _scalar_pipeline(kernel)
     setup = SetupReport(wall_seconds=time.perf_counter() - t0, bytes=mem,
                         table_entries=c.table_setup_entries)
-    return Evaluator(function, config, kernel, setup)
+    return Evaluator(function, config, pipeline, setup)

@@ -8,6 +8,7 @@ active, tallying is a no-op.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 
 
@@ -76,37 +77,41 @@ class SetupReport:
     table_entries: int = 0
 
 
-# Stack of active accumulators; tallies always go to the innermost one and
-# are folded into the parent when the context exits.
-_stack: list[OpCounts] = []
+# Stack of active accumulators, one per thread or task; tallies always go
+# to the innermost one and are folded into the parent when the context
+# exits.
+_stack: ContextVar[tuple] = ContextVar("pimfuncs_counting", default=())
 
 
 def tally(name: str, n: int = 1) -> None:
-    if _stack:
-        c = _stack[-1]
+    stack = _stack.get()
+    if stack:
+        c = stack[-1]
         setattr(c, name, getattr(c, name) + n)
 
 
 @contextmanager
 def counting():
     c = OpCounts()
-    _stack.append(c)
+    token = _stack.set(_stack.get() + (c,))
     try:
         yield c
     finally:
-        _stack.pop()
-        if _stack:
-            _stack[-1] += c
+        _stack.reset(token)
+        stack = _stack.get()
+        if stack:
+            parent = stack[-1]
+            parent += c  # OpCounts.__iadd__ adds in place
 
 
 @contextmanager
 def suppressed():
     """Discard all tallies inside the block (e.g. cache refills)."""
-    _stack.append(OpCounts())
+    token = _stack.set(_stack.get() + (OpCounts(),))
     try:
         yield
     finally:
-        _stack.pop()
+        _stack.reset(token)
 
 
 def with_counting(thunk):

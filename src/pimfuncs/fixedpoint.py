@@ -9,7 +9,6 @@ would corrupt convergence invisibly.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,66 +97,63 @@ def split_float(x) -> FloatParts:
     return FloatParts(sign=1, exponent=e - 1, mantissa=2.0 * m)
 
 
-_F32_EXP_MASK = 0xFF
-_F32_FRAC_MASK = 0x7FFFFF
+def split_float_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`split_float`: (exponents, mantissas in [1, 2))."""
+    bad = ~((x > 0.0) & np.isfinite(x))
+    if np.count_nonzero(bad):
+        raise DomainError("split_float requires positive finite input, "
+                          f"got {float(x[bad][0])}")
+    m, e = np.frexp(x)
+    return e - 1, 2.0 * m
 
 
-def _f32_bits(x: np.float32) -> int:
-    return struct.unpack("<I", struct.pack("<f", float(x)))[0]
+def to_fixed_array(x: np.ndarray) -> np.ndarray:
+    """Array form of :func:`to_fixed`: raw Q3.28 values as int64."""
+    bad = ~(np.abs(x) < 8.0)
+    if np.count_nonzero(bad):
+        raise RangeError(f"{float(x[bad][0])} outside Q3.28 range (-8, 8)")
+    raw = np.rint(x * SCALE).astype(np.int64)
+    if np.count_nonzero(raw > RAW_MAX):
+        raise RangeError(f"{float(x[raw > RAW_MAX][0])} rounds outside "
+                         "Q3.28 range")
+    return raw
 
 
-def _f32_from_bits(bits: int) -> np.float32:
-    return np.float32(struct.unpack("<f", struct.pack("<I", bits))[0])
+def to_float_array(raw: np.ndarray) -> np.ndarray:
+    """Array form of :func:`to_float`."""
+    return (raw / SCALE).astype(np.float32)
 
 
-def _compose_f32(sign_bit: int, m: int, f: int) -> np.float32:
-    """Encode (-1)**sign_bit * m * 2**f as float32 with round-to-nearest-even."""
-    if m == 0:
-        return _f32_from_bits(sign_bit << 31)
-    e2 = f + m.bit_length() - 1
-    if e2 > 128:
-        return _f32_from_bits((sign_bit << 31) | (_F32_EXP_MASK << 23))
-    lsb = max(e2 - 23, -149)
-    shift = lsb - f
-    if shift <= 0:
-        frac = m << (-shift)
-    else:
-        rem = m & ((1 << shift) - 1)
-        frac = m >> shift
-        half = 1 << (shift - 1)
-        if rem > half or (rem == half and (frac & 1)):
-            frac += 1
-    if frac >= (1 << 24):
-        frac >>= 1
-        lsb += 1
-    if frac == 0:
-        return _f32_from_bits(sign_bit << 31)
-    if frac < (1 << 23):
-        bits = frac  # subnormal, lsb == -149
-    else:
-        biased = lsb + 23 + 127
-        if biased >= 255:
-            return _f32_from_bits((sign_bit << 31) | (_F32_EXP_MASK << 23))
-        bits = (biased << 23) | (frac & _F32_FRAC_MASK)
-    return _f32_from_bits(bits | (sign_bit << 31))
+def check_raw_array(raw: np.ndarray) -> np.ndarray:
+    bad = (raw < RAW_MIN) | (raw > RAW_MAX)
+    if np.count_nonzero(bad):
+        raise FixedOverflowError(f"fixed-point overflow: raw {int(raw[bad][0])}")
+    return raw
 
 
-def ldexp32(arg, exp: int) -> np.float32:
-    """C99-conformant float32 ldexp via exponent-field manipulation.
+# Any finite non-zero float32 over- or underflows when scaled by 2**400,
+# so clipping the exponent there changes no result.
+_LDEXP_CLIP = 400
 
-    Handles overflow to +-inf and gradual underflow to (sub)normals/zero
-    with round-to-nearest-even; IEEE special values propagate unchanged.
+
+def ldexp32(arg, exp):
+    """Float32 ``arg * 2**exp``: a scalar, or elementwise over an array.
+
+    Rounds to nearest even, overflows to +-inf without a warning and
+    underflows gradually through the subnormals; IEEE special values
+    propagate unchanged.  ``exp`` may be any integer-valued scalar or
+    array, however large.
     """
-    x = np.float32(arg)
+    if isinstance(arg, np.ndarray):
+        tally("ldexp_op", arg.size)
+        exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
+        with np.errstate(over="ignore"):
+            return np.ldexp(arg.astype(np.float32, copy=False),
+                            exp.astype(np.int64))
     tally("ldexp_op")
-    bits = _f32_bits(x)
-    sign_bit = bits >> 31
-    e_field = (bits >> 23) & _F32_EXP_MASK
-    frac = bits & _F32_FRAC_MASK
-    if e_field == _F32_EXP_MASK or (e_field == 0 and frac == 0):
-        return x  # inf, nan, +-0
-    if e_field == 0:
-        m, f = frac, -149
-    else:
-        m, f = frac | (1 << 23), e_field - 127 - 23
-    return _compose_f32(sign_bit, m, f + int(exp))
+    x = np.float32(arg)
+    exp = int(max(-_LDEXP_CLIP, min(_LDEXP_CLIP, exp)))
+    if abs(float(x)) < 2.0 ** (128 - exp):  # finite result: skip errstate's cost
+        return np.ldexp(x, exp)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exp)

@@ -10,6 +10,7 @@ unless explicitly requested.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -18,13 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import lut
-from .api import (Evaluator, EvaluatorConfig, FunctionId, MethodId,
-                  NumberFormat, build_evaluator, gelu_exact)
-from .costmodel import (OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting,
-                        tally, weighted_cost)
-from .errors import DomainError
-from .fixedpoint import ldexp32, split_float, to_fixed, to_float
-from .rangeext import exp_split, log_extend, sqrt_extend, sqrt_reduce
+from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
+                  build_evaluator, gelu_exact)
+from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
+from .fixedpoint import to_fixed_array, to_float_array
+from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
 
@@ -137,14 +136,22 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
 # Polynomial baseline (comparison only)
 # ---------------------------------------------------------------------------
 
-def _horner(coeffs, x) -> np.float32:
-    """Power-series Horner evaluation with every multiply tallied."""
-    acc = np.float32(coeffs[-1])
-    x32 = np.float32(x)
+def _on_floats(kernel):
+    """Let a kernel over 1-d float64 arrays take a float or any array."""
+    def run(x):
+        x = np.asarray(x, dtype=np.float64)
+        return kernel(x.ravel()).reshape(x.shape)[()]
+    return run
+
+
+def _horner(coeffs, x) -> np.ndarray:
+    """Power-series Horner evaluation in float32, every multiply tallied."""
+    x32 = x.astype(np.float32)
+    acc = np.full(x32.shape, coeffs[-1], dtype=np.float32)
     for c in reversed(coeffs[:-1]):
-        tally("float_mul")
-        tally("float_add")
-        acc = np.float32(acc * x32 + np.float32(c))
+        tally("float_mul", x32.size)
+        tally("float_add", x32.size)
+        acc = acc * x32 + np.float32(c)
     return acc
 
 
@@ -172,47 +179,44 @@ _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _poly_exp(x: float) -> np.float32:
-    i, r = exp_split(float(x))
-    return ldexp32(_horner(_fit_poly("exp2"), r), i)
+def _poly_exp(x: np.ndarray) -> np.ndarray:
+    return exp_via(lambda r: _horner(_fit_poly("exp2"), r), x)
 
 
-def _poly_cndf(x: float) -> np.float32:
-    xv = float(x)
-    if xv < 0.0:
-        tally("float_add")
-        return np.float32(1.0 - float(_poly_cndf(-xv)))
-    tally("float_mul", 2)
-    tally("float_add")
-    tally("float_div")
-    k = np.float32(1.0 / (1.0 + _AS_P * xv))
-    tally("float_mul", 2)
-    pdf = np.float32(_INV_SQRT_2PI * float(_poly_exp(-0.5 * xv * xv)))
+def _poly_cndf(x: np.ndarray) -> np.ndarray:
+    """CNDF(x) = 1 - CNDF(-x) for x < 0."""
+    neg = x < 0.0
+    tally("float_add", int(np.count_nonzero(neg)))
+    ax = np.where(neg, -x, x)
+    tally("float_mul", 2 * x.size)
+    tally("float_add", x.size)
+    tally("float_div", x.size)
+    k = (1.0 / (1.0 + _AS_P * ax)).astype(np.float32)
+    tally("float_mul", 2 * x.size)
+    pdf = (_INV_SQRT_2PI * _poly_exp(-0.5 * ax * ax).astype(np.float64)
+           ).astype(np.float32)
     # b1 k + ... + b5 k^5 evaluated as k * poly(k)
-    poly = _horner((0.0,) + _AS_B, float(k))
-    tally("float_mul")
-    tally("float_add")
-    return np.float32(1.0 - pdf * poly)
+    poly = _horner((0.0,) + _AS_B, k)
+    tally("float_mul", x.size)
+    tally("float_add", x.size)
+    p = np.float32(1.0) - pdf * poly
+    return np.where(neg, (1.0 - p.astype(np.float64)).astype(np.float32), p)
 
 
-def _poly_log(x: float) -> np.float32:
-    parts = split_float(x)
-    return log_extend(parts, _horner(_fit_poly("log"), parts.mantissa))
+def _poly_log(x: np.ndarray) -> np.ndarray:
+    return log_via(lambda m: _horner(_fit_poly("log"), m), x)
 
 
-def _poly_sqrt(x: float) -> np.float32:
-    if x == 0.0:
-        return np.float32(0.0)
-    m, e = sqrt_reduce(split_float(x))
-    return sqrt_extend(_horner(_fit_poly("sqrt"), m), e)
+def _poly_sqrt(x: np.ndarray) -> np.ndarray:
+    return sqrt_via(lambda m: _horner(_fit_poly("sqrt"), m), x)
 
 
-def polynomial_baseline(function: str, x) -> np.float32:
+def polynomial_baseline(function: str, x):
     """Baseline evaluators used only for cost comparison: exp and CNDF."""
     if function == "exp":
-        return _poly_exp(float(x))
+        return _on_floats(_poly_exp)(x)
     if function == "cndf":
-        return _poly_cndf(float(x))
+        return _on_floats(_poly_cndf)(x)
     raise ValueError(f"polynomial baseline covers exp and cndf, not {function}")
 
 
@@ -245,35 +249,37 @@ def _cndf_exact(x: float) -> float:
 
 
 def _make_cndf_lut(fixed: bool):
+    """CNDF from an interpolated L-LUT over [0, 8); float64 results."""
     if fixed:
         table = lut.build_fixed_llut(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE,
                                      interpolated=True, function_id="cndf")
 
-        def query(x: float) -> float:
-            return float(to_float(lut.fixed_llut_query_interp(table, to_fixed(x))))
+        def query(x):
+            return to_float_array(lut.fixed_llut_query_interp(
+                table, to_fixed_array(x)))
     else:
         table = lut.build_llut(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE,
                                interpolated=True, function_id="cndf")
 
-        def query(x: float) -> float:
-            return float(lut.llut_query_interp(table, x))
+        def query(x):
+            return lut.llut_query_interp(table, x)
 
-    def cndf(x: float) -> float:
-        if x >= 8.0:
-            return 1.0
-        if x <= -8.0:
-            return 0.0
-        if x < 0.0:
-            tally("float_add")
-            return 1.0 - query(-x)
-        return query(x)
-    return cndf
+    def cndf(x):
+        out = np.where(x >= 8.0, 1.0, 0.0)
+        inside = ~((x >= 8.0) | (x <= -8.0))
+        xs = x[inside]
+        neg = xs < 0.0
+        tally("float_add", int(np.count_nonzero(neg)))
+        q = query(np.where(neg, -xs, xs)).astype(np.float64)
+        out[inside] = np.where(neg, 1.0 - q, q)
+        return out
+    return _on_floats(cndf)
 
 
 def _bs_kernels(variant: str):
-    """(exp, log, sqrt, cndf) callables for a Blackscholes variant."""
+    """(exp, log, sqrt, cndf) array kernels for a Blackscholes variant."""
     if variant == "PolynomialBaseline":
-        return _poly_exp, _poly_log, _poly_sqrt, _make_cndf_lut_poly()
+        return _poly_exp, _poly_log, _poly_sqrt, _poly_cndf
     method = {"MLutInterp": MethodId.MLUT_INTERP,
               "LLutInterp": MethodId.LLUT_INTERP,
               "FixedLLutInterp": MethodId.LLUT_INTERP}[variant]
@@ -285,14 +291,7 @@ def _bs_kernels(variant: str):
     ev_log = build_evaluator(FunctionId.LOG, cfg)
     ev_sqrt = build_evaluator(FunctionId.SQRT, cfg)
     cndf = _make_cndf_lut(fixed=(fmt is NumberFormat.FIXED))
-    return (lambda x: ev_exp.evaluate(x), lambda x: ev_log.evaluate(x),
-            lambda x: ev_sqrt.evaluate(x), cndf)
-
-
-def _make_cndf_lut_poly():
-    def cndf(x: float) -> float:
-        return float(_poly_cndf(x))
-    return cndf
+    return ev_exp.pipeline, ev_log.pipeline, ev_sqrt.pipeline, cndf
 
 
 def _bs_reference(spot, strike, rate, vol, expiry) -> float:
@@ -322,32 +321,28 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
                                       ("spot", "strike", "rate", "vol",
                                        "expiry")))
                       for i in range(n)])
-    out = np.empty(n, dtype=np.float32)
     t0 = time.perf_counter()
     with counting() as c:
-        for i in range(n):
-            s = float(cols["spot"][i])
-            k = float(cols["strike"][i])
-            r = float(cols["rate"][i])
-            v = float(cols["vol"][i])
-            t = float(cols["expiry"][i])
-            tally("float_div")
-            ratio = np.float32(s / k)
-            lnsk = float(log_f(float(ratio)))
-            srt = float(sqrt_f(t))
-            tally("float_mul", 4)
-            tally("float_add", 2)
-            tally("float_div")
-            vsrt = np.float32(v * srt)
-            d1 = np.float32((lnsk + (r + 0.5 * v * v) * t) / float(vsrt))
-            tally("float_add")
-            d2 = np.float32(float(d1) - float(vsrt))
-            tally("float_mul")
-            disc = float(exp_f(-r * t))
-            tally("float_mul", 3)
-            tally("float_add")
-            out[i] = np.float32(s * cndf_f(float(d1))
-                                - k * disc * cndf_f(float(d2)))
+        s, k, r, v, t = (cols[name].astype(np.float64) for name in
+                         ("spot", "strike", "rate", "vol", "expiry"))
+        tally("float_div", n)
+        ratio = (s / k).astype(np.float32)
+        lnsk = log_f(ratio.astype(np.float64)).astype(np.float64)
+        srt = sqrt_f(t).astype(np.float64)
+        tally("float_mul", 4 * n)
+        tally("float_add", 2 * n)
+        tally("float_div", n)
+        vsrt = (v * srt).astype(np.float32).astype(np.float64)
+        d1 = ((lnsk + (r + 0.5 * v * v) * t) / vsrt).astype(np.float32)
+        tally("float_add", n)
+        d2 = (d1.astype(np.float64) - vsrt).astype(np.float32)
+        tally("float_mul", n)
+        disc = exp_f(-r * t).astype(np.float64)
+        tally("float_mul", 3 * n)
+        tally("float_add", n)
+        c1 = cndf_f(d1.astype(np.float64)).astype(np.float64)
+        c2 = cndf_f(d2.astype(np.float64)).astype(np.float64)
+        out = (s * c1 - k * disc * c2).astype(np.float32)
     wall = time.perf_counter() - t0
     err = out.astype(np.float64) - ref
     # Normalized: RMSE of the price error relative to the RMS price level.
@@ -359,13 +354,12 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
 
 def _exp_kernel(variant: str):
     if variant == "PolynomialBaseline":
-        return _poly_exp
+        return _on_floats(_poly_exp)
     method = {"MLutInterp": MethodId.MLUT_INTERP,
               "LLutInterp": MethodId.LLUT_INTERP,
               "CordicLut": MethodId.CORDIC_LUT}[variant]
     cfg = EvaluatorConfig(method=method, lut_size=WORKLOAD_LUT_SIZE)
-    ev = build_evaluator(FunctionId.EXP, cfg)
-    return lambda x: ev.evaluate(x)
+    return _on_floats(build_evaluator(FunctionId.EXP, cfg).pipeline)
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
@@ -375,14 +369,12 @@ def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     xs = rng.uniform(-8.0, 8.0, n).astype(np.float32)
     exp_f = _exp_kernel(method_variant)
     ref = np.asarray([1.0 / (1.0 + math.exp(-float(v))) for v in xs])
-    out = np.empty(n, dtype=np.float32)
     t0 = time.perf_counter()
     with counting() as c:
-        for i in range(n):
-            e = exp_f(-float(xs[i]))
-            tally("float_add")
-            tally("float_div")
-            out[i] = np.float32(1.0 / (1.0 + float(e)))
+        e = exp_f(-xs.astype(np.float64))
+        tally("float_add", n)
+        tally("float_div", n)
+        out = (1.0 / (1.0 + e.astype(np.float64))).astype(np.float32)
     wall = time.perf_counter() - t0
     err = out.astype(np.float64) - ref
     rmse = float(np.sqrt(np.mean(err * err)))
@@ -407,17 +399,13 @@ def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     max_sum_dev = 0.0
     t0 = time.perf_counter()
     with counting() as c:
+        m = xs.max(axis=1, keepdims=True)
+        tally("float_add", n_vec * k)  # max-subtraction stabilization
+        e = exp_f(xs.astype(np.float64) - m)
+        tally("float_add", n_vec * (k - 1))
+        tally("float_div", n_vec * k)
         for row in range(n_vec):
-            v = xs[row]
-            m = np.float32(v.max())
-            tally("float_add", k)  # max-subtraction stabilization
-            e = np.empty(k, dtype=np.float32)
-            for j in range(k):
-                e[j] = exp_f(float(v[j]) - float(m))
-            tally("float_add", k - 1)
-            total = np.float32(np.sum(e, dtype=np.float32))
-            tally("float_div", k)
-            out[row] = e / total
+            out[row] = e[row] / np.sum(e[row], dtype=np.float32)
             max_sum_dev = max(max_sum_dev,
                               abs(float(np.sum(out[row], dtype=np.float64)) - 1.0))
     wall = time.perf_counter() - t0
@@ -470,10 +458,8 @@ def _rows(reports, include_timing: bool):
     first = reports[0] if reports else None
     if first is None or isinstance(first, AccuracyReport):
         fields = _ACC_FIELDS + (("setup_seconds",) if include_timing else ())
-        timing_attr = "setup_seconds"
     else:
         fields = _WL_FIELDS + (("wall_seconds",) if include_timing else ())
-        timing_attr = "wall_seconds"
     rows = []
     for r in reports:
         row = {}
@@ -482,8 +468,6 @@ def _rows(reports, include_timing: bool):
                 row[f] = RNG_ID
             elif f in OP_FIELDS:
                 row[f] = _fmt(getattr(r.op_counts, f))
-            elif f == timing_attr:
-                row[f] = _fmt(getattr(r, f))
             else:
                 row[f] = _fmt(getattr(r, f))
         rows.append(row)
@@ -491,15 +475,11 @@ def _rows(reports, include_timing: bool):
 
 
 def emit_csv(reports, path, include_timing: bool = False) -> None:
-    fields, rows = _rows(list(reports), include_timing)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(csv_text(reports, include_timing))
 
 
 def csv_text(reports, include_timing: bool = False) -> str:
-    import io
     fields, rows = _rows(list(reports), include_timing)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")

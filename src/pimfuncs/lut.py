@@ -12,10 +12,16 @@ variants).  Address generation per kind:
 Non-interpolated tables center cells on their nodes (p = lo + spacing/2);
 interpolated tables put the first node at lo and carry one guard entry so
 entries[a + 1] never branches.
+
+Every query takes one value (a float, or a FixedQ3_28 for the fixed
+variants) or an array of them (float64, or raw Q3.28 int64), and runs the
+same elementwise steps on either.  Range checks apply to every element,
+and each op is tallied once per element.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -24,8 +30,9 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import RangeError
-from .fixedpoint import (FRAC_BITS, FixedQ3_28, _f32_bits, ldexp32, to_fixed,
-                         to_float)
+from .fixedpoint import (FRAC_BITS, FixedQ3_28, check_raw_array, ldexp32,
+                         to_fixed)
+from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
 
@@ -68,7 +75,7 @@ def address_of(lut: FuzzyLut, x: float) -> int:
         t = math.ldexp(x - s.p, s.n)
         return int(np.floor(t)) if lut.interpolated else int(round(t))
     if s.kind == "D":
-        return _dlut_address(s, np.float32(x))
+        return int(_dlut_address(s, np.array([x], dtype=np.float32))[0][0])
     raise ValueError(f"address_of undefined for kind {s.kind}")
 
 
@@ -106,47 +113,77 @@ def build_mlut(f, lo: float, hi: float, size: int, interpolated: bool = False,
                     function_id=function_id)
 
 
-def _check_range(lut: FuzzyLut, x: float) -> None:
+def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
     s = lut.spec
-    if not (s.lo <= x <= s.hi):
-        raise RangeError(f"{x} outside covered range [{s.lo}, {s.hi}]")
+    bad = ~((s.lo <= x) & (x <= s.hi))
+    if np.count_nonzero(bad):
+        raise RangeError(f"{float(x[bad][0])} outside covered range "
+                         f"[{s.lo}, {s.hi}]")
 
 
 def _size(lut: FuzzyLut) -> int:
     return len(lut.entries) - 1 if lut.interpolated else len(lut.entries)
 
 
-def mlut_query(lut: FuzzyLut, x) -> np.float32:
-    _check_range(lut, float(x))
-    s = lut.spec
-    tally("float_add")
-    tally("float_mul")
-    t = (np.float32(x) - np.float32(s.p)) * np.float32(s.k)
-    a = min(max(int(np.rint(t)), 0), _size(lut) - 1)
-    tally("lut_lookup")
+def _elementwise(query):
+    """Let a query written for arrays take a single value too."""
+    @functools.wraps(query)
+    def one_or_many(lut: FuzzyLut, x):
+        if isinstance(x, FixedQ3_28):
+            return FixedQ3_28(int(query(lut, np.array([x.raw]))[0]))
+        if np.ndim(x) == 0:
+            return query(lut, np.array([float(x)]))[0]
+        return query(lut, np.asarray(x, dtype=np.int64 if lut.fixed
+                                     else np.float64))
+    return one_or_many
+
+
+def _clamp(a: np.ndarray, hi: int) -> np.ndarray:
+    """``a`` clamped to [0, hi]; np.clip costs several times more."""
+    return np.minimum(np.maximum(a, 0), hi)
+
+
+def _lerp(lut: FuzzyLut, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """entries[a] + (entries[a + 1] - entries[a]) * delta, in float32."""
+    tally("lut_lookup", 2 * a.size)
+    l0 = lut.entries[a]
+    l1 = lut.entries[a + 1]
+    tally("float_add", 2 * a.size)
+    tally("float_mul", a.size)
+    return l0 + (l1 - l0) * delta
+
+
+def _nearest(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
+    """Entry of the node nearest each table position ``t``."""
+    a = _clamp(np.rint(t).astype(np.int64), _size(lut) - 1)
+    tally("lut_lookup", a.size)
     return lut.entries[a]
 
 
-def mlut_query_interp(lut: FuzzyLut, x) -> np.float32:
-    _check_range(lut, float(x))
+def _interpolate(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation between the nodes either side of ``t``."""
+    a = _clamp(np.floor(t).astype(np.int64), _size(lut) - 1)
+    tally("float_add", a.size)
+    return _lerp(lut, a, t - a.astype(np.float32))
+
+
+def _m_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
+    """Table position (x - p) * k in float32: one multiply."""
+    _check_range(lut, x)
     s = lut.spec
-    tally("float_add")
-    tally("float_mul")
-    t = (np.float32(x) - np.float32(s.p)) * np.float32(s.k)
-    a = int(np.floor(t))
-    size = _size(lut)
-    if a < 0:
-        a = 0
-    elif a >= size:
-        a = size - 1
-    tally("float_add")
-    delta = np.float32(t - np.float32(a))
-    tally("lut_lookup", 2)
-    l0 = lut.entries[a]
-    l1 = lut.entries[a + 1]
-    tally("float_add", 2)
-    tally("float_mul")
-    return np.float32(l0 + (l1 - l0) * delta)
+    tally("float_add", x.size)
+    tally("float_mul", x.size)
+    return (x.astype(np.float32) - np.float32(s.p)) * np.float32(s.k)
+
+
+@_elementwise
+def mlut_query(lut: FuzzyLut, x):
+    return _nearest(lut, _m_position(lut, x))
+
+
+@_elementwise
+def mlut_query_interp(lut: FuzzyLut, x):
+    return _interpolate(lut, _m_position(lut, x))
 
 
 # ---------------------------------------------------------------------------
@@ -175,35 +212,22 @@ def build_llut(f, lo: float, hi: float, size: int, interpolated: bool = False,
                     function_id=function_id)
 
 
-def llut_query(lut: FuzzyLut, x) -> np.float32:
-    _check_range(lut, float(x))
+def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
+    """Table position ldexp(x - p, n) in float32: no multiply."""
+    _check_range(lut, x)
     s = lut.spec
-    tally("float_add")
-    t = ldexp32(np.float32(x) - np.float32(s.p), s.n)
-    a = min(max(int(np.rint(t)), 0), _size(lut) - 1)
-    tally("lut_lookup")
-    return lut.entries[a]
+    tally("float_add", x.size)
+    return ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
 
 
-def llut_query_interp(lut: FuzzyLut, x) -> np.float32:
-    _check_range(lut, float(x))
-    s = lut.spec
-    tally("float_add")
-    t = ldexp32(np.float32(x) - np.float32(s.p), s.n)
-    a = int(np.floor(t))
-    size = _size(lut)
-    if a < 0:
-        a = 0
-    elif a >= size:
-        a = size - 1
-    tally("float_add")
-    delta = np.float32(t - np.float32(a))
-    tally("lut_lookup", 2)
-    l0 = lut.entries[a]
-    l1 = lut.entries[a + 1]
-    tally("float_add", 2)
-    tally("float_mul")
-    return np.float32(l0 + (l1 - l0) * delta)
+@_elementwise
+def llut_query(lut: FuzzyLut, x):
+    return _nearest(lut, _l_position(lut, x))
+
+
+@_elementwise
+def llut_query_interp(lut: FuzzyLut, x):
+    return _interpolate(lut, _l_position(lut, x))
 
 
 def build_fixed_llut(f, lo: float, hi: float, size: int,
@@ -229,57 +253,52 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
                     p_raw=to_fixed(p).raw)
 
 
-def fixed_llut_query(lut: FuzzyLut, xf: FixedQ3_28) -> FixedQ3_28:
-    s = lut.spec
-    shift = FRAC_BITS - s.n
-    tally("int_add")
-    diff = xf.raw - lut.p_raw
-    tally("int_add")
-    tally("int_shift")
-    a = (diff + (1 << (shift - 1))) >> shift  # round-to-nearest address
-    a = min(max(a, 0), _size(lut) - 1)
-    tally("lut_lookup")
-    return FixedQ3_28(int(lut.entries[a]))
+@_elementwise
+def fixed_llut_query(lut: FuzzyLut, raw):
+    """Raw Q3.28 input; the address is a rounding shift of x - p."""
+    shift = FRAC_BITS - lut.spec.n
+    tally("int_add", 2 * raw.size)
+    tally("int_shift", raw.size)
+    a = (raw - lut.p_raw + (1 << (shift - 1))) >> shift  # round to nearest
+    tally("lut_lookup", raw.size)
+    return lut.entries[_clamp(a, _size(lut) - 1)]
 
 
-def fixed_llut_query_interp(lut: FuzzyLut, xf: FixedQ3_28) -> FixedQ3_28:
+@_elementwise
+def fixed_llut_query_interp(lut: FuzzyLut, raw):
+    """Raw Q3.28 input; the bits below the address are the Q3.28 delta."""
     s = lut.spec
     shift = FRAC_BITS - s.n
-    tally("int_add")
-    diff = xf.raw - lut.p_raw
-    tally("int_shift")
-    a = diff >> shift
     size = _size(lut)
-    if a < 0:
-        a = 0
-        diff = 0
-    elif a >= size:
-        a = size
-        diff = a << shift
-    tally("int_shift")
+    tally("int_add", raw.size)
+    diff = _clamp(raw - lut.p_raw, size << shift)
+    tally("int_shift", 2 * raw.size)
+    a = diff >> shift
     delta_raw = (diff & ((1 << shift) - 1)) << s.n  # fraction in Q3.28
-    tally("lut_lookup", 2)
-    l0 = int(lut.entries[a])
-    l1 = int(lut.entries[a + 1]) if a < size else l0
-    tally("int_add", 2)
-    tally("int_mul")
-    return FixedQ3_28(l0 + (((l1 - l0) * delta_raw) >> FRAC_BITS))
+    tally("lut_lookup", 2 * raw.size)
+    l0 = lut.entries[a]
+    l1 = lut.entries[np.minimum(a + 1, size)]
+    tally("int_add", 2 * raw.size)
+    tally("int_mul", raw.size)
+    return check_raw_array(l0 + (((l1 - l0) * delta_raw) >> FRAC_BITS))
 
 
 # ---------------------------------------------------------------------------
 # D-LUT
 # ---------------------------------------------------------------------------
 
-def _dlut_address(s: SpacingSpec, x32: np.float32) -> int:
-    bits = _f32_bits(x32)
+def _dlut_address(s: SpacingSpec, x32: np.ndarray):
+    """Addresses from the exponent and top mantissa bits; also the bits."""
+    bits = x32.view(np.uint32).astype(np.int64)
     e = ((bits >> 23) & 0xFF) - 127
-    if float(x32) <= 0.0 or e < s.base_exponent or e >= s.hi_exponent:
-        raise RangeError(f"{float(x32)} outside D-LUT range "
+    bad = (x32 <= 0.0) | (e < s.base_exponent) | (e >= s.hi_exponent)
+    if np.count_nonzero(bad):
+        raise RangeError(f"{float(x32[bad][0])} outside D-LUT range "
                          f"[2^{s.base_exponent}, 2^{s.hi_exponent})")
-    tally("int_add")
-    tally("int_shift", 2)
+    tally("int_add", x32.size)
+    tally("int_shift", 2 * x32.size)
     top = (bits & 0x7FFFFF) >> (23 - s.mant_bits)
-    return ((e - s.base_exponent) << s.mant_bits) | top
+    return ((e - s.base_exponent) << s.mant_bits) | top, bits
 
 
 def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
@@ -310,20 +329,14 @@ def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                     function_id=function_id)
 
 
-def dlut_query_interp(lut: FuzzyLut, x) -> np.float32:
+@_elementwise
+def dlut_query_interp(lut: FuzzyLut, x):
     s = lut.spec
-    x32 = np.float32(x)
-    addr = _dlut_address(s, x32)
+    addr, bits = _dlut_address(s, x.astype(np.float32))
     low_bits = 23 - s.mant_bits
-    rem = _f32_bits(x32) & ((1 << low_bits) - 1)
     # Delta comes straight from the mantissa bits below the address field.
-    delta = ldexp32(np.float32(rem), -low_bits)
-    tally("lut_lookup", 2)
-    l0 = lut.entries[addr]
-    l1 = lut.entries[addr + 1]
-    tally("float_add", 2)
-    tally("float_mul")
-    return np.float32(l0 + (l1 - l0) * delta)
+    rem = bits & ((1 << low_bits) - 1)
+    return _lerp(lut, addr, ldexp32(rem.astype(np.float32), -low_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +359,14 @@ def build_dllut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                     function_id=function_id, sub_low=low, sub_high=high)
 
 
-def dllut_query_interp(lut: FuzzyLut, x) -> np.float32:
-    xv = float(x)
-    if xv < 0.0:
+@_elementwise
+def dllut_query_interp(lut: FuzzyLut, x):
+    if np.count_nonzero(x < 0.0):
         raise RangeError("DL-LUT query requires x >= 0; negative inputs are "
                          "the symmetry wrapper's job")
-    if xv < lut.sub_low.spec.hi and xv < math.ldexp(1.0, lut.spec.base_exponent):
-        return llut_query_interp(lut.sub_low, x)
-    return dlut_query_interp(lut.sub_high, x)
+    low = (x < lut.sub_low.spec.hi) & (x < math.ldexp(1.0, lut.spec.base_exponent))
+    return piecewise(low, x, lambda v: llut_query_interp(lut.sub_low, v),
+                     lambda v: dlut_query_interp(lut.sub_high, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Input-range reduction and result extension around the core kernels.
 
 Reductions run in double precision at the call boundary; their operation
-cost is still tallied at single-precision-op weight.
+cost is still tallied at single-precision-op weight.  The array forms at
+the end apply the same steps elementwise to float64 arrays for the LUT
+pipelines, tallying each op once per element; the scalar forms serve the
+CORDIC kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import DomainError
-from .fixedpoint import FixedQ3_28, FloatParts, fixed_sub, ldexp32, to_fixed
+from .fixedpoint import (FixedQ3_28, FloatParts, fixed_sub, ldexp32,
+                         split_float_array, to_fixed)
 
 TWO_PI = 2.0 * math.pi
 HALF_PI_FIXED = to_fixed(math.pi / 2.0)
@@ -121,3 +125,84 @@ def reflect_odd(x: float, kernel, gelu: bool = False) -> np.float32:
     if gelu:
         return np.float32(np.float32(kernel(-x)) + np.float32(x))
     return np.float32(-np.float32(kernel(-x)))
+
+
+# ---------------------------------------------------------------------------
+# Array forms
+# ---------------------------------------------------------------------------
+
+def piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
+    """float32 ``on_true(x)`` where ``mask`` holds, ``on_false(x)`` elsewhere.
+
+    Each branch sees only its own elements, and runs only if it has any,
+    so its checks and tallies cover exactly those elements.  Branches
+    return fresh float32 arrays.
+    """
+    taken = np.count_nonzero(mask)
+    if taken == mask.size:
+        return on_true(x)
+    if taken == 0:
+        return on_false(x)
+    out = np.empty(x.shape, dtype=np.float32)
+    out[mask] = on_true(x[mask])
+    out[~mask] = on_false(x[~mask])
+    return out
+
+
+def reduce_2pi_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`reduce_2pi`."""
+    bad = ~np.isfinite(x)
+    if np.count_nonzero(bad):
+        raise DomainError("reduce_2pi requires finite input, "
+                          f"got {float(x[bad][0])}")
+    tally("float_mul", x.size)
+    tally("float_add", x.size)
+    r = np.fmod(x, TWO_PI)  # exact, so |r| < 2*pi
+    neg = r < 0.0
+    folds = int(np.count_nonzero(neg))
+    tally("float_add", folds)
+    if folds:
+        r = np.where(neg, r + TWO_PI, r)
+        r = np.where(r >= TWO_PI, r - TWO_PI, r)  # the fold can round to 2*pi
+    return r
+
+
+def exp_via(kernel, x: np.ndarray) -> np.ndarray:
+    """exp(x) = 2**r * 2**i, where x * log2(e) = i + r and ``kernel``
+    gives 2**r on [0, 1); the elementwise :func:`exp_split` and
+    :func:`exp_extend`.
+    """
+    tally("float_mul", x.size)
+    tally("float_add", x.size)
+    t = x * LOG2_E
+    i = np.floor(t)
+    bad = ~np.isfinite(i)
+    if np.count_nonzero(bad):
+        # OverflowError for +-inf, ValueError for NaN, as in the scalar form
+        math.floor(float(t[bad][0]))
+    return exp_extend(kernel(t - i), i)
+
+
+def log_via(kernel, x: np.ndarray) -> np.ndarray:
+    """log(x) = ln(2) * e + log(m) for x = m * 2**e, where ``kernel`` gives
+    log(m) on [1, 2); the elementwise :func:`log_extend`.
+    """
+    e, m = split_float_array(x)
+    tally("float_mul", x.size)
+    tally("float_add", x.size)
+    return (LN_2 * e + kernel(m).astype(np.float64)).astype(np.float32)
+
+
+def sqrt_via(kernel, x: np.ndarray) -> np.ndarray:
+    """sqrt(x) = sqrt(m) * 2**(e/2) with e even, where ``kernel`` gives
+    sqrt(m) on [0.5, 2); the elementwise :func:`sqrt_reduce` and
+    :func:`sqrt_extend`.  sqrt(+-0) is +0.
+    """
+    def nonzero(v):
+        e, m = split_float_array(v)
+        odd = (e & 1).astype(bool)
+        tally("int_shift", int(np.count_nonzero(odd)))
+        return ldexp32(kernel(np.where(odd, m * 0.5, m)), (e + odd) // 2)
+
+    return piecewise(x == 0.0, x, lambda v: np.zeros(v.shape, dtype=np.float32),
+                     nonzero)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from pimfuncs.costmodel import (DEFAULT_WEIGHTS, OP_FIELDS, OpCounts, counting,
@@ -29,6 +32,36 @@ def test_nested_counting_folds_into_parent():
             tally("int_add", 2)
         assert inner.int_add == 2
     assert outer.int_add == 3
+
+
+def test_counting_is_per_thread():
+    """Threads counting at once see only their own tallies, and none reach
+    a context that another thread has open."""
+    n_threads, rounds = 4, 2000
+    barrier = threading.Barrier(n_threads)
+    seen = [None] * n_threads
+
+    def work(i):
+        barrier.wait(timeout=30)
+        with counting() as c:
+            for _ in range(rounds):
+                tally("int_add", i + 1)
+        seen[i] = c.int_add
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with counting() as outer:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [rounds * (i + 1) for i in range(n_threads)]
+    assert outer.int_add == 0
 
 
 def test_suppressed_discards():

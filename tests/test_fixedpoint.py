@@ -144,6 +144,22 @@ class TestLdexp32:
         _, c = with_counting(lambda: ldexp32(np.float32(1.5), 3))
         assert c.ldexp_op == 1
 
+    def test_huge_exponents_saturate(self):
+        assert ldexp32(np.float32(1.5), -(1 << 40)) == 0.0
+        with np.errstate(over="ignore"):
+            assert ldexp32(np.float32(-1.5), 1 << 40) == np.float32(-np.inf)
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        args = rng.uniform(-1e5, 1e5, 300).astype(np.float32)
+        exps = rng.integers(-300, 300, 300)
+        with np.errstate(over="ignore"):
+            got, c = with_counting(lambda: ldexp32(args, exps.astype(np.float64)))
+            expect = [ldexp32(a, int(e)) for a, e in zip(args, exps)]
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.asarray(expect, dtype=np.float32).tobytes()
+        assert c.ldexp_op == len(args)
+
 
 def test_to_float_is_float32():
     v = to_float(to_fixed(1.0 / 3.0))
