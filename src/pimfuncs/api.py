@@ -4,30 +4,29 @@
 constructs the tables for one combination and returns an ``Evaluator``
 holding one pipeline: a function from a float64 array to float32 results,
 elementwise.  The LUT families run it as array steps (reduce -> address
--> lookup -> interpolate -> extend); CORDIC and CORDIC+LUT run their
-scalar kernel once per element.  ``evaluate`` and ``evaluate_batch`` both
-call the pipeline, so scalar and batch results are bit-identical and
-count the same ops.
+-> lookup -> interpolate -> extend); CORDIC and CORDIC+LUT share the
+array pipelines of ``cordic`` and differ only in the rotator they pass
+in.  ``evaluate`` is a batch of one and ``evaluate_batch`` a batch of
+many, so scalar and batch results are bit-identical and count the same
+ops.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from . import cordic, lut
-from .combined import build_cordic_lut, cordic_lut_memory_bytes, cordic_lut_rotate
-from .cordic import CordicMode, HYP_DIRECT_MAX
+from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
 from .errors import UnsupportedCombinationError
-from .fixedpoint import (fixed_add, ldexp32, to_fixed, to_fixed_array,
-                         to_float, to_float_array)
-from .rangeext import (LN_2, TWO_PI, exp_extend, exp_split, exp_via, log_via,
-                       piecewise, reduce_2pi_array, sqrt_via)
+from .fixedpoint import ldexp32, to_fixed_array, to_float_array
+from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi_array,
+                       sqrt_via, tan_extend)
 
 
 class FunctionId(Enum):
@@ -148,39 +147,6 @@ class Evaluator:
 # Per-method kernel construction
 # ---------------------------------------------------------------------------
 
-def _cordic_kernel(function: FunctionId, cfg: EvaluatorConfig):
-    n = cfg.n_iter
-    fn = {
-        FunctionId.SIN: cordic.cordic_sin,
-        FunctionId.COS: cordic.cordic_cos,
-        FunctionId.TAN: cordic.cordic_tan,
-        FunctionId.SINH: cordic.cordic_sinh,
-        FunctionId.COSH: cordic.cordic_cosh,
-        FunctionId.TANH: cordic.cordic_tanh,
-        FunctionId.EXP: cordic.cordic_exp,
-        FunctionId.LOG: cordic.cordic_log,
-        FunctionId.SQRT: cordic.cordic_sqrt,
-    }[function]
-    mode = (CordicMode.CIRCULAR
-            if function in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN)
-            else CordicMode.HYPERBOLIC)
-    tables = cordic.generate_cordic_tables(mode, n)
-    mem = (len(tables.angles) + 1) * 4
-
-    if function is FunctionId.SQRT:
-        def kernel(x: float):
-            if x == 0.0:
-                return np.float32(0.0)
-            return fn(x, n)
-    else:
-        def kernel(x: float):
-            return fn(x, n)
-    # Warm the module table cache so the first evaluate() call does not
-    # pay generation wall time.
-    cordic._tables(mode, n)
-    return kernel, mem
-
-
 def _lut_tables_for(function: FunctionId, cfg: EvaluatorConfig):
     """Build the reduced-domain table(s) for an M/L LUT method."""
     interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
@@ -230,12 +196,7 @@ def _ml_lut_pipeline(function: FunctionId, cfg: EvaluatorConfig):
 
         def pipeline(x):
             r = reduce_2pi_array(x)
-            s = query(ts, r)
-            c = query(tc, r)
-            tally("float_div", x.size)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return np.where(c == 0.0, np.copysign(np.float32(np.inf), s),
-                                s / c)
+            return tan_extend(query(ts, r), query(tc, r))
     elif function in (FunctionId.EXP, FunctionId.LOG, FunctionId.SQRT):
         t = tables["main"]
         via = {FunctionId.EXP: exp_via, FunctionId.LOG: log_via,
@@ -300,73 +261,24 @@ def _d_family_pipeline(function: FunctionId, cfg: EvaluatorConfig):
     return pipeline, mem
 
 
-def _scalar_pipeline(kernel):
-    """Run a per-element scalar kernel (CORDIC families) over an array."""
-    def pipeline(x):
-        return np.array([kernel(v) for v in x.tolist()], dtype=np.float32)
-    return pipeline
-
-
-def _cordic_lut_kernel(function: FunctionId, cfg: EvaluatorConfig):
-    b, n = cfg.lut_addr_bits, cfg.n_iter
-    if function in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN):
-        start = build_cordic_lut(CordicMode.CIRCULAR, b, n)
-        rot = lambda angle: cordic_lut_rotate(start, angle)
-
-        if function is FunctionId.SIN:
-            def kernel(x: float):
-                s, _, neg = cordic._sin_cos_kernel(x, n, kernel=rot)
-                return np.float32(-s) if neg else s
-        elif function is FunctionId.COS:
-            def kernel(x: float):
-                _, c, _ = cordic._sin_cos_kernel(x, n, kernel=rot)
-                return c
-        else:
-            def kernel(x: float):
-                s, c, neg = cordic._sin_cos_kernel(x, n, kernel=rot)
-                if neg:
-                    s = np.float32(-s)
-                tally("float_div")
-                if c == 0.0:
-                    return np.float32(math.copysign(math.inf, float(s)))
-                with np.errstate(divide="ignore", over="ignore"):
-                    return np.float32(s / c)
-        return kernel, cordic_lut_memory_bytes(start)
-
-    start = build_cordic_lut(CordicMode.HYPERBOLIC, b, n)
-
-    def hyb_exp(x: float):
-        i, r = exp_split(x)
-        tally("float_mul")
-        xc, yc = cordic_lut_rotate(start, to_fixed(r * LN_2))
-        return exp_extend(to_float(fixed_add(xc, yc)), i)
-
-    def sinh_cosh(x: float):
-        ax = abs(x)
-        if ax <= HYP_DIRECT_MAX:
-            xc, yc = cordic_lut_rotate(start, to_fixed(ax))
-            s, c = to_float(yc), to_float(xc)
-        else:
-            ep, em = hyb_exp(ax), hyb_exp(-ax)
-            tally("float_add", 2)
-            s = ldexp32(np.float32(ep) - np.float32(em), -1)
-            c = ldexp32(np.float32(ep) + np.float32(em), -1)
-        if x < 0:
-            s = np.float32(-s)
-        return s, c
-
-    if function is FunctionId.EXP:
-        kernel = lambda x: hyb_exp(x)
-    elif function is FunctionId.SINH:
-        kernel = lambda x: sinh_cosh(x)[0]
-    elif function is FunctionId.COSH:
-        kernel = lambda x: sinh_cosh(x)[1]
-    else:  # TANH
-        def kernel(x: float):
-            s, c = sinh_cosh(x)
-            tally("float_div")
-            return np.float32(s / c)
-    return kernel, cordic_lut_memory_bytes(start)
+def _cordic_pipeline(function: FunctionId, cfg: EvaluatorConfig):
+    """A CORDIC or CORDIC+LUT cell: ``cordic.<function>_array`` driven by
+    the method's rotator.  log and sqrt vector on plain hyperbolic tables
+    instead; they have no CORDIC+LUT form.
+    """
+    pipeline = getattr(cordic, f"{function.value}_array")
+    mode = (cordic.CordicMode.CIRCULAR
+            if function in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN)
+            else cordic.CordicMode.HYPERBOLIC)
+    if cfg.method is MethodId.CORDIC_LUT:
+        start = combined.build_cordic_lut(mode, cfg.lut_addr_bits, cfg.n_iter)
+        return (partial(pipeline, combined.rotator(start)),
+                combined.cordic_lut_memory_bytes(start))
+    tables = cordic.generate_cordic_tables(mode, cfg.n_iter)
+    rotate = lambda theta: cordic.cordic_rotate(tables, theta)
+    vectoring = function in (FunctionId.LOG, FunctionId.SQRT)
+    return (partial(pipeline, tables if vectoring else rotate),
+            (len(tables.angles) + 1) * 4)
 
 
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
@@ -376,17 +288,13 @@ def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
             f"in {config.number_format.value} format")
     t0 = time.perf_counter()
     with counting() as c:
-        if config.method is MethodId.CORDIC:
-            kernel, mem = _cordic_kernel(function, config)
-            pipeline = _scalar_pipeline(kernel)
-        elif config.method in (MethodId.MLUT, MethodId.MLUT_INTERP,
-                               MethodId.LLUT, MethodId.LLUT_INTERP):
+        if config.method in (MethodId.MLUT, MethodId.MLUT_INTERP,
+                             MethodId.LLUT, MethodId.LLUT_INTERP):
             pipeline, mem = _ml_lut_pipeline(function, config)
         elif config.method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
             pipeline, mem = _d_family_pipeline(function, config)
         else:
-            kernel, mem = _cordic_lut_kernel(function, config)
-            pipeline = _scalar_pipeline(kernel)
+            pipeline, mem = _cordic_pipeline(function, config)
     setup = SetupReport(wall_seconds=time.perf_counter() - t0, bytes=mem,
                         table_entries=c.table_setup_entries)
     return Evaluator(function, config, pipeline, setup)

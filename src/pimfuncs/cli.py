@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 unsupported (function, method) combination,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import lut
@@ -20,9 +19,9 @@ from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                   build_evaluator, supported)
 from .costmodel import load_weights, weighted_cost
 from .errors import PimFuncsError, UnsupportedCombinationError
-from .harness import (BLACKSCHOLES_VARIANTS, SIGMOID_VARIANTS,
-                      SOFTMAX_VARIANTS, emit_csv, rmse_sweep, run_blackscholes,
-                      run_sigmoid, run_softmax)
+from .harness import (_REFERENCE, BLACKSCHOLES_VARIANTS, DEFAULT_DOMAINS,
+                      SIGMOID_VARIANTS, SOFTMAX_VARIANTS, emit_csv, rmse_sweep,
+                      run_blackscholes, run_sigmoid, run_softmax)
 
 _WORKLOADS = {
     "blackscholes": (run_blackscholes, BLACKSCHOLES_VARIANTS),
@@ -103,13 +102,6 @@ def _cmd_workload(args, weights) -> int:
     return 0
 
 
-_HOSTS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "sinh": math.sinh,
-    "cosh": math.cosh, "tanh": math.tanh, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt,
-}
-
-
 def _cmd_table(args) -> int:
     if args.action == "load":
         table = lut.load_table_file(args.path)
@@ -127,9 +119,7 @@ def _cmd_table(args) -> int:
     if not supported(function, method, fmt):
         raise UnsupportedCombinationError(
             f"{function.value} via {method.value} ({fmt.value})")
-    from .harness import DEFAULT_DOMAINS
-    from .api import gelu_exact
-    f = _HOSTS.get(function.value, gelu_exact)
+    f = _REFERENCE[function]
     lo, hi = DEFAULT_DOMAINS[function]
     interp = method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
     if fmt is NumberFormat.FIXED:

@@ -5,7 +5,8 @@ iterations: the rotation target's top bits address a cell holding the
 exactly pre-rotated vector (scaled by the inverse gain of the iterations
 that remain) together with the angle already consumed.  Evaluation then
 runs only the remaining fine iterations, so per-call cost drops while the
-angle resolution of the skipped iterations is preserved exactly.
+angle resolution of the skipped iterations is preserved exactly.  The
+fine iterations are the plain CORDIC loop, over int64 arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cordic import CordicMode, CordicTables, _rotate_raw, generate_cordic_tables
+import numpy as np
+
+from .cordic import (CordicMode, CordicTables, _iterate, _raw_or_fixed,
+                     generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
-from .fixedpoint import FRAC_BITS, FixedQ3_28, to_fixed
+from .fixedpoint import FRAC_BITS, to_fixed
 
 # Start-table angles cover [0, 2], enough for any quadrant-reduced circular
 # angle and for the hyperbolic residuals the pipelines produce.
@@ -27,7 +31,7 @@ TABLE_SPAN = 2.0
 class CordicLutTables:
     mode: CordicMode
     lut_addr_bits: int  # b: table has 2**b + 1 cells at density 2**(b-1)
-    cells: tuple  # (x_raw, y_raw, theta_raw) per cell
+    cells: np.ndarray  # int64 (x_raw, y_raw, theta_raw) per cell, one row each
     rem_tables: CordicTables  # fine iterations, first_index = b
     density_n: int  # b - 1
 
@@ -48,11 +52,9 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
         raise RangeError(f"lut_addr_bits {b} outside [2, 20]")
     if n_iter <= b:
         raise RangeError(f"n_iter {n_iter} must exceed lut_addr_bits {b}")
-    if mode is CordicMode.LINEAR:
-        raise RangeError("combined evaluation supports circular/hyperbolic only")
 
     rem = generate_cordic_tables(mode, n_iter - b, first_index=b)
-    inv_g_rem = 1.0 / _schedule_gain(mode, rem)
+    inv_g_rem = 1.0 / rem.gain
     count = (1 << b) + 1  # guard cell at theta = TABLE_SPAN
     step = TABLE_SPAN / (1 << b)
     cells = []
@@ -65,37 +67,40 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
         cells.append((to_fixed(x * inv_g_rem).raw, to_fixed(y * inv_g_rem).raw,
                       to_fixed(theta_a).raw))
     tally("table_setup_entries", count * 3)
-    return CordicLutTables(mode=mode, lut_addr_bits=b, cells=tuple(cells),
+    return CordicLutTables(mode=mode, lut_addr_bits=b,
+                           cells=np.array(cells, dtype=np.int64),
                            rem_tables=rem, density_n=b - 1)
 
 
-def _schedule_gain(mode: CordicMode, tables: CordicTables) -> float:
-    gain = 1.0
-    for i in tables.schedule:
-        if mode is CordicMode.CIRCULAR:
-            gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
-        else:
-            gain *= math.sqrt(1.0 - 2.0 ** (-2 * i))
-    return gain
+@_raw_or_fixed
+def cordic_lut_rotate(tables: CordicLutTables, theta):
+    """Rotation via start-table lookup plus the remaining fine iterations.
 
-
-def cordic_lut_rotate(tables: CordicLutTables,
-                      theta: FixedQ3_28) -> tuple[FixedQ3_28, FixedQ3_28]:
-    """Rotation via start-table lookup plus the remaining fine iterations."""
-    span_raw = to_fixed(TABLE_SPAN).raw
-    if not (0 <= theta.raw <= span_raw):
-        raise RangeError(f"theta {float(theta):.6f} outside start-table span "
-                         f"[0, {TABLE_SPAN}]")
+    ``theta`` is a FixedQ3_28 or an int64 array of raw Q3.28 angles in
+    [0, TABLE_SPAN]; the results come back in the same kind.
+    """
+    bad = (theta < 0) | (theta > to_fixed(TABLE_SPAN).raw)
+    if np.count_nonzero(bad):
+        raise RangeError(f"theta {theta[bad][0] / (1 << FRAC_BITS):.6f} "
+                         f"outside start-table span [0, {TABLE_SPAN}]")
     shift = FRAC_BITS - tables.density_n
-    tally("int_add")
-    tally("int_shift")
-    a = (theta.raw + (1 << (shift - 1))) >> shift  # nearest cell
-    tally("lut_lookup")
-    x, y, consumed = tables.cells[a]
-    tally("int_add")
-    t = theta.raw - consumed
-    x, y, _ = _rotate_raw(tables.rem_tables, x, y, t)
-    return FixedQ3_28(x), FixedQ3_28(y)
+    tally("int_add", theta.size)
+    tally("int_shift", theta.size)
+    a = (theta + (1 << (shift - 1))) >> shift  # nearest cell
+    tally("lut_lookup", theta.size)
+    x, y, consumed = tables.cells[a].T
+    tally("int_add", theta.size)
+    x, y, _ = _iterate(tables.rem_tables, x, y, theta - consumed)
+    return x, y
+
+
+def rotator(tables: CordicLutTables):
+    """Rotator over the start table, which covers only [0, TABLE_SPAN]:
+    angles t < 0 rotate by |t| and negate y (cosh is even, sinh odd)."""
+    def rotate(theta):
+        x, y = cordic_lut_rotate(tables, np.abs(theta))
+        return x, np.where(theta < 0, -y, y)
+    return rotate
 
 
 def cordic_lut_memory_bytes(tables: CordicLutTables) -> int:

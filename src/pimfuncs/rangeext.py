@@ -2,9 +2,10 @@
 
 Reductions run in double precision at the call boundary; their operation
 cost is still tallied at single-precision-op weight.  The array forms at
-the end apply the same steps elementwise to float64 arrays for the LUT
-pipelines, tallying each op once per element; the scalar forms serve the
-CORDIC kernels.
+the end apply the same steps elementwise to float64 arrays for every
+pipeline, LUT and CORDIC alike, tallying each op once per element.  The
+scalar forms state each step for one value; the library itself no longer
+calls them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ def reduce_2pi(x: float) -> float:
 class ReducedAngle:
     angle: FixedQ3_28  # in [0, pi/2] up to rounding of the fold constants
     quadrant: int  # 0..3
-    sign_flip: bool = False
 
 
 def quadrant_reduce(theta: FixedQ3_28) -> ReducedAngle:
@@ -136,16 +136,18 @@ def piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
 
     Each branch sees only its own elements, and runs only if it has any,
     so its checks and tallies cover exactly those elements.  Branches
-    return fresh float32 arrays.
+    return fresh float32 arrays whose last axis runs over the elements
+    (leading axes hold several results per element).
     """
     taken = np.count_nonzero(mask)
     if taken == mask.size:
         return on_true(x)
     if taken == 0:
         return on_false(x)
-    out = np.empty(x.shape, dtype=np.float32)
-    out[mask] = on_true(x[mask])
-    out[~mask] = on_false(x[~mask])
+    a, b = on_true(x[mask]), on_false(x[~mask])
+    out = np.empty(a.shape[:-1] + x.shape, dtype=np.float32)
+    out[..., mask] = a
+    out[..., ~mask] = b
     return out
 
 
@@ -165,6 +167,14 @@ def reduce_2pi_array(x: np.ndarray) -> np.ndarray:
         r = np.where(neg, r + TWO_PI, r)
         r = np.where(r >= TWO_PI, r - TWO_PI, r)  # the fold can round to 2*pi
     return r
+
+
+def tan_extend(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """tan = sin / cos as an IEEE float32 quotient: +-inf with the sign of
+    s / c where the cosine is +-0."""
+    tally("float_div", s.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return s / c
 
 
 def exp_via(kernel, x: np.ndarray) -> np.ndarray:

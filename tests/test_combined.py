@@ -26,8 +26,6 @@ class TestBuild:
             build_cordic_lut(CordicMode.CIRCULAR, 1, 28)
         with pytest.raises(RangeError):
             build_cordic_lut(CordicMode.CIRCULAR, 8, 8)
-        with pytest.raises(RangeError):
-            build_cordic_lut(CordicMode.LINEAR, 6, 28)
 
     def test_setup_entries_tallied(self):
         _, c = with_counting(lambda: build_cordic_lut(CordicMode.CIRCULAR, 4, 20))

@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_cos,
                              cordic_cosh, cordic_exp, cordic_log,
                              cordic_rotate, cordic_sin, cordic_sinh,
@@ -10,7 +12,7 @@ from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_cos,
                              cordic_vector, generate_cordic_tables)
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, RangeError
-from pimfuncs.fixedpoint import to_fixed, to_float
+from pimfuncs.fixedpoint import FixedQ3_28, to_fixed, to_float
 
 
 class TestTableGeneration:
@@ -108,6 +110,75 @@ class TestVectoring:
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
         with pytest.raises(RangeError):
             cordic_vector(t, to_fixed(1.0), to_fixed(0.95))
+
+
+def _raw(values) -> np.ndarray:
+    return np.rint(np.asarray(values) * (1 << 28)).astype(np.int64)
+
+
+def _raw_array_cases():
+    """name -> (entry point, raw argument arrays), one per loop use."""
+    circ = generate_cordic_tables(CordicMode.CIRCULAR, 28)
+    hyp = generate_cordic_tables(CordicMode.HYPERBOLIC, 24)
+    start = build_cordic_lut(CordicMode.HYPERBOLIC, 6, 28)
+    angles = np.array([0.0, 1e-9, 0.3, -0.7, 1.05, -1.1, 0.5, 2.0 ** -28])
+    m = np.array([1.0, 1.25, 1.5, 1.999, 0.5, 0.75])
+    return {
+        "rotate-circular": (partial(cordic_rotate, circ), [_raw(angles)]),
+        "rotate-hyperbolic": (partial(cordic_rotate, hyp), [_raw(angles)]),
+        "vector-hyperbolic": (partial(cordic_vector, hyp),
+                              [_raw(m + 1.0), _raw(m - 1.0)]),
+        "vector-circular": (partial(cordic_vector, circ),
+                            [_raw(m + 0.25), _raw(m - 0.25)]),
+        "lut-rotate": (partial(cordic_lut_rotate, start),
+                       [_raw(np.abs(angles) * 1.8)]),
+    }
+
+
+class TestRawArrays:
+    """int64 raw arrays run the same loop as FixedQ3_28 values."""
+
+    @pytest.mark.parametrize("name", sorted(_raw_array_cases()))
+    def test_array_equals_per_element(self, name):
+        fn, raws = _raw_array_cases()[name]
+        (ax, ay), counts = with_counting(lambda: fn(*raws))
+        assert ax.dtype == ay.dtype == np.int64
+        n = raws[0].size
+        per_element = []
+        for k in range(n):
+            (fx, fy), c = with_counting(
+                lambda: fn(*(FixedQ3_28(int(r[k])) for r in raws)))
+            assert isinstance(fx, FixedQ3_28)
+            assert (int(ax[k]), int(ay[k])) == (fx.raw, fy.raw)
+            per_element.append(c.as_dict())
+        assert all(c == per_element[0] for c in per_element)
+        assert counts.as_dict() == {op: n * v
+                                    for op, v in per_element[0].items()}
+
+    def test_any_bad_element_raises(self):
+        circ = generate_cordic_tables(CordicMode.CIRCULAR, 28)
+        hyp = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
+        start = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
+        ok = np.array([0, 1 << 27, 1 << 26, 3 << 25], dtype=np.int64)
+        for k in range(ok.size):
+            bad = ok.copy()
+            bad[k] = 3 << 28  # 3.0: beyond convergence and the span
+            with pytest.raises(RangeError):
+                cordic_rotate(circ, bad)
+            with pytest.raises(RangeError):
+                cordic_lut_rotate(start, bad)
+            neg = ok.copy()
+            neg[k] = -1
+            with pytest.raises(RangeError):
+                cordic_lut_rotate(start, neg)
+            x0 = np.full(ok.size, 1 << 28, dtype=np.int64)
+            x0[k] = 0
+            with pytest.raises(DomainError):
+                cordic_vector(hyp, x0, ok)
+            y0 = ok.copy()
+            y0[k] = 255 << 20  # ratio 0.996 > tanh(1.118)
+            with pytest.raises(RangeError):
+                cordic_vector(hyp, np.full(ok.size, 1 << 28), y0)
 
 
 class TestPipelines:

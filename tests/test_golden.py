@@ -385,8 +385,8 @@ EDGE_BITS = {
         "3a490fd9 3a490fd9 3a490fd9 3a490fd9 3f5c14e6 bf5c14e6 "
         "be9c7f6a 3e9c7f6a 3f1247f3 bf1247f3 "),
     "sinh/cordic-lut/float": (
-        "b2400000 b2400000 b2400000 32400000 b2400000 32400000 "
-        "b2400000 32400000 b2400000 32400000 7f800000 ff800000 "
+        "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
+        "b2400000 b2400000 b2400000 b2400000 7f800000 ff800000 "
         "7f800000 ff800000 - - "),
     "sinh/cordic/float": (
         "32800000 32800000 32800000 32800000 32800000 32800000 "
@@ -446,13 +446,13 @@ EDGE_BITS = {
         "3a490fdd 3a490fdd 3a490fdd 3a490fdd 3fd76ca1 bfd76ca1 "
         "3ea45d31 bea45d31 bf323f41 3f323f41 "),
     "tanh/cordic-lut/float": (
-        "b2400000 b2400000 b2400000 32400000 b2400000 32400000 "
-        "b2400000 32400000 b2400000 32400000 ffc00000 ffc00000 "
-        "ffc00000 ffc00000 - - "),
+        "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
+        "b2400000 b2400000 b2400000 b2400000 3f800000 bf800000 "
+        "3f800000 bf800000 3f800000 bf800000 "),
     "tanh/cordic/float": (
         "32800000 32800000 32800000 32800000 32800000 32800000 "
-        "32800000 32800000 32800000 32800000 ffc00000 ffc00000 "
-        "ffc00000 ffc00000 - - "),
+        "32800000 32800000 32800000 32800000 3f800000 bf800000 "
+        "3f800000 bf800000 3f800000 bf800000 "),
     "tanh/dllut-interp/float": (
         "00000000 00000000 00000001 80000001 000116c2 800116c2 "
         "000ae394 800ae394 007fffd5 807fffd5 3f800000 bf800000 "

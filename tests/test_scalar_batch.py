@@ -1,8 +1,9 @@
 """Scalar and batch evaluation agree bit for bit, with equal op counts.
 
-Covers every LUT-family cell (M, L, D and DL tables, float and Q3.28
-fixed) on float32 inputs from the cell's default sweep domain, plus the
-domain's special points 0 and 2*pi where they belong to it.
+Covers every supported cell (CORDIC, CORDIC+LUT, and the M, L, D and DL
+tables, float and Q3.28 fixed) on float32 inputs from the cell's default
+sweep domain, plus the domain's special points 0 and 2*pi where they
+belong to it.
 """
 
 import math
@@ -16,10 +17,7 @@ from pimfuncs import (EvaluatorConfig, MethodId, NumberFormat, build_evaluator,
 from pimfuncs.api import FunctionId
 from pimfuncs.harness import DEFAULT_DOMAINS
 
-LUT_METHODS = (MethodId.MLUT, MethodId.MLUT_INTERP, MethodId.LLUT,
-               MethodId.LLUT_INTERP, MethodId.DLUT_INTERP,
-               MethodId.DLLUT_INTERP)
-CELLS = [(f, m, fmt) for m in LUT_METHODS for f in FunctionId
+CELLS = [(f, m, fmt) for m in MethodId for f in FunctionId
          for fmt in NumberFormat if supported(f, m, fmt)]
 _EVALUATORS = {}
 
