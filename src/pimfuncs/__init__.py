@@ -11,7 +11,8 @@ from .api import (EvaluatorConfig, Evaluator, FunctionId, MethodId,
 from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
                         load_weights, weighted_cost, with_counting)
 from .errors import (DomainError, FixedOverflowError, PimFuncsError,
-                     RangeError, UnsupportedCombinationError)
+                     RangeError, TableFormatError,
+                     UnsupportedCombinationError)
 from .fixedpoint import FixedQ3_28, ldexp32, split_float, to_fixed, to_float
 
 __version__ = "0.1.0"
@@ -22,7 +23,7 @@ __all__ = [
     "DEFAULT_WEIGHTS", "OpCounts", "SetupReport", "counting", "load_weights",
     "weighted_cost", "with_counting",
     "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",
-    "UnsupportedCombinationError",
+    "TableFormatError", "UnsupportedCombinationError",
     "FixedQ3_28", "ldexp32", "split_float", "to_fixed", "to_float",
     "__version__",
 ]

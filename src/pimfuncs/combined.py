@@ -20,7 +20,8 @@ from .cordic import (CordicMode, CordicTables, _iterate, _raw_or_fixed,
                      generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
-from .fixedpoint import FRAC_BITS, to_fixed
+from .fixedpoint import FRAC_BITS, to_fixed, to_fixed_array
+from .lut import tabulate
 
 # Start-table angles cover [0, 2], enough for any quadrant-reduced circular
 # angle and for the hyperbolic residuals the pipelines produce.
@@ -57,18 +58,14 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     inv_g_rem = 1.0 / rem.gain
     count = (1 << b) + 1  # guard cell at theta = TABLE_SPAN
     step = TABLE_SPAN / (1 << b)
-    cells = []
-    for a in range(count):
-        theta_a = a * step
-        if mode is CordicMode.CIRCULAR:
-            x, y = math.cos(theta_a), math.sin(theta_a)
-        else:
-            x, y = math.cosh(theta_a), math.sinh(theta_a)
-        cells.append((to_fixed(x * inv_g_rem).raw, to_fixed(y * inv_g_rem).raw,
-                      to_fixed(theta_a).raw))
+    theta = lambda a: a * step  # exact: step is a power of two
+    cos, sin = ((math.cos, math.sin) if mode is CordicMode.CIRCULAR
+                else (math.cosh, math.sinh))
+    cells = np.stack([to_fixed_array(tabulate(cos, theta, count) * inv_g_rem),
+                      to_fixed_array(tabulate(sin, theta, count) * inv_g_rem),
+                      to_fixed_array(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
-    return CordicLutTables(mode=mode, lut_addr_bits=b,
-                           cells=np.array(cells, dtype=np.int64),
+    return CordicLutTables(mode=mode, lut_addr_bits=b, cells=cells,
                            rem_tables=rem, density_n=b - 1)
 
 

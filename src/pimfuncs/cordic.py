@@ -218,30 +218,40 @@ def tan_array(rotate, x: np.ndarray) -> np.ndarray:
     return tan_extend(*_sin_cos(rotate, x))
 
 
+def _pow2(rotate, r: np.ndarray) -> np.ndarray:
+    """2**r = cosh(r ln 2) + sinh(r ln 2) by one hyperbolic rotation."""
+    tally("float_mul", r.size)
+    xc, yc = rotate(to_fixed_array(r * LN_2))
+    tally("int_add", r.size)
+    return to_float_array(check_raw_array(xc + yc))
+
+
 def exp_array(rotate, x: np.ndarray) -> np.ndarray:
     """exp via exponent splitting and a hyperbolic rotation on [0, ln 2)."""
-    def pow2(r):  # 2**r = cosh(r ln 2) + sinh(r ln 2)
-        tally("float_mul", r.size)
-        xc, yc = rotate(to_fixed_array(r * LN_2))
-        tally("int_add", r.size)
-        return to_float_array(check_raw_array(xc + yc))
-    return exp_via(pow2, x)
+    return exp_via(partial(_pow2, rotate), x)
 
 
 def _sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
     """Stacked (sinh, cosh): a direct hyperbolic rotation for
-    |x| <= HYP_DIRECT_MAX; beyond it (and for NaN) exp(|x|) and exp(-|x|).
+    |x| <= HYP_DIRECT_MAX; beyond it (and for NaN) exp(|x|)/2 and
+    exp(-|x|)/2.
     """
     def direct(v):
         xc, yc = rotate(to_fixed_array(v))
         return to_float_array(np.stack([yc, xc]))
 
+    def half_pow2(r):  # 2**r / 2, exact
+        return ldexp32(_pow2(rotate, r), -1)
+
     def via_exp(v):
+        # Halving 2**r before the extension by 2**i keeps exp(|x|)/2
+        # finite up to |x| ~ 89.4, where exp(|x|) itself overflows
+        # float32; elsewhere both orders give the same bits.
         ax = np.abs(v)
-        ep, em = exp_array(rotate, ax), exp_array(rotate, -ax)
+        hp, hm = exp_via(half_pow2, ax), exp_via(half_pow2, -ax)
         tally("float_add", 2 * v.size)
-        s = ldexp32(ep - em, -1)
-        return np.stack([np.where(v < 0, -s, s), ldexp32(ep + em, -1)])
+        s = hp - hm
+        return np.stack([np.where(v < 0, -s, s), hp + hm])
     return piecewise(np.abs(x) <= HYP_DIRECT_MAX, x, direct, via_exp)
 
 

@@ -19,3 +19,7 @@ class FixedOverflowError(PimFuncsError):
 
 class UnsupportedCombinationError(PimFuncsError):
     """The requested (function, method) pair is not in the support matrix."""
+
+
+class TableFormatError(PimFuncsError, ValueError):
+    """A serialized table is truncated, malformed or inconsistent."""

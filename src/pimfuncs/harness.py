@@ -5,6 +5,12 @@ named seedable generator (numpy PCG64, identified in the CSV metadata),
 references are computed in double precision on the exact float32 inputs
 the kernels see, and wall-clock fields are excluded from CSV output
 unless explicitly requested.
+
+References are array arithmetic around libm: each transcendental step
+maps the scalar ``math`` function over the array in chunks
+(``lut.tabulate``), and the arithmetic between steps keeps the scalar
+formula's operation order, so every value is bit-identical to a loop
+over the elements.
 """
 
 from __future__ import annotations
@@ -87,10 +93,15 @@ class WorkloadResult:
     wall_seconds: float
 
 
+def _mapped(f, xs) -> np.ndarray:
+    """``f`` of each element of ``xs`` as a double; float64, shaped as ``xs``."""
+    flat = np.ravel(xs)
+    return lut.tabulate(f, lambda a: flat[a], flat.size).reshape(np.shape(xs))
+
+
 def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
     """Double-precision reference evaluated on the exact float32 inputs."""
-    f = _REFERENCE[function]
-    return np.asarray([f(float(v)) for v in xs32], dtype=np.float64)
+    return _mapped(_REFERENCE[function], xs32)
 
 
 def _config_for(method: MethodId, number_format: NumberFormat,
@@ -301,13 +312,16 @@ def _bs_kernels(variant: str):
     return ev_exp.pipeline, ev_log.pipeline, ev_sqrt.pipeline, cndf
 
 
-def _bs_reference(spot, strike, rate, vol, expiry) -> float:
-    """Double-precision closed-form European call price."""
-    srt = vol * math.sqrt(expiry)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * expiry) / srt
+def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
+    """Double-precision closed-form European call prices, elementwise over
+    arrays (or of floats)."""
+    def cndf(x):  # _cndf_exact over an array
+        return 0.5 * (1.0 + _mapped(math.erf, x / math.sqrt(2.0)))
+    srt = vol * np.sqrt(expiry)  # IEEE sqrt, as math.sqrt
+    d1 = (_mapped(math.log, spot / strike)
+          + (rate + 0.5 * vol * vol) * expiry) / srt
     d2 = d1 - srt
-    return (spot * _cndf_exact(d1)
-            - strike * math.exp(-rate * expiry) * _cndf_exact(d2))
+    return spot * cndf(d1) - strike * _mapped(math.exp, -rate * expiry) * cndf(d2)
 
 
 def _bs_sample(n: int, seed: int):
@@ -324,10 +338,8 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
         raise ValueError(f"unknown Blackscholes variant {method_variant}")
     cols = _bs_sample(n, seed)
     exp_f, log_f, sqrt_f, cndf_f = _bs_kernels(method_variant)
-    ref = np.asarray([_bs_reference(*(float(cols[k][i]) for k in
-                                      ("spot", "strike", "rate", "vol",
-                                       "expiry")))
-                      for i in range(n)])
+    ref = _bs_reference(*(cols[name].astype(np.float64) for name in
+                          ("spot", "strike", "rate", "vol", "expiry")))
     t0 = time.perf_counter()
     with counting() as c:
         s, k, r, v, t = (cols[name].astype(np.float64) for name in
@@ -369,13 +381,18 @@ def _exp_kernel(variant: str):
     return _on_floats(build_evaluator(FunctionId.EXP, cfg).pipeline)
 
 
+def _sigmoid_reference(xs) -> np.ndarray:
+    """Double-precision 1 / (1 + exp(-x)), elementwise."""
+    return 1.0 / (1.0 + _mapped(math.exp, -np.asarray(xs, dtype=np.float64)))
+
+
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     if method_variant not in SIGMOID_VARIANTS:
         raise ValueError(f"unknown Sigmoid variant {method_variant}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-8.0, 8.0, n).astype(np.float32)
     exp_f = _exp_kernel(method_variant)
-    ref = np.asarray([1.0 / (1.0 + math.exp(-float(v))) for v in xs])
+    ref = _sigmoid_reference(xs)
     t0 = time.perf_counter()
     with counting() as c:
         e = exp_f(-xs.astype(np.float64))

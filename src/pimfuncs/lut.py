@@ -13,6 +13,14 @@ Non-interpolated tables center cells on their nodes (p = lo + spacing/2);
 interpolated tables put the first node at lo and carry one guard entry so
 entries[a + 1] never branches.
 
+Every builder tabulates through :func:`tabulate`: the nodes come from one
+vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
+the address's mantissa and exponent fields for D), and the scalar host
+function (``math.sin``, a Gaussian CDF, ...) is mapped over them a chunk
+of TABULATE_CHUNK addresses at a time.  Each entry is the same call on
+the same double as a per-node loop makes, so tables are bit-identical to
+one, and the Python floats alive at once are bounded by the chunk size.
+
 Every query takes one value (a float, or a FixedQ3_28 for the fixed
 variants) or an array of them (float64, or raw Q3.28 int64), and runs the
 same elementwise steps on either.  Range checks apply to every element,
@@ -29,12 +37,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costmodel import tally
-from .errors import RangeError
+from .errors import RangeError, TableFormatError
 from .fixedpoint import (FRAC_BITS, FixedQ3_28, check_raw_array, ldexp32,
-                         to_fixed)
+                         to_fixed, to_fixed_array)
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
+TABULATE_CHUNK = 4096  # addresses per map over the host function
+
+
+def tabulate(f, nodes, count: int) -> np.ndarray:
+    """``f(nodes(a))`` for each address ``a`` in [0, count), as float64.
+
+    ``f`` is a scalar host function of one double and is called once per
+    node, in address order, exactly as a per-node loop would call it (so
+    numpy's ufuncs, which can differ from libm in the last bit, never
+    stand in for it).  ``nodes`` maps an int64 address array to the
+    double nodes at those addresses.
+    """
+    out = np.empty(count)
+    for start in range(0, count, TABULATE_CHUNK):
+        a = np.arange(start, min(start + TABULATE_CHUNK, count))
+        out[start:start + a.size] = np.fromiter(
+            map(f, nodes(a).tolist()), np.float64, a.size)
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,15 +105,20 @@ def address_of(lut: FuzzyLut, x: float) -> int:
     raise ValueError(f"address_of undefined for kind {s.kind}")
 
 
+def _nodes(s: SpacingSpec):
+    """The node formula of a table kind: int64 addresses to double nodes."""
+    if s.kind in ("M", "L"):
+        return lambda a: s.p + a / s.k
+    if s.kind != "D":
+        raise ValueError(f"no node formula for kind {s.kind}")
+    m = s.mant_bits  # address = step:frac; node (1 + frac/2**m) * 2**(base+step)
+    return lambda a: np.ldexp(1.0 + (a & ((1 << m) - 1)) / (1 << m),
+                              s.base_exponent + (a >> m))
+
+
 def node_of(lut: FuzzyLut, addr: int) -> float:
     """Pseudo-inverse a^-1: the exact preimage stored at an address."""
-    s = lut.spec
-    if s.kind in ("M", "L"):
-        return addr / s.k + s.p
-    if s.kind == "D":
-        step, frac = divmod(addr, 1 << s.mant_bits)
-        return math.ldexp(1.0 + frac / (1 << s.mant_bits), s.base_exponent + step)
-    raise ValueError(f"node_of undefined for kind {s.kind}")
+    return float(_nodes(lut.spec)(np.array([addr]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +136,9 @@ def build_mlut(f, lo: float, hi: float, size: int, interpolated: bool = False,
     else:
         p = lo + (hi - lo) / (2 * size)
         count = size
-    nodes = p + np.arange(count) / k
-    entries = np.asarray([f(float(v)) for v in nodes], dtype=np.float32)
-    tally("table_setup_entries", count)
     spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi)
+    entries = tabulate(f, _nodes(spec), count).astype(np.float32)
+    tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     function_id=function_id)
 
@@ -204,10 +234,9 @@ def build_llut(f, lo: float, hi: float, size: int, interpolated: bool = False,
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
     n, k, p, hi_cov, count = _llut_layout(lo, hi, size, interpolated)
-    nodes = p + np.arange(count) / k
-    entries = np.asarray([f(float(v)) for v in nodes], dtype=np.float32)
-    tally("table_setup_entries", count)
     spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi_cov)
+    entries = tabulate(f, _nodes(spec), count).astype(np.float32)
+    tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     function_id=function_id)
 
@@ -243,11 +272,9 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
     # node inputs to f stay double so the 8.0 guard node is fine.
     if not (-8.0 < lo and hi_cov <= 8.0):
         raise RangeError("fixed L-LUT inputs must lie inside the Q3.28 range")
-    nodes = p + np.arange(count) / k
-    entries = np.asarray([to_fixed(f(float(v))).raw for v in nodes],
-                         dtype=np.int64)
-    tally("table_setup_entries", count)
     spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi_cov)
+    entries = to_fixed_array(tabulate(f, _nodes(spec), count))
+    tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     fixed=True, function_id=function_id,
                     p_raw=to_fixed(p).raw)
@@ -317,13 +344,8 @@ def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                        base_exponent=base_exponent, hi_exponent=hi_exponent,
                        lo=math.ldexp(1.0, base_exponent),
                        hi=math.ldexp(1.0, hi_exponent))
-    entries = np.empty(total, dtype=np.float32)
-    for addr in range(count):
-        step, frac = divmod(addr, 1 << mant_bits)
-        entries[addr] = f(math.ldexp(1.0 + frac / (1 << mant_bits),
-                                     base_exponent + step))
-    if interpolated:
-        entries[count] = f(math.ldexp(1.0, hi_exponent))  # guard at 2**hi
+    # The guard entry (address count) is the node 2**hi_exponent.
+    entries = tabulate(f, _nodes(spec), total).astype(np.float32)
     tally("table_setup_entries", total)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     function_id=function_id)
@@ -405,22 +427,43 @@ def dump_table(lut: FuzzyLut) -> bytes:
     return head + body
 
 
-def _load_one(buf: bytes, off: int) -> tuple[FuzzyLut, int]:
-    magic, tag, flags = _HEADER.unpack_from(buf, off)
+def _unpack(st: struct.Struct, buf: bytes, off: int):
+    if len(buf) - off < st.size:
+        raise TableFormatError("truncated table record")
+    return st.unpack_from(buf, off), off + st.size
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise TableFormatError(f"malformed table record: {what}")
+
+
+def _load_one(buf: bytes, off: int,
+              part_of_dl: bool = False) -> tuple[FuzzyLut, int]:
+    (magic, tag, flags), off = _unpack(_HEADER, buf, off)
     if magic != _MAGIC:
-        raise ValueError("bad table magic")
-    off += _HEADER.size
-    p, k_or_n, exp_bits, mant_bits, base_exponent = _PARAMS.unpack_from(buf, off)
-    off += _PARAMS.size
-    (count,) = _COUNT.unpack_from(buf, off)
-    off += _COUNT.size
+        raise TableFormatError("bad table magic")
+    _require(tag in _TAG_KIND, f"unknown kind tag {tag}")
+    _require(flags <= 3, f"unknown flags {flags:#x}")
+    (p, k_or_n, exp_bits, mant_bits, base_exponent), off = _unpack(
+        _PARAMS, buf, off)
+    (count,), off = _unpack(_COUNT, buf, off)
     kind = _TAG_KIND[tag]
     interpolated = bool(flags & 1)
     fixed = bool(flags & 2)
 
     if kind == "DL":
-        low, off = _load_one(buf, off)
-        high, off = _load_one(buf, off)
+        _require(not part_of_dl, "DL-LUT nested in a DL-LUT")
+        _require(count == 0, "DL-LUT record with its own entries")
+        low, off = _load_one(buf, off, part_of_dl=True)
+        high, off = _load_one(buf, off, part_of_dl=True)
+        _require(low.spec.kind == "L" and high.spec.kind == "D"
+                 and low.interpolated and high.interpolated,
+                 "DL-LUT parts must be interpolated L- and D-LUTs")
+        _require((high.spec.exp_bits, high.spec.mant_bits,
+                  high.spec.base_exponent) == (exp_bits, mant_bits,
+                                               base_exponent),
+                 "DL-LUT fields disagree with its D-LUT part")
         spec = SpacingSpec(kind="DL", exp_bits=int(exp_bits),
                            mant_bits=int(mant_bits),
                            base_exponent=int(base_exponent),
@@ -429,6 +472,11 @@ def _load_one(buf: bytes, off: int) -> tuple[FuzzyLut, int]:
         return FuzzyLut(spec=spec, entries=None, interpolated=True,
                         function_id="unknown", sub_low=low, sub_high=high), off
 
+    _require(count <= (len(buf) - off) // 4,
+             f"{count} entries run past the end of the buffer")
+    size = count - 1 if interpolated else count
+    _require(size >= 2, "fewer than two table cells")
+    _require(not fixed or kind == "L", "only L-LUTs have fixed entries")
     if fixed:
         entries = np.frombuffer(buf, dtype="<i4", count=count,
                                 offset=off).astype(np.int64)
@@ -436,9 +484,13 @@ def _load_one(buf: bytes, off: int) -> tuple[FuzzyLut, int]:
         entries = np.frombuffer(buf, dtype="<f4", count=count, offset=off).copy()
     off += count * 4
 
-    size = count - 1 if interpolated else count
     if kind == "D":
-        hi_exponent = int(base_exponent) + (size >> int(mant_bits))
+        _require(exp_bits >= 1 and 1 <= mant_bits <= 23,
+                 "exponent or mantissa field width")
+        steps, rest = divmod(size, 1 << mant_bits)
+        hi_exponent = int(base_exponent) + steps
+        _require(rest == 0, "entries do not fill whole octaves")
+        _require(hi_exponent < 1024, "D-LUT range exceeds a double")
         spec = SpacingSpec(kind="D", exp_bits=int(exp_bits),
                            mant_bits=int(mant_bits),
                            base_exponent=int(base_exponent),
@@ -448,26 +500,33 @@ def _load_one(buf: bytes, off: int) -> tuple[FuzzyLut, int]:
         return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                         function_id="unknown"), off
 
+    _require(math.isfinite(p), "non-finite first node")
     if kind == "L":
+        _require(k_or_n.is_integer() and -1074 <= k_or_n <= 1023,
+                 "L-LUT density exponent")
         n = int(k_or_n)
         k = 2.0 ** n
         lo = p if interpolated else p - 1.0 / (2 * k)
         spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=lo + size / k)
     else:
+        _require(0.0 < k_or_n < math.inf, "M-LUT density")
         k = k_or_n
         lo = p if interpolated else p - 1.0 / (2 * k)
         spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=lo + size / k)
     lut = FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                    fixed=fixed, function_id="unknown")
     if fixed:
+        _require(0 <= spec.n <= FRAC_BITS and -8.0 < p < 8.0,
+                 "fixed L-LUT layout outside Q3.28")
         lut.p_raw = to_fixed(p).raw
     return lut, off
 
 
 def load_table(buf: bytes) -> FuzzyLut:
+    """Parse one serialized table; raises TableFormatError on bad input."""
     lut, off = _load_one(buf, 0)
     if off != len(buf):
-        raise ValueError("trailing bytes after table record")
+        raise TableFormatError("trailing bytes after table record")
     return lut
 
 

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from pimfuncs import EvaluatorConfig, FunctionId, MethodId, build_evaluator
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_cos,
                              cordic_cosh, cordic_exp, cordic_log,
@@ -206,6 +207,18 @@ class TestPipelines:
         assert float(cordic_sinh(x)) == pytest.approx(math.sinh(x), rel=3e-6,
                                                       abs=3e-7)
         assert float(cordic_cosh(x)) == pytest.approx(math.cosh(x), rel=3e-6)
+
+    @pytest.mark.parametrize("method", [MethodId.CORDIC, MethodId.CORDIC_LUT])
+    @pytest.mark.parametrize("x", [-89.4, -89.0, 88.8, 89.0, 89.4])
+    def test_sinh_cosh_finite_where_exp_overflows(self, method, x):
+        # exp(|x|) > FLT_MAX here, but sinh and cosh are not; beyond
+        # |x| ~ 89.42 they overflow too
+        cfg = EvaluatorConfig(method=method)
+        sinh = float(build_evaluator(FunctionId.SINH, cfg).evaluate(x))
+        cosh = float(build_evaluator(FunctionId.COSH, cfg).evaluate(x))
+        assert sinh == pytest.approx(math.sinh(x), rel=3e-6)
+        assert cosh == pytest.approx(math.cosh(x), rel=3e-6)
+        assert math.isinf(build_evaluator(FunctionId.COSH, cfg).evaluate(89.5))
 
     @pytest.mark.parametrize("x", [-8.0, -1.0, -0.2, 0.0, 0.8, 2.5, 8.0])
     def test_tanh(self, x):

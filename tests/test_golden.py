@@ -277,11 +277,11 @@ EDGE_BITS = {
         "bf73bf81 bf73bf81 bf521711 bf521711 "),
     "cosh/cordic-lut/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
-        "3f800000 3f800000 3f800000 3f800000 7f800000 7f800000 "
+        "3f800000 3f800000 3f800000 3f800000 7f28e166 7f28e166 "
         "7f800000 7f800000 - - "),
     "cosh/cordic/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
-        "3f800000 3f800000 3f800000 3f800000 7f800000 7f800000 "
+        "3f800000 3f800000 3f800000 3f800000 7f28e166 7f28e166 "
         "7f800000 7f800000 - - "),
     "exp/cordic-lut/float": (
         "3f7fffff 3f7fffff 3f7fffff 3f800000 3f7fffff 3f800000 "
@@ -386,11 +386,11 @@ EDGE_BITS = {
         "be9c7f6a 3e9c7f6a 3f1247f3 bf1247f3 "),
     "sinh/cordic-lut/float": (
         "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
-        "b2400000 b2400000 b2400000 b2400000 7f800000 ff800000 "
+        "b2400000 b2400000 b2400000 b2400000 7f28e166 ff28e166 "
         "7f800000 ff800000 - - "),
     "sinh/cordic/float": (
         "32800000 32800000 32800000 32800000 32800000 32800000 "
-        "32800000 32800000 32800000 32800000 7f800000 ff800000 "
+        "32800000 32800000 32800000 32800000 7f28e166 ff28e166 "
         "7f800000 ff800000 - - "),
     "sqrt/cordic/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e6 - 1f155598 - "

@@ -1,8 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pimfuncs.errors import PimFuncsError, TableFormatError
 from pimfuncs.fixedpoint import to_fixed
 from pimfuncs.lut import (build_dllut, build_dlut, build_fixed_llut,
                           build_llut, build_mlut, dllut_query_interp,
@@ -110,3 +113,62 @@ class TestValidation:
         save_table(t, path)
         back = load_table_file(path)
         assert dump_table(back) == dump_table(t)
+
+
+_DUMPS = {name: dump_table(t) for name, t in _tables().items()}
+
+
+def _header_positions(blob: bytes) -> list:
+    """Offsets of every byte in the fixed-size header of each record."""
+    positions, off = [], 0
+    while off < len(blob):
+        positions += range(off, off + 52)
+        tag, count = blob[off + 4], struct.unpack_from("<I", blob, off + 48)[0]
+        off += 52 + (0 if tag == 3 else 4 * count)  # a DL record's parts follow
+    return positions
+
+
+def _loads_or_rejects(blob: bytes) -> None:
+    try:
+        load_table(blob)
+    except PimFuncsError:
+        pass
+
+
+class TestUntrustedInput:
+    @pytest.mark.parametrize("name", sorted(_DUMPS))
+    def test_every_truncation_is_rejected(self, name):
+        blob = _DUMPS[name]
+        for end in range(len(blob)):
+            with pytest.raises(TableFormatError):
+                load_table(blob[:end])
+
+    def test_unknown_kind_tag(self):
+        blob = bytearray(_DUMPS["llut"])
+        blob[4] = 9
+        with pytest.raises(TableFormatError, match="kind tag"):
+            load_table(bytes(blob))
+
+    def test_count_past_the_buffer(self):
+        blob = bytearray(_DUMPS["mlut"])
+        struct.pack_into("<I", blob, 48, 0xFFFFFFFF)
+        with pytest.raises(TableFormatError, match="past the end"):
+            load_table(bytes(blob))
+
+    def test_nested_dl_record(self):
+        head = _DUMPS["dllut"][:52]  # a DL record header with no parts
+        with pytest.raises(TableFormatError, match="nested"):
+            load_table(head * 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(_DUMPS)), data=st.data())
+    def test_changed_bytes_load_or_raise_library_errors(self, name, data):
+        blob = bytearray(_DUMPS[name])
+        position = (st.sampled_from(_header_positions(blob))
+                    | st.integers(0, len(blob) - 1))
+        changes = data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                     min_size=1, max_size=8))
+        for pos, value in changes:
+            blob[pos] = value
+        _loads_or_rejects(bytes(blob))
+        _loads_or_rejects(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
