@@ -1,14 +1,21 @@
 """Public evaluator API: function x method x number-format dispatch.
 
 ``supported`` answers whether a combination exists; ``build_evaluator``
-constructs the tables for one combination and returns an ``Evaluator``
-holding one pipeline: a function from a float64 array to float32 results,
-elementwise.  The LUT families run it as array steps (reduce -> address
--> lookup -> interpolate -> extend); CORDIC and CORDIC+LUT share the
-array pipelines of ``cordic`` and differ only in the rotator they pass
-in.  ``evaluate`` is a batch of one and ``evaluate_batch`` a batch of
-many, so scalar and batch results are bit-identical and count the same
-ops.
+builds the tables of one combination and returns an ``Evaluator`` that
+holds them and one pipeline, a map from float64 arrays to float32
+results, elementwise.  ``evaluate`` is a batch of one and
+``evaluate_batch`` a batch of many, so scalar and batch results are
+bit-identical and count the same ops.
+
+Each cell is a small kernel inside range reduction and extension.  One
+table per method family says what each function's kernel is and which
+array steps wrap it: ``_TABLE_CELLS`` (M/L-LUTs, whose tables and
+queries ``table_kernel`` builds), ``_D_CELLS`` (D/DL-LUTs), and the
+``_CIRCULAR``, ``_HYPERBOLIC`` and ``_VECTORING`` sets, which pick a
+rotator or vectoring tables for ``cordic.<function>_array`` (CORDIC and
+CORDIC+LUT).  ``SUPPORT`` and the dispatch follow from them.  Builders
+and queries are looked up through their modules when a cell is built,
+never at import.
 """
 
 from __future__ import annotations
@@ -58,40 +65,6 @@ class NumberFormat(Enum):
     FIXED = "fixed"
 
 
-_TRIG_LUT = frozenset({FunctionId.SIN, FunctionId.COS, FunctionId.TAN,
-                       FunctionId.EXP, FunctionId.LOG, FunctionId.SQRT})
-
-# Which functions each method implements.
-SUPPORT = {
-    MethodId.CORDIC: frozenset(f for f in FunctionId if f is not FunctionId.GELU),
-    MethodId.MLUT: _TRIG_LUT,
-    MethodId.MLUT_INTERP: _TRIG_LUT,
-    MethodId.LLUT: _TRIG_LUT,
-    MethodId.LLUT_INTERP: _TRIG_LUT,
-    MethodId.DLUT_INTERP: frozenset({FunctionId.SIN, FunctionId.TANH,
-                                     FunctionId.GELU}),
-    MethodId.DLLUT_INTERP: frozenset({FunctionId.SIN, FunctionId.TANH,
-                                      FunctionId.GELU}),
-    MethodId.CORDIC_LUT: frozenset({FunctionId.SIN, FunctionId.COS,
-                                    FunctionId.TAN, FunctionId.SINH,
-                                    FunctionId.COSH, FunctionId.TANH,
-                                    FunctionId.EXP}),
-}
-
-# Fixed-point queries need shift-only addressing, so only the L-LUTs
-# have a fixed variant.
-_FIXED_METHODS = frozenset({MethodId.LLUT, MethodId.LLUT_INTERP})
-
-
-def supported(function: FunctionId, method: MethodId,
-              number_format: NumberFormat = NumberFormat.FLOAT) -> bool:
-    if function not in SUPPORT[method]:
-        return False
-    if number_format is NumberFormat.FIXED:
-        return method in _FIXED_METHODS
-    return True
-
-
 @dataclass(frozen=True)
 class EvaluatorConfig:
     method: MethodId
@@ -111,27 +84,20 @@ def gelu_exact(x: float) -> float:
     return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-# Reduced-domain kernels the M/L LUT methods tabulate: (lo, hi, f).
-_REDUCED_DOMAIN = {
-    FunctionId.SIN: (0.0, TWO_PI, math.sin),
-    FunctionId.COS: (0.0, TWO_PI, math.cos),
-    FunctionId.EXP: (0.0, 1.0, lambda r: 2.0 ** r),
-    FunctionId.LOG: (1.0, 2.0, math.log),
-    FunctionId.SQRT: (0.5, 2.0, math.sqrt),
-}
-
-
+@dataclass(eq=False)
 class Evaluator:
-    """One built cell.  ``pipeline`` maps a float64 array to float32 results
-    elementwise and tallies its ops into the active counting context.
+    """One built cell.  ``pipeline`` maps a float64 array to float32
+    results elementwise and tallies its ops into the active counting
+    context.  ``tables`` holds the tables it reads: a ``lut.FuzzyLut`` per
+    table for the LUT methods (two for tan via M/L), the
+    ``cordic.CordicTables`` or ``combined.CordicLutTables`` for CORDIC.
     """
 
-    def __init__(self, function: FunctionId, config: EvaluatorConfig,
-                 pipeline, setup: SetupReport):
-        self.function = function
-        self.config = config
-        self.pipeline = pipeline
-        self.setup = setup
+    function: FunctionId
+    config: EvaluatorConfig
+    pipeline: object
+    setup: SetupReport
+    tables: tuple
 
     def evaluate(self, x) -> np.float32:
         return self.pipeline(np.array([float(x)]))[0]
@@ -144,141 +110,179 @@ class Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# Per-method kernel construction
+# M- and L-LUT cells
 # ---------------------------------------------------------------------------
 
-def _lut_tables_for(function: FunctionId, cfg: EvaluatorConfig):
-    """Build the reduced-domain table(s) for an M/L LUT method."""
-    interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
+_M_LUTS = (MethodId.MLUT, MethodId.MLUT_INTERP)
+_L_LUTS = (MethodId.LLUT, MethodId.LLUT_INTERP)
+
+
+def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig,
+                 function_id: str):
+    """The M/L table of ``f`` on [lo, hi] that ``cfg`` asks for, and its
+    query: a map from a float64 array on [lo, hi] to float32 results.
+
+    The one place where a (method, format) pair picks a table builder and
+    a query.  Fixed-point queries need shift-only addressing, so only the
+    L-LUTs have a fixed variant; it converts at the query's boundary.
+    """
     fixed = cfg.number_format is NumberFormat.FIXED
-    family_l = cfg.method in (MethodId.LLUT, MethodId.LLUT_INTERP)
-
-    def build(lo, hi, f, fid):
-        if fixed:
-            return lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp, fid)
-        if family_l:
-            return lut.build_llut(f, lo, hi, cfg.lut_size, interp, fid)
-        return lut.build_mlut(f, lo, hi, cfg.lut_size, interp, fid)
-
-    if function is FunctionId.TAN:
-        lo, hi, _ = _REDUCED_DOMAIN[FunctionId.SIN]
-        return {"sin": build(lo, hi, math.sin, "sin"),
-                "cos": build(lo, hi, math.cos, "cos")}
-    lo, hi, f = _REDUCED_DOMAIN[function]
-    return {"main": build(lo, hi, f, function.value)}
-
-
-def _lut_query_fn(cfg: EvaluatorConfig):
+    if cfg.method not in (_L_LUTS if fixed else _M_LUTS + _L_LUTS):
+        raise UnsupportedCombinationError(
+            f"no {cfg.number_format.value} M/L table for {cfg.method.value}")
     interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
-    if cfg.number_format is NumberFormat.FIXED:
+    if fixed:
+        table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp,
+                                     function_id)
         fq = lut.fixed_llut_query_interp if interp else lut.fixed_llut_query
-
-        def query(t, r):
-            return to_float_array(fq(t, to_fixed_array(r)))
-        return query
-    if cfg.method in (MethodId.LLUT, MethodId.LLUT_INTERP):
-        return lut.llut_query_interp if interp else lut.llut_query
-    return lut.mlut_query_interp if interp else lut.mlut_query
-
-
-def _ml_lut_pipeline(function: FunctionId, cfg: EvaluatorConfig):
-    tables = _lut_tables_for(function, cfg)
-    query = _lut_query_fn(cfg)
-    mem = sum(lut.lut_memory_bytes(t) for t in tables.values())
-
-    if function in (FunctionId.SIN, FunctionId.COS):
-        t = tables["main"]
-
-        def pipeline(x):
-            return query(t, reduce_2pi_array(x))
-    elif function is FunctionId.TAN:
-        ts, tc = tables["sin"], tables["cos"]
-
-        def pipeline(x):
-            r = reduce_2pi_array(x)
-            return tan_extend(query(ts, r), query(tc, r))
-    elif function in (FunctionId.EXP, FunctionId.LOG, FunctionId.SQRT):
-        t = tables["main"]
-        via = {FunctionId.EXP: exp_via, FunctionId.LOG: log_via,
-               FunctionId.SQRT: sqrt_via}[function]
-
-        def pipeline(x):
-            return via(lambda r: query(t, r), x)
-    else:  # pragma: no cover - guarded by supported()
-        raise UnsupportedCombinationError(function.value)
-    return pipeline, mem
-
-
-def _d_family_pipeline(function: FunctionId, cfg: EvaluatorConfig):
-    dl = cfg.method is MethodId.DLLUT_INTERP
-    if function is FunctionId.SIN:
-        host = math.sin
-    elif function is FunctionId.TANH:
-        host = math.tanh
+        return table, lambda r: to_float_array(fq(table, to_fixed_array(r)))
+    if cfg.method in _L_LUTS:
+        table = lut.build_llut(f, lo, hi, cfg.lut_size, interp, function_id)
+        query = lut.llut_query_interp if interp else lut.llut_query
     else:
-        host = gelu_exact
+        table = lut.build_mlut(f, lo, hi, cfg.lut_size, interp, function_id)
+        query = lut.mlut_query_interp if interp else lut.mlut_query
+    return table, partial(query, table)
 
-    if dl:
+
+def _tan(q_sin, q_cos, x):
+    r = reduce_2pi_array(x)
+    return tan_extend(q_sin(r), q_cos(r))
+
+
+# function -> ((function_id, host f, lo, hi) per table, pipeline step);
+# the step takes one query per table, then the input array.
+_TABLE_CELLS = {
+    FunctionId.SIN: ((("sin", math.sin, 0.0, TWO_PI),),
+                     lambda q, x: q(reduce_2pi_array(x))),
+    FunctionId.COS: ((("cos", math.cos, 0.0, TWO_PI),),
+                     lambda q, x: q(reduce_2pi_array(x))),
+    FunctionId.TAN: ((("sin", math.sin, 0.0, TWO_PI),
+                      ("cos", math.cos, 0.0, TWO_PI)), _tan),
+    FunctionId.EXP: ((("exp", lambda r: 2.0 ** r, 0.0, 1.0),),
+                     lambda q, x: exp_via(q, x)),
+    FunctionId.LOG: ((("log", math.log, 1.0, 2.0),),
+                     lambda q, x: log_via(q, x)),
+    FunctionId.SQRT: ((("sqrt", math.sqrt, 0.5, 2.0),),
+                      lambda q, x: sqrt_via(q, x)),
+}
+
+
+def _table_cell(function: FunctionId, cfg: EvaluatorConfig):
+    hosts, step = _TABLE_CELLS[function]
+    tables, queries = zip(*(table_kernel(f, lo, hi, cfg, fid)
+                            for fid, f, lo, hi in hosts))
+    return tables, partial(step, *queries)
+
+
+# ---------------------------------------------------------------------------
+# D- and DL-LUT cells
+# ---------------------------------------------------------------------------
+
+def _as_is(x):  # sin(x) ~= tanh(x) ~= x below table resolution
+    return x.astype(np.float32)
+
+
+def _d_sin(query, tiny, x):
+    r = reduce_2pi_array(np.abs(x))
+    v = piecewise(r < tiny, r, _as_is, query)
+    return np.where(x < 0, -v, v)
+
+
+def _d_tanh(query, tiny, x):
+    def reflected(v):
+        q = query(np.abs(v))
+        return np.where(v < 0, -q, q)
+    return piecewise(np.abs(x) < tiny, x, _as_is, reflected)
+
+
+def _d_gelu(query, tiny, x):
+    """gelu(x) = gelu(-x) + x for x < 0, and gelu(x) ~= x/2 near zero."""
+    neg = ~(x >= 0)
+    tally("float_add", int(np.count_nonzero(neg)))
+    ax = np.where(neg, -x, x)
+    v = piecewise(ax < tiny, ax,
+                  lambda a: ldexp32(a.astype(np.float32), -1), query)
+    v[neg] += x[neg].astype(np.float32)
+    return v
+
+
+# function -> (host f, pipeline step(query, tiny, x)); the table covers
+# [2**base_exponent, 2**hi_exponent), and inputs below ``tiny`` bypass it.
+_D_CELLS = {
+    FunctionId.SIN: (math.sin, _d_sin),
+    FunctionId.TANH: (math.tanh, _d_tanh),
+    FunctionId.GELU: (gelu_exact, _d_gelu),
+}
+
+
+def _d_cell(function: FunctionId, cfg: EvaluatorConfig):
+    host, step = _D_CELLS[function]
+    if cfg.method is MethodId.DLLUT_INTERP:
         table = lut.build_dllut(host, cfg.exp_bits, cfg.mant_bits,
                                 cfg.dl_base_exponent, cfg.hi_exponent,
                                 function.value)
-        query = lambda x: lut.dllut_query_interp(table, x)
-        tiny = 0.0  # covered down to zero by the L part
+        query, tiny = lut.dllut_query_interp, 0.0  # L part reaches down to 0
     else:
         table = lut.build_dlut(host, cfg.exp_bits, cfg.mant_bits,
                                cfg.base_exponent, cfg.hi_exponent, True,
                                function.value)
-        query = lambda x: lut.dlut_query_interp(table, x)
-        tiny = math.ldexp(1.0, cfg.base_exponent)
-    mem = lut.lut_memory_bytes(table)
-
-    def as_is(x):  # sin(x) ~= tanh(x) ~= x below table resolution
-        return x.astype(np.float32)
-
-    if function is FunctionId.SIN:
-        def pipeline(x):
-            r = reduce_2pi_array(np.abs(x))
-            v = piecewise(r < tiny, r, as_is, query)
-            return np.where(x < 0, -v, v)
-    elif function is FunctionId.TANH:
-        def reflected(x):
-            v = query(np.abs(x))
-            return np.where(x < 0, -v, v)
-
-        def pipeline(x):
-            return piecewise(np.abs(x) < tiny, x, as_is, reflected)
-    else:  # GELU: gelu(x) = gelu(-x) + x for x < 0
-        def halved(x):  # gelu(x) ~= x/2 near zero
-            return ldexp32(x.astype(np.float32), -1)
-
-        def pipeline(x):
-            neg = ~(x >= 0)
-            tally("float_add", int(np.count_nonzero(neg)))
-            ax = np.where(neg, -x, x)
-            v = piecewise(ax < tiny, ax, halved, query)
-            v[neg] += x[neg].astype(np.float32)
-            return v
-    return pipeline, mem
+        query, tiny = lut.dlut_query_interp, math.ldexp(1.0, cfg.base_exponent)
+    return (table,), partial(step, partial(query, table), tiny)
 
 
-def _cordic_pipeline(function: FunctionId, cfg: EvaluatorConfig):
-    """A CORDIC or CORDIC+LUT cell: ``cordic.<function>_array`` driven by
-    the method's rotator.  log and sqrt vector on plain hyperbolic tables
-    instead; they have no CORDIC+LUT form.
-    """
-    pipeline = getattr(cordic, f"{function.value}_array")
-    mode = (cordic.CordicMode.CIRCULAR
-            if function in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN)
+# ---------------------------------------------------------------------------
+# CORDIC and CORDIC+LUT cells
+# ---------------------------------------------------------------------------
+
+_CIRCULAR = frozenset({FunctionId.SIN, FunctionId.COS, FunctionId.TAN})
+_HYPERBOLIC = frozenset({FunctionId.SINH, FunctionId.COSH, FunctionId.TANH,
+                         FunctionId.EXP})
+_VECTORING = frozenset({FunctionId.LOG, FunctionId.SQRT})
+
+
+def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
+    """``cordic.<function>_array`` driven by the method's rotator, or for
+    log and sqrt (no CORDIC+LUT form) by plain hyperbolic tables."""
+    step = getattr(cordic, f"{function.value}_array")
+    mode = (cordic.CordicMode.CIRCULAR if function in _CIRCULAR
             else cordic.CordicMode.HYPERBOLIC)
     if cfg.method is MethodId.CORDIC_LUT:
         start = combined.build_cordic_lut(mode, cfg.lut_addr_bits, cfg.n_iter)
-        return (partial(pipeline, combined.rotator(start)),
-                combined.cordic_lut_memory_bytes(start))
+        return (start,), partial(step, combined.rotator(start))
     tables = cordic.generate_cordic_tables(mode, cfg.n_iter)
-    rotate = lambda theta: cordic.cordic_rotate(tables, theta)
-    vectoring = function in (FunctionId.LOG, FunctionId.SQRT)
-    return (partial(pipeline, tables if vectoring else rotate),
-            (len(tables.angles) + 1) * 4)
+    kernel = (tables if function in _VECTORING
+              else partial(cordic.cordic_rotate, tables))
+    return (tables,), partial(step, kernel)
+
+
+# (methods, functions they implement, cell builder) per method family.
+_FAMILIES = (
+    (_M_LUTS + _L_LUTS, frozenset(_TABLE_CELLS), _table_cell),
+    ((MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP), frozenset(_D_CELLS),
+     _d_cell),
+    ((MethodId.CORDIC,), _CIRCULAR | _HYPERBOLIC | _VECTORING, _cordic_cell),
+    ((MethodId.CORDIC_LUT,), _CIRCULAR | _HYPERBOLIC, _cordic_cell),
+)
+
+# Which functions each method implements.
+SUPPORT = {m: fs for methods, fs, _ in _FAMILIES for m in methods}
+_BUILD_CELL = {m: build for methods, _, build in _FAMILIES for m in methods}
+
+
+def supported(function: FunctionId, method: MethodId,
+              number_format: NumberFormat = NumberFormat.FLOAT) -> bool:
+    return function in SUPPORT[method] and (
+        number_format is NumberFormat.FLOAT or method in _L_LUTS)
+
+
+def _table_bytes(table) -> int:
+    """Modelled device memory of one table an evaluator holds."""
+    if isinstance(table, lut.FuzzyLut):
+        return lut.lut_memory_bytes(table)
+    if isinstance(table, combined.CordicLutTables):
+        return combined.cordic_lut_memory_bytes(table)
+    return (len(table.angles) + 1) * 4  # angles and the inverse gain
 
 
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
@@ -288,13 +292,8 @@ def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
             f"in {config.number_format.value} format")
     t0 = time.perf_counter()
     with counting() as c:
-        if config.method in (MethodId.MLUT, MethodId.MLUT_INTERP,
-                             MethodId.LLUT, MethodId.LLUT_INTERP):
-            pipeline, mem = _ml_lut_pipeline(function, config)
-        elif config.method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
-            pipeline, mem = _d_family_pipeline(function, config)
-        else:
-            pipeline, mem = _cordic_pipeline(function, config)
-    setup = SetupReport(wall_seconds=time.perf_counter() - t0, bytes=mem,
+        tables, pipeline = _BUILD_CELL[config.method](function, config)
+    setup = SetupReport(wall_seconds=time.perf_counter() - t0,
+                        bytes=sum(map(_table_bytes, tables)),
                         table_entries=c.table_setup_entries)
-    return Evaluator(function, config, pipeline, setup)
+    return Evaluator(function, config, pipeline, setup, tables)

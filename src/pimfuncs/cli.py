@@ -3,7 +3,7 @@
 Subcommands:
   sweep     accuracy sweep over table sizes or iteration counts -> CSV
   workload  run one workload variant -> CSV
-  table     dump a built lookup table to the binary format, or load one
+  table     dump an evaluator's lookup table to the binary format, or load one
 
 Exit codes: 0 success, 2 unsupported (function, method) combination,
 1 I/O or runtime failure.
@@ -16,11 +16,11 @@ import sys
 
 from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                  build_evaluator, supported)
+                  build_evaluator)
 from .costmodel import load_weights, weighted_cost
 from .errors import PimFuncsError, UnsupportedCombinationError
-from .harness import (_REFERENCE, BLACKSCHOLES_VARIANTS, DEFAULT_DOMAINS,
-                      SIGMOID_VARIANTS, SOFTMAX_VARIANTS, emit_csv, rmse_sweep,
+from .harness import (BLACKSCHOLES_VARIANTS, SIGMOID_VARIANTS,
+                      SOFTMAX_VARIANTS, _config_for, emit_csv, rmse_sweep,
                       run_blackscholes, run_sigmoid, run_softmax)
 
 _WORKLOADS = {
@@ -69,7 +69,9 @@ def _parser() -> argparse.ArgumentParser:
                              if m is not MethodId.CORDIC
                              and m is not MethodId.CORDIC_LUT])
     tb.add_argument("--format", default="float", choices=["float", "fixed"])
-    tb.add_argument("--size", type=int, default=4096)
+    tb.add_argument("--size", type=int,
+                    help="table size, as in sweep --sizes (mantissa bits "
+                         "for dlut/dllut); default: the evaluator's own")
     return p
 
 
@@ -113,26 +115,15 @@ def _cmd_table(args) -> int:
               f"range=[{s.lo!r}, {s.hi!r}] bytes={lut.lut_memory_bytes(table)}")
         return 0
 
-    function = FunctionId(args.function)
     method = MethodId(args.method)
     fmt = NumberFormat(args.format)
-    if not supported(function, method, fmt):
-        raise UnsupportedCombinationError(
-            f"{function.value} via {method.value} ({fmt.value})")
-    f = _REFERENCE[function]
-    lo, hi = DEFAULT_DOMAINS[function]
-    interp = method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
-    if fmt is NumberFormat.FIXED:
-        table = lut.build_fixed_llut(f, lo, min(hi, 8.0), args.size, interp,
-                                     function.value)
-    elif method in (MethodId.MLUT, MethodId.MLUT_INTERP):
-        table = lut.build_mlut(f, lo, hi, args.size, interp, function.value)
-    elif method in (MethodId.LLUT, MethodId.LLUT_INTERP):
-        table = lut.build_llut(f, lo, hi, args.size, interp, function.value)
-    elif method is MethodId.DLUT_INTERP:
-        table = lut.build_dlut(f, 5, 8, -16, function_id=function.value)
-    else:
-        table = lut.build_dllut(f, 4, 8, 0, function_id=function.value)
+    cfg = (EvaluatorConfig(method=method, number_format=fmt)
+           if args.size is None else _config_for(method, fmt, args.size))
+    ev = build_evaluator(FunctionId(args.function), cfg)
+    if len(ev.tables) != 1:
+        raise UnsupportedCombinationError(f"{args.function} holds "
+                                          f"{len(ev.tables)} tables, not one")
+    table, = ev.tables
     lut.save_table(table, args.path)
     print(f"wrote {lut.lut_memory_bytes(table)} bytes to {args.path}")
     return 0

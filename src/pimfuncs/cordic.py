@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial, wraps
+from functools import partial, wraps
 
 import numpy as np
 
-from .costmodel import suppressed, tally
+from .costmodel import tally
 from .errors import DomainError, RangeError
 from .fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, check_raw_array,
                          ldexp32, to_fixed, to_fixed_array, to_float_array)
@@ -112,14 +112,6 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
                         repeat_schedule=tuple(repeats),
                         schedule=tuple(schedule), phi_raw=phi_raw,
                         first_index=start, max_angle=max_angle)
-
-
-@lru_cache(maxsize=None)
-def _tables(mode: CordicMode, n_iter: int) -> CordicTables:
-    # Cache refills must not perturb whatever op-counting context is
-    # active around an evaluation call.
-    with suppressed():
-        return generate_cordic_tables(mode, n_iter)
 
 
 def _iterate(tables: CordicTables, x: np.ndarray, y: np.ndarray, t: np.ndarray,
@@ -290,25 +282,3 @@ def sqrt_array(tables: CordicTables, x: np.ndarray) -> np.ndarray:
             (xr * tables.inv_gain.raw) >> FRAC_BITS))
     return sqrt_via(sqrt_mantissa, x)
 
-
-# ---------------------------------------------------------------------------
-# One-element forms at n_iter plain CORDIC iterations
-# ---------------------------------------------------------------------------
-
-def _one_element(pipeline, mode: CordicMode, vectoring: bool = False):
-    def evaluate(x: float, n_iter: int = 28) -> np.float32:
-        tables = _tables(mode, n_iter)
-        arg = tables if vectoring else partial(cordic_rotate, tables)
-        return pipeline(arg, np.array([float(x)]))[0]
-    return evaluate
-
-
-cordic_sin = _one_element(sin_array, CordicMode.CIRCULAR)
-cordic_cos = _one_element(cos_array, CordicMode.CIRCULAR)
-cordic_tan = _one_element(tan_array, CordicMode.CIRCULAR)
-cordic_sinh = _one_element(sinh_array, CordicMode.HYPERBOLIC)
-cordic_cosh = _one_element(cosh_array, CordicMode.HYPERBOLIC)
-cordic_tanh = _one_element(tanh_array, CordicMode.HYPERBOLIC)
-cordic_exp = _one_element(exp_array, CordicMode.HYPERBOLIC)
-cordic_log = _one_element(log_array, CordicMode.HYPERBOLIC, vectoring=True)
-cordic_sqrt = _one_element(sqrt_array, CordicMode.HYPERBOLIC, vectoring=True)

@@ -104,16 +104,6 @@ def counting():
             parent += c  # OpCounts.__iadd__ adds in place
 
 
-@contextmanager
-def suppressed():
-    """Discard all tallies inside the block (e.g. cache refills)."""
-    token = _stack.set(_stack.get() + (OpCounts(),))
-    try:
-        yield
-    finally:
-        _stack.reset(token)
-
-
 def with_counting(thunk):
     """Run ``thunk()`` under a fresh accumulator; return (result, OpCounts)."""
     with counting() as c:

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                  build_evaluator, gelu_exact)
+                  build_evaluator, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
-from .fixedpoint import to_fixed_array, to_float_array
 from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
@@ -268,19 +267,10 @@ def _cndf_exact(x: float) -> float:
 
 def _make_cndf_lut(fixed: bool):
     """CNDF from an interpolated L-LUT over [0, 8); float64 results."""
-    if fixed:
-        table = lut.build_fixed_llut(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE,
-                                     interpolated=True, function_id="cndf")
-
-        def query(x):
-            return to_float_array(lut.fixed_llut_query_interp(
-                table, to_fixed_array(x)))
-    else:
-        table = lut.build_llut(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE,
-                               interpolated=True, function_id="cndf")
-
-        def query(x):
-            return lut.llut_query_interp(table, x)
+    cfg = EvaluatorConfig(method=MethodId.LLUT_INTERP, lut_size=CNDF_LUT_SIZE,
+                          number_format=(NumberFormat.FIXED if fixed
+                                         else NumberFormat.FLOAT))
+    _, query = table_kernel(_cndf_exact, 0.0, 8.0, cfg, "cndf")
 
     def cndf(x):
         out = np.where(x >= 8.0, 1.0, 0.0)

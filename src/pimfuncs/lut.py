@@ -286,7 +286,7 @@ def fixed_llut_query(lut: FuzzyLut, raw):
     shift = FRAC_BITS - lut.spec.n
     tally("int_add", 2 * raw.size)
     tally("int_shift", raw.size)
-    a = (raw - lut.p_raw + (1 << (shift - 1))) >> shift  # round to nearest
+    a = (raw - lut.p_raw + ((1 << shift) >> 1)) >> shift  # round to nearest
     tally("lut_lookup", raw.size)
     return lut.entries[_clamp(a, _size(lut) - 1)]
 

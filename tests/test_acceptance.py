@@ -16,7 +16,7 @@ from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting, weighted_cost
-from pimfuncs.fixedpoint import to_fixed, to_float
+from pimfuncs.fixedpoint import to_fixed, to_fixed_array, to_float_array
 from pimfuncs.harness import (DEFAULT_DOMAINS, amortization_crossover,
                               csv_text, reference_values, rmse_sweep,
                               run_blackscholes, run_sigmoid, run_softmax)
@@ -152,12 +152,14 @@ def test_c06_cordic_error_decay(capfd):
     # iteration, until the fixed/float error floor is reached.
     floor = 2e-7
     xs = np.linspace(0.0, math.pi / 2, 4096)
+    raw = to_fixed_array(xs)
+    sines = np.array(list(map(math.sin, xs.tolist())))
     errs = {}
     for n in range(8, 26):
         t = generate_cordic_tables(CordicMode.CIRCULAR, n)
-        errs[n] = max(
-            abs(float(to_float(cordic_rotate(t, to_fixed(float(x)))[1]))
-                - math.sin(x)) for x in xs)
+        _, y = cordic_rotate(t, raw)  # one call over all 4096 angles
+        errs[n] = float(np.max(np.abs(to_float_array(y).astype(np.float64)
+                                      - sines)))
     worst = math.inf
     checked = 0
     for n in range(8, 24):

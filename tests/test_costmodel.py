@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from pimfuncs.costmodel import (DEFAULT_WEIGHTS, OP_FIELDS, OpCounts, counting,
-                                load_weights, suppressed, tally, weighted_cost,
+                                load_weights, tally, weighted_cost,
                                 with_counting)
 
 
@@ -62,14 +62,6 @@ def test_counting_is_per_thread():
     assert not any(t.is_alive() for t in threads)
     assert seen == [rounds * (i + 1) for i in range(n_threads)]
     assert outer.int_add == 0
-
-
-def test_suppressed_discards():
-    with counting() as c:
-        tally("float_mul")
-        with suppressed():
-            tally("float_mul", 100)
-    assert c.float_mul == 1
 
 
 def test_opcounts_add():

@@ -1,10 +1,14 @@
-"""Golden outputs: exact result bits and op counts of every default cell.
+"""Golden outputs: exact result bits, op counts and set-up of every default
+cell.
 
-The pinned values were recorded from the per-element scalar
-implementation.  Any change that alters a result bit or an op count,
-for any supported (function, method, format) cell or workload variant,
-fails here.  Edge evaluations that raised when the values were recorded
-are not pinned, so a later fix may turn them into values.
+The digests and workload pins were recorded from the per-element scalar
+implementation; the set-up pins (modelled table bytes and generated
+entries) and the +-1e10 edge values were added later, in a re-recording
+that left every earlier pin as it was.  Any change that alters a result
+bit, an op count or a table's size, for any supported (function,
+method, format) cell or workload variant, fails here.  Edge evaluations
+that raised when the values were recorded are not pinned, so a later
+fix may turn them into values.
 
 To re-record after a change that alters results on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` and replace the tables.
@@ -32,10 +36,9 @@ CELLS = {f"{f.value}/{m.value}/{fmt.value}":
          if supported(f, m, fmt)}
 
 # +-0, subnormals, and magnitudes that stress the range reductions.
-# +-1e10 is left out: the scalar ldexp of the recorded implementation
-# allocates gigabytes on it.
 EDGE_VALUES = tuple(np.float32(s * v) for v in (
-    0.0, 1e-45, 1e-40, 1e-39, 1.1754942e-38, 89.0, 1e4, 3e38) for s in (1.0, -1.0))
+    0.0, 1e-45, 1e-40, 1e-39, 1.1754942e-38, 89.0, 1e4, 1e10, 3e38)
+    for s in (1.0, -1.0))
 
 WORKLOADS = {"blackscholes": (run_blackscholes, BLACKSCHOLES_VARIANTS),
              "sigmoid": (run_sigmoid, SIGMOID_VARIANTS),
@@ -76,6 +79,13 @@ def edge_bits(key: str) -> list:
     return tokens
 
 
+def setup_pin(key: str) -> tuple:
+    """Modelled table bytes and generated table entries of a cell."""
+    function, cfg = CELLS[key]
+    setup = build_evaluator(function, cfg).setup
+    return setup.bytes, setup.table_entries
+
+
 def workload_pin(name: str, variant: str) -> tuple:
     run, _ = WORKLOADS[name]
     res = run(WORKLOAD_N, variant, seed=WORKLOAD_SEED)
@@ -95,6 +105,11 @@ def test_edge_values(key):
             assert have == want, f"{key} at {float(x)!r}"
 
 
+@pytest.mark.parametrize("key", sorted(CELLS))
+def test_setup(key):
+    assert setup_pin(key) == SETUP_PINS[key]
+
+
 @pytest.mark.parametrize("name,variant",
                          [(n, v) for n, (_, vs) in WORKLOADS.items() for v in vs])
 def test_workload_results(name, variant):
@@ -102,7 +117,7 @@ def test_workload_results(name, variant):
 
 
 def _record() -> None:
-    """Print the three tables below from the implementation at hand."""
+    """Print the four tables below from the implementation at hand."""
     print("BATCH_DIGESTS = {")
     for key in sorted(CELLS):
         print(f'    "{key}":\n        "{batch_digest(key)}",')
@@ -111,6 +126,9 @@ def _record() -> None:
         lines = textwrap.wrap(" ".join(edge_bits(key)), 54)
         body = "\n".join(f'        "{line} "' for line in lines)
         print(f'    "{key}": (\n{body}),')
+    print("}\n\nSETUP_PINS = {")
+    for key in sorted(CELLS):
+        print(f'    "{key}": {setup_pin(key)!r},')
     print("}\n\nWORKLOAD_PINS = {")
     for name, (_, variants) in WORKLOADS.items():
         for v in variants:
@@ -246,221 +264,282 @@ EDGE_BITS = {
     "cos/cordic-lut/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af6 3f029af6 "
-        "bf73c074 bf73c074 bf520bd6 bf520bd6 "),
+        "bf73c074 bf73c074 3f5f84c8 3f5f84c8 bf520bd6 bf520bd6 "),
     "cos/cordic/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af6 3f029af6 "
-        "bf73c074 bf73c074 bf520bd6 bf520bd6 "),
+        "bf73c074 bf73c074 3f5f84c8 3f5f84c8 bf520bd6 bf520bd6 "),
     "cos/llut-interp/fixed": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af5 3f029af5 "
-        "bf73c06d bf73c06d bf520bd4 bf520bd5 "),
+        "bf73c06d bf73c06d 3f5f84c2 3f5f84c2 bf520bd4 bf520bd5 "),
     "cos/llut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af4 3f029af1 "
-        "bf73c06c bf73c06c bf520bd4 bf520bd5 "),
+        "bf73c06c bf73c06c 3f5f84c0 3f5f84c2 bf520bd4 bf520bd5 "),
     "cos/llut/fixed": (
         "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 "
         "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f0271f8 3f0272fa "
-        "bf73c103 bf73c15e bf51ec3e bf51eb93 "),
+        "bf73c103 bf73c15e 3f5f9374 3f5f92e2 bf51ec3e bf51eb93 "),
     "cos/llut/float": (
         "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 "
         "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f0271f8 3f0272fa "
-        "bf73c103 bf73c15e bf51ec3e bf51eb93 "),
+        "bf73c103 bf73c15e 3f5f9374 3f5f92e2 bf51ec3e bf51eb93 "),
     "cos/mlut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af6 3f029aed "
-        "bf73c070 bf73c06e bf520bd1 bf520bd5 "),
+        "bf73c070 bf73c06e 3f5f84c4 3f5f84c7 bf520bd1 bf520bd5 "),
     "cos/mlut/float": (
         "3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb "
         "3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f02c46b 3f02c46b "
-        "bf73bf81 bf73bf81 bf521711 bf521711 "),
+        "bf73bf81 bf73bf81 3f5f9ba5 3f5f9ba5 bf521711 bf521711 "),
     "cosh/cordic-lut/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f28e166 7f28e166 "
-        "7f800000 7f800000 - - "),
+        "7f800000 7f800000 7f800000 7f800000 7f800000 7f800000 "),
     "cosh/cordic/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f28e166 7f28e166 "
-        "7f800000 7f800000 - - "),
+        "7f800000 7f800000 7f800000 7f800000 7f800000 7f800000 "),
     "exp/cordic-lut/float": (
         "3f7fffff 3f7fffff 3f7fffff 3f800000 3f7fffff 3f800000 "
         "3f7fffff 3f800000 3f7fffff 3f800000 7f800000 001840fc "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/cordic/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut-interp/fixed": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut/fixed": (
         "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
         "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut/float": (
         "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
         "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/mlut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/mlut/float": (
         "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
         "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
-        "7f800000 00000000 7f800000 - "),
+        "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "gelu/dllut-interp/float": (
         "00000000 00000000 00000001 00000000 00008bd0 80008af2 "
         "00057624 80056d74 00403310 803fccef 42b20000 00000000 "
-        "461c4000 00000000 - - "),
+        "461c4000 00000000 - - - - "),
     "gelu/dlut-interp/float": (
         "00000000 80000000 00000000 80000001 00008b61 80008b61 "
         "000571cc 800571cc 00400000 803fffff 42b20000 00000000 "
-        "461c4000 00000000 - - "),
+        "461c4000 00000000 - - - - "),
     "log/cordic/float": (
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
-        "408fa2e9 - 41135d8e - 42b13196 - "),
+        "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/llut-interp/fixed": (
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
-        "408fa2e9 - 41135d8e - 42b13196 - "),
+        "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/llut-interp/float": (
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
-        "408fa2e9 - 41135d8e - 42b13196 - "),
+        "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/llut/fixed": (
         "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 42b1319b - "),
+        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
     "log/llut/float": (
         "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 42b1319b - "),
+        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
     "log/mlut-interp/float": (
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
-        "408fa2e9 - 41135d8e - 42b13196 - "),
+        "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/mlut/float": (
         "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 42b1319b - "),
+        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
     "sin/cordic-lut/float": (
         "33600000 33600000 33600000 b3600000 33600000 b3600000 "
         "33600000 b3600000 33600000 b3600000 3f5c2d82 bf5c2d82 "
-        "be9c797e 3e9c797e 3f125813 bf125813 "),
+        "be9c797e 3e9c797e bef99a58 3ef99a58 3f125813 bf125813 "),
     "sin/cordic/float": (
         "00000000 00000000 00000000 80000000 00000000 80000000 "
         "00000000 80000000 00000000 80000000 3f5c2d82 bf5c2d82 "
-        "be9c797d 3e9c797d 3f125813 bf125813 "),
+        "be9c797d 3e9c797d bef99a59 3ef99a59 3f125813 bf125813 "),
     "sin/dllut-interp/float": (
         "00000000 00000000 00000001 80000001 000116c2 800116c2 "
         "000ae396 800ae396 007fffea 807fffea 3f5c2d7c bf5c2d7c "
-        "be9c795d 3e9c795d 3f1257e0 bf1257e0 "),
+        "be9c795d 3e9c795d bef9986e 3ef9986e 3f1257e0 bf1257e0 "),
     "sin/dlut-interp/float": (
         "00000000 00000000 00000001 80000001 000116c2 800116c2 "
         "000ae398 800ae398 007fffff 807fffff 3f5c2d7c bf5c2d7c "
-        "be9c795d 3e9c795d 3f1257e0 bf1257e0 "),
+        "be9c795d 3e9c795d bef9986e 3ef9986e 3f1257e0 bf1257e0 "),
     "sin/llut-interp/fixed": (
         "00000000 00000000 00000000 00000000 00000000 00000000 "
         "00000000 00000000 00000000 00000000 3f5c2d7f bf5c2d7f "
-        "be9c7978 3e9c7978 3f125812 bf125812 "),
+        "be9c7978 3e9c7978 bef99a52 3ef99a52 3f125812 bf125812 "),
     "sin/llut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffa 00000000 3f5c2d80 bf5c2d81 "
-        "be9c797a 3e9c797c 3f125812 bf125812 "),
+        "be9c797a 3e9c797c bef99a59 3ef99a52 3f125812 bf125812 "),
     "sin/llut/fixed": (
         "3a800000 3a800000 3a800000 3a800000 3a800000 3a800000 "
         "3a800000 3a800000 3a800000 3a800000 3f5c45ce bf5c4536 "
-        "be9c7604 3e9c73ca 3f128562 bf128657 "),
+        "be9c7604 3e9c73ca bef965c2 3ef967cd 3f128562 bf128657 "),
     "sin/llut/float": (
         "3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd "
         "3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3f5c45ce bf5c4536 "
-        "be9c7604 3e9c73cb 3f128562 bf128657 "),
+        "be9c7604 3e9c73cb bef965c2 3ef967cd 3f128562 bf128657 "),
     "sin/mlut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffb 00000000 3f5c2d81 bf5c2d87 "
-        "be9c7978 3e9c7984 3f125812 bf12580d "),
+        "be9c7978 3e9c7984 bef99a63 3ef99a57 3f125812 bf12580d "),
     "sin/mlut/float": (
         "3a490fd9 3a490fd9 3a490fd9 3a490fd9 3a490fd9 3a490fd9 "
         "3a490fd9 3a490fd9 3a490fd9 3a490fd9 3f5c14e6 bf5c14e6 "
-        "be9c7f6a 3e9c7f6a 3f1247f3 bf1247f3 "),
+        "be9c7f6a 3e9c7f6a bef94862 3ef94862 3f1247f3 bf1247f3 "),
     "sinh/cordic-lut/float": (
         "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
         "b2400000 b2400000 b2400000 b2400000 7f28e166 ff28e166 "
-        "7f800000 ff800000 - - "),
+        "7f800000 ff800000 7f800000 ff800000 7f800000 ff800000 "),
     "sinh/cordic/float": (
         "32800000 32800000 32800000 32800000 32800000 32800000 "
         "32800000 32800000 32800000 32800000 7f28e166 ff28e166 "
-        "7f800000 ff800000 - - "),
+        "7f800000 ff800000 7f800000 ff800000 7f800000 ff800000 "),
     "sqrt/cordic/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e6 - 1f155598 - "
-        "1ffffffe - 4116f196 - 42c80000 - 5f705ece - "),
+        "1ffffffe - 4116f196 - 42c80000 - 47c35000 - 5f705ece - "),
     "sqrt/llut-interp/fixed": (
         "00000000 00000000 1a3504f3 - 1e3ce4e7 - 1f155598 - "
-        "1fffffff - 4116f196 - 42c80000 - 5f705ece - "),
+        "1fffffff - 4116f196 - 42c80000 - 47c35000 - 5f705ece - "),
     "sqrt/llut-interp/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e7 - 1f155598 - "
-        "1fffffff - 4116f196 - 42c80000 - 5f705ece - "),
+        "1fffffff - 4116f196 - 42c80000 - 47c35000 - 5f705ece - "),
     "sqrt/llut/fixed": (
         "00000000 00000000 1a351043 - 1e3cef11 - 1f1554f4 - "
-        "1ffff800 - 4116f4fa - 42c80a3d - 5f705dcc - "),
+        "1ffff800 - 4116f4fa - 42c80a3d - 47c35889 - 5f705dcc - "),
     "sqrt/llut/float": (
         "00000000 00000000 1a351043 - 1e3cef11 - 1f1554f4 - "
-        "1ffff800 - 4116f4fb - 42c80a3d - 5f705dcc - "),
+        "1ffff800 - 4116f4fb - 42c80a3d - 47c35889 - 5f705dcc - "),
     "sqrt/mlut-interp/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e7 - 1f155598 - "
-        "1fffffff - 4116f196 - 42c80000 - 5f705ecf - "),
+        "1fffffff - 4116f196 - 42c80000 - 47c35000 - 5f705ecf - "),
     "sqrt/mlut/float": (
         "00000000 00000000 1a350d6f - 1e3ce6ef - 1f1555cf - "
-        "20000100 - 4116f421 - 42c8028f - 5f70642f - "),
+        "20000100 - 4116f421 - 42c8028f - 47c355ea - 5f70642f - "),
     "tan/cordic-lut/float": (
         "33600000 33600000 33600000 b3600000 33600000 b3600000 "
         "33600000 b3600000 33600000 b3600000 3fd7c921 bfd7c921 "
-        "3ea45655 bea45655 bf325c70 3f325c70 "),
+        "3ea45655 bea45655 bf0eeff8 3f0eeff8 bf325c70 3f325c70 "),
     "tan/cordic/float": (
         "00000000 00000000 00000000 80000000 00000000 80000000 "
         "00000000 80000000 00000000 80000000 3fd7c921 bfd7c921 "
-        "3ea45654 bea45654 bf325c70 3f325c70 "),
+        "3ea45654 bea45654 bf0eeff8 3f0eeff8 bf325c70 3f325c70 "),
     "tan/llut-interp/fixed": (
         "00000000 00000000 00000000 00000000 00000000 00000000 "
         "00000000 00000000 00000000 00000000 3fd7c920 bfd7c920 "
-        "3ea45654 bea45654 bf325c71 3f325c70 "),
+        "3ea45654 bea45654 bf0eeff8 3f0eeff8 bf325c71 3f325c70 "),
     "tan/llut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffa 00000000 3fd7c922 bfd7c928 "
-        "3ea45656 bea45658 bf325c71 3f325c70 "),
+        "3ea45656 bea45658 bf0eeffd 3f0eeff8 bf325c71 3f325c70 "),
     "tan/llut/fixed": (
         "3a800004 3a800004 3a800004 3a800004 3a800004 3a800004 "
         "3a800004 3a800004 3a800004 3a800004 3fd824c8 bfd82287 "
-        "3ea4524e bea44fba bf32ae89 3f32b045 "),
+        "3ea4524e bea44fba bf0ec87b 3f0eca04 bf32ae89 3f32b045 "),
     "tan/llut/float": (
         "3a800003 3a800003 3a800003 3a800003 3a800003 3a800003 "
         "3a800003 3a800003 3a800003 3a800003 3fd824c8 bfd82287 "
-        "3ea4524e bea44fbb bf32ae89 3f32b045 "),
+        "3ea4524e bea44fbb bf0ec87b 3f0eca04 bf32ae89 3f32b045 "),
     "tan/mlut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffb 00000000 3fd7c920 bfd7c935 "
-        "3ea45652 bea4565f bf325c73 3f325c6a "),
+        "3ea45652 bea4565f bf0ef000 3f0eeff8 bf325c73 3f325c6a "),
     "tan/mlut/float": (
         "3a490fdd 3a490fdd 3a490fdd 3a490fdd 3a490fdd 3a490fdd "
         "3a490fdd 3a490fdd 3a490fdd 3a490fdd 3fd76ca1 bfd76ca1 "
-        "3ea45d31 bea45d31 bf323f41 3f323f41 "),
+        "3ea45d31 bea45d31 bf0eb26f 3f0eb26f bf323f41 3f323f41 "),
     "tanh/cordic-lut/float": (
         "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
         "b2400000 b2400000 b2400000 b2400000 3f800000 bf800000 "
-        "3f800000 bf800000 3f800000 bf800000 "),
+        "3f800000 bf800000 3f800000 bf800000 3f800000 bf800000 "),
     "tanh/cordic/float": (
         "32800000 32800000 32800000 32800000 32800000 32800000 "
         "32800000 32800000 32800000 32800000 3f800000 bf800000 "
-        "3f800000 bf800000 3f800000 bf800000 "),
+        "3f800000 bf800000 3f800000 bf800000 3f800000 bf800000 "),
     "tanh/dllut-interp/float": (
         "00000000 00000000 00000001 80000001 000116c2 800116c2 "
         "000ae394 800ae394 007fffd5 807fffd5 3f800000 bf800000 "
-        "3f800000 bf800000 - - "),
+        "3f800000 bf800000 - - - - "),
     "tanh/dlut-interp/float": (
         "00000000 80000000 00000001 80000001 000116c2 800116c2 "
         "000ae398 800ae398 007fffff 807fffff 3f800000 bf800000 "
-        "3f800000 bf800000 - - "),
+        "3f800000 bf800000 - - - - "),
+}
+
+SETUP_PINS = {
+    "cos/cordic-lut/float": (872, 218),
+    "cos/cordic/float": (116, 29),
+    "cos/llut-interp/fixed": (16436, 4097),
+    "cos/llut-interp/float": (16436, 4097),
+    "cos/llut/fixed": (16432, 4096),
+    "cos/llut/float": (16432, 4096),
+    "cos/mlut-interp/float": (16436, 4097),
+    "cos/mlut/float": (16432, 4096),
+    "cosh/cordic-lut/float": (868, 217),
+    "cosh/cordic/float": (108, 27),
+    "exp/cordic-lut/float": (868, 217),
+    "exp/cordic/float": (108, 27),
+    "exp/llut-interp/fixed": (16436, 4097),
+    "exp/llut-interp/float": (16436, 4097),
+    "exp/llut/fixed": (16432, 4096),
+    "exp/llut/float": (16432, 4096),
+    "exp/mlut-interp/float": (16436, 4097),
+    "exp/mlut/float": (16432, 4096),
+    "gelu/dllut-interp/float": (33896, 8450),
+    "gelu/dlut-interp/float": (32820, 8193),
+    "log/cordic/float": (108, 27),
+    "log/llut-interp/fixed": (16436, 4097),
+    "log/llut-interp/float": (16436, 4097),
+    "log/llut/fixed": (16432, 4096),
+    "log/llut/float": (16432, 4096),
+    "log/mlut-interp/float": (16436, 4097),
+    "log/mlut/float": (16432, 4096),
+    "sin/cordic-lut/float": (872, 218),
+    "sin/cordic/float": (116, 29),
+    "sin/dllut-interp/float": (33896, 8450),
+    "sin/dlut-interp/float": (32820, 8193),
+    "sin/llut-interp/fixed": (16436, 4097),
+    "sin/llut-interp/float": (16436, 4097),
+    "sin/llut/fixed": (16432, 4096),
+    "sin/llut/float": (16432, 4096),
+    "sin/mlut-interp/float": (16436, 4097),
+    "sin/mlut/float": (16432, 4096),
+    "sinh/cordic-lut/float": (868, 217),
+    "sinh/cordic/float": (108, 27),
+    "sqrt/cordic/float": (108, 27),
+    "sqrt/llut-interp/fixed": (16436, 4097),
+    "sqrt/llut-interp/float": (16436, 4097),
+    "sqrt/llut/fixed": (16432, 4096),
+    "sqrt/llut/float": (16432, 4096),
+    "sqrt/mlut-interp/float": (16436, 4097),
+    "sqrt/mlut/float": (16432, 4096),
+    "tan/cordic-lut/float": (872, 218),
+    "tan/cordic/float": (116, 29),
+    "tan/llut-interp/fixed": (32872, 8194),
+    "tan/llut-interp/float": (32872, 8194),
+    "tan/llut/fixed": (32864, 8192),
+    "tan/llut/float": (32864, 8192),
+    "tan/mlut-interp/float": (32872, 8194),
+    "tan/mlut/float": (32864, 8192),
+    "tanh/cordic-lut/float": (868, 217),
+    "tanh/cordic/float": (108, 27),
+    "tanh/dllut-interp/float": (33896, 8450),
+    "tanh/dlut-interp/float": (32820, 8193),
 }
 
 WORKLOAD_PINS = {
@@ -516,7 +595,6 @@ WORKLOAD_PINS = {
                  float_mul=2048, float_div=1024, ldexp_op=1024,
                  lut_lookup=1024)),
 }
-
 
 if __name__ == "__main__":
     _record()

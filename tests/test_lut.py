@@ -126,6 +126,14 @@ class TestFixedLlut:
         with pytest.raises(RangeError):
             build_fixed_llut(math.exp, 0.0, 16.0, 64)
 
+    def test_density_exponent_28(self):
+        # n = FRAC_BITS leaves no raw bits below the address, so the
+        # nearest-entry rounding term is 0, not a negative shift.
+        t = build_fixed_llut(math.sin, 0.0, 2.0 ** -27, 2)
+        assert t.spec.n == 28
+        got = fixed_llut_query(t, to_fixed(2.0 ** -29))
+        assert got.raw == t.entries[0]
+
 
 class TestDlut:
     def test_worked_address(self):
