@@ -79,9 +79,11 @@ class EvaluatorConfig:
     hi_exponent: int | None = None
 
 
-def gelu_exact(x: float) -> float:
-    """x * Phi(x) with the exact Gaussian CDF (host-side reference)."""
-    return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+@lut.array_formula
+def gelu_exact(x):
+    """x * Phi(x) with the exact Gaussian CDF (host-side reference), of a
+    float or elementwise over a float64 array."""
+    return x * 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
 
 
 @dataclass(eq=False)
@@ -151,7 +153,9 @@ def _tan(q_sin, q_cos, x):
 
 
 # function -> ((function_id, host f, lo, hi) per table, pipeline step);
-# the step takes one query per table, then the input array.
+# the step takes one query per table, then the input array.  Hosts are
+# libm callables mapped per node (math.pow(2.0, r) is 2.0 ** r, bit for
+# bit) or array formulas (np.sqrt is correctly rounded, as math.sqrt is).
 _TABLE_CELLS = {
     FunctionId.SIN: ((("sin", math.sin, 0.0, TWO_PI),),
                      lambda q, x: q(reduce_2pi_array(x))),
@@ -159,11 +163,11 @@ _TABLE_CELLS = {
                      lambda q, x: q(reduce_2pi_array(x))),
     FunctionId.TAN: ((("sin", math.sin, 0.0, TWO_PI),
                       ("cos", math.cos, 0.0, TWO_PI)), _tan),
-    FunctionId.EXP: ((("exp", lambda r: 2.0 ** r, 0.0, 1.0),),
+    FunctionId.EXP: ((("exp", partial(math.pow, 2.0), 0.0, 1.0),),
                      lambda q, x: exp_via(q, x)),
     FunctionId.LOG: ((("log", math.log, 1.0, 2.0),),
                      lambda q, x: log_via(q, x)),
-    FunctionId.SQRT: ((("sqrt", math.sqrt, 0.5, 2.0),),
+    FunctionId.SQRT: ((("sqrt", lut.array_formula(np.sqrt), 0.5, 2.0),),
                       lambda q, x: sqrt_via(q, x)),
 }
 

@@ -124,8 +124,9 @@ def _cmd_table(args) -> int:
         raise UnsupportedCombinationError(f"{args.function} holds "
                                           f"{len(ev.tables)} tables, not one")
     table, = ev.tables
-    lut.save_table(table, args.path)
-    print(f"wrote {lut.lut_memory_bytes(table)} bytes to {args.path}")
+    written = lut.save_table(table, args.path)
+    print(f"wrote {written} bytes to {args.path} "
+          f"(modelled device bytes {lut.lut_memory_bytes(table)})")
     return 0
 
 

@@ -8,9 +8,14 @@ unless explicitly requested.
 
 References are array arithmetic around libm: each transcendental step
 maps the scalar ``math`` function over the array in chunks
-(``lut.tabulate``), and the arithmetic between steps keeps the scalar
-formula's operation order, so every value is bit-identical to a loop
-over the elements.
+(``lut.mapped``), and the arithmetic between steps is numpy's correctly
+rounded ``+ - * /`` and ``sqrt`` on float64, in the scalar formula's
+operation order, so every value is bit-identical to a loop over the
+elements.  Float32 inputs are cast to float64 before any arithmetic,
+and numpy's transcendental ufuncs, which can differ from libm in the
+last bit, are not used (the softmax reference's ``np.exp`` aside).  The
+same array formulas (``_cndf_exact``, ``gelu_exact``) build the CNDF and
+GELU tables.
 """
 
 from __future__ import annotations
@@ -92,15 +97,9 @@ class WorkloadResult:
     wall_seconds: float
 
 
-def _mapped(f, xs) -> np.ndarray:
-    """``f`` of each element of ``xs`` as a double; float64, shaped as ``xs``."""
-    flat = np.ravel(xs)
-    return lut.tabulate(f, lambda a: flat[a], flat.size).reshape(np.shape(xs))
-
-
 def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
     """Double-precision reference evaluated on the exact float32 inputs."""
-    return _mapped(_REFERENCE[function], xs32)
+    return lut.mapped(_REFERENCE[function], xs32)
 
 
 def _config_for(method: MethodId, number_format: NumberFormat,
@@ -261,8 +260,10 @@ WORKLOAD_LUT_SIZE = 4096
 SOFTMAX_VECTOR_LEN = 1024
 
 
-def _cndf_exact(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+@lut.array_formula
+def _cndf_exact(x):
+    """The exact Gaussian CDF, elementwise over a float64 array."""
+    return 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
 
 
 def _make_cndf_lut(fixed: bool):
@@ -305,13 +306,12 @@ def _bs_kernels(variant: str):
 def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
     """Double-precision closed-form European call prices, elementwise over
     arrays (or of floats)."""
-    def cndf(x):  # _cndf_exact over an array
-        return 0.5 * (1.0 + _mapped(math.erf, x / math.sqrt(2.0)))
     srt = vol * np.sqrt(expiry)  # IEEE sqrt, as math.sqrt
-    d1 = (_mapped(math.log, spot / strike)
+    d1 = (lut.mapped(math.log, spot / strike)
           + (rate + 0.5 * vol * vol) * expiry) / srt
     d2 = d1 - srt
-    return spot * cndf(d1) - strike * _mapped(math.exp, -rate * expiry) * cndf(d2)
+    return (spot * _cndf_exact(d1)
+            - strike * lut.mapped(math.exp, -rate * expiry) * _cndf_exact(d2))
 
 
 def _bs_sample(n: int, seed: int):
@@ -373,7 +373,7 @@ def _exp_kernel(variant: str):
 
 def _sigmoid_reference(xs) -> np.ndarray:
     """Double-precision 1 / (1 + exp(-x)), elementwise."""
-    return 1.0 / (1.0 + _mapped(math.exp, -np.asarray(xs, dtype=np.float64)))
+    return 1.0 / (1.0 + lut.mapped(math.exp, -np.asarray(xs, dtype=np.float64)))
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:

@@ -15,11 +15,23 @@ entries[a + 1] never branches.
 
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
-the address's mantissa and exponent fields for D), and the scalar host
-function (``math.sin``, a Gaussian CDF, ...) is mapped over them a chunk
-of TABULATE_CHUNK addresses at a time.  Each entry is the same call on
-the same double as a per-node loop makes, so tables are bit-identical to
-one, and the Python floats alive at once are bounded by the chunk size.
+the address's mantissa and exponent fields for D), and :func:`mapped`
+evaluates the host function on them, a chunk of TABULATE_CHUNK nodes at a
+time, so the Python floats alive at once are bounded by the chunk size.
+
+A host function is one of two kinds.  A scalar host (``math.sin``,
+``partial(math.pow, 2.0)``, ...) takes one double and is called once per
+node, in address order, exactly as a per-node loop would call it.  An
+:func:`array_formula` takes a float64 chunk and is called once per
+chunk: it maps each libm step over the chunk with :func:`mapped` and does
+the arithmetic between steps in numpy.  Its inputs are cast to float64
+first; under numpy's weak-scalar rule a float32 chunk would keep
+``x / math.sqrt(2.0)`` in float32.  An array formula may use only the
+operations IEEE 754 rounds correctly (``+ - * /`` and ``np.sqrt``), which
+give the same bits in numpy as on Python floats, so its entries are
+bit-identical to its scalar form's.  It may not use numpy's
+transcendental ufuncs (``np.exp``, ``np.log``, ``np.power``, ``np.tanh``,
+...), which can differ from libm in the last bit.
 
 Every query takes one value (a float, or a FixedQ3_28 for the fixed
 variants) or an array of them (float64, or raw Q3.28 int64), and runs the
@@ -43,23 +55,52 @@ from .fixedpoint import (FRAC_BITS, FixedQ3_28, check_raw_array, ldexp32,
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
-TABULATE_CHUNK = 4096  # addresses per map over the host function
+TABULATE_CHUNK = 4096  # elements per host-function call or map
+
+
+def array_formula(f):
+    """Mark ``f``, a formula over float64 arrays, as an array host.
+
+    :func:`mapped` calls it once per chunk rather than once per element.
+    Its input is cast to float64 on every call, a float included.
+    """
+    @functools.wraps(f)
+    def formula(x):
+        return f(np.asarray(x, dtype=np.float64))
+    formula.array_formula = True
+    return formula
+
+
+def mapped(f, x) -> np.ndarray:
+    """``f`` of each element of ``x``, as float64 shaped as ``x``.
+
+    ``x`` is cast to float64.  A scalar ``f`` is called once per element,
+    in order, on a Python float; an :func:`array_formula` once per chunk
+    of TABULATE_CHUNK elements.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    array = getattr(f, "array_formula", False)
+    for start in range(0, flat.size, TABULATE_CHUNK):
+        chunk = flat[start:start + TABULATE_CHUNK]
+        out[start:start + chunk.size] = (
+            f(chunk) if array
+            else np.fromiter(map(f, chunk.tolist()), np.float64, chunk.size))
+    return out.reshape(x.shape)
 
 
 def tabulate(f, nodes, count: int) -> np.ndarray:
     """``f(nodes(a))`` for each address ``a`` in [0, count), as float64.
 
-    ``f`` is a scalar host function of one double and is called once per
-    node, in address order, exactly as a per-node loop would call it (so
-    numpy's ufuncs, which can differ from libm in the last bit, never
-    stand in for it).  ``nodes`` maps an int64 address array to the
-    double nodes at those addresses.
+    ``nodes`` maps an int64 address array to the double nodes at those
+    addresses; ``f`` is a host function of either kind (:func:`mapped`).
+    Nodes are made a chunk at a time too, so their temporaries stay small.
     """
     out = np.empty(count)
     for start in range(0, count, TABULATE_CHUNK):
         a = np.arange(start, min(start + TABULATE_CHUNK, count))
-        out[start:start + a.size] = np.fromiter(
-            map(f, nodes(a).tolist()), np.float64, a.size)
+        out[start:start + a.size] = mapped(f, nodes(a))
     return out
 
 
@@ -530,9 +571,10 @@ def load_table(buf: bytes) -> FuzzyLut:
     return lut
 
 
-def save_table(lut: FuzzyLut, path) -> None:
+def save_table(lut: FuzzyLut, path) -> int:
+    """Write ``dump_table(lut)`` to ``path``; returns the bytes written."""
     with open(path, "wb") as fh:
-        fh.write(dump_table(lut))
+        return fh.write(dump_table(lut))
 
 
 def load_table_file(path) -> FuzzyLut:

@@ -1,6 +1,7 @@
 """The command-line interface, run in-process through ``cli.main``."""
 
 import csv
+import os
 
 import pytest
 
@@ -32,6 +33,16 @@ def test_table_dump_writes_the_evaluators_table(tmp_path, capsys, argv,
     assert lut.dump_table(lut.load_table_file(path)) == blob
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("wrote ") and out[1].startswith("kind=")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--function", "gelu", "--method", "dllut-interp"],
+], ids=["sin-llut-interp", "gelu-dllut-interp"])
+def test_table_dump_reports_the_bytes_written(tmp_path, capsys, argv):
+    path = tmp_path / "t.tplt"
+    assert main(["table", "dump", "--path", str(path)] + argv) == 0
+    words = capsys.readouterr().out.split()
+    assert words[0] == "wrote" and int(words[1]) == os.path.getsize(path)
 
 
 def test_table_dump_refuses_two_tables(tmp_path, capsys):

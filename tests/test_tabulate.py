@@ -1,31 +1,60 @@
 """Chunked tabulation is bit-identical to a per-node loop.
 
-Every table builder and every double reference maps a scalar host
-function over vectorized nodes, a chunk at a time.  The oracles here are
-the per-node loops written out: ``[f(float(v)) for v in nodes]``,
-``to_fixed(...).raw`` per entry, and the D-LUT ``divmod``/``math.ldexp``
-address loop.  Sizes straddle the chunk edges.
+Every table builder and every double reference evaluates its host
+function over vectorized nodes, a chunk at a time: a scalar host is
+mapped node by node, an array formula is called once per float64 chunk.
+The oracles here are the per-node loops written out:
+``[f(float(v)) for v in nodes]``, ``to_fixed(...).raw`` per entry, and
+the D-LUT ``divmod``/``math.ldexp`` address loop, with each compound
+host written as its scalar formula (``_cndf``, ``_gelu``, ``2.0 ** r``)
+rather than imported from the library.  Sizes straddle the chunk edges.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pimfuncs import counting
-from pimfuncs.api import gelu_exact
+from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, EvaluatorConfig, MethodId,
+                          NumberFormat, build_evaluator, gelu_exact)
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
 from pimfuncs.fixedpoint import to_fixed
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
-                              _bs_sample, _cndf_exact, _REFERENCE,
+                              _bs_sample, _cndf_exact, _make_cndf_lut,
                               _sigmoid_reference, reference_values)
-from pimfuncs.lut import (TABULATE_CHUNK, build_dllut, build_dlut,
-                          build_fixed_llut, build_llut, build_mlut, tabulate)
+from pimfuncs.lut import (TABULATE_CHUNK, array_formula, build_dllut,
+                          build_dlut, build_fixed_llut, build_llut,
+                          build_mlut, mapped, tabulate)
 
 SIZES = (2, 4095, 4096, 4097, 8192, 65536)
 SEEDS = (0, 1, 7)
+
+
+def _cndf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _gelu(x: float) -> float:
+    return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _exp2(r: float) -> float:
+    return 2.0 ** r
+
+
+# The scalar form of each function's reference, one double at a time.
+_SCALAR_REFERENCE = {
+    FunctionId.SIN: math.sin, FunctionId.COS: math.cos,
+    FunctionId.TAN: math.tan, FunctionId.SINH: math.sinh,
+    FunctionId.COSH: math.cosh, FunctionId.TANH: math.tanh,
+    FunctionId.EXP: math.exp, FunctionId.LOG: math.log,
+    FunctionId.SQRT: math.sqrt, FunctionId.GELU: _gelu,
+}
 
 
 def _bits(a) -> list:
@@ -78,6 +107,21 @@ class TestTabulate:
         assert out.dtype == np.float64
         assert _bits(out) == _bits(np.array([math.cos(v) for v in nodes]))
 
+    @pytest.mark.parametrize("count", (1, TABULATE_CHUNK, 2 * TABULATE_CHUNK + 3))
+    def test_array_formula_called_once_per_float64_chunk(self, count):
+        seen = []
+
+        @array_formula
+        def f(x):
+            seen.append(x)
+            return x * 0.5
+        out = tabulate(f, lambda a: (a * 0.25).astype(np.float32), count)
+        assert [c.dtype for c in seen] == [np.float64] * len(seen)
+        assert [c.size for c in seen] == [
+            min(TABULATE_CHUNK, count - start)
+            for start in range(0, count, TABULATE_CHUNK)]
+        assert _bits(out) == _bits(np.arange(count) * 0.125)
+
 
 class TestMLTables:
     @pytest.mark.parametrize("size", SIZES)
@@ -108,8 +152,42 @@ class TestMLTables:
     def test_cndf_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
         lut = build(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE, interpolated=True)
-        want = _ml_loop(_cndf_exact, lut, fixed)
+        want = _ml_loop(_cndf, lut, fixed)
         assert np.asarray(lut.entries).tobytes() == want.tobytes()
+
+
+_ML_CONFIGS = [(m, NumberFormat.FLOAT) for m in (
+    MethodId.MLUT, MethodId.MLUT_INTERP, MethodId.LLUT, MethodId.LLUT_INTERP)
+] + [(m, NumberFormat.FIXED) for m in (MethodId.LLUT, MethodId.LLUT_INTERP)]
+
+
+class TestChangedHosts:
+    """The sqrt (np.sqrt) and exp (math.pow) evaluator tables, entry by
+    entry, against math.sqrt and 2.0 ** r on each node."""
+
+    @pytest.mark.parametrize("size", (2, 4097, 8192, 65536))
+    @pytest.mark.parametrize("method,fmt", _ML_CONFIGS,
+                             ids=[f"{m.value}-{f.value}" for m, f in _ML_CONFIGS])
+    @pytest.mark.parametrize("function,scalar", [
+        (FunctionId.SQRT, math.sqrt), (FunctionId.EXP, _exp2)],
+        ids=["sqrt", "exp"])
+    def test_evaluator_table(self, function, scalar, method, fmt, size):
+        ev = build_evaluator(function, EvaluatorConfig(
+            method=method, number_format=fmt, lut_size=size))
+        (table,) = ev.tables
+        fixed = fmt is NumberFormat.FIXED
+        assert (np.asarray(table.entries).tobytes()
+                == _ml_loop(scalar, table, fixed).tobytes())
+
+    def test_no_runtime_warning_on_table_nodes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fmt in NumberFormat:
+                build_evaluator(FunctionId.SQRT, EvaluatorConfig(
+                    method=MethodId.LLUT_INTERP, number_format=fmt))
+                _make_cndf_lut(fmt is NumberFormat.FIXED)
+            for method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
+                build_evaluator(FunctionId.GELU, EvaluatorConfig(method=method))
 
 
 class TestDTables:
@@ -134,7 +212,7 @@ class TestDTables:
                     build_dlut(gelu_exact, 5, 8, -16, hi_exponent=-13,
                                interpolated=False),
                     build_dllut(gelu_exact, 5, 8, 0).sub_high):
-            assert _bits(lut.entries) == _bits(_d_loop(gelu_exact, lut))
+            assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
 
 
 class TestCordicLutStartCells:
@@ -161,8 +239,10 @@ class TestReferences:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("function", list(FunctionId))
     def test_reference_values(self, function, seed):
+        """On float32 inputs: fed float32, the GELU array formula would keep
+        ``x / math.sqrt(2.0)`` in float32 (numpy's weak-scalar rule)."""
         xs = np.random.default_rng(seed).uniform(0.01, 6.0, 5000).astype(np.float32)
-        f = _REFERENCE[function]
+        f = _SCALAR_REFERENCE[function]
         assert _bits(reference_values(function, xs)) == _bits(
             np.asarray([f(float(v)) for v in xs], dtype=np.float64))
 
@@ -176,8 +256,8 @@ class TestReferences:
             d1 = (math.log(spot / strike)
                   + (rate + 0.5 * vol * vol) * expiry) / srt
             d2 = d1 - srt
-            return (spot * _cndf_exact(d1)
-                    - strike * math.exp(-rate * expiry) * _cndf_exact(d2))
+            return (spot * _cndf(d1)
+                    - strike * math.exp(-rate * expiry) * _cndf(d2))
         want = [price(*(float(cols[k][i]) for k in names)) for i in range(5000)]
         got = _bs_reference(*(cols[k].astype(np.float64) for k in names))
         assert _bits(got) == _bits(np.asarray(want))
@@ -187,3 +267,48 @@ class TestReferences:
         xs = np.random.default_rng(seed).uniform(-8.0, 8.0, 5000).astype(np.float32)
         want = [1.0 / (1.0 + math.exp(-float(v))) for v in xs]
         assert _bits(_sigmoid_reference(xs)) == _bits(np.asarray(want))
+
+
+# Each changed host and its scalar form.
+_HOSTS = {
+    "cndf": (_cndf_exact, _cndf),
+    "gelu": (gelu_exact, _gelu),
+    "sqrt": (_TABLE_CELLS[FunctionId.SQRT][0][0][1], math.sqrt),
+    "exp": (_TABLE_CELLS[FunctionId.EXP][0][0][1], _exp2),
+}
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+             -1.5e-310, 1e300, -1e300, 1.7976931348623157e308, 1e-300,
+             math.inf, -math.inf, math.nan)
+
+
+def _outcome(f, v: float):
+    """``f(v)`` as float64 bits, or the exception type it raises."""
+    try:
+        return _bits(np.float64(f(v)))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestHostProperties:
+    def test_hosts_are_the_tabulated_ones(self):
+        assert _D_CELLS[FunctionId.GELU][0] is gelu_exact
+        assert all(getattr(f, "array_formula", False)
+                   for f in (_cndf_exact, gelu_exact, _HOSTS["sqrt"][0]))
+        assert not getattr(_HOSTS["exp"][0], "array_formula", False)
+
+    @pytest.mark.parametrize("name", sorted(_HOSTS))
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.floats() | st.sampled_from(_SPECIALS),
+                       min_size=1, max_size=50))
+    def test_matches_scalar_form(self, name, xs):
+        """Bit for bit wherever the scalar form returns a value (NaN
+        included); where it raises, a scalar host raises the same."""
+        host, scalar = _HOSTS[name]
+        want = [_outcome(scalar, v) for v in xs]
+        if getattr(host, "array_formula", False):
+            with np.errstate(all="ignore"):  # e.g. sqrt(-1), -inf * 0
+                got = _bits(mapped(host, np.array(xs)))
+            for g, w in zip(got, want):
+                assert w is ValueError or g == w
+        else:
+            assert [_outcome(host, v) for v in xs] == want
