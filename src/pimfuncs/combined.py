@@ -6,7 +6,8 @@ exactly pre-rotated vector (scaled by the inverse gain of the iterations
 that remain) together with the angle already consumed.  Evaluation then
 runs only the remaining fine iterations, so per-call cost drops while the
 angle resolution of the skipped iterations is preserved exactly.  The
-fine iterations are the plain CORDIC loop, over int64 arrays.
+fine iterations are the plain CORDIC loop, over int64 arrays of raw
+Q3.28 values, which :func:`cordic_lut_rotate` takes and returns.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cordic import (CordicMode, CordicTables, _iterate, _raw_or_fixed,
+from .cordic import (CordicMode, CordicTables, _iterate,
                      generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
-from .fixedpoint import FRAC_BITS, to_fixed, to_fixed_array
+from .fixedpoint import FRAC_BITS, check_raw_array, to_fixed, to_fixed_array
 from .lut import tabulate
 
 # Start-table angles cover [0, 2], enough for any quadrant-reduced circular
@@ -69,12 +70,11 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
                            rem_tables=rem, density_n=b - 1)
 
 
-@_raw_or_fixed
-def cordic_lut_rotate(tables: CordicLutTables, theta):
+def cordic_lut_rotate(tables: CordicLutTables, theta: np.ndarray):
     """Rotation via start-table lookup plus the remaining fine iterations.
 
-    ``theta`` is a FixedQ3_28 or an int64 array of raw Q3.28 angles in
-    [0, TABLE_SPAN]; the results come back in the same kind.
+    ``theta`` is an int64 array of raw Q3.28 angles in [0, TABLE_SPAN];
+    the results are int64 raw arrays that must stay inside Q3.28.
     """
     bad = (theta < 0) | (theta > to_fixed(TABLE_SPAN).raw)
     if np.count_nonzero(bad):
@@ -88,7 +88,7 @@ def cordic_lut_rotate(tables: CordicLutTables, theta):
     x, y, consumed = tables.cells[a].T
     tally("int_add", theta.size)
     x, y, _ = _iterate(tables.rem_tables, x, y, theta - consumed)
-    return x, y
+    return check_raw_array(x), check_raw_array(y)
 
 
 def rotator(tables: CordicLutTables):

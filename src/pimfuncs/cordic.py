@@ -3,7 +3,8 @@
 One iteration loop over int64 arrays of raw Q3.28 values uses only
 shifts, adds, and angle-table lookups.  Gain is pre-compensated by
 starting from (inv_gain, 0) in rotation mode; in vectoring mode a single
-fixed multiply outside the loop compensates it.
+fixed multiply outside the loop compensates it.  The kernels take and
+return such arrays; a result outside Q3.28 raises FixedOverflowError.
 
 The pipelines map float64 arrays to float32 results elementwise.  Most
 take a rotator, ``rotate(raw_angles) -> (x_raw, y_raw)``: plain CORDIC
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, wraps
+from functools import partial
 
 import numpy as np
 
@@ -132,25 +133,11 @@ def _iterate(tables: CordicTables, x: np.ndarray, y: np.ndarray, t: np.ndarray,
     return x, y, t
 
 
-def _raw_or_fixed(kernel):
-    """Let a kernel over int64 arrays of raw Q3.28 values take FixedQ3_28
-    values too, returning results of the kind it was given."""
-    @wraps(kernel)
-    def call(tables, *args):
-        if isinstance(args[0], FixedQ3_28):
-            out = kernel(tables, *(np.array([a.raw]) for a in args))
-            return tuple(FixedQ3_28(int(v[0])) for v in out)
-        raws = (np.asarray(a, dtype=np.int64) for a in args)
-        return tuple(check_raw_array(v) for v in kernel(tables, *raws))
-    return call
-
-
-@_raw_or_fixed
-def cordic_rotate(tables: CordicTables, theta):
+def cordic_rotate(tables: CordicTables, theta: np.ndarray):
     """Rotation mode: circular yields (cos theta, sin theta).
 
-    ``theta`` is a FixedQ3_28 or an int64 array of raw Q3.28 angles; the
-    results come back in the same kind.
+    ``theta`` is an int64 array of raw Q3.28 angles; so are the results,
+    which must stay inside Q3.28.
     """
     bad = np.abs(theta) / SCALE > tables.max_angle * 1.0005
     if np.count_nonzero(bad):
@@ -158,15 +145,14 @@ def cordic_rotate(tables: CordicTables, theta):
                          f"convergence range +-{tables.max_angle:.4f}")
     x, y, _ = _iterate(tables, np.full(theta.shape, tables.inv_gain.raw),
                        np.zeros_like(theta), theta)
-    return x, y
+    return check_raw_array(x), check_raw_array(y)
 
 
-@_raw_or_fixed
-def cordic_vector(tables: CordicTables, x0, y0):
+def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
     """Vectoring mode: drives y to 0, accumulating the rotation angle.
 
     Hyperbolic mode returns (gain * sqrt(x0^2 - y0^2), atanh(y0/x0)).
-    Takes FixedQ3_28 values or int64 raw arrays, as :func:`cordic_rotate`.
+    Takes and returns int64 raw arrays, as :func:`cordic_rotate`.
     """
     if np.count_nonzero(x0 <= 0):
         raise DomainError("vectoring requires x0 > 0")
@@ -177,7 +163,7 @@ def cordic_vector(tables: CordicTables, x0, y0):
     if np.count_nonzero(bad):
         raise RangeError(f"atanh/atan({ratio[bad][0]:.4f}) outside convergence range")
     x, _, t = _iterate(tables, x0, y0, np.zeros_like(x0), vectoring=True)
-    return x, t
+    return check_raw_array(x), check_raw_array(t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
-
-
-OP_FIELDS = (
-    "int_add",
-    "int_shift",
-    "int_mul",
-    "float_add",
-    "float_mul",
-    "float_div",
-    "ldexp_op",
-    "lut_lookup",
-    "table_setup_entries",
-)
+from dataclasses import dataclass, fields
 
 # Relative op weights approximating hardware where a float multiply is far
 # more expensive than an add.  Configurable, never presented as cycle truth.
@@ -68,6 +55,9 @@ class OpCounts:
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in OP_FIELDS}
+
+
+OP_FIELDS = tuple(f.name for f in fields(OpCounts))
 
 
 @dataclass

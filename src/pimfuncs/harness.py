@@ -13,9 +13,12 @@ rounded ``+ - * /`` and ``sqrt`` on float64, in the scalar formula's
 operation order, so every value is bit-identical to a loop over the
 elements.  Float32 inputs are cast to float64 before any arithmetic,
 and numpy's transcendental ufuncs, which can differ from libm in the
-last bit, are not used (the softmax reference's ``np.exp`` aside).  The
-same array formulas (``_cndf_exact``, ``gelu_exact``) build the CNDF and
-GELU tables.
+last bit, are not used.  The same array formulas (``_cndf_exact``,
+``gelu_exact``) build the CNDF and GELU tables.
+
+The workload kernels (each variant's exp, log, sqrt and CNDF, and
+``polynomial_baseline``) map a 1-d float64 array to results elementwise;
+2-d inputs such as the softmax rows are raveled first.
 """
 
 from __future__ import annotations
@@ -152,14 +155,6 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
 # Polynomial baseline (comparison only)
 # ---------------------------------------------------------------------------
 
-def _on_floats(kernel):
-    """Let a kernel over 1-d float64 arrays take a float or any array."""
-    def run(x):
-        x = np.asarray(x, dtype=np.float64)
-        return kernel(x.ravel()).reshape(x.shape)[()]
-    return run
-
-
 def _horner(coeffs, x) -> np.ndarray:
     """Power-series Horner evaluation in float32, every multiply tallied."""
     x32 = x.astype(np.float32)
@@ -227,12 +222,13 @@ def _poly_sqrt(x: np.ndarray) -> np.ndarray:
     return sqrt_via(lambda m: _horner(_fit_poly("sqrt"), m), x)
 
 
-def polynomial_baseline(function: str, x):
-    """Baseline evaluators used only for cost comparison: exp and CNDF."""
+def polynomial_baseline(function: str, x: np.ndarray) -> np.ndarray:
+    """Baseline evaluators used only for cost comparison: exp and CNDF of a
+    1-d float64 array, as float32."""
     if function == "exp":
-        return _on_floats(_poly_exp)(x)
+        return _poly_exp(x)
     if function == "cndf":
-        return _on_floats(_poly_cndf)(x)
+        return _poly_cndf(x)
     raise ValueError(f"polynomial baseline covers exp and cndf, not {function}")
 
 
@@ -282,7 +278,7 @@ def _make_cndf_lut(fixed: bool):
         q = query(np.where(neg, -xs, xs)).astype(np.float64)
         out[inside] = np.where(neg, 1.0 - q, q)
         return out
-    return _on_floats(cndf)
+    return cndf
 
 
 def _bs_kernels(variant: str):
@@ -363,17 +359,24 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
 
 def _exp_kernel(variant: str):
     if variant == "PolynomialBaseline":
-        return _on_floats(_poly_exp)
+        return _poly_exp
     method = {"MLutInterp": MethodId.MLUT_INTERP,
               "LLutInterp": MethodId.LLUT_INTERP,
               "CordicLut": MethodId.CORDIC_LUT}[variant]
     cfg = EvaluatorConfig(method=method, lut_size=WORKLOAD_LUT_SIZE)
-    return _on_floats(build_evaluator(FunctionId.EXP, cfg).pipeline)
+    return build_evaluator(FunctionId.EXP, cfg).pipeline
 
 
 def _sigmoid_reference(xs) -> np.ndarray:
     """Double-precision 1 / (1 + exp(-x)), elementwise."""
     return 1.0 / (1.0 + lut.mapped(math.exp, -np.asarray(xs, dtype=np.float64)))
+
+
+def _softmax_reference(xs) -> np.ndarray:
+    """Double-precision max-stabilized softmax of each row."""
+    xd = np.asarray(xs, dtype=np.float64)
+    ed = lut.mapped(math.exp, xd - xd.max(axis=1, keepdims=True))
+    return ed / ed.sum(axis=1, keepdims=True)
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
@@ -405,17 +408,14 @@ def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-8.0, 8.0, (n_vec, k)).astype(np.float32)
     exp_f = _exp_kernel(method_variant)
-    # Reference: double softmax of the same float32 inputs.
-    xd = xs.astype(np.float64)
-    ed = np.exp(xd - xd.max(axis=1, keepdims=True))
-    ref = ed / ed.sum(axis=1, keepdims=True)
+    ref = _softmax_reference(xs)  # of the same float32 inputs
     out = np.empty_like(xs)
     max_sum_dev = 0.0
     t0 = time.perf_counter()
     with counting() as c:
         m = xs.max(axis=1, keepdims=True)
         tally("float_add", n_vec * k)  # max-subtraction stabilization
-        e = exp_f(xs.astype(np.float64) - m)
+        e = exp_f((xs.astype(np.float64) - m).ravel()).reshape(xs.shape)
         tally("float_add", n_vec * (k - 1))
         tally("float_div", n_vec * k)
         for row in range(n_vec):

@@ -33,10 +33,10 @@ bit-identical to its scalar form's.  It may not use numpy's
 transcendental ufuncs (``np.exp``, ``np.log``, ``np.power``, ``np.tanh``,
 ...), which can differ from libm in the last bit.
 
-Every query takes one value (a float, or a FixedQ3_28 for the fixed
-variants) or an array of them (float64, or raw Q3.28 int64), and runs the
-same elementwise steps on either.  Range checks apply to every element,
-and each op is tallied once per element.
+Every query takes a 1-d array, float64 or (fixed variants) raw Q3.28
+int64, and returns one float32 or raw Q3.28 result per element; one
+value is a one-element array.  Range checks apply to every element, and
+each op is tallied once per element.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import RangeError, TableFormatError
-from .fixedpoint import (FRAC_BITS, FixedQ3_28, check_raw_array, ldexp32,
-                         to_fixed, to_fixed_array)
+from .fixedpoint import (FRAC_BITS, check_raw_array, ldexp32, to_fixed,
+                         to_fixed_array)
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
@@ -132,20 +132,6 @@ class FuzzyLut:
     p_raw: int = 0
 
 
-def address_of(lut: FuzzyLut, x: float) -> int:
-    """Uncounted address computation (used by tests and rebuild checks)."""
-    s = lut.spec
-    if s.kind == "M":
-        t = (x - s.p) * s.k
-        return int(np.floor(t)) if lut.interpolated else int(round(t))
-    if s.kind == "L":
-        t = math.ldexp(x - s.p, s.n)
-        return int(np.floor(t)) if lut.interpolated else int(round(t))
-    if s.kind == "D":
-        return int(_dlut_address(s, np.array([x], dtype=np.float32))[0][0])
-    raise ValueError(f"address_of undefined for kind {s.kind}")
-
-
 def _nodes(s: SpacingSpec):
     """The node formula of a table kind: int64 addresses to double nodes."""
     if s.kind in ("M", "L"):
@@ -196,19 +182,6 @@ def _size(lut: FuzzyLut) -> int:
     return len(lut.entries) - 1 if lut.interpolated else len(lut.entries)
 
 
-def _elementwise(query):
-    """Let a query written for arrays take a single value too."""
-    @functools.wraps(query)
-    def one_or_many(lut: FuzzyLut, x):
-        if isinstance(x, FixedQ3_28):
-            return FixedQ3_28(int(query(lut, np.array([x.raw]))[0]))
-        if np.ndim(x) == 0:
-            return query(lut, np.array([float(x)]))[0]
-        return query(lut, np.asarray(x, dtype=np.int64 if lut.fixed
-                                     else np.float64))
-    return one_or_many
-
-
 def _clamp(a: np.ndarray, hi: int) -> np.ndarray:
     """``a`` clamped to [0, hi]; np.clip costs several times more."""
     return np.minimum(np.maximum(a, 0), hi)
@@ -247,13 +220,11 @@ def _m_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return (x.astype(np.float32) - np.float32(s.p)) * np.float32(s.k)
 
 
-@_elementwise
-def mlut_query(lut: FuzzyLut, x):
+def mlut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return _nearest(lut, _m_position(lut, x))
 
 
-@_elementwise
-def mlut_query_interp(lut: FuzzyLut, x):
+def mlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return _interpolate(lut, _m_position(lut, x))
 
 
@@ -262,20 +233,20 @@ def mlut_query_interp(lut: FuzzyLut, x):
 # ---------------------------------------------------------------------------
 
 def _llut_layout(lo: float, hi: float, size: int, interpolated: bool):
+    """The L spec of a table of ``size`` cells from ``lo``, and its entry
+    count; rounding the density down to 2**n expands the covered range."""
     n = int(math.floor(math.log2(size / (hi - lo))))
     k = 2.0 ** n
-    hi_cov = lo + size / k  # density rounded down expands the range
     p = lo if interpolated else lo + 1.0 / (2 * k)
-    count = size + 1 if interpolated else size
-    return n, k, p, hi_cov, count
+    spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=lo + size / k)
+    return spec, size + 1 if interpolated else size
 
 
 def build_llut(f, lo: float, hi: float, size: int, interpolated: bool = False,
                function_id: str = "f") -> FuzzyLut:
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
-    n, k, p, hi_cov, count = _llut_layout(lo, hi, size, interpolated)
-    spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi_cov)
+    spec, count = _llut_layout(lo, hi, size, interpolated)
     entries = tabulate(f, _nodes(spec), count).astype(np.float32)
     tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
@@ -290,13 +261,11 @@ def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
 
 
-@_elementwise
-def llut_query(lut: FuzzyLut, x):
+def llut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return _nearest(lut, _l_position(lut, x))
 
 
-@_elementwise
-def llut_query_interp(lut: FuzzyLut, x):
+def llut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     return _interpolate(lut, _l_position(lut, x))
 
 
@@ -306,23 +275,22 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
     """L-LUT with Q3.28 entries and shift-based raw addressing."""
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
-    n, k, p, hi_cov, count = _llut_layout(lo, hi, size, interpolated)
-    if n > FRAC_BITS or n < 0:
-        raise RangeError(f"L-LUT density exponent {n} outside [0, {FRAC_BITS}]")
+    spec, count = _llut_layout(lo, hi, size, interpolated)
+    if spec.n > FRAC_BITS or spec.n < 0:
+        raise RangeError(f"L-LUT density exponent {spec.n} outside "
+                         f"[0, {FRAC_BITS}]")
     # Queries arrive as Q3.28, so any covered range within [-8, 8] works;
     # node inputs to f stay double so the 8.0 guard node is fine.
-    if not (-8.0 < lo and hi_cov <= 8.0):
+    if not (-8.0 < lo and spec.hi <= 8.0):
         raise RangeError("fixed L-LUT inputs must lie inside the Q3.28 range")
-    spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi_cov)
     entries = to_fixed_array(tabulate(f, _nodes(spec), count))
     tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     fixed=True, function_id=function_id,
-                    p_raw=to_fixed(p).raw)
+                    p_raw=to_fixed(spec.p).raw)
 
 
-@_elementwise
-def fixed_llut_query(lut: FuzzyLut, raw):
+def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the address is a rounding shift of x - p."""
     shift = FRAC_BITS - lut.spec.n
     tally("int_add", 2 * raw.size)
@@ -332,8 +300,7 @@ def fixed_llut_query(lut: FuzzyLut, raw):
     return lut.entries[_clamp(a, _size(lut) - 1)]
 
 
-@_elementwise
-def fixed_llut_query_interp(lut: FuzzyLut, raw):
+def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the bits below the address are the Q3.28 delta."""
     s = lut.spec
     shift = FRAC_BITS - s.n
@@ -369,6 +336,15 @@ def _dlut_address(s: SpacingSpec, x32: np.ndarray):
     return ((e - s.base_exponent) << s.mant_bits) | top, bits
 
 
+def _d_spec(exp_bits: int, mant_bits: int, base_exponent: int,
+            hi_exponent: int) -> SpacingSpec:
+    """The D spec covering [2**base_exponent, 2**hi_exponent)."""
+    return SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
+                       base_exponent=base_exponent, hi_exponent=hi_exponent,
+                       lo=math.ldexp(1.0, base_exponent),
+                       hi=math.ldexp(1.0, hi_exponent))
+
+
 def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                hi_exponent: int | None = None, interpolated: bool = True,
                function_id: str = "f") -> FuzzyLut:
@@ -381,10 +357,7 @@ def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
         raise ValueError(f"{steps} exponent steps do not fit in {exp_bits} bits")
     count = steps << mant_bits
     total = count + 1 if interpolated else count
-    spec = SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
-                       base_exponent=base_exponent, hi_exponent=hi_exponent,
-                       lo=math.ldexp(1.0, base_exponent),
-                       hi=math.ldexp(1.0, hi_exponent))
+    spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
     # The guard entry (address count) is the node 2**hi_exponent.
     entries = tabulate(f, _nodes(spec), total).astype(np.float32)
     tally("table_setup_entries", total)
@@ -392,8 +365,7 @@ def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                     function_id=function_id)
 
 
-@_elementwise
-def dlut_query_interp(lut: FuzzyLut, x):
+def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     s = lut.spec
     addr, bits = _dlut_address(s, x.astype(np.float32))
     low_bits = 23 - s.mant_bits
@@ -406,6 +378,17 @@ def dlut_query_interp(lut: FuzzyLut, x):
 # DL-LUT
 # ---------------------------------------------------------------------------
 
+def _dl_table(low: FuzzyLut, high: FuzzyLut, function_id: str) -> FuzzyLut:
+    """The DL-LUT of an L part below 2**base_exponent and a D part above,
+    whose fields it shares."""
+    h = high.spec
+    spec = SpacingSpec(kind="DL", exp_bits=h.exp_bits, mant_bits=h.mant_bits,
+                       base_exponent=h.base_exponent, hi_exponent=h.hi_exponent,
+                       lo=0.0, hi=h.hi)
+    return FuzzyLut(spec=spec, entries=None, interpolated=True,
+                    function_id=function_id, sub_low=low, sub_high=high)
+
+
 def build_dllut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                 hi_exponent: int | None = None,
                 function_id: str = "f") -> FuzzyLut:
@@ -414,16 +397,10 @@ def build_dllut(f, exp_bits: int, mant_bits: int, base_exponent: int,
                      interpolated=True, function_id=function_id)
     high = build_dlut(f, exp_bits, mant_bits, base_exponent, hi_exponent,
                       interpolated=True, function_id=function_id)
-    spec = SpacingSpec(kind="DL", exp_bits=exp_bits, mant_bits=mant_bits,
-                       base_exponent=base_exponent,
-                       hi_exponent=high.spec.hi_exponent,
-                       lo=0.0, hi=high.spec.hi)
-    return FuzzyLut(spec=spec, entries=None, interpolated=True,
-                    function_id=function_id, sub_low=low, sub_high=high)
+    return _dl_table(low, high, function_id)
 
 
-@_elementwise
-def dllut_query_interp(lut: FuzzyLut, x):
+def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     if np.count_nonzero(x < 0.0):
         raise RangeError("DL-LUT query requires x >= 0; negative inputs are "
                          "the symmetry wrapper's job")
@@ -505,13 +482,7 @@ def _load_one(buf: bytes, off: int,
                   high.spec.base_exponent) == (exp_bits, mant_bits,
                                                base_exponent),
                  "DL-LUT fields disagree with its D-LUT part")
-        spec = SpacingSpec(kind="DL", exp_bits=int(exp_bits),
-                           mant_bits=int(mant_bits),
-                           base_exponent=int(base_exponent),
-                           hi_exponent=high.spec.hi_exponent,
-                           lo=0.0, hi=high.spec.hi)
-        return FuzzyLut(spec=spec, entries=None, interpolated=True,
-                        function_id="unknown", sub_low=low, sub_high=high), off
+        return _dl_table(low, high, "unknown"), off
 
     _require(count <= (len(buf) - off) // 4,
              f"{count} entries run past the end of the buffer")
@@ -529,15 +500,10 @@ def _load_one(buf: bytes, off: int,
         _require(exp_bits >= 1 and 1 <= mant_bits <= 23,
                  "exponent or mantissa field width")
         steps, rest = divmod(size, 1 << mant_bits)
-        hi_exponent = int(base_exponent) + steps
+        hi_exponent = base_exponent + steps
         _require(rest == 0, "entries do not fill whole octaves")
         _require(hi_exponent < 1024, "D-LUT range exceeds a double")
-        spec = SpacingSpec(kind="D", exp_bits=int(exp_bits),
-                           mant_bits=int(mant_bits),
-                           base_exponent=int(base_exponent),
-                           hi_exponent=hi_exponent,
-                           lo=math.ldexp(1.0, int(base_exponent)),
-                           hi=math.ldexp(1.0, hi_exponent))
+        spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
         return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                         function_id="unknown"), off
 

@@ -16,7 +16,7 @@ from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting, weighted_cost
-from pimfuncs.fixedpoint import to_fixed, to_fixed_array, to_float_array
+from pimfuncs.fixedpoint import to_fixed_array, to_float_array
 from pimfuncs.harness import (DEFAULT_DOMAINS, amortization_crossover,
                               csv_text, reference_values, rmse_sweep,
                               run_blackscholes, run_sigmoid, run_softmax)
@@ -113,11 +113,13 @@ def test_c04_multiplication_budgets(capfd):
     l = build_llut(math.sin, 0.0, 6.0, 256)
     li = build_llut(math.sin, 0.0, 6.0, 256, interpolated=True)
     d = build_dlut(math.tanh, 5, 8, -16)
-    got = (fmuls(llut_query, l, 2.5), fmuls(llut_query_interp, li, 2.5),
-           fmuls(mlut_query, m, 2.5), fmuls(mlut_query_interp, mi, 2.5),
-           fmuls(dlut_query_interp, d, 2.5))
+    x = np.array([2.5])  # one query each
+    got = (fmuls(llut_query, l, x), fmuls(llut_query_interp, li, x),
+           fmuls(mlut_query, m, x), fmuls(mlut_query_interp, mi, x),
+           fmuls(dlut_query_interp, d, x))
     tables = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-    _, cc = with_counting(lambda: cordic_rotate(tables, to_fixed(0.7)))
+    theta = to_fixed_array(np.array([0.7]))
+    _, cc = with_counting(lambda: cordic_rotate(tables, theta))
     ok = got == (0, 1, 1, 2, 1) and cc.int_mul == 0 and cc.float_mul == 0
     _verdict(capfd, 4, "multiplication-budgets", ok,
              f"L/Li/M/Mi/Di float_mul={got} (want (0,1,1,2,1)), "
@@ -136,9 +138,10 @@ def test_c05_cost_flatness_and_growth(capfd):
     flat = per_size[0] == per_size[1] == per_size[2]
 
     shifts = []
+    theta = to_fixed_array(np.array([0.7]))
     for n in (8, 16, 24):
         t = generate_cordic_tables(CordicMode.CIRCULAR, n)
-        _, c = with_counting(lambda: cordic_rotate(t, to_fixed(0.7)))
+        _, c = with_counting(lambda: cordic_rotate(t, theta))
         shifts.append((c.int_shift, c.int_add))
     affine = (shifts[1][0] - shifts[0][0] == shifts[2][0] - shifts[1][0] > 0
               and shifts[1][1] - shifts[0][1] == shifts[2][1] - shifts[1][1] > 0)
@@ -245,10 +248,11 @@ def test_c10_baseline_ordering(capfd):
     ev = build_evaluator(FunctionId.EXP,
                          EvaluatorConfig(method=MethodId.LLUT_INTERP))
     _, c_lut_exp = with_counting(lambda: ev.evaluate(1.234))
-    _, c_poly_exp = with_counting(lambda: polynomial_baseline("exp", 1.234))
+    x = np.array([1.234])  # one element each
+    _, c_poly_exp = with_counting(lambda: polynomial_baseline("exp", x))
     cndf = _make_cndf_lut(False)
-    _, c_lut_cndf = with_counting(lambda: cndf(1.234))
-    _, c_poly_cndf = with_counting(lambda: polynomial_baseline("cndf", 1.234))
+    _, c_lut_cndf = with_counting(lambda: cndf(x))
+    _, c_poly_cndf = with_counting(lambda: polynomial_baseline("cndf", x))
     ok = (weighted_cost(c_poly_exp) > weighted_cost(c_lut_exp)
           and weighted_cost(c_poly_cndf) > weighted_cost(c_lut_cndf))
     _verdict(capfd, 10, "baseline-ordering", ok,

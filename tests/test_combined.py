@@ -8,7 +8,17 @@ from pimfuncs.combined import (build_cordic_lut, cordic_lut_memory_bytes,
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed, to_float
+from pimfuncs.fixedpoint import to_fixed_array, to_float_array
+
+
+def fx(*values) -> np.ndarray:
+    """Raw Q3.28 int64 array of ``values``."""
+    return to_fixed_array(np.array(values, dtype=np.float64))
+
+
+def fl(raw: np.ndarray) -> np.ndarray:
+    """float64 values of a raw Q3.28 array."""
+    return to_float_array(raw).astype(np.float64)
 
 
 class TestBuild:
@@ -36,47 +46,47 @@ class TestBuild:
 class TestRotation:
     def test_circular_accuracy(self):
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
-        for theta in np.linspace(0.0, math.pi / 2, 173):
-            x, y = cordic_lut_rotate(t, to_fixed(float(theta)))
-            assert float(to_float(y)) == pytest.approx(math.sin(theta), abs=2e-7)
-            assert float(to_float(x)) == pytest.approx(math.cos(theta), abs=2e-7)
+        theta = np.linspace(0.0, math.pi / 2, 173)
+        x, y = map(fl, cordic_lut_rotate(t, fx(*theta)))
+        np.testing.assert_allclose(y, np.sin(theta), rtol=0, atol=2e-7)
+        np.testing.assert_allclose(x, np.cos(theta), rtol=0, atol=2e-7)
 
     def test_hyperbolic_accuracy(self):
         t = build_cordic_lut(CordicMode.HYPERBOLIC, 6, 28)
-        for theta in np.linspace(0.0, math.log(2.0), 87):
-            x, y = cordic_lut_rotate(t, to_fixed(float(theta)))
-            assert float(to_float(x)) == pytest.approx(math.cosh(theta), abs=3e-7)
-            assert float(to_float(y)) == pytest.approx(math.sinh(theta), abs=3e-7)
+        theta = np.linspace(0.0, math.log(2.0), 87)
+        x, y = map(fl, cordic_lut_rotate(t, fx(*theta)))
+        np.testing.assert_allclose(x, np.cosh(theta), rtol=0, atol=3e-7)
+        np.testing.assert_allclose(y, np.sinh(theta), rtol=0, atol=3e-7)
 
     def test_matches_full_cordic(self):
         hybrid = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
         full = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        for theta in [0.1, 0.77, 1.5]:
-            hx, hy = cordic_lut_rotate(hybrid, to_fixed(theta))
-            fx, fy = cordic_rotate(full, to_fixed(theta))
-            assert abs(hx.raw - fx.raw) <= 64
-            assert abs(hy.raw - fy.raw) <= 64
+        theta = fx(0.1, 0.77, 1.5)
+        hx, hy = cordic_lut_rotate(hybrid, theta)
+        cx, cy = cordic_rotate(full, theta)
+        assert np.max(np.abs(hx - cx)) <= 64
+        assert np.max(np.abs(hy - cy)) <= 64
 
     def test_out_of_span_raises(self):
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
         with pytest.raises(RangeError):
-            cordic_lut_rotate(t, to_fixed(-0.1))
+            cordic_lut_rotate(t, fx(-0.1))
         with pytest.raises(RangeError):
-            cordic_lut_rotate(t, to_fixed(2.1))
+            cordic_lut_rotate(t, fx(2.1))
 
 
 class TestCost:
     def test_no_multiplies(self):
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
-        _, c = with_counting(lambda: cordic_lut_rotate(t, to_fixed(1.0)))
+        _, c = with_counting(lambda: cordic_lut_rotate(t, fx(1.0)))
         assert c.int_mul == 0
         assert c.float_mul == 0
 
     def test_cheaper_than_full_cordic(self):
         hybrid = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
         full = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        _, ch = with_counting(lambda: cordic_lut_rotate(hybrid, to_fixed(1.0)))
-        _, cf = with_counting(lambda: cordic_rotate(full, to_fixed(1.0)))
+        _, ch = with_counting(lambda: cordic_lut_rotate(hybrid, fx(1.0)))
+        _, cf = with_counting(lambda: cordic_rotate(full, fx(1.0)))
         assert ch.int_shift < cf.int_shift
         assert ch.int_add < cf.int_add
         assert ch.lut_lookup == 1

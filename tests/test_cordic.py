@@ -10,7 +10,17 @@ from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_rotate,
                              cordic_vector, generate_cordic_tables)
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, RangeError
-from pimfuncs.fixedpoint import FixedQ3_28, to_fixed, to_float
+from pimfuncs.fixedpoint import to_fixed, to_fixed_array, to_float_array
+
+
+def fx(*values) -> np.ndarray:
+    """Raw Q3.28 int64 array of ``values``."""
+    return to_fixed_array(np.array(values, dtype=np.float64))
+
+
+def fl(raw: np.ndarray) -> np.ndarray:
+    """float64 values of a raw Q3.28 array."""
+    return to_float_array(raw).astype(np.float64)
 
 
 class TestTableGeneration:
@@ -52,19 +62,19 @@ class TestTableGeneration:
 class TestRotation:
     def test_sin_cos_of_one(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        x, y = cordic_rotate(t, to_fixed(1.0))
-        assert float(x) == pytest.approx(math.cos(1.0), abs=1e-7)
-        assert float(y) == pytest.approx(math.sin(1.0), abs=1e-7)
+        x, y = cordic_rotate(t, fx(1.0))
+        assert fl(x)[0] == pytest.approx(math.cos(1.0), abs=1e-7)
+        assert fl(y)[0] == pytest.approx(math.sin(1.0), abs=1e-7)
 
     def test_negative_angle(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        x, y = cordic_rotate(t, to_fixed(-0.8))
-        assert float(y) == pytest.approx(math.sin(-0.8), abs=1e-7)
+        x, y = cordic_rotate(t, fx(-0.8))
+        assert fl(y)[0] == pytest.approx(math.sin(-0.8), abs=1e-7)
 
     def test_loop_op_counts(self):
         # 28 iterations: exactly 2 shifts + 3 adds each, zero multiplies
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        _, c = with_counting(lambda: cordic_rotate(t, to_fixed(0.7)))
+        _, c = with_counting(lambda: cordic_rotate(t, fx(0.7)))
         assert c.int_shift == 56
         assert c.int_add == 84
         assert c.int_mul == 0
@@ -73,41 +83,40 @@ class TestRotation:
     def test_out_of_convergence_raises(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
         with pytest.raises(RangeError):
-            cordic_rotate(t, to_fixed(3.0))
+            cordic_rotate(t, fx(3.0))
 
     def test_hyperbolic_rotation(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
-        x, y = cordic_rotate(t, to_fixed(0.9))
-        assert float(x) == pytest.approx(math.cosh(0.9), abs=1e-7)
-        assert float(y) == pytest.approx(math.sinh(0.9), abs=1e-7)
+        x, y = cordic_rotate(t, fx(0.9))
+        assert fl(x)[0] == pytest.approx(math.cosh(0.9), abs=1e-7)
+        assert fl(y)[0] == pytest.approx(math.sinh(0.9), abs=1e-7)
 
     def test_hyperbolic_identity(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
-        for theta in np.linspace(-1.05, 1.05, 21):
-            x, y = cordic_rotate(t, to_fixed(float(theta)))
-            assert float(x) ** 2 - float(y) ** 2 == pytest.approx(1.0, abs=1e-4)
+        x, y = map(fl, cordic_rotate(t, fx(*np.linspace(-1.05, 1.05, 21))))
+        np.testing.assert_allclose(x ** 2 - y ** 2, 1.0, rtol=0, atol=1e-4)
 
 
 class TestVectoring:
     def test_circular_atan(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        _, theta = cordic_vector(t, to_fixed(1.0), to_fixed(0.5))
-        assert float(theta) == pytest.approx(math.atan(0.5), abs=1e-7)
+        _, theta = cordic_vector(t, fx(1.0), fx(0.5))
+        assert fl(theta)[0] == pytest.approx(math.atan(0.5), abs=1e-7)
 
     def test_hyperbolic_atanh(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
-        _, theta = cordic_vector(t, to_fixed(1.0), to_fixed(0.4))
-        assert float(theta) == pytest.approx(math.atanh(0.4), abs=1e-7)
+        _, theta = cordic_vector(t, fx(1.0), fx(0.4))
+        assert fl(theta)[0] == pytest.approx(math.atanh(0.4), abs=1e-7)
 
     def test_requires_positive_x(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
         with pytest.raises(DomainError):
-            cordic_vector(t, to_fixed(0.0), to_fixed(0.5))
+            cordic_vector(t, fx(0.0), fx(0.5))
 
     def test_ratio_out_of_range(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
         with pytest.raises(RangeError):
-            cordic_vector(t, to_fixed(1.0), to_fixed(0.95))
+            cordic_vector(t, fx(1.0), fx(0.95))
 
 
 def _raw(values) -> np.ndarray:
@@ -134,7 +143,7 @@ def _raw_array_cases():
 
 
 class TestRawArrays:
-    """int64 raw arrays run the same loop as FixedQ3_28 values."""
+    """A whole array runs the same loop as each of its elements alone."""
 
     @pytest.mark.parametrize("name", sorted(_raw_array_cases()))
     def test_array_equals_per_element(self, name):
@@ -144,10 +153,9 @@ class TestRawArrays:
         n = raws[0].size
         per_element = []
         for k in range(n):
-            (fx, fy), c = with_counting(
-                lambda: fn(*(FixedQ3_28(int(r[k])) for r in raws)))
-            assert isinstance(fx, FixedQ3_28)
-            assert (int(ax[k]), int(ay[k])) == (fx.raw, fy.raw)
+            (ex, ey), c = with_counting(lambda: fn(*(r[k:k + 1] for r in raws)))
+            assert ex.dtype == ey.dtype == np.int64
+            assert (ax[k], ay[k]) == (ex[0], ey[0])
             per_element.append(c.as_dict())
         assert all(c == per_element[0] for c in per_element)
         assert counts.as_dict() == {op: n * v
@@ -259,7 +267,7 @@ class TestErrorDecay:
         errs = {}
         for n in (10, 16, 22):
             t = generate_cordic_tables(CordicMode.CIRCULAR, n)
-            errs[n] = max(abs(float(to_float(cordic_rotate(t, to_fixed(float(x)))[1]))
-                              - math.sin(x)) for x in xs)
+            errs[n] = np.max(np.abs(fl(cordic_rotate(t, fx(*xs))[1])
+                                    - np.sin(xs)))
         assert errs[16] < errs[10] / 8
         assert errs[22] < errs[16] / 8

@@ -57,30 +57,29 @@ class TestSweep:
 
 class TestPolynomialBaseline:
     def test_cndf_at_zero(self):
-        assert float(polynomial_baseline("cndf", 0.0)) == pytest.approx(0.5,
-                                                                        abs=1e-7)
+        assert float(polynomial_baseline("cndf", np.array([0.0]))[0]) == \
+            pytest.approx(0.5, abs=1e-7)
 
     def test_cndf_at_196(self):
         expect = 0.5 * (1.0 + math.erf(1.96 / math.sqrt(2.0)))  # ~0.975
-        assert float(polynomial_baseline("cndf", 1.96)) == pytest.approx(
-            expect, abs=1e-5)
+        assert float(polynomial_baseline("cndf", np.array([1.96]))[0]) == \
+            pytest.approx(expect, abs=1e-5)
 
     def test_cndf_symmetry(self):
-        a = float(polynomial_baseline("cndf", 1.3))
-        b = float(polynomial_baseline("cndf", -1.3))
-        assert a + b == pytest.approx(1.0, abs=1e-6)
+        a, b = polynomial_baseline("cndf", np.array([1.3, -1.3]))
+        assert float(a) + float(b) == pytest.approx(1.0, abs=1e-6)
 
     def test_exp_accuracy(self):
-        for x in [-5.0, -0.5, 0.0, 1.0, 4.7]:
-            assert float(polynomial_baseline("exp", x)) == pytest.approx(
-                math.exp(x), rel=1e-6)
+        xs = np.array([-5.0, -0.5, 0.0, 1.0, 4.7])
+        np.testing.assert_allclose(polynomial_baseline("exp", xs),
+                                   [math.exp(x) for x in xs], rtol=1e-6)
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
-            polynomial_baseline("sin", 1.0)
+            polynomial_baseline("sin", np.array([1.0]))
 
     def test_multiplies_are_tallied(self):
-        _, c = with_counting(lambda: polynomial_baseline("exp", 1.0))
+        _, c = with_counting(lambda: polynomial_baseline("exp", np.array([1.0])))
         assert c.float_mul >= 6  # Horner alone
 
     def test_costlier_than_interp_llut(self):
@@ -89,7 +88,8 @@ class TestPolynomialBaseline:
         ev = build_evaluator(FunctionId.EXP,
                              EvaluatorConfig(method=MethodId.LLUT_INTERP))
         _, c_lut = with_counting(lambda: ev.evaluate(1.234))
-        _, c_poly = with_counting(lambda: polynomial_baseline("exp", 1.234))
+        _, c_poly = with_counting(
+            lambda: polynomial_baseline("exp", np.array([1.234])))
         assert weighted_cost(c_poly) > weighted_cost(c_lut)
 
 
@@ -139,12 +139,23 @@ class TestSoftmax:
         assert result.max_sum_dev <= 1e-5
         assert result.rmse <= 1e-6
 
+    def test_reference_maps_libm_exp(self):
+        # Bit for bit a per-element math.exp loop over the max-shifted
+        # rows, normalized per row; np.exp differs from libm in the last bit.
+        from pimfuncs.harness import SOFTMAX_VECTOR_LEN, _softmax_reference
+        xs = np.random.default_rng(0).uniform(
+            -8.0, 8.0, (64, SOFTMAX_VECTOR_LEN)).astype(np.float32)
+        ed = np.array([[math.exp(v - max(row)) for v in row]
+                       for row in xs.astype(np.float64).tolist()])
+        expect = ed / ed.sum(axis=1, keepdims=True)
+        assert np.array_equal(_softmax_reference(xs), expect)
+
     def test_constant_vector_uniform(self):
         # softmax of a constant vector: every entry 1/K
         from pimfuncs.harness import SOFTMAX_VECTOR_LEN, _exp_kernel
         exp_f = _exp_kernel("LLutInterp")
         k = 64
-        e = np.asarray([float(exp_f(0.0))] * k)
+        e = exp_f(np.zeros(k)).astype(np.float64)
         out = e / e.sum()
         assert np.allclose(out, 1.0 / k, atol=1e-9)
 

@@ -5,13 +5,23 @@ import pytest
 
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed, to_float
-from pimfuncs.lut import (address_of, build_dllut, build_dlut,
+from pimfuncs.fixedpoint import to_fixed_array, to_float_array
+from pimfuncs.lut import (build_dllut, build_dlut,
                           build_fixed_llut, build_llut, build_mlut,
                           dllut_query_interp, dlut_query_interp,
                           fixed_llut_query, fixed_llut_query_interp,
                           llut_query, llut_query_interp, lut_memory_bytes,
                           mlut_query, mlut_query_interp, node_of)
+
+
+def at(query, t, x):
+    """``query`` of the one-element float64 array holding ``x``."""
+    return query(t, np.array([float(x)]))[0]
+
+
+def fixed_at(query, t, xs):
+    """A fixed-table ``query`` of float inputs, converted through Q3.28."""
+    return to_float_array(query(t, to_fixed_array(np.asarray(xs, float))))
 
 
 class TestMlutAddressing:
@@ -22,8 +32,15 @@ class TestMlutAddressing:
         assert t.spec.p == pytest.approx(5.0 / 24.0, abs=1e-5)  # ~0.20833
 
     def test_worked_address(self):
+        # a(3.0) = round((3.0 - 5/24) * 2.4) = 7
         t = build_mlut(math.sin, 0.0, 5.0, 12)
-        assert address_of(t, 3.0) == 7
+        assert at(mlut_query, t, 3.0) == t.entries[7]
+        assert at(mlut_query, t, 3.0) not in (t.entries[6], t.entries[8])
+
+    def test_query_at_node_returns_its_entry(self):
+        t = build_mlut(math.sin, 0.0, 5.0, 12)
+        nodes = np.array([node_of(t, a) for a in range(12)])
+        assert np.array_equal(mlut_query(t, nodes), t.entries)
 
     def test_worked_pseudo_inverse(self):
         t = build_mlut(math.sin, 0.0, 5.0, 12)
@@ -36,16 +53,16 @@ class TestMlutAddressing:
 
     def test_query_returns_nearest_node_value(self):
         t = build_mlut(math.sin, 0.0, 5.0, 120)
-        for x in [0.01, 1.7, 3.0, 4.99]:
-            got = float(mlut_query(t, x))
-            assert got == pytest.approx(math.sin(x), abs=1.0 / (2 * 24.0))
+        xs = np.array([0.01, 1.7, 3.0, 4.99])
+        np.testing.assert_allclose(mlut_query(t, xs), np.sin(xs),
+                                   rtol=0, atol=1.0 / (2 * 24.0))
 
     def test_out_of_range_raises(self):
         t = build_mlut(math.sin, 0.0, 5.0, 12)
         with pytest.raises(RangeError):
-            mlut_query(t, 5.5)
+            at(mlut_query, t, 5.5)
         with pytest.raises(RangeError):
-            mlut_query(t, -0.1)
+            at(mlut_query, t, -0.1)
 
     def test_interp_guard_entry(self):
         t = build_mlut(math.sin, 0.0, 5.0, 12, interpolated=True)
@@ -56,8 +73,8 @@ class TestMlutAddressing:
         tn = build_mlut(math.exp, 0.0, 1.0, 64)
         ti = build_mlut(math.exp, 0.0, 1.0, 64, interpolated=True)
         xs = np.linspace(0.001, 0.999, 101)
-        err_n = max(abs(float(mlut_query(tn, x)) - math.exp(x)) for x in xs)
-        err_i = max(abs(float(mlut_query_interp(ti, x)) - math.exp(x)) for x in xs)
+        err_n = np.max(np.abs(mlut_query(tn, xs) - np.exp(xs)))
+        err_i = np.max(np.abs(mlut_query_interp(ti, xs) - np.exp(xs)))
         assert err_i < err_n / 20
 
 
@@ -77,7 +94,7 @@ class TestLlutAddressing:
 
     def test_no_multiply_per_query(self):
         t = build_llut(math.sin, 0.0, 6.0, 1024)
-        _, c = with_counting(lambda: llut_query(t, 2.5))
+        _, c = with_counting(lambda: at(llut_query, t, 2.5))
         assert c.float_mul == 0
         assert c.int_mul == 0
         assert c.ldexp_op == 1
@@ -85,31 +102,30 @@ class TestLlutAddressing:
 
     def test_one_multiply_interp(self):
         t = build_llut(math.sin, 0.0, 6.0, 1024, interpolated=True)
-        _, c = with_counting(lambda: llut_query_interp(t, 2.5))
+        _, c = with_counting(lambda: at(llut_query_interp, t, 2.5))
         assert c.float_mul == 1
         assert c.lut_lookup == 2
 
     def test_interp_accuracy(self):
         t = build_llut(math.sin, 0.0, 2 * math.pi, 4096, interpolated=True)
         xs = np.random.default_rng(3).uniform(0, 2 * math.pi, 500)
-        for x in xs:
-            x32 = float(np.float32(x))
-            assert float(llut_query_interp(t, x32)) == pytest.approx(
-                math.sin(x32), abs=1e-6)
+        x32 = xs.astype(np.float32).astype(np.float64)
+        np.testing.assert_allclose(llut_query_interp(t, x32), np.sin(x32),
+                                   rtol=0, atol=1e-6)
 
 
 class TestFixedLlut:
     def test_shift_addressing_matches_float(self):
         ff = build_llut(math.sin, 0.0, 6.0, 4096)
         fx = build_fixed_llut(math.sin, 0.0, 6.0, 4096)
-        for x in [0.01, 1.234, 3.999, 5.9]:
-            a_float = float(llut_query(ff, x))
-            a_fixed = float(to_float(fixed_llut_query(fx, to_fixed(x))))
-            assert a_fixed == pytest.approx(a_float, abs=1e-7)
+        xs = np.array([0.01, 1.234, 3.999, 5.9])
+        np.testing.assert_allclose(fixed_at(fixed_llut_query, fx, xs),
+                                   llut_query(ff, xs), rtol=0, atol=1e-7)
 
     def test_interp_uses_int_mul_only(self):
         t = build_fixed_llut(math.sin, 0.0, 6.0, 1024, interpolated=True)
-        _, c = with_counting(lambda: fixed_llut_query_interp(t, to_fixed(2.5)))
+        _, c = with_counting(
+            lambda: fixed_at(fixed_llut_query_interp, t, [2.5]))
         assert c.float_mul == 0
         assert c.int_mul == 1
 
@@ -117,10 +133,8 @@ class TestFixedLlut:
         ff = build_llut(math.sin, 0.0, 6.0, 4096, interpolated=True)
         fx = build_fixed_llut(math.sin, 0.0, 6.0, 4096, interpolated=True)
         xs = np.random.default_rng(5).uniform(0, 5.99, 300)
-        for x in xs:
-            vf = float(llut_query_interp(ff, float(x)))
-            vx = float(to_float(fixed_llut_query_interp(fx, to_fixed(float(x)))))
-            assert vx == pytest.approx(vf, abs=3e-7)
+        np.testing.assert_allclose(fixed_at(fixed_llut_query_interp, fx, xs),
+                                   llut_query_interp(ff, xs), rtol=0, atol=3e-7)
 
     def test_rejects_range_outside_q3_28(self):
         with pytest.raises(RangeError):
@@ -131,21 +145,23 @@ class TestFixedLlut:
         # nearest-entry rounding term is 0, not a negative shift.
         t = build_fixed_llut(math.sin, 0.0, 2.0 ** -27, 2)
         assert t.spec.n == 28
-        got = fixed_llut_query(t, to_fixed(2.0 ** -29))
-        assert got.raw == t.entries[0]
+        got = fixed_llut_query(t, to_fixed_array(np.array([2.0 ** -29])))
+        assert got[0] == t.entries[0]
 
 
 class TestDlut:
     def test_worked_address(self):
         # 3.0 = 1.5 * 2**1; top 2 mantissa bits of 0.5 are '10'
+        # (address 6); a node's interpolation delta is 0
         t = build_dlut(math.sqrt, exp_bits=3, mant_bits=2, base_exponent=0)
-        assert address_of(t, 3.0) == 6
+        assert at(dlut_query_interp, t, 3.0) == t.entries[6]
+        assert t.entries[6] not in (t.entries[5], t.entries[7])
 
     def test_node_round_trip(self):
         t = build_dlut(math.sqrt, exp_bits=3, mant_bits=4, base_exponent=-2)
-        for a in [0, 5, 17, 40]:
-            x = node_of(t, a)
-            assert address_of(t, x) == a
+        addrs = [0, 5, 17, 40]
+        nodes = np.array([node_of(t, a) for a in addrs])
+        assert np.array_equal(dlut_query_interp(t, nodes), t.entries[addrs])
 
     def test_resolution_scales_with_exponent(self):
         t = build_dlut(math.sqrt, exp_bits=3, mant_bits=4, base_exponent=0)
@@ -155,20 +171,20 @@ class TestDlut:
 
     def test_interp_query(self):
         t = build_dlut(math.tanh, exp_bits=5, mant_bits=8, base_exponent=-16)
-        for x in [0.001, 0.37, 1.0, 2.5, 100.0]:
-            assert float(dlut_query_interp(t, x)) == pytest.approx(
-                math.tanh(x), abs=3e-6)
+        xs = np.array([0.001, 0.37, 1.0, 2.5, 100.0])
+        np.testing.assert_allclose(dlut_query_interp(t, xs), np.tanh(xs),
+                                   rtol=0, atol=3e-6)
 
     def test_below_base_raises(self):
         t = build_dlut(math.tanh, exp_bits=5, mant_bits=8, base_exponent=-16)
         with pytest.raises(RangeError):
-            dlut_query_interp(t, 2.0 ** -20)
+            at(dlut_query_interp, t, 2.0 ** -20)
         with pytest.raises(RangeError):
-            dlut_query_interp(t, -1.0)
+            at(dlut_query_interp, t, -1.0)
 
     def test_one_float_multiply(self):
         t = build_dlut(math.tanh, exp_bits=5, mant_bits=8, base_exponent=-16)
-        _, c = with_counting(lambda: dlut_query_interp(t, 0.37))
+        _, c = with_counting(lambda: at(dlut_query_interp, t, 0.37))
         assert c.float_mul == 1
         assert c.int_mul == 0
 
@@ -181,24 +197,23 @@ class TestDlut:
 class TestDllut:
     def test_covers_zero(self):
         t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
-        assert float(dllut_query_interp(t, 0.0)) == 0.0
+        assert at(dllut_query_interp, t, 0.0) == 0.0
 
     def test_boundary_continuity(self):
         t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
-        below = float(dllut_query_interp(t, 0.9999999))
-        above = float(dllut_query_interp(t, 1.0))
+        below, above = dllut_query_interp(t, np.array([0.9999999, 1.0]))
         assert abs(below - above) < 1e-5
 
     def test_accuracy(self):
         t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
-        for x in np.linspace(0.0, 10.0, 101):
-            assert float(dllut_query_interp(t, float(x))) == pytest.approx(
-                math.tanh(x), abs=5e-6)
+        xs = np.linspace(0.0, 10.0, 101)
+        np.testing.assert_allclose(dllut_query_interp(t, xs), np.tanh(xs),
+                                   rtol=0, atol=5e-6)
 
     def test_negative_rejected(self):
         t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
         with pytest.raises(RangeError):
-            dllut_query_interp(t, -0.5)
+            at(dllut_query_interp, t, -0.5)
 
 
 class TestMemoryAccounting:

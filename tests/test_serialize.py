@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimfuncs.errors import PimFuncsError, TableFormatError
-from pimfuncs.fixedpoint import to_fixed
+from pimfuncs.fixedpoint import to_fixed_array
 from pimfuncs.lut import (build_dllut, build_dlut, build_fixed_llut,
                           build_llut, build_mlut, dllut_query_interp,
                           dlut_query_interp, dump_table, fixed_llut_query,
@@ -62,37 +62,41 @@ class TestQueriesAfterReload:
     def test_mlut(self):
         t = _tables()["mlut"]
         back = load_table(dump_table(t))
-        for x in [0.3, 2.2, 4.9]:
-            assert mlut_query(back, x) == mlut_query(t, x)
+        xs = np.array([0.3, 2.2, 4.9])
+        assert np.array_equal(mlut_query(back, xs), mlut_query(t, xs))
 
     def test_mlut_interp(self):
         t = _tables()["mlut_i"]
         back = load_table(dump_table(t))
-        for x in [0.3, 2.2, 4.9]:
-            assert mlut_query_interp(back, x) == mlut_query_interp(t, x)
+        xs = np.array([0.3, 2.2, 4.9])
+        assert np.array_equal(mlut_query_interp(back, xs),
+                              mlut_query_interp(t, xs))
 
     def test_llut(self):
         t, ti = _tables()["llut"], _tables()["llut_i"]
         tb, tib = load_table(dump_table(t)), load_table(dump_table(ti))
-        for x in [0.1, 0.55, 0.99]:
-            assert llut_query(tb, x) == llut_query(t, x)
-            assert llut_query_interp(tib, x) == llut_query_interp(ti, x)
+        xs = np.array([0.1, 0.55, 0.99])
+        assert np.array_equal(llut_query(tb, xs), llut_query(t, xs))
+        assert np.array_equal(llut_query_interp(tib, xs),
+                              llut_query_interp(ti, xs))
 
     def test_fixed(self):
         t, ti = _tables()["fixed"], _tables()["fixed_i"]
         tb, tib = load_table(dump_table(t)), load_table(dump_table(ti))
-        for x in [0.1, 2.5, 5.9]:
-            xf = to_fixed(x)
-            assert fixed_llut_query(tb, xf).raw == fixed_llut_query(t, xf).raw
-            assert (fixed_llut_query_interp(tib, xf).raw
-                    == fixed_llut_query_interp(ti, xf).raw)
+        raw = to_fixed_array(np.array([0.1, 2.5, 5.9]))
+        assert np.array_equal(fixed_llut_query(tb, raw),
+                              fixed_llut_query(t, raw))
+        assert np.array_equal(fixed_llut_query_interp(tib, raw),
+                              fixed_llut_query_interp(ti, raw))
 
     def test_dlut_and_dllut(self):
         d, dl = _tables()["dlut"], _tables()["dllut"]
         db, dlb = load_table(dump_table(d)), load_table(dump_table(dl))
-        for x in [0.01, 0.7, 3.3]:
-            assert dlut_query_interp(db, x) == dlut_query_interp(d, x)
-            assert dllut_query_interp(dlb, x) == dllut_query_interp(dl, x)
+        xs = np.array([0.01, 0.7, 3.3])
+        assert np.array_equal(dlut_query_interp(db, xs),
+                              dlut_query_interp(d, xs))
+        assert np.array_equal(dllut_query_interp(dlb, xs),
+                              dllut_query_interp(dl, xs))
 
 
 class TestValidation:
