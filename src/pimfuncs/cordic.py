@@ -9,7 +9,7 @@ return such arrays; a result outside Q3.28 raises FixedOverflowError.
 The pipelines map float64 arrays to float32 results elementwise.  Most
 take a rotator, ``rotate(raw_angles) -> (x_raw, y_raw)``: plain CORDIC
 (:func:`cordic_rotate` on its tables) or the CORDIC+LUT start table
-(``combined.rotator``).
+(``combined.rotator``), and each call it once per array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .costmodel import tally
 from .errors import DomainError, RangeError
 from .fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, check_raw_array,
                          ldexp32, to_fixed, to_fixed_array, to_float_array)
-from .rangeext import (HALF_PI_FIXED, LN_2, exp_via, log_via, piecewise,
-                       reduce_2pi_array, sqrt_via, tan_extend)
+from .rangeext import (HALF_PI_FIXED, LN_2, exp_extend, exp_split_array,
+                       exp_via, log_via, reduce_2pi_array, sqrt_via,
+                       tan_extend)
 
 
 class CordicMode(Enum):
@@ -120,14 +120,15 @@ def _iterate(tables: CordicTables, x: np.ndarray, y: np.ndarray, t: np.ndarray,
     """The iteration loop over int64 arrays; multiplication-free by
     construction (``d * v`` with d = +-1 stands for an add or a subtract).
 
-    Rotation steers by the sign of the residual angle t, vectoring by the
-    sign of y, which it drives to 0 while t accumulates the angle.
+    Rotation steers by the sign of the residual angle t (+1 at t = 0),
+    vectoring by the sign of y (-1 at y = 0), which it drives to 0 while
+    t accumulates the angle.  ``v >> 63 | 1`` is -1 for v < 0, else +1.
     """
     hyper = tables.mode is CordicMode.HYPERBOLIC
     tally("int_shift", 2 * x.size * len(tables.schedule))
     tally("int_add", 3 * x.size * len(tables.schedule))
     for i, phi in zip(tables.schedule, tables.phi_raw):
-        d = np.where(y < 0, 1, -1) if vectoring else np.where(t >= 0, 1, -1)
+        d = ~(y >> 63) | 1 if vectoring else (t >> 63) | 1
         ys = d * (y >> i)
         x, y, t = (x + ys if hyper else x - ys), y + d * (x >> i), t - d * phi
     return x, y, t
@@ -196,41 +197,51 @@ def tan_array(rotate, x: np.ndarray) -> np.ndarray:
     return tan_extend(*_sin_cos(rotate, x))
 
 
-def _pow2(rotate, r: np.ndarray) -> np.ndarray:
-    """2**r = cosh(r ln 2) + sinh(r ln 2) by one hyperbolic rotation."""
+def _pow2_angles(r: np.ndarray) -> np.ndarray:
+    """Raw angles r ln 2 of 2**r = cosh(r ln 2) + sinh(r ln 2)."""
     tally("float_mul", r.size)
-    xc, yc = rotate(to_fixed_array(r * LN_2))
-    tally("int_add", r.size)
+    return to_fixed_array(r * LN_2)
+
+
+def _pow2_finish(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """2**r from the rotated (cosh, sinh) of :func:`_pow2_angles`."""
+    tally("int_add", xc.size)
     return to_float_array(check_raw_array(xc + yc))
 
 
 def exp_array(rotate, x: np.ndarray) -> np.ndarray:
     """exp via exponent splitting and a hyperbolic rotation on [0, ln 2)."""
-    return exp_via(partial(_pow2, rotate), x)
+    return exp_via(lambda r: _pow2_finish(*rotate(_pow2_angles(r))), x)
 
 
 def _sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
-    """Stacked (sinh, cosh): a direct hyperbolic rotation for
-    |x| <= HYP_DIRECT_MAX; beyond it (and for NaN) exp(|x|)/2 and
-    exp(-|x|)/2.
-    """
-    def direct(v):
-        xc, yc = rotate(to_fixed_array(v))
+    """Stacked (sinh, cosh) from one hyperbolic rotation: of x itself
+    where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN too) of the r ln 2
+    angles of exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give
+    sinh and cosh.  A side with no elements does no work."""
+    near = np.abs(x) <= HYP_DIRECT_MAX
+    k = int(np.count_nonzero(near))
+    if k == x.size:  # an empty x too, so every batch rotates once
+        xc, yc = rotate(to_fixed_array(x))
         return to_float_array(np.stack([yc, xc]))
-
-    def half_pow2(r):  # 2**r / 2, exact
-        return ldexp32(_pow2(rotate, r), -1)
-
-    def via_exp(v):
-        # Halving 2**r before the extension by 2**i keeps exp(|x|)/2
-        # finite up to |x| ~ 89.4, where exp(|x|) itself overflows
-        # float32; elsewhere both orders give the same bits.
-        ax = np.abs(v)
-        hp, hm = exp_via(half_pow2, ax), exp_via(half_pow2, -ax)
-        tally("float_add", 2 * v.size)
-        s = hp - hm
-        return np.stack([np.where(v < 0, -s, s), hp + hm])
-    return piecewise(np.abs(x) <= HYP_DIRECT_MAX, x, direct, via_exp)
+    far = x[~near]
+    ax = np.abs(far)
+    i, r = exp_split_array(np.concatenate([ax, -ax]))
+    theta = _pow2_angles(r)
+    if k:
+        theta = np.concatenate([to_fixed_array(x[near]), theta])
+    xc, yc = rotate(theta)
+    # Halving 2**r before the extension by 2**i keeps exp(|x|)/2 finite
+    # up to |x| ~ 89.4, where exp(|x|) itself overflows float32.
+    hp, hm = exp_extend(ldexp32(_pow2_finish(xc[k:], yc[k:]), -1),
+                        i).reshape(2, -1)
+    tally("float_add", 2 * far.size)
+    s = hp - hm
+    out = np.empty((2,) + x.shape, dtype=np.float32)
+    if k:
+        out[:, near] = to_float_array(np.stack([yc[:k], xc[:k]]))
+    out[:, ~near] = np.stack([np.where(far < 0, -s, s), hp + hm])
+    return out
 
 
 def sinh_array(rotate, x: np.ndarray) -> np.ndarray:

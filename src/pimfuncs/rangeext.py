@@ -177,11 +177,9 @@ def tan_extend(s: np.ndarray, c: np.ndarray) -> np.ndarray:
         return s / c
 
 
-def exp_via(kernel, x: np.ndarray) -> np.ndarray:
-    """exp(x) = 2**r * 2**i, where x * log2(e) = i + r and ``kernel``
-    gives 2**r on [0, 1); the elementwise :func:`exp_split` and
-    :func:`exp_extend`.
-    """
+def exp_split_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise :func:`exp_split`: (i, r) with x * log2(e) = i + r and
+    r in [0, 1), i as float64."""
     tally("float_mul", x.size)
     tally("float_add", x.size)
     t = x * LOG2_E
@@ -190,7 +188,14 @@ def exp_via(kernel, x: np.ndarray) -> np.ndarray:
     if np.count_nonzero(bad):
         # OverflowError for +-inf, ValueError for NaN, as in the scalar form
         math.floor(float(t[bad][0]))
-    return exp_extend(kernel(t - i), i)
+    return i, t - i
+
+
+def exp_via(kernel, x: np.ndarray) -> np.ndarray:
+    """exp(x) = 2**r * 2**i, where ``kernel`` gives 2**r on [0, 1) for
+    the split of :func:`exp_split_array`; :func:`exp_extend` scales it."""
+    i, r = exp_split_array(x)
+    return exp_extend(kernel(r), i)
 
 
 def log_via(kernel, x: np.ndarray) -> np.ndarray:

@@ -9,11 +9,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, supported)
-from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting, weighted_cost
 from pimfuncs.fixedpoint import to_fixed_array, to_float_array

@@ -4,13 +4,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pimfuncs import EvaluatorConfig, FunctionId, MethodId, build_evaluator
+from pimfuncs import (EvaluatorConfig, FunctionId, MethodId, build_evaluator,
+                      combined, cordic, counting, supported)
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_rotate,
                              cordic_vector, generate_cordic_tables)
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, RangeError
-from pimfuncs.fixedpoint import to_fixed, to_fixed_array, to_float_array
+from pimfuncs.fixedpoint import (RAW_MAX, RAW_MIN, to_fixed, to_fixed_array,
+                                 to_float_array)
+from pimfuncs.harness import DEFAULT_DOMAINS
 
 
 def fx(*values) -> np.ndarray:
@@ -271,3 +274,107 @@ class TestErrorDecay:
                                     - np.sin(xs)))
         assert errs[16] < errs[10] / 8
         assert errs[22] < errs[16] / 8
+
+
+def _iterate_where(tables, x, y, t, vectoring=False):
+    """Reference loop: ``_iterate`` as it was, steering by ``np.where``."""
+    hyper = tables.mode is CordicMode.HYPERBOLIC
+    for i, phi in zip(tables.schedule, tables.phi_raw):
+        d = np.where(y < 0, 1, -1) if vectoring else np.where(t >= 0, 1, -1)
+        ys = d * (y >> i)
+        x, y, t = (x + ys if hyper else x - ys), y + d * (x >> i), t - d * phi
+    return x, y, t
+
+
+def _steering_rows(tables):
+    """(x, y, t) rows that tie or sit at the ends of the raw range: t == 0
+    at the start and after 1-3 iterations, y == 0 at the start and after
+    the first iteration, and raw values at and next to +-RAW_MAX."""
+    phi = np.cumsum(tables.phi_raw[:3])
+    first = tables.schedule[0]
+    big = (RAW_MAX, RAW_MIN, RAW_MAX - 1, RAW_MIN + 1)
+    rows = [(1 << 28, 0, 0), (1 << 28, 1 << 20, 0), (RAW_MAX, 0, RAW_MAX),
+            (RAW_MAX, RAW_MAX >> first, 0), (1 << 26, (1 << 26) >> first, 5)]
+    rows += [(1 << 28, 7, int(p)) for p in phi]
+    rows += [(a, b, c) for a in big for b in big for c in big]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestSteering:
+    """The sign-bit steering in ``_iterate`` matches ``np.where`` bit for bit."""
+
+    @pytest.mark.parametrize("mode", list(CordicMode))
+    @pytest.mark.parametrize("vectoring", [False, True])
+    @pytest.mark.parametrize("n", [1, 128, 4096])
+    def test_matches_where_loop(self, mode, vectoring, n):
+        tables = generate_cordic_tables(mode, 28)
+        rows = _steering_rows(tables)
+        rng = np.random.default_rng(n)
+        if n == 1:
+            cases = [rows[k:k + 1] for k in range(len(rows))]
+        else:
+            r = rng.integers(RAW_MIN, RAW_MAX, (n, 3), endpoint=True)
+            r[:len(rows)] = rows
+            cases = [r]
+        for case in cases:
+            x, y, t = (np.ascontiguousarray(case[:, j]) for j in range(3))
+            got = cordic._iterate(tables, x, y, t, vectoring=vectoring)
+            want = _iterate_where(tables, x, y, t, vectoring=vectoring)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert g.tolist() == w.tolist()
+
+
+_ROTATING_CELLS = [(f, m) for m in (MethodId.CORDIC, MethodId.CORDIC_LUT)
+                   for f in FunctionId if supported(f, m)]
+_HYP_NEAR = [-np.nextafter(np.float32(1.1), np.float32(0)), -0.5, 0.0, 0.25,
+             1.0, np.nextafter(np.float32(1.1), np.float32(0))]
+_HYP_FAR = [-30.0, -np.float32(1.1), np.float32(1.1), 1.5, 4.0, 89.0]
+_HYP_BATCHES = {"near": _HYP_NEAR, "far": _HYP_FAR, "empty": [],
+                "mixed": [v for pair in zip(_HYP_NEAR, _HYP_FAR) for v in pair]}
+
+
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    """The number of ``_iterate`` calls made so far, as a one-item list."""
+    calls = [0]
+    original = cordic._iterate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cordic, "_iterate", counted)
+    monkeypatch.setattr(combined, "_iterate", counted)
+    return calls
+
+
+class TestOneRotation:
+    """Every CORDIC and CORDIC+LUT request runs the iteration loop once."""
+
+    @pytest.mark.parametrize("cell", _ROTATING_CELLS,
+                             ids=lambda c: f"{c[0].value}-{c[1].value}")
+    def test_cell(self, cell, iterate_calls):
+        function, method = cell
+        ev = build_evaluator(function, EvaluatorConfig(method=method))
+        lo, hi = DEFAULT_DOMAINS[function]
+        iterate_calls[0] = 0
+        ev.evaluate_batch(np.linspace(lo, hi, 37))
+        assert iterate_calls == [1]
+        ev.evaluate((lo + hi) / 2)
+        assert iterate_calls == [2]
+
+    @pytest.mark.parametrize("method", [MethodId.CORDIC, MethodId.CORDIC_LUT])
+    @pytest.mark.parametrize("function", [FunctionId.SINH, FunctionId.COSH,
+                                          FunctionId.TANH])
+    @pytest.mark.parametrize("batch", sorted(_HYP_BATCHES))
+    def test_hyperbolic_batches(self, method, function, batch, iterate_calls):
+        ev = build_evaluator(function, EvaluatorConfig(method=method))
+        xs = np.asarray(_HYP_BATCHES[batch], dtype=np.float32)
+        iterate_calls[0] = 0
+        out, batch_counts = ev.evaluate_batch(xs)
+        assert iterate_calls == [1]
+        with counting() as scalar_counts:
+            scalar = np.asarray([ev.evaluate(x) for x in xs], dtype=np.float32)
+        assert iterate_calls == [1 + xs.size]
+        assert out.view(np.uint32).tolist() == scalar.view(np.uint32).tolist()
+        assert batch_counts == scalar_counts

@@ -1,14 +1,13 @@
 import math
-import struct
 
 import numpy as np
 import pytest
 
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, FixedOverflowError, RangeError
-from pimfuncs.fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, fixed_add,
-                                 fixed_mul, fixed_shift, fixed_sub, ldexp32,
-                                 split_float, to_fixed, to_float)
+from pimfuncs.fixedpoint import (SCALE, FixedQ3_28, fixed_add, fixed_mul,
+                                 fixed_shift, fixed_sub, ldexp32, split_float,
+                                 to_fixed, to_float)
 
 
 class TestToFixed:

@@ -5,10 +5,9 @@ import pytest
 
 from pimfuncs.errors import DomainError
 from pimfuncs.fixedpoint import split_float, to_fixed
-from pimfuncs.rangeext import (HALF_PI_FIXED, TWO_PI, exp_extend, exp_split,
-                               log_extend, quadrant_adjust, quadrant_reduce,
-                               reduce_2pi, reflect_odd, sqrt_extend,
-                               sqrt_reduce)
+from pimfuncs.rangeext import (TWO_PI, exp_extend, exp_split, log_extend,
+                               quadrant_adjust, quadrant_reduce, reduce_2pi,
+                               reflect_odd, sqrt_extend, sqrt_reduce)
 
 
 class TestReduce2Pi:
