@@ -16,6 +16,8 @@ rotator or vectoring tables for ``cordic.<function>_array`` (CORDIC and
 CORDIC+LUT).  ``SUPPORT`` and the dispatch follow from them.  Builders
 and queries are looked up through their modules when a cell is built,
 never at import.
+
+``EvaluatorConfig`` holds what callers size; the constants fix the rest.
 """
 
 from __future__ import annotations
@@ -65,18 +67,19 @@ class NumberFormat(Enum):
     FIXED = "fixed"
 
 
+LUT_ADDR_BITS = 6  # CORDIC+LUT start-table address width
+EXP_BITS = 5  # D/DL-LUT exponent field: the D part spans 2**EXP_BITS octaves
+BASE_EXPONENT = -16  # D-LUT lower exponent bound
+DL_BASE_EXPONENT = 0  # DL-LUT L/D boundary exponent
+
+
 @dataclass(frozen=True)
 class EvaluatorConfig:
     method: MethodId
     number_format: NumberFormat = NumberFormat.FLOAT
-    n_iter: int = 28
-    lut_size: int = 4096
-    lut_addr_bits: int = 6  # CORDIC+LUT start-table address width
-    exp_bits: int = 5  # D-LUT exponent field
+    n_iter: int = 28  # CORDIC and CORDIC+LUT
+    lut_size: int = 4096  # M- and L-LUT cells
     mant_bits: int = 8  # D-LUT / DL-LUT mantissa field
-    base_exponent: int = -16  # D-LUT lower exponent bound
-    dl_base_exponent: int = 0  # DL-LUT L/D boundary exponent
-    hi_exponent: int | None = None
 
 
 @lut.array_formula
@@ -119,8 +122,7 @@ _M_LUTS = (MethodId.MLUT, MethodId.MLUT_INTERP)
 _L_LUTS = (MethodId.LLUT, MethodId.LLUT_INTERP)
 
 
-def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig,
-                 function_id: str):
+def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig):
     """The M/L table of ``f`` on [lo, hi] that ``cfg`` asks for, and its
     query: a map from a float64 array on [lo, hi] to float32 results.
 
@@ -134,15 +136,14 @@ def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig,
             f"no {cfg.number_format.value} M/L table for {cfg.method.value}")
     interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
     if fixed:
-        table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp,
-                                     function_id)
+        table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp)
         fq = lut.fixed_llut_query_interp if interp else lut.fixed_llut_query
         return table, lambda r: to_float_array(fq(table, to_fixed_array(r)))
     if cfg.method in _L_LUTS:
-        table = lut.build_llut(f, lo, hi, cfg.lut_size, interp, function_id)
+        table = lut.build_llut(f, lo, hi, cfg.lut_size, interp)
         query = lut.llut_query_interp if interp else lut.llut_query
     else:
-        table = lut.build_mlut(f, lo, hi, cfg.lut_size, interp, function_id)
+        table = lut.build_mlut(f, lo, hi, cfg.lut_size, interp)
         query = lut.mlut_query_interp if interp else lut.mlut_query
     return table, partial(query, table)
 
@@ -152,30 +153,29 @@ def _tan(q_sin, q_cos, x):
     return tan_extend(q_sin(r), q_cos(r))
 
 
-# function -> ((function_id, host f, lo, hi) per table, pipeline step);
-# the step takes one query per table, then the input array.  Hosts are
-# libm callables mapped per node (math.pow(2.0, r) is 2.0 ** r, bit for
-# bit) or array formulas (np.sqrt is correctly rounded, as math.sqrt is).
+# function -> ((host f, lo, hi) per table, pipeline step); the step
+# takes one query per table, then the input array.  Hosts are libm
+# callables mapped per node (math.pow(2.0, r) is 2.0 ** r, bit for bit)
+# or array formulas (np.sqrt is correctly rounded, as math.sqrt is).
 _TABLE_CELLS = {
-    FunctionId.SIN: ((("sin", math.sin, 0.0, TWO_PI),),
+    FunctionId.SIN: (((math.sin, 0.0, TWO_PI),),
                      lambda q, x: q(reduce_2pi_array(x))),
-    FunctionId.COS: ((("cos", math.cos, 0.0, TWO_PI),),
+    FunctionId.COS: (((math.cos, 0.0, TWO_PI),),
                      lambda q, x: q(reduce_2pi_array(x))),
-    FunctionId.TAN: ((("sin", math.sin, 0.0, TWO_PI),
-                      ("cos", math.cos, 0.0, TWO_PI)), _tan),
-    FunctionId.EXP: ((("exp", partial(math.pow, 2.0), 0.0, 1.0),),
+    FunctionId.TAN: (((math.sin, 0.0, TWO_PI), (math.cos, 0.0, TWO_PI)),
+                     _tan),
+    FunctionId.EXP: (((partial(math.pow, 2.0), 0.0, 1.0),),
                      lambda q, x: exp_via(q, x)),
-    FunctionId.LOG: ((("log", math.log, 1.0, 2.0),),
-                     lambda q, x: log_via(q, x)),
-    FunctionId.SQRT: ((("sqrt", lut.array_formula(np.sqrt), 0.5, 2.0),),
+    FunctionId.LOG: (((math.log, 1.0, 2.0),), lambda q, x: log_via(q, x)),
+    FunctionId.SQRT: (((lut.array_formula(np.sqrt), 0.5, 2.0),),
                       lambda q, x: sqrt_via(q, x)),
 }
 
 
 def _table_cell(function: FunctionId, cfg: EvaluatorConfig):
     hosts, step = _TABLE_CELLS[function]
-    tables, queries = zip(*(table_kernel(f, lo, hi, cfg, fid)
-                            for fid, f, lo, hi in hosts))
+    tables, queries = zip(*(table_kernel(f, lo, hi, cfg)
+                            for f, lo, hi in hosts))
     return tables, partial(step, *queries)
 
 
@@ -211,8 +211,9 @@ def _d_gelu(query, tiny, x):
     return v
 
 
-# function -> (host f, pipeline step(query, tiny, x)); the table covers
-# [2**base_exponent, 2**hi_exponent), and inputs below ``tiny`` bypass it.
+# function -> (host f, pipeline step(query, tiny, x)); the D part covers
+# 2**EXP_BITS octaves from its base exponent, and inputs below ``tiny``
+# bypass the table.
 _D_CELLS = {
     FunctionId.SIN: (math.sin, _d_sin),
     FunctionId.TANH: (math.tanh, _d_tanh),
@@ -223,15 +224,11 @@ _D_CELLS = {
 def _d_cell(function: FunctionId, cfg: EvaluatorConfig):
     host, step = _D_CELLS[function]
     if cfg.method is MethodId.DLLUT_INTERP:
-        table = lut.build_dllut(host, cfg.exp_bits, cfg.mant_bits,
-                                cfg.dl_base_exponent, cfg.hi_exponent,
-                                function.value)
+        table = lut.build_dllut(host, EXP_BITS, cfg.mant_bits, DL_BASE_EXPONENT)
         query, tiny = lut.dllut_query_interp, 0.0  # L part reaches down to 0
     else:
-        table = lut.build_dlut(host, cfg.exp_bits, cfg.mant_bits,
-                               cfg.base_exponent, cfg.hi_exponent, True,
-                               function.value)
-        query, tiny = lut.dlut_query_interp, math.ldexp(1.0, cfg.base_exponent)
+        table = lut.build_dlut(host, EXP_BITS, cfg.mant_bits, BASE_EXPONENT)
+        query, tiny = lut.dlut_query_interp, math.ldexp(1.0, BASE_EXPONENT)
     return (table,), partial(step, partial(query, table), tiny)
 
 
@@ -252,7 +249,7 @@ def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
     mode = (cordic.CordicMode.CIRCULAR if function in _CIRCULAR
             else cordic.CordicMode.HYPERBOLIC)
     if cfg.method is MethodId.CORDIC_LUT:
-        start = combined.build_cordic_lut(mode, cfg.lut_addr_bits, cfg.n_iter)
+        start = combined.build_cordic_lut(mode, LUT_ADDR_BITS, cfg.n_iter)
         return (start,), partial(step, combined.rotator(start))
     tables = cordic.generate_cordic_tables(mode, cfg.n_iter)
     kernel = (tables if function in _VECTORING

@@ -31,11 +31,9 @@ TABLE_SPAN = 2.0
 
 @dataclass(frozen=True)
 class CordicLutTables:
-    mode: CordicMode
-    lut_addr_bits: int  # b: table has 2**b + 1 cells at density 2**(b-1)
     cells: np.ndarray  # int64 (x_raw, y_raw, theta_raw) per cell, one row each
-    rem_tables: CordicTables  # fine iterations, first_index = b
-    density_n: int  # b - 1
+    rem_tables: CordicTables  # fine iterations from index b = lut_addr_bits
+    density_n: int  # b - 1: 2**b + 1 cells at density 2**(b-1)
 
     @property
     def n_iter(self) -> int:
@@ -66,8 +64,7 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
                       to_fixed_array(tabulate(sin, theta, count) * inv_g_rem),
                       to_fixed_array(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
-    return CordicLutTables(mode=mode, lut_addr_bits=b, cells=cells,
-                           rem_tables=rem, density_n=b - 1)
+    return CordicLutTables(cells=cells, rem_tables=rem, density_n=b - 1)
 
 
 def cordic_lut_rotate(tables: CordicLutTables, theta: np.ndarray):

@@ -50,10 +50,8 @@ class CordicTables:
     angles: tuple  # FixedQ3_28 per distinct iteration index, decreasing
     gain: float  # product of the performed iterations' scale factors
     inv_gain: FixedQ3_28
-    repeat_schedule: tuple  # iteration indices performed twice
-    schedule: tuple  # performed iteration indices, in order
+    schedule: tuple  # performed iteration indices in order, repeats included
     phi_raw: tuple  # raw Q3.28 angle per performed iteration
-    first_index: int  # iteration index of schedule[0]
     max_angle: float  # convergence bound: sum of performed angles
 
 
@@ -63,17 +61,15 @@ def _angle(mode: CordicMode, i: int) -> float:
     return math.atanh(2.0 ** -i)
 
 
-def _build_schedule(mode: CordicMode, n_iter: int, first_index: int) -> tuple[list, list]:
+def _build_schedule(mode: CordicMode, n_iter: int, first_index: int) -> list:
     schedule: list[int] = []
-    repeats: list[int] = []
     i = first_index
     while len(schedule) < n_iter:
         schedule.append(i)
         if mode is CordicMode.HYPERBOLIC and i in HYPERBOLIC_REPEATS and len(schedule) < n_iter:
             schedule.append(i)
-            repeats.append(i)
         i += 1
-    return schedule, repeats
+    return schedule
 
 
 def generate_cordic_tables(mode: CordicMode, n_iter: int,
@@ -92,7 +88,7 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
             raise RangeError(f"hyperbolic n_iter {n_iter} outside [1, 30]")
         start = 1 if first_index is None else max(1, first_index)
 
-    schedule, repeats = _build_schedule(mode, n_iter, start)
+    schedule = _build_schedule(mode, n_iter, start)
     distinct = sorted(set(schedule))
     angles = tuple(to_fixed(_angle(mode, i)) for i in distinct)
 
@@ -110,9 +106,8 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
     phi_raw = tuple(by_index[i] for i in schedule)
     return CordicTables(mode=mode, n_iter=len(schedule), angles=angles,
                         gain=gain, inv_gain=inv_gain,
-                        repeat_schedule=tuple(repeats),
                         schedule=tuple(schedule), phi_raw=phi_raw,
-                        first_index=start, max_angle=max_angle)
+                        max_angle=max_angle)
 
 
 def _iterate(tables: CordicTables, x: np.ndarray, y: np.ndarray, t: np.ndarray,

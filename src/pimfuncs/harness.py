@@ -16,9 +16,9 @@ and numpy's transcendental ufuncs, which can differ from libm in the
 last bit, are not used.  The same array formulas (``_cndf_exact``,
 ``gelu_exact``) build the CNDF and GELU tables.
 
-The workload kernels (each variant's exp, log, sqrt and CNDF, and
-``polynomial_baseline``) map a 1-d float64 array to results elementwise;
-2-d inputs such as the softmax rows are raveled first.
+The workload kernels (``_kernel``: each variant's exp, log, sqrt and
+CNDF) map a 1-d float64 array to results elementwise; 2-d inputs such
+as the softmax rows are raveled first.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -120,8 +120,7 @@ def _config_for(method: MethodId, number_format: NumberFormat,
 
 def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
                seed: int = 0, number_format: NumberFormat = NumberFormat.FLOAT,
-               n_samples: int = SWEEP_SAMPLES,
-               domain: tuple | None = None) -> list[AccuracyReport]:
+               n_samples: int = SWEEP_SAMPLES) -> list[AccuracyReport]:
     """Accuracy of one method at each table size or iteration count.
 
     Draws ``n_samples`` uniform inputs on the domain from ``seed`` and
@@ -129,7 +128,7 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
     is evaluated in double precision on those same float32 inputs, so the
     errors are the kernel's own and exclude input quantization.
     """
-    lo, hi = domain if domain is not None else DEFAULT_DOMAINS[function]
+    lo, hi = DEFAULT_DOMAINS[function]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, n_samples).astype(np.float32)
     ref = reference_values(function, xs)
@@ -222,16 +221,6 @@ def _poly_sqrt(x: np.ndarray) -> np.ndarray:
     return sqrt_via(lambda m: _horner(_fit_poly("sqrt"), m), x)
 
 
-def polynomial_baseline(function: str, x: np.ndarray) -> np.ndarray:
-    """Baseline evaluators used only for cost comparison: exp and CNDF of a
-    1-d float64 array, as float32."""
-    if function == "exp":
-        return _poly_exp(x)
-    if function == "cndf":
-        return _poly_cndf(x)
-    raise ValueError(f"polynomial baseline covers exp and cndf, not {function}")
-
-
 # ---------------------------------------------------------------------------
 # Workloads
 # ---------------------------------------------------------------------------
@@ -262,12 +251,11 @@ def _cndf_exact(x):
     return 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
 
 
-def _make_cndf_lut(fixed: bool):
+def _make_cndf_lut(number_format: NumberFormat):
     """CNDF from an interpolated L-LUT over [0, 8); float64 results."""
     cfg = EvaluatorConfig(method=MethodId.LLUT_INTERP, lut_size=CNDF_LUT_SIZE,
-                          number_format=(NumberFormat.FIXED if fixed
-                                         else NumberFormat.FLOAT))
-    _, query = table_kernel(_cndf_exact, 0.0, 8.0, cfg, "cndf")
+                          number_format=number_format)
+    _, query = table_kernel(_cndf_exact, 0.0, 8.0, cfg)
 
     def cndf(x):
         out = np.where(x >= 8.0, 1.0, 0.0)
@@ -281,22 +269,34 @@ def _make_cndf_lut(fixed: bool):
     return cndf
 
 
+# Workload variant -> the config of its kernels; None is the polynomial
+# baseline.  A variant's CNDF is an L-LUT in its number format.
+_workload_config = partial(EvaluatorConfig, lut_size=WORKLOAD_LUT_SIZE)
+_VARIANTS = {
+    "PolynomialBaseline": None,
+    "MLutInterp": _workload_config(MethodId.MLUT_INTERP),
+    "LLutInterp": _workload_config(MethodId.LLUT_INTERP),
+    "FixedLLutInterp": _workload_config(MethodId.LLUT_INTERP,
+                                        NumberFormat.FIXED),
+    "CordicLut": _workload_config(MethodId.CORDIC_LUT),
+}
+_POLYNOMIAL = {"exp": _poly_exp, "log": _poly_log, "sqrt": _poly_sqrt,
+               "cndf": _poly_cndf}
+
+
+def _kernel(function: str, variant: str):
+    """Array kernel of "exp", "log", "sqrt" or "cndf" in a workload variant."""
+    cfg = _VARIANTS[variant]
+    if cfg is None:
+        return _POLYNOMIAL[function]
+    if function == "cndf":
+        return _make_cndf_lut(cfg.number_format)
+    return build_evaluator(FunctionId(function), cfg).pipeline
+
+
 def _bs_kernels(variant: str):
-    """(exp, log, sqrt, cndf) array kernels for a Blackscholes variant."""
-    if variant == "PolynomialBaseline":
-        return _poly_exp, _poly_log, _poly_sqrt, _poly_cndf
-    method = {"MLutInterp": MethodId.MLUT_INTERP,
-              "LLutInterp": MethodId.LLUT_INTERP,
-              "FixedLLutInterp": MethodId.LLUT_INTERP}[variant]
-    fmt = (NumberFormat.FIXED if variant == "FixedLLutInterp"
-           else NumberFormat.FLOAT)
-    cfg = EvaluatorConfig(method=method, number_format=fmt,
-                          lut_size=WORKLOAD_LUT_SIZE)
-    ev_exp = build_evaluator(FunctionId.EXP, cfg)
-    ev_log = build_evaluator(FunctionId.LOG, cfg)
-    ev_sqrt = build_evaluator(FunctionId.SQRT, cfg)
-    cndf = _make_cndf_lut(fixed=(fmt is NumberFormat.FIXED))
-    return ev_exp.pipeline, ev_log.pipeline, ev_sqrt.pipeline, cndf
+    """(exp, log, sqrt, cndf) kernels of a Blackscholes variant, in order."""
+    return tuple(_kernel(f, variant) for f in ("exp", "log", "sqrt", "cndf"))
 
 
 def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
@@ -357,16 +357,6 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
                           op_counts=c, wall_seconds=wall)
 
 
-def _exp_kernel(variant: str):
-    if variant == "PolynomialBaseline":
-        return _poly_exp
-    method = {"MLutInterp": MethodId.MLUT_INTERP,
-              "LLutInterp": MethodId.LLUT_INTERP,
-              "CordicLut": MethodId.CORDIC_LUT}[variant]
-    cfg = EvaluatorConfig(method=method, lut_size=WORKLOAD_LUT_SIZE)
-    return build_evaluator(FunctionId.EXP, cfg).pipeline
-
-
 def _sigmoid_reference(xs) -> np.ndarray:
     """Double-precision 1 / (1 + exp(-x)), elementwise."""
     return 1.0 / (1.0 + lut.mapped(math.exp, -np.asarray(xs, dtype=np.float64)))
@@ -384,7 +374,7 @@ def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
         raise ValueError(f"unknown Sigmoid variant {method_variant}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-8.0, 8.0, n).astype(np.float32)
-    exp_f = _exp_kernel(method_variant)
+    exp_f = _kernel("exp", method_variant)
     ref = _sigmoid_reference(xs)
     t0 = time.perf_counter()
     with counting() as c:
@@ -407,7 +397,7 @@ def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     n_vec = max(1, n // k)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-8.0, 8.0, (n_vec, k)).astype(np.float32)
-    exp_f = _exp_kernel(method_variant)
+    exp_f = _kernel("exp", method_variant)
     ref = _softmax_reference(xs)  # of the same float32 inputs
     out = np.empty_like(xs)
     max_sum_dev = 0.0

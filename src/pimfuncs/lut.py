@@ -9,9 +9,9 @@ variants).  Address generation per kind:
   D:  exponent/mantissa bit extraction   no multiply
   DL: L-LUT below 2**base_exponent, D-LUT above
 
-Non-interpolated tables center cells on their nodes (p = lo + spacing/2);
-interpolated tables put the first node at lo and carry one guard entry so
-entries[a + 1] never branches.
+Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
+spacing/2); interpolated tables (D and DL always) put the first node at
+lo and carry one guard entry so entries[a + 1] never branches.
 
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
@@ -124,7 +124,6 @@ class FuzzyLut:
     entries: np.ndarray | None
     interpolated: bool
     fixed: bool = False
-    function_id: str = "f"
     # DL-LUT composite parts
     sub_low: "FuzzyLut | None" = None
     sub_high: "FuzzyLut | None" = None
@@ -152,8 +151,8 @@ def node_of(lut: FuzzyLut, addr: int) -> float:
 # M-LUT
 # ---------------------------------------------------------------------------
 
-def build_mlut(f, lo: float, hi: float, size: int, interpolated: bool = False,
-               function_id: str = "f") -> FuzzyLut:
+def build_mlut(f, lo: float, hi: float, size: int,
+               interpolated: bool = False) -> FuzzyLut:
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
     k = size / (hi - lo)
@@ -166,8 +165,7 @@ def build_mlut(f, lo: float, hi: float, size: int, interpolated: bool = False,
     spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi)
     entries = tabulate(f, _nodes(spec), count).astype(np.float32)
     tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    function_id=function_id)
+    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated)
 
 
 def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
@@ -242,15 +240,14 @@ def _llut_layout(lo: float, hi: float, size: int, interpolated: bool):
     return spec, size + 1 if interpolated else size
 
 
-def build_llut(f, lo: float, hi: float, size: int, interpolated: bool = False,
-               function_id: str = "f") -> FuzzyLut:
+def build_llut(f, lo: float, hi: float, size: int,
+               interpolated: bool = False) -> FuzzyLut:
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
     spec, count = _llut_layout(lo, hi, size, interpolated)
     entries = tabulate(f, _nodes(spec), count).astype(np.float32)
     tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    function_id=function_id)
+    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated)
 
 
 def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -270,8 +267,7 @@ def llut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 
 
 def build_fixed_llut(f, lo: float, hi: float, size: int,
-                     interpolated: bool = False,
-                     function_id: str = "f") -> FuzzyLut:
+                     interpolated: bool = False) -> FuzzyLut:
     """L-LUT with Q3.28 entries and shift-based raw addressing."""
     if not (lo < hi) or size < 2:
         raise ValueError("need lo < hi and size >= 2")
@@ -286,8 +282,7 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
     entries = to_fixed_array(tabulate(f, _nodes(spec), count))
     tally("table_setup_entries", count)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    fixed=True, function_id=function_id,
-                    p_raw=to_fixed(spec.p).raw)
+                    fixed=True, p_raw=to_fixed(spec.p).raw)
 
 
 def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
@@ -345,24 +340,18 @@ def _d_spec(exp_bits: int, mant_bits: int, base_exponent: int,
                        hi=math.ldexp(1.0, hi_exponent))
 
 
-def build_dlut(f, exp_bits: int, mant_bits: int, base_exponent: int,
-               hi_exponent: int | None = None, interpolated: bool = True,
-               function_id: str = "f") -> FuzzyLut:
+def build_dlut(f, exp_bits: int, mant_bits: int,
+               base_exponent: int) -> FuzzyLut:
+    """Interpolated D-LUT over 2**exp_bits octaves from 2**base_exponent."""
     if exp_bits < 1 or mant_bits < 1 or mant_bits > 23:
         raise ValueError("need exp_bits >= 1 and 1 <= mant_bits <= 23")
-    if hi_exponent is None:
-        hi_exponent = base_exponent + (1 << exp_bits)
-    steps = hi_exponent - base_exponent
-    if not (1 <= steps <= (1 << exp_bits)):
-        raise ValueError(f"{steps} exponent steps do not fit in {exp_bits} bits")
-    count = steps << mant_bits
-    total = count + 1 if interpolated else count
+    hi_exponent = base_exponent + (1 << exp_bits)
+    count = (1 << exp_bits) << mant_bits
     spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
     # The guard entry (address count) is the node 2**hi_exponent.
-    entries = tabulate(f, _nodes(spec), total).astype(np.float32)
-    tally("table_setup_entries", total)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    function_id=function_id)
+    entries = tabulate(f, _nodes(spec), count + 1).astype(np.float32)
+    tally("table_setup_entries", count + 1)
+    return FuzzyLut(spec=spec, entries=entries, interpolated=True)
 
 
 def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -378,7 +367,7 @@ def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 # DL-LUT
 # ---------------------------------------------------------------------------
 
-def _dl_table(low: FuzzyLut, high: FuzzyLut, function_id: str) -> FuzzyLut:
+def _dl_table(low: FuzzyLut, high: FuzzyLut) -> FuzzyLut:
     """The DL-LUT of an L part below 2**base_exponent and a D part above,
     whose fields it shares."""
     h = high.spec
@@ -386,18 +375,16 @@ def _dl_table(low: FuzzyLut, high: FuzzyLut, function_id: str) -> FuzzyLut:
                        base_exponent=h.base_exponent, hi_exponent=h.hi_exponent,
                        lo=0.0, hi=h.hi)
     return FuzzyLut(spec=spec, entries=None, interpolated=True,
-                    function_id=function_id, sub_low=low, sub_high=high)
+                    sub_low=low, sub_high=high)
 
 
-def build_dllut(f, exp_bits: int, mant_bits: int, base_exponent: int,
-                hi_exponent: int | None = None,
-                function_id: str = "f") -> FuzzyLut:
+def build_dllut(f, exp_bits: int, mant_bits: int,
+                base_exponent: int) -> FuzzyLut:
     """L-LUT below 2**base_exponent, D-LUT above; both interpolated."""
     low = build_llut(f, 0.0, math.ldexp(1.0, base_exponent), 1 << mant_bits,
-                     interpolated=True, function_id=function_id)
-    high = build_dlut(f, exp_bits, mant_bits, base_exponent, hi_exponent,
-                      interpolated=True, function_id=function_id)
-    return _dl_table(low, high, function_id)
+                     interpolated=True)
+    high = build_dlut(f, exp_bits, mant_bits, base_exponent)
+    return _dl_table(low, high)
 
 
 def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -482,7 +469,7 @@ def _load_one(buf: bytes, off: int,
                   high.spec.base_exponent) == (exp_bits, mant_bits,
                                                base_exponent),
                  "DL-LUT fields disagree with its D-LUT part")
-        return _dl_table(low, high, "unknown"), off
+        return _dl_table(low, high), off
 
     _require(count <= (len(buf) - off) // 4,
              f"{count} entries run past the end of the buffer")
@@ -497,6 +484,7 @@ def _load_one(buf: bytes, off: int,
     off += count * 4
 
     if kind == "D":
+        _require(interpolated, "D-LUT without its guard entry")
         _require(exp_bits >= 1 and 1 <= mant_bits <= 23,
                  "exponent or mantissa field width")
         steps, rest = divmod(size, 1 << mant_bits)
@@ -504,8 +492,7 @@ def _load_one(buf: bytes, off: int,
         _require(rest == 0, "entries do not fill whole octaves")
         _require(hi_exponent < 1024, "D-LUT range exceeds a double")
         spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
-        return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                        function_id="unknown"), off
+        return FuzzyLut(spec=spec, entries=entries, interpolated=True), off
 
     _require(math.isfinite(p), "non-finite first node")
     if kind == "L":
@@ -521,7 +508,7 @@ def _load_one(buf: bytes, off: int,
         lo = p if interpolated else p - 1.0 / (2 * k)
         spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=lo + size / k)
     lut = FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                   fixed=fixed, function_id="unknown")
+                   fixed=fixed)
     if fixed:
         _require(0 <= spec.n <= FRAC_BITS and -8.0 < p < 8.0,
                  "fixed L-LUT layout outside Q3.28")

@@ -186,8 +186,7 @@ def exp_split_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i = np.floor(t)
     bad = ~np.isfinite(i)
     if np.count_nonzero(bad):
-        # OverflowError for +-inf, ValueError for NaN, as in the scalar form
-        math.floor(float(t[bad][0]))
+        raise DomainError(f"exp requires finite input, got {float(x[bad][0])}")
     return i, t - i
 
 

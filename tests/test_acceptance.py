@@ -242,15 +242,16 @@ def test_c09_workload_correctness(capfd):
 
 
 def test_c10_baseline_ordering(capfd):
-    from pimfuncs.harness import _make_cndf_lut, polynomial_baseline
+    from pimfuncs.harness import _bs_kernels, _make_cndf_lut
     ev = build_evaluator(FunctionId.EXP,
                          EvaluatorConfig(method=MethodId.LLUT_INTERP))
     _, c_lut_exp = with_counting(lambda: ev.evaluate(1.234))
     x = np.array([1.234])  # one element each
-    _, c_poly_exp = with_counting(lambda: polynomial_baseline("exp", x))
-    cndf = _make_cndf_lut(False)
+    poly_exp, _, _, poly_cndf = _bs_kernels("PolynomialBaseline")
+    _, c_poly_exp = with_counting(lambda: poly_exp(x))
+    cndf = _make_cndf_lut(NumberFormat.FLOAT)
     _, c_lut_cndf = with_counting(lambda: cndf(x))
-    _, c_poly_cndf = with_counting(lambda: polynomial_baseline("cndf", x))
+    _, c_poly_cndf = with_counting(lambda: poly_cndf(x))
     ok = (weighted_cost(c_poly_exp) > weighted_cost(c_lut_exp)
           and weighted_cost(c_poly_cndf) > weighted_cost(c_lut_cndf))
     _verdict(capfd, 10, "baseline-ordering", ok,

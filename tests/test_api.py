@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,41 @@ def test_each_combination_evaluates(function, method, fmt):
     expect = _REF[function](x)
     tol = 4e-3 if method in (M.MLUT, M.LLUT) else 1e-4
     assert got == pytest.approx(expect, rel=tol, abs=tol)
+
+
+def test_config_holds_only_the_sizing_fields():
+    assert {f.name for f in dataclasses.fields(EvaluatorConfig)} == {
+        "method", "number_format", "n_iter", "lut_size", "mant_bits"}
+
+
+@pytest.mark.parametrize("function,method,field,values", (
+    (F.SIN, M.CORDIC, "n_iter", (16, 28)),
+    (F.SIN, M.LLUT_INTERP, "lut_size", (512, 4096)),
+    (F.TANH, M.DLUT_INTERP, "mant_bits", (4, 8)),
+), ids=("n_iter", "lut_size", "mant_bits"))
+def test_each_sizing_field_sizes_the_tables(function, method, field, values):
+    sizes = {build_evaluator(function, EvaluatorConfig(
+        method=method, **{field: v})).setup.bytes for v in values}
+    assert len(sizes) == len(values)
+
+
+# Cells whose exponent split sees the input: exp in every cell, and
+# sinh/cosh/tanh via CORDIC beyond the direct rotation's range.
+_EXP_SPLIT_CELLS = [c for c in _all_supported() if c[0] is F.EXP] + [
+    (f, m, NumberFormat.FLOAT) for f in (F.SINH, F.COSH, F.TANH)
+    for m in (M.CORDIC, M.CORDIC_LUT)]
+
+
+@pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("function,method,fmt", _EXP_SPLIT_CELLS,
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_non_finite_exp_split_raises_domain_error(function, method, fmt, x):
+    ev = build_evaluator(function, EvaluatorConfig(method=method,
+                                                   number_format=fmt))
+    with pytest.raises(DomainError):
+        ev.evaluate(x)
+    with pytest.raises(DomainError):
+        ev.evaluate_batch(np.array([1.0, x]))
 
 
 class TestEvaluatorBehavior:

@@ -28,7 +28,7 @@ class TestBuild:
 
     def test_remaining_iterations_start_after_skip(self):
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
-        assert t.rem_tables.first_index == 6
+        assert t.rem_tables.schedule[0] == 6
         assert t.rem_tables.n_iter == 22
 
     def test_parameter_validation(self):

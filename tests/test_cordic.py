@@ -40,14 +40,14 @@ class TestTableGeneration:
     def test_hyperbolic_repeats(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 16)
         assert t.schedule[:6] == (1, 2, 3, 4, 4, 5)
-        assert 4 in t.repeat_schedule
         long = generate_cordic_tables(CordicMode.HYPERBOLIC, 16)
         assert long.schedule.count(4) == 2
 
     def test_hyperbolic_repeat_13(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 20)
         assert t.schedule.count(13) == 2
-        assert set(HYPERBOLIC_REPEATS) >= set(t.repeat_schedule)
+        repeated = {i for i in t.schedule if t.schedule.count(i) > 1}
+        assert set(HYPERBOLIC_REPEATS) >= repeated
 
     def test_hyperbolic_convergence_bound(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)

@@ -5,9 +5,14 @@ import pytest
 
 from pimfuncs.api import FunctionId, MethodId
 from pimfuncs.costmodel import with_counting
-from pimfuncs.harness import (amortization_crossover, csv_text, emit_csv,
-                              polynomial_baseline, rmse_sweep,
-                              run_blackscholes, run_sigmoid, run_softmax)
+from pimfuncs.errors import DomainError
+from pimfuncs.harness import (_kernel, amortization_crossover, csv_text,
+                              emit_csv, rmse_sweep, run_blackscholes,
+                              run_sigmoid, run_softmax)
+
+
+def polynomial(function):
+    return _kernel(function, "PolynomialBaseline")
 
 
 class TestSweep:
@@ -57,29 +62,35 @@ class TestSweep:
 
 class TestPolynomialBaseline:
     def test_cndf_at_zero(self):
-        assert float(polynomial_baseline("cndf", np.array([0.0]))[0]) == \
+        assert float(polynomial("cndf")(np.array([0.0]))[0]) == \
             pytest.approx(0.5, abs=1e-7)
 
     def test_cndf_at_196(self):
         expect = 0.5 * (1.0 + math.erf(1.96 / math.sqrt(2.0)))  # ~0.975
-        assert float(polynomial_baseline("cndf", np.array([1.96]))[0]) == \
+        assert float(polynomial("cndf")(np.array([1.96]))[0]) == \
             pytest.approx(expect, abs=1e-5)
 
     def test_cndf_symmetry(self):
-        a, b = polynomial_baseline("cndf", np.array([1.3, -1.3]))
+        a, b = polynomial("cndf")(np.array([1.3, -1.3]))
         assert float(a) + float(b) == pytest.approx(1.0, abs=1e-6)
 
     def test_exp_accuracy(self):
         xs = np.array([-5.0, -0.5, 0.0, 1.0, 4.7])
-        np.testing.assert_allclose(polynomial_baseline("exp", xs),
+        np.testing.assert_allclose(polynomial("exp")(xs),
                                    [math.exp(x) for x in xs], rtol=1e-6)
 
     def test_unknown_function_rejected(self):
-        with pytest.raises(ValueError):
-            polynomial_baseline("sin", np.array([1.0]))
+        with pytest.raises(KeyError):
+            polynomial("sin")
+
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_non_finite_input_raises_domain_error(self, x):
+        for function in ("exp", "cndf"):
+            with pytest.raises(DomainError):
+                polynomial(function)(np.array([x]))
 
     def test_multiplies_are_tallied(self):
-        _, c = with_counting(lambda: polynomial_baseline("exp", np.array([1.0])))
+        _, c = with_counting(lambda: polynomial("exp")(np.array([1.0])))
         assert c.float_mul >= 6  # Horner alone
 
     def test_costlier_than_interp_llut(self):
@@ -89,7 +100,7 @@ class TestPolynomialBaseline:
                              EvaluatorConfig(method=MethodId.LLUT_INTERP))
         _, c_lut = with_counting(lambda: ev.evaluate(1.234))
         _, c_poly = with_counting(
-            lambda: polynomial_baseline("exp", np.array([1.234])))
+            lambda: polynomial("exp")(np.array([1.234])))
         assert weighted_cost(c_poly) > weighted_cost(c_lut)
 
 
@@ -152,8 +163,7 @@ class TestSoftmax:
 
     def test_constant_vector_uniform(self):
         # softmax of a constant vector: every entry 1/K
-        from pimfuncs.harness import SOFTMAX_VECTOR_LEN, _exp_kernel
-        exp_f = _exp_kernel("LLutInterp")
+        exp_f = _kernel("exp", "LLutInterp")
         k = 64
         e = exp_f(np.zeros(k)).astype(np.float64)
         out = e / e.sum()

@@ -188,11 +188,6 @@ class TestDlut:
         assert c.float_mul == 1
         assert c.int_mul == 0
 
-    def test_step_capacity_validated(self):
-        with pytest.raises(ValueError):
-            build_dlut(math.tanh, exp_bits=2, mant_bits=4, base_exponent=0,
-                       hi_exponent=8)
-
 
 class TestDllut:
     def test_covers_zero(self):

@@ -159,6 +159,16 @@ class TestUntrustedInput:
         with pytest.raises(TableFormatError, match="past the end"):
             load_table(bytes(blob))
 
+    def test_dlut_record_without_guard_entry(self):
+        # Whole octaves but flags 0, so no guard entry: an interpolating
+        # query in the top cell would read past the end.
+        entries = len(_tables()["dlut"].entries) - 1
+        blob = bytearray(_DUMPS["dlut"][:-4])
+        blob[5] = 0
+        struct.pack_into("<I", blob, 48, entries)
+        with pytest.raises(TableFormatError, match="guard entry"):
+            load_table(bytes(blob))
+
     def test_nested_dl_record(self):
         head = _DUMPS["dllut"][:52]  # a DL record header with no parts
         with pytest.raises(TableFormatError, match="nested"):

@@ -185,19 +185,19 @@ class TestChangedHosts:
             for fmt in NumberFormat:
                 build_evaluator(FunctionId.SQRT, EvaluatorConfig(
                     method=MethodId.LLUT_INTERP, number_format=fmt))
-                _make_cndf_lut(fmt is NumberFormat.FIXED)
+                _make_cndf_lut(fmt)
             for method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
                 build_evaluator(FunctionId.GELU, EvaluatorConfig(method=method))
 
 
 class TestDTables:
     @pytest.mark.parametrize("mant_bits", range(1, 13))
-    @pytest.mark.parametrize("interpolated", (False, True))
+    @pytest.mark.parametrize("interpolated", (True,))  # D-LUTs always are
     def test_dlut(self, mant_bits, interpolated):
-        lut, entries = _built(build_dlut, math.tanh, 5, mant_bits, -16,
-                              interpolated=interpolated)
+        lut, entries = _built(build_dlut, math.tanh, 5, mant_bits, -16)
+        assert lut.interpolated is interpolated
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
-        assert entries == len(lut.entries) == (32 << mant_bits) + interpolated
+        assert entries == len(lut.entries) == (32 << mant_bits) + 1
 
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     def test_dllut(self, mant_bits):
@@ -207,10 +207,8 @@ class TestDTables:
         assert _bits(high.entries) == _bits(_d_loop(math.sin, high))
         assert entries == len(low.entries) + len(high.entries)
 
-    def test_gelu_tables_and_explicit_hi_exponent(self):
+    def test_gelu_tables(self):
         for lut in (build_dlut(gelu_exact, 5, 8, -16),
-                    build_dlut(gelu_exact, 5, 8, -16, hi_exponent=-13,
-                               interpolated=False),
                     build_dllut(gelu_exact, 5, 8, 0).sub_high):
             assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
 
@@ -273,8 +271,8 @@ class TestReferences:
 _HOSTS = {
     "cndf": (_cndf_exact, _cndf),
     "gelu": (gelu_exact, _gelu),
-    "sqrt": (_TABLE_CELLS[FunctionId.SQRT][0][0][1], math.sqrt),
-    "exp": (_TABLE_CELLS[FunctionId.EXP][0][0][1], _exp2),
+    "sqrt": (_TABLE_CELLS[FunctionId.SQRT][0][0][0], math.sqrt),
+    "exp": (_TABLE_CELLS[FunctionId.EXP][0][0][0], _exp2),
 }
 _SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
              -1.5e-310, 1e300, -1e300, 1.7976931348623157e308, 1e-300,
