@@ -19,15 +19,7 @@ from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                   build_evaluator)
 from .costmodel import load_weights, weighted_cost
 from .errors import PimFuncsError, UnsupportedCombinationError
-from .harness import (BLACKSCHOLES_VARIANTS, SIGMOID_VARIANTS,
-                      SOFTMAX_VARIANTS, _config_for, emit_csv, rmse_sweep,
-                      run_blackscholes, run_sigmoid, run_softmax)
-
-_WORKLOADS = {
-    "blackscholes": (run_blackscholes, BLACKSCHOLES_VARIANTS),
-    "sigmoid": (run_sigmoid, SIGMOID_VARIANTS),
-    "softmax": (run_softmax, SOFTMAX_VARIANTS),
-}
+from .harness import WORKLOADS, _config_for, emit_csv, rmse_sweep
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -52,7 +44,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="add wall-clock columns (breaks byte determinism)")
 
     wl = sub.add_parser("workload", help="run one workload variant, CSV output")
-    wl.add_argument("--name", required=True, choices=sorted(_WORKLOADS))
+    wl.add_argument("--name", required=True, choices=sorted(WORKLOADS))
     wl.add_argument("--variant", required=True)
     wl.add_argument("--n", type=int, default=100_000)
     wl.add_argument("--seed", type=int, default=0)
@@ -76,6 +68,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args, weights) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     function = FunctionId(args.function)
     method = MethodId(args.method)
     fmt = NumberFormat(args.format)
@@ -92,11 +86,9 @@ def _cmd_sweep(args, weights) -> int:
 
 
 def _cmd_workload(args, weights) -> int:
-    runner, variants = _WORKLOADS[args.name]
-    if args.variant not in variants:
-        raise UnsupportedCombinationError(
-            f"variant {args.variant} not in {variants}")
-    result = runner(args.n, args.variant, seed=args.seed)
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    result = WORKLOADS[args.name][0](args.n, args.variant, seed=args.seed)
     emit_csv([result], args.out, include_timing=args.include_timing)
     cost = weighted_cost(result.op_counts, weights) / result.n_elements
     print(f"{result.workload}/{result.variant}: n={result.n_elements} "

@@ -16,6 +16,9 @@ and numpy's transcendental ufuncs, which can differ from libm in the
 last bit, are not used.  The same array formulas (``_cndf_exact``,
 ``gelu_exact``) build the CNDF and GELU tables.
 
+``WORKLOADS`` maps the paper's three workloads to their runners and the
+variants each accepts (others raise ``UnsupportedCombinationError``); one
+driver, ``_measured``, times, counts and scores each runner's formula.
 The workload kernels (``_kernel``: each variant's exp, log, sqrt and
 CNDF) map a 1-d float64 array to results elementwise; 2-d inputs such
 as the softmax rows are raveled first.
@@ -36,6 +39,7 @@ from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                   build_evaluator, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
+from .errors import UnsupportedCombinationError
 from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
@@ -165,32 +169,28 @@ def _horner(coeffs, x) -> np.ndarray:
     return acc
 
 
+# Function -> (range split, reduced domain, degree, host fitted on it).
+_POLY_FITS = {
+    "exp": (exp_via, (0.0, 1.0), 6, np.exp2),
+    "log": (log_via, (1.0, 2.0), 8, np.log),
+    "sqrt": (sqrt_via, (0.5, 2.0), 8, np.sqrt),
+}
+
+
 @lru_cache(maxsize=None)
-def _fit_poly(name: str) -> tuple:
-    """Least-squares polynomial fits on the reduced domains (host-side)."""
-    if name == "exp2":
-        xs = np.linspace(0.0, 1.0, 512)
-        deg, ys = 6, np.exp2(np.linspace(0.0, 1.0, 512))
-    elif name == "log":
-        xs = np.linspace(1.0, 2.0, 512)
-        deg, ys = 8, np.log(np.linspace(1.0, 2.0, 512))
-    elif name == "sqrt":
-        xs = np.linspace(0.5, 2.0, 512)
-        deg, ys = 8, np.sqrt(np.linspace(0.5, 2.0, 512))
-    else:
-        raise ValueError(name)
-    fit = np.polynomial.Polynomial.fit(xs, ys, deg)
-    return tuple(float(c) for c in fit.convert().coef)
+def _poly_kernel(function: str):
+    """The baseline's array kernel of ``function``: a least-squares power
+    series, fitted host-side on the reduced domain, inside the range split."""
+    via, (lo, hi), degree, host = _POLY_FITS[function]
+    xs = np.linspace(lo, hi, 512)
+    fit = np.polynomial.Polynomial.fit(xs, host(xs), degree).convert()
+    return partial(via, partial(_horner, tuple(float(c) for c in fit.coef)))
 
 
 # Abramowitz & Stegun 26.2.17 rational approximation of the Gaussian CDF.
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _poly_exp(x: np.ndarray) -> np.ndarray:
-    return exp_via(lambda r: _horner(_fit_poly("exp2"), r), x)
 
 
 def _poly_cndf(x: np.ndarray) -> np.ndarray:
@@ -203,7 +203,7 @@ def _poly_cndf(x: np.ndarray) -> np.ndarray:
     tally("float_div", x.size)
     k = (1.0 / (1.0 + _AS_P * ax)).astype(np.float32)
     tally("float_mul", 2 * x.size)
-    pdf = (_INV_SQRT_2PI * _poly_exp(-0.5 * ax * ax).astype(np.float64)
+    pdf = (_INV_SQRT_2PI * _poly_kernel("exp")(-0.5 * ax * ax).astype(np.float64)
            ).astype(np.float32)
     # b1 k + ... + b5 k^5 evaluated as k * poly(k)
     poly = _horner((0.0,) + _AS_B, k)
@@ -213,23 +213,9 @@ def _poly_cndf(x: np.ndarray) -> np.ndarray:
     return np.where(neg, (1.0 - p.astype(np.float64)).astype(np.float32), p)
 
 
-def _poly_log(x: np.ndarray) -> np.ndarray:
-    return log_via(lambda m: _horner(_fit_poly("log"), m), x)
-
-
-def _poly_sqrt(x: np.ndarray) -> np.ndarray:
-    return sqrt_via(lambda m: _horner(_fit_poly("sqrt"), m), x)
-
-
 # ---------------------------------------------------------------------------
 # Workloads
 # ---------------------------------------------------------------------------
-
-BLACKSCHOLES_VARIANTS = ("PolynomialBaseline", "MLutInterp", "LLutInterp",
-                         "FixedLLutInterp")
-SIGMOID_VARIANTS = ("PolynomialBaseline", "MLutInterp", "LLutInterp",
-                    "CordicLut")
-SOFTMAX_VARIANTS = SIGMOID_VARIANTS
 
 # Documented option-parameter ranges (uniform draws).
 BS_RANGES = {
@@ -280,23 +266,44 @@ _VARIANTS = {
                                         NumberFormat.FIXED),
     "CordicLut": _workload_config(MethodId.CORDIC_LUT),
 }
-_POLYNOMIAL = {"exp": _poly_exp, "log": _poly_log, "sqrt": _poly_sqrt,
-               "cndf": _poly_cndf}
 
 
 def _kernel(function: str, variant: str):
     """Array kernel of "exp", "log", "sqrt" or "cndf" in a workload variant."""
     cfg = _VARIANTS[variant]
-    if cfg is None:
-        return _POLYNOMIAL[function]
     if function == "cndf":
-        return _make_cndf_lut(cfg.number_format)
+        return _poly_cndf if cfg is None else _make_cndf_lut(cfg.number_format)
+    if cfg is None:
+        return _poly_kernel(function)
     return build_evaluator(FunctionId(function), cfg).pipeline
 
 
-def _bs_kernels(variant: str):
-    """(exp, log, sqrt, cndf) kernels of a Blackscholes variant, in order."""
-    return tuple(_kernel(f, variant) for f in ("exp", "log", "sqrt", "cndf"))
+def _kernels(workload: str, variant: str, *functions: str) -> tuple:
+    """The kernels of ``functions`` in ``variant``, if ``workload`` runs it."""
+    variants = WORKLOADS[workload][1]
+    if variant not in variants:
+        raise UnsupportedCombinationError(
+            f"{workload} has no variant {variant!r}; choose from {variants}")
+    return tuple(_kernel(f, variant) for f in functions)
+
+
+def _measured(workload: str, variant: str, seed: int, formula,
+              ref: np.ndarray, scale=1.0) -> WorkloadResult:
+    """Time and count ``formula()``, then score its float32 result against
+    ``ref``: the RMSE over ``scale``, and for softmax's 2-d result of rows,
+    the largest deviation of a row sum from 1."""
+    t0 = time.perf_counter()
+    with counting() as c:
+        out = formula()
+    wall = time.perf_counter() - t0
+    err = out.astype(np.float64) - ref
+    rmse = float(np.sqrt(np.mean(err * err)) / scale)
+    max_sum_dev = (float(np.max(np.abs(out.sum(axis=1, dtype=np.float64) - 1.0)))
+                   if out.ndim == 2 else 0.0)
+    return WorkloadResult(workload=workload.capitalize(), variant=variant,
+                          n_elements=out.size, seed=seed, rmse=rmse,
+                          max_sum_dev=max_sum_dev, op_counts=c,
+                          wall_seconds=wall)
 
 
 def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
@@ -310,26 +317,19 @@ def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
             - strike * lut.mapped(math.exp, -rate * expiry) * _cndf_exact(d2))
 
 
-def _bs_sample(n: int, seed: int):
+def _bs_sample(n: int, seed: int) -> tuple:
+    """Float32 spot, strike, rate, vol and expiry columns, in that order."""
     rng = np.random.default_rng(seed)
-    cols = {}
-    for name in ("spot", "strike", "rate", "vol", "expiry"):
-        lo, hi = BS_RANGES[name]
-        cols[name] = rng.uniform(lo, hi, n).astype(np.float32)
-    return cols
+    return tuple(rng.uniform(lo, hi, n).astype(np.float32)
+                 for lo, hi in BS_RANGES.values())
 
 
 def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    if method_variant not in BLACKSCHOLES_VARIANTS:
-        raise ValueError(f"unknown Blackscholes variant {method_variant}")
-    cols = _bs_sample(n, seed)
-    exp_f, log_f, sqrt_f, cndf_f = _bs_kernels(method_variant)
-    ref = _bs_reference(*(cols[name].astype(np.float64) for name in
-                          ("spot", "strike", "rate", "vol", "expiry")))
-    t0 = time.perf_counter()
-    with counting() as c:
-        s, k, r, v, t = (cols[name].astype(np.float64) for name in
-                         ("spot", "strike", "rate", "vol", "expiry"))
+    exp_f, log_f, sqrt_f, cndf_f = _kernels("blackscholes", method_variant,
+                                            "exp", "log", "sqrt", "cndf")
+    s, k, r, v, t = (col.astype(np.float64) for col in _bs_sample(n, seed))
+
+    def price():
         tally("float_div", n)
         ratio = (s / k).astype(np.float32)
         lnsk = log_f(ratio.astype(np.float64)).astype(np.float64)
@@ -347,14 +347,11 @@ def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResu
         tally("float_add", n)
         c1 = cndf_f(d1.astype(np.float64)).astype(np.float64)
         c2 = cndf_f(d2.astype(np.float64)).astype(np.float64)
-        out = (s * c1 - k * disc * c2).astype(np.float32)
-    wall = time.perf_counter() - t0
-    err = out.astype(np.float64) - ref
+        return (s * c1 - k * disc * c2).astype(np.float32)
+    ref = _bs_reference(s, k, r, v, t)
     # Normalized: RMSE of the price error relative to the RMS price level.
-    rmse = float(np.sqrt(np.mean(err * err)) / np.sqrt(np.mean(ref * ref)))
-    return WorkloadResult(workload="Blackscholes", variant=method_variant,
-                          n_elements=n, seed=seed, rmse=rmse, max_sum_dev=0.0,
-                          op_counts=c, wall_seconds=wall)
+    return _measured("blackscholes", method_variant, seed, price, ref,
+                     scale=np.sqrt(np.mean(ref * ref)))
 
 
 def _sigmoid_reference(xs) -> np.ndarray:
@@ -370,55 +367,43 @@ def _softmax_reference(xs) -> np.ndarray:
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    if method_variant not in SIGMOID_VARIANTS:
-        raise ValueError(f"unknown Sigmoid variant {method_variant}")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-8.0, 8.0, n).astype(np.float32)
-    exp_f = _kernel("exp", method_variant)
-    ref = _sigmoid_reference(xs)
-    t0 = time.perf_counter()
-    with counting() as c:
+    exp_f, = _kernels("sigmoid", method_variant, "exp")
+    xs = np.random.default_rng(seed).uniform(-8.0, 8.0, n).astype(np.float32)
+
+    def sigmoid():
         e = exp_f(-xs.astype(np.float64))
         tally("float_add", n)
         tally("float_div", n)
-        out = (1.0 / (1.0 + e.astype(np.float64))).astype(np.float32)
-    wall = time.perf_counter() - t0
-    err = out.astype(np.float64) - ref
-    rmse = float(np.sqrt(np.mean(err * err)))
-    return WorkloadResult(workload="Sigmoid", variant=method_variant,
-                          n_elements=n, seed=seed, rmse=rmse, max_sum_dev=0.0,
-                          op_counts=c, wall_seconds=wall)
+        return (1.0 / (1.0 + e.astype(np.float64))).astype(np.float32)
+    return _measured("sigmoid", method_variant, seed, sigmoid,
+                     _sigmoid_reference(xs))
 
 
 def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    if method_variant not in SOFTMAX_VARIANTS:
-        raise ValueError(f"unknown Softmax variant {method_variant}")
-    k = SOFTMAX_VECTOR_LEN
-    n_vec = max(1, n // k)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-8.0, 8.0, (n_vec, k)).astype(np.float32)
-    exp_f = _kernel("exp", method_variant)
-    ref = _softmax_reference(xs)  # of the same float32 inputs
-    out = np.empty_like(xs)
-    max_sum_dev = 0.0
-    t0 = time.perf_counter()
-    with counting() as c:
+    exp_f, = _kernels("softmax", method_variant, "exp")
+    n_vec, k = max(1, n // SOFTMAX_VECTOR_LEN), SOFTMAX_VECTOR_LEN
+    xs = np.random.default_rng(seed).uniform(-8.0, 8.0, (n_vec, k)
+                                             ).astype(np.float32)
+
+    def softmax():
         m = xs.max(axis=1, keepdims=True)
         tally("float_add", n_vec * k)  # max-subtraction stabilization
         e = exp_f((xs.astype(np.float64) - m).ravel()).reshape(xs.shape)
         tally("float_add", n_vec * (k - 1))
         tally("float_div", n_vec * k)
-        for row in range(n_vec):
-            out[row] = e[row] / np.sum(e[row], dtype=np.float32)
-            max_sum_dev = max(max_sum_dev,
-                              abs(float(np.sum(out[row], dtype=np.float64)) - 1.0))
-    wall = time.perf_counter() - t0
-    err = out.astype(np.float64) - ref
-    rmse = float(np.sqrt(np.mean(err * err)))
-    return WorkloadResult(workload="Softmax", variant=method_variant,
-                          n_elements=n_vec * k, seed=seed, rmse=rmse,
-                          max_sum_dev=max_sum_dev, op_counts=c,
-                          wall_seconds=wall)
+        return e / e.sum(axis=1, dtype=np.float32, keepdims=True)
+    return _measured("softmax", method_variant, seed, softmax,
+                     _softmax_reference(xs))  # of the same float32 inputs
+
+
+# Workload -> (runner, variants): the paper's three full workloads.
+_EXP_VARIANTS = ("PolynomialBaseline", "MLutInterp", "LLutInterp", "CordicLut")
+WORKLOADS = {
+    "blackscholes": (run_blackscholes, ("PolynomialBaseline", "MLutInterp",
+                                        "LLutInterp", "FixedLLutInterp")),
+    "sigmoid": (run_sigmoid, _EXP_VARIANTS),
+    "softmax": (run_softmax, _EXP_VARIANTS),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def node_of(lut: FuzzyLut, addr: int) -> float:
 def build_mlut(f, lo: float, hi: float, size: int,
                interpolated: bool = False) -> FuzzyLut:
     if not (lo < hi) or size < 2:
-        raise ValueError("need lo < hi and size >= 2")
+        raise RangeError("need lo < hi and size >= 2")
     k = size / (hi - lo)
     if interpolated:
         p = lo
@@ -243,7 +243,7 @@ def _llut_layout(lo: float, hi: float, size: int, interpolated: bool):
 def build_llut(f, lo: float, hi: float, size: int,
                interpolated: bool = False) -> FuzzyLut:
     if not (lo < hi) or size < 2:
-        raise ValueError("need lo < hi and size >= 2")
+        raise RangeError("need lo < hi and size >= 2")
     spec, count = _llut_layout(lo, hi, size, interpolated)
     entries = tabulate(f, _nodes(spec), count).astype(np.float32)
     tally("table_setup_entries", count)
@@ -270,7 +270,7 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
                      interpolated: bool = False) -> FuzzyLut:
     """L-LUT with Q3.28 entries and shift-based raw addressing."""
     if not (lo < hi) or size < 2:
-        raise ValueError("need lo < hi and size >= 2")
+        raise RangeError("need lo < hi and size >= 2")
     spec, count = _llut_layout(lo, hi, size, interpolated)
     if spec.n > FRAC_BITS or spec.n < 0:
         raise RangeError(f"L-LUT density exponent {spec.n} outside "
@@ -344,7 +344,7 @@ def build_dlut(f, exp_bits: int, mant_bits: int,
                base_exponent: int) -> FuzzyLut:
     """Interpolated D-LUT over 2**exp_bits octaves from 2**base_exponent."""
     if exp_bits < 1 or mant_bits < 1 or mant_bits > 23:
-        raise ValueError("need exp_bits >= 1 and 1 <= mant_bits <= 23")
+        raise RangeError("need exp_bits >= 1 and 1 <= mant_bits <= 23")
     hi_exponent = base_exponent + (1 << exp_bits)
     count = (1 << exp_bits) << mant_bits
     spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
@@ -381,9 +381,9 @@ def _dl_table(low: FuzzyLut, high: FuzzyLut) -> FuzzyLut:
 def build_dllut(f, exp_bits: int, mant_bits: int,
                 base_exponent: int) -> FuzzyLut:
     """L-LUT below 2**base_exponent, D-LUT above; both interpolated."""
+    high = build_dlut(f, exp_bits, mant_bits, base_exponent)  # checks the sizes
     low = build_llut(f, 0.0, math.ldexp(1.0, base_exponent), 1 << mant_bits,
                      interpolated=True)
-    high = build_dlut(f, exp_bits, mant_bits, base_exponent)
     return _dl_table(low, high)
 
 

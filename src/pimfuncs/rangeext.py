@@ -85,6 +85,8 @@ def exp_split(x: float) -> tuple[int, float]:
     tally("float_mul")
     tally("float_add")
     t = float(x) * LOG2_E
+    if not math.isfinite(t):
+        raise DomainError(f"exp requires finite input, got {x}")
     i = math.floor(t)
     return int(i), t - i
 

@@ -242,14 +242,15 @@ def test_c09_workload_correctness(capfd):
 
 
 def test_c10_baseline_ordering(capfd):
-    from pimfuncs.harness import _bs_kernels, _make_cndf_lut
+    from pimfuncs.harness import _kernel
     ev = build_evaluator(FunctionId.EXP,
                          EvaluatorConfig(method=MethodId.LLUT_INTERP))
     _, c_lut_exp = with_counting(lambda: ev.evaluate(1.234))
     x = np.array([1.234])  # one element each
-    poly_exp, _, _, poly_cndf = _bs_kernels("PolynomialBaseline")
+    poly_exp = _kernel("exp", "PolynomialBaseline")
+    poly_cndf = _kernel("cndf", "PolynomialBaseline")
     _, c_poly_exp = with_counting(lambda: poly_exp(x))
-    cndf = _make_cndf_lut(NumberFormat.FLOAT)
+    cndf = _kernel("cndf", "LLutInterp")
     _, c_lut_cndf = with_counting(lambda: cndf(x))
     _, c_poly_cndf = with_counting(lambda: poly_cndf(x))
     ok = (weighted_cost(c_poly_exp) > weighted_cost(c_lut_exp)

@@ -6,7 +6,7 @@ import pytest
 
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, gelu_exact, supported)
-from pimfuncs.errors import DomainError, UnsupportedCombinationError
+from pimfuncs.errors import DomainError, RangeError, UnsupportedCombinationError
 
 F = FunctionId
 M = MethodId
@@ -100,6 +100,21 @@ def test_each_sizing_field_sizes_the_tables(function, method, field, values):
     sizes = {build_evaluator(function, EvaluatorConfig(
         method=method, **{field: v})).setup.bytes for v in values}
     assert len(sizes) == len(values)
+
+
+@pytest.mark.parametrize("function,method,fmt,field,value", (
+    (F.SIN, M.MLUT_INTERP, NumberFormat.FLOAT, "lut_size", 1),
+    (F.SIN, M.LLUT, NumberFormat.FLOAT, "lut_size", 1),
+    (F.EXP, M.LLUT_INTERP, NumberFormat.FIXED, "lut_size", 1),
+    (F.TANH, M.DLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 24),
+    (F.TANH, M.DLLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 24),
+    (F.GELU, M.DLLUT_INTERP, NumberFormat.FLOAT, "mant_bits", -1),
+), ids=("mlut", "llut", "fixed-llut", "dlut", "dllut", "dllut-negative"))
+def test_size_outside_the_builders_range_raises_range_error(
+        function, method, fmt, field, value):
+    with pytest.raises(RangeError):
+        build_evaluator(function, EvaluatorConfig(
+            method=method, number_format=fmt, **{field: value}))
 
 
 # Cells whose exponent split sees the input: exp in every cell, and

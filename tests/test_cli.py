@@ -94,3 +94,26 @@ def test_workload_writes_csv(tmp_path):
                  "LLutInterp", "--n", "1000", "--out", str(path)]) == 0
     (row,) = _csv_rows(path)
     assert row["workload"] == "Blackscholes" and row["n_elements"] == "1000"
+
+
+def test_workload_unknown_variant(tmp_path, capsys):
+    path = tmp_path / "sm.csv"
+    assert main(["workload", "--name", "softmax", "--variant",
+                 "FixedLLutInterp", "--n", "10", "--out", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["workload", "--name", "blackscholes", "--variant", "LLutInterp",
+     "--n", "0"],
+    ["sweep", "--function", "sin", "--method", "llut-interp", "--sizes", "64",
+     "--samples", "0"],
+], ids=["workload-n", "sweep-samples"])
+def test_count_below_one_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not path.exists()

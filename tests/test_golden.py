@@ -22,9 +22,7 @@ import pytest
 
 from pimfuncs import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                       OpCounts, build_evaluator, supported)
-from pimfuncs.harness import (BLACKSCHOLES_VARIANTS, DEFAULT_DOMAINS,
-                              SIGMOID_VARIANTS, SOFTMAX_VARIANTS,
-                              run_blackscholes, run_sigmoid, run_softmax)
+from pimfuncs.harness import DEFAULT_DOMAINS, WORKLOADS
 
 N_INPUTS = 512
 WORKLOAD_N = 2000
@@ -39,10 +37,6 @@ CELLS = {f"{f.value}/{m.value}/{fmt.value}":
 EDGE_VALUES = tuple(np.float32(s * v) for v in (
     0.0, 1e-45, 1e-40, 1e-39, 1.1754942e-38, 89.0, 1e4, 1e10, 3e38)
     for s in (1.0, -1.0))
-
-WORKLOADS = {"blackscholes": (run_blackscholes, BLACKSCHOLES_VARIANTS),
-             "sigmoid": (run_sigmoid, SIGMOID_VARIANTS),
-             "softmax": (run_softmax, SOFTMAX_VARIANTS)}
 
 
 def _inputs(key: str) -> np.ndarray:

@@ -5,10 +5,11 @@ import pytest
 
 from pimfuncs.api import FunctionId, MethodId
 from pimfuncs.costmodel import with_counting
-from pimfuncs.errors import DomainError
-from pimfuncs.harness import (_kernel, amortization_crossover, csv_text,
-                              emit_csv, rmse_sweep, run_blackscholes,
-                              run_sigmoid, run_softmax)
+from pimfuncs.errors import (DomainError, PimFuncsError,
+                             UnsupportedCombinationError)
+from pimfuncs.harness import (WORKLOADS, _kernel, amortization_crossover,
+                              csv_text, emit_csv, rmse_sweep,
+                              run_blackscholes, run_sigmoid, run_softmax)
 
 
 def polynomial(function):
@@ -126,8 +127,15 @@ class TestBlackscholes:
         assert result.rmse <= 1e-4
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            run_blackscholes(10, "Nope")
+        # Every runner refuses a made-up variant and one that only another
+        # workload runs.
+        assert issubclass(UnsupportedCombinationError, PimFuncsError)
+        for run, variants in WORKLOADS.values():
+            other = ("FixedLLutInterp" if "CordicLut" in variants
+                     else "CordicLut")
+            for variant in ("Nope", other):
+                with pytest.raises(UnsupportedCombinationError):
+                    run(10, variant)
 
 
 class TestSigmoid:

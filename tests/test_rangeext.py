@@ -79,6 +79,11 @@ class TestExpSplit:
         v = exp_extend(np.float32(2.0 ** r), i)
         assert float(v) == pytest.approx(math.exp(3.3), rel=1e-6)
 
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_non_finite_raises_domain_error(self, x):
+        with pytest.raises(DomainError):
+            exp_split(x)
+
 
 class TestSqrtReduce:
     def test_even_exponent_untouched(self):

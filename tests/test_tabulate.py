@@ -247,7 +247,6 @@ class TestReferences:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_blackscholes_reference(self, seed):
         cols = _bs_sample(5000, seed)
-        names = ("spot", "strike", "rate", "vol", "expiry")
 
         def price(spot, strike, rate, vol, expiry):  # the scalar formula
             srt = vol * math.sqrt(expiry)
@@ -256,8 +255,8 @@ class TestReferences:
             d2 = d1 - srt
             return (spot * _cndf(d1)
                     - strike * math.exp(-rate * expiry) * _cndf(d2))
-        want = [price(*(float(cols[k][i]) for k in names)) for i in range(5000)]
-        got = _bs_reference(*(cols[k].astype(np.float64) for k in names))
+        want = [price(*(float(c[i]) for c in cols)) for i in range(5000)]
+        got = _bs_reference(*(c.astype(np.float64) for c in cols))
         assert _bits(got) == _bits(np.asarray(want))
 
     @pytest.mark.parametrize("seed", SEEDS)
