@@ -10,10 +10,10 @@ bit-identical and count the same ops.
 Each cell is a small kernel inside range reduction and extension.  One
 table per method family says what each function's kernel is and which
 array steps wrap it: ``_TABLE_CELLS`` (M/L-LUTs, whose tables and
-queries ``table_kernel`` builds), ``_D_CELLS`` (D/DL-LUTs), and the
-``_CIRCULAR``, ``_HYPERBOLIC`` and ``_VECTORING`` sets, which pick a
-rotator or vectoring tables for ``cordic.<function>_array`` (CORDIC and
-CORDIC+LUT).  ``SUPPORT`` and the dispatch follow from them.  Builders
+queries ``table_kernel`` builds), ``_D_CELLS`` (D/DL-LUTs), and
+``_CORDIC_CELLS`` (CORDIC and CORDIC+LUT: each function's mode and
+``cordic`` step, and whether the step takes a rotator or vectoring
+tables).  ``SUPPORT`` and the dispatch follow from them.  Builders
 and queries are looked up through their modules when a cell is built,
 never at import.
 
@@ -236,24 +236,38 @@ def _d_cell(function: FunctionId, cfg: EvaluatorConfig):
 # CORDIC and CORDIC+LUT cells
 # ---------------------------------------------------------------------------
 
-_CIRCULAR = frozenset({FunctionId.SIN, FunctionId.COS, FunctionId.TAN})
-_HYPERBOLIC = frozenset({FunctionId.SINH, FunctionId.COSH, FunctionId.TANH,
-                         FunctionId.EXP})
-_VECTORING = frozenset({FunctionId.LOG, FunctionId.SQRT})
+_CIRC, _HYP = cordic.CordicMode.CIRCULAR, cordic.CordicMode.HYPERBOLIC
+
+
+def _cordic_tan(rotate, x):
+    return tan_extend(*cordic.sin_cos(rotate, x))
+
+
+# function -> (mode, step, whether the step takes a rotator: plain
+# CORDIC's or the CORDIC+LUT start table's).  log and sqrt vector on
+# plain hyperbolic tables instead, so they have no CORDIC+LUT form.
+_CORDIC_CELLS = {
+    FunctionId.SIN: (_CIRC, lambda r, x: cordic.sin_cos(r, x)[0], True),
+    FunctionId.COS: (_CIRC, lambda r, x: cordic.sin_cos(r, x)[1], True),
+    FunctionId.TAN: (_CIRC, _cordic_tan, True),
+    FunctionId.SINH: (_HYP, lambda r, x: cordic.sinh_cosh(r, x)[0], True),
+    FunctionId.COSH: (_HYP, lambda r, x: cordic.sinh_cosh(r, x)[1], True),
+    FunctionId.TANH: (_HYP, cordic.tanh_array, True),
+    FunctionId.EXP: (_HYP, cordic.exp_array, True),
+    FunctionId.LOG: (_HYP, cordic.log_array, False),
+    FunctionId.SQRT: (_HYP, cordic.sqrt_array, False),
+}
 
 
 def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
-    """``cordic.<function>_array`` driven by the method's rotator, or for
-    log and sqrt (no CORDIC+LUT form) by plain hyperbolic tables."""
-    step = getattr(cordic, f"{function.value}_array")
-    mode = (cordic.CordicMode.CIRCULAR if function in _CIRCULAR
-            else cordic.CordicMode.HYPERBOLIC)
+    """The function's step driven by the method's rotator, or for log and
+    sqrt by plain hyperbolic tables."""
+    mode, step, rotates = _CORDIC_CELLS[function]
     if cfg.method is MethodId.CORDIC_LUT:
         start = combined.build_cordic_lut(mode, LUT_ADDR_BITS, cfg.n_iter)
         return (start,), partial(step, combined.rotator(start))
     tables = cordic.generate_cordic_tables(mode, cfg.n_iter)
-    kernel = (tables if function in _VECTORING
-              else partial(cordic.cordic_rotate, tables))
+    kernel = partial(cordic.cordic_rotate, tables) if rotates else tables
     return (tables,), partial(step, kernel)
 
 
@@ -262,8 +276,10 @@ _FAMILIES = (
     (_M_LUTS + _L_LUTS, frozenset(_TABLE_CELLS), _table_cell),
     ((MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP), frozenset(_D_CELLS),
      _d_cell),
-    ((MethodId.CORDIC,), _CIRCULAR | _HYPERBOLIC | _VECTORING, _cordic_cell),
-    ((MethodId.CORDIC_LUT,), _CIRCULAR | _HYPERBOLIC, _cordic_cell),
+    ((MethodId.CORDIC,), frozenset(_CORDIC_CELLS), _cordic_cell),
+    ((MethodId.CORDIC_LUT,),
+     frozenset(f for f, (*_, rotates) in _CORDIC_CELLS.items() if rotates),
+     _cordic_cell),
 )
 
 # Which functions each method implements.

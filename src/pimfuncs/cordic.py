@@ -6,7 +6,9 @@ starting from (inv_gain, 0) in rotation mode; in vectoring mode a single
 fixed multiply outside the loop compensates it.  The kernels take and
 return such arrays; a result outside Q3.28 raises FixedOverflowError.
 
-The pipelines map float64 arrays to float32 results elementwise.  Most
+The pipelines map float64 arrays to float32 results elementwise;
+:func:`sin_cos` (a pair) and :func:`sinh_cosh` (stacked) give two
+results per element, for callers to pick from or divide (tan).  Most
 take a rotator, ``rotate(raw_angles) -> (x_raw, y_raw)``: plain CORDIC
 (:func:`cordic_rotate` on its tables) or the CORDIC+LUT start table
 (``combined.rotator``), and each call it once per array.
@@ -25,8 +27,7 @@ from .errors import DomainError, RangeError
 from .fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, check_raw_array,
                          ldexp32, to_fixed, to_fixed_array, to_float_array)
 from .rangeext import (HALF_PI_FIXED, LN_2, exp_extend, exp_split_array,
-                       exp_via, log_via, reduce_2pi_array, sqrt_via,
-                       tan_extend)
+                       exp_via, log_via, reduce_2pi_array, sqrt_via)
 
 
 class CordicMode(Enum):
@@ -166,7 +167,7 @@ def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
 # Function pipelines
 # ---------------------------------------------------------------------------
 
-def _sin_cos(rotate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sin_cos(rotate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce |x| to [0, 2*pi), fold into [0, pi/2], rotate, unfold;
     returns (sin x, cos x)."""
     raw = to_fixed_array(reduce_2pi_array(np.abs(x)))
@@ -178,18 +179,6 @@ def _sin_cos(rotate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     turns = (sin_r, cos_r, -sin_r, -cos_r)
     s = np.choose(q, turns)
     return np.where(x < 0, -s, s), np.choose((q + 1) % 4, turns)
-
-
-def sin_array(rotate, x: np.ndarray) -> np.ndarray:
-    return _sin_cos(rotate, x)[0]
-
-
-def cos_array(rotate, x: np.ndarray) -> np.ndarray:
-    return _sin_cos(rotate, x)[1]
-
-
-def tan_array(rotate, x: np.ndarray) -> np.ndarray:
-    return tan_extend(*_sin_cos(rotate, x))
 
 
 def _pow2_angles(r: np.ndarray) -> np.ndarray:
@@ -209,7 +198,7 @@ def exp_array(rotate, x: np.ndarray) -> np.ndarray:
     return exp_via(lambda r: _pow2_finish(*rotate(_pow2_angles(r))), x)
 
 
-def _sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
+def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
     """Stacked (sinh, cosh) from one hyperbolic rotation: of x itself
     where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN too) of the r ln 2
     angles of exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give
@@ -239,17 +228,9 @@ def _sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sinh_array(rotate, x: np.ndarray) -> np.ndarray:
-    return _sinh_cosh(rotate, x)[0]
-
-
-def cosh_array(rotate, x: np.ndarray) -> np.ndarray:
-    return _sinh_cosh(rotate, x)[1]
-
-
 def tanh_array(rotate, x: np.ndarray) -> np.ndarray:
     """sinh / cosh; +-1 where exp overflowed and both are infinite."""
-    s, c = _sinh_cosh(rotate, x)
+    s, c = sinh_cosh(rotate, x)
     tally("float_div", x.size)
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(c), np.sign(s), s / c)

@@ -39,7 +39,7 @@ from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                   build_evaluator, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
-from .errors import UnsupportedCombinationError
+from .errors import RangeError, UnsupportedCombinationError
 from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
@@ -132,6 +132,8 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
     is evaluated in double precision on those same float32 inputs, so the
     errors are the kernel's own and exclude input quantization.
     """
+    if n_samples < 1:
+        raise RangeError(f"n_samples must be at least 1, got {n_samples}")
     lo, hi = DEFAULT_DOMAINS[function]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, n_samples).astype(np.float32)
@@ -278,8 +280,11 @@ def _kernel(function: str, variant: str):
     return build_evaluator(FunctionId(function), cfg).pipeline
 
 
-def _kernels(workload: str, variant: str, *functions: str) -> tuple:
-    """The kernels of ``functions`` in ``variant``, if ``workload`` runs it."""
+def _kernels(workload: str, variant: str, n: int, *functions: str) -> tuple:
+    """The kernels of ``functions`` in ``variant``, if ``workload`` runs it
+    and the count ``n`` of its inputs is at least 1."""
+    if n < 1:
+        raise RangeError(f"n must be at least 1, got {n}")
     variants = WORKLOADS[workload][1]
     if variant not in variants:
         raise UnsupportedCombinationError(
@@ -325,8 +330,8 @@ def _bs_sample(n: int, seed: int) -> tuple:
 
 
 def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    exp_f, log_f, sqrt_f, cndf_f = _kernels("blackscholes", method_variant,
-                                            "exp", "log", "sqrt", "cndf")
+    exp_f, log_f, sqrt_f, cndf_f = _kernels(
+        "blackscholes", method_variant, n, "exp", "log", "sqrt", "cndf")
     s, k, r, v, t = (col.astype(np.float64) for col in _bs_sample(n, seed))
 
     def price():
@@ -367,7 +372,7 @@ def _softmax_reference(xs) -> np.ndarray:
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    exp_f, = _kernels("sigmoid", method_variant, "exp")
+    exp_f, = _kernels("sigmoid", method_variant, n, "exp")
     xs = np.random.default_rng(seed).uniform(-8.0, 8.0, n).astype(np.float32)
 
     def sigmoid():
@@ -380,7 +385,7 @@ def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
 
 
 def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    exp_f, = _kernels("softmax", method_variant, "exp")
+    exp_f, = _kernels("softmax", method_variant, n, "exp")
     n_vec, k = max(1, n // SOFTMAX_VECTOR_LEN), SOFTMAX_VECTOR_LEN
     xs = np.random.default_rng(seed).uniform(-8.0, 8.0, (n_vec, k)
                                              ).astype(np.float32)

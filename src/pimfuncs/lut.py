@@ -13,6 +13,12 @@ Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
 spacing/2); interpolated tables (D and DL always) put the first node at
 lo and carry one guard entry so entries[a + 1] never branches.
 
+Each kind has one layout, which holds all of its size and range checks:
+M from (lo, hi, size), L from (lo, n, size), D from (exp_bits,
+mant_bits, base_exponent).  The builders and :func:`load_table` both
+make their specs through it, and a table record (magic ``TPL2``) stores
+those inputs, so a loaded table's spec equals the built table's.
+
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
 the address's mantissa and exponent fields for D), and :func:`mapped`
@@ -116,6 +122,8 @@ class SpacingSpec:
     hi_exponent: int = 0
     lo: float = 0.0
     hi: float = 0.0  # covered upper bound
+    size: int = 0  # cells; an interpolated table has one more entry
+    p_raw: int = 0  # Q3.28 raw p of a fixed L-LUT
 
 
 @dataclass
@@ -127,8 +135,60 @@ class FuzzyLut:
     # DL-LUT composite parts
     sub_low: "FuzzyLut | None" = None
     sub_high: "FuzzyLut | None" = None
-    # fixed-variant addressing constants
-    p_raw: int = 0
+
+
+# ---------------------------------------------------------------------------
+# Layouts: the one place each kind's sizes and ranges are checked
+# ---------------------------------------------------------------------------
+
+def _m_layout(lo: float, hi: float, size: int,
+              interpolated: bool) -> SpacingSpec:
+    """M spec of ``size`` cells on exactly [lo, hi]."""
+    if not (lo < hi) or size < 2:
+        raise RangeError("need lo < hi and size >= 2")
+    k = size / (hi - lo)
+    if not 0.0 < k < math.inf:
+        raise RangeError(f"density {k} of [{lo}, {hi}] is not finite")
+    p = lo if interpolated else lo + (hi - lo) / (2 * size)
+    return SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi, size=size)
+
+
+def _l_layout(lo: float, n: int, size: int, interpolated: bool,
+              fixed: bool) -> SpacingSpec:
+    """L spec of ``size`` cells of width 2**-n from lo; a fixed table's
+    raw addressing needs n in [0, FRAC_BITS] and a range inside Q3.28."""
+    if size < 2 or not -1074 <= n <= 1023:
+        raise RangeError("need size >= 2 and -1074 <= n <= 1023")
+    k = 2.0 ** n
+    hi = lo + size / k
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RangeError(f"L-LUT range [{lo}, {hi}] is not finite")
+    p = lo if interpolated else lo + 1.0 / (2 * k)
+    # Queries arrive as Q3.28, so any covered range within [-8, 8] works;
+    # node inputs to f stay double so the 8.0 guard node is fine.
+    if fixed and not (0 <= n <= FRAC_BITS and -8.0 < lo and hi <= 8.0):
+        raise RangeError(f"a fixed L-LUT needs 0 <= n <= {FRAC_BITS} and "
+                         f"its range inside Q3.28, got {n} and [{lo}, {hi}]")
+    return SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi, size=size,
+                       p_raw=to_fixed(p).raw if fixed else 0)
+
+
+def _d_layout(exp_bits: int, mant_bits: int,
+              base_exponent: int) -> SpacingSpec:
+    """D spec of 2**exp_bits octaves from 2**base_exponent, each of
+    2**mant_bits cells.  No more than 2**11 octaves fit a double, and
+    bounding exp_bits first keeps 1 << exp_bits small."""
+    if not (1 <= exp_bits <= 11 and 1 <= mant_bits <= 23):
+        raise RangeError("need 1 <= exp_bits <= 11 and 1 <= mant_bits <= 23")
+    hi_exponent = base_exponent + (1 << exp_bits)
+    if not (-1074 <= base_exponent and hi_exponent < 1024):
+        raise RangeError(f"D-LUT range [2^{base_exponent}, 2^{hi_exponent}) "
+                         f"exceeds a double")
+    return SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
+                       base_exponent=base_exponent, hi_exponent=hi_exponent,
+                       lo=math.ldexp(1.0, base_exponent),
+                       hi=math.ldexp(1.0, hi_exponent),
+                       size=(1 << exp_bits) << mant_bits)
 
 
 def _nodes(s: SpacingSpec):
@@ -147,25 +207,24 @@ def node_of(lut: FuzzyLut, addr: int) -> float:
     return float(_nodes(lut.spec)(np.array([addr]))[0])
 
 
+def _tabulated(f, spec: SpacingSpec, interpolated: bool,
+               fixed: bool = False) -> FuzzyLut:
+    """The table of ``f`` at the nodes of ``spec``, guard entry included."""
+    count = spec.size + interpolated
+    values = tabulate(f, _nodes(spec), count)
+    tally("table_setup_entries", count)
+    entries = to_fixed_array(values) if fixed else values.astype(np.float32)
+    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
+                    fixed=fixed)
+
+
 # ---------------------------------------------------------------------------
 # M-LUT
 # ---------------------------------------------------------------------------
 
 def build_mlut(f, lo: float, hi: float, size: int,
                interpolated: bool = False) -> FuzzyLut:
-    if not (lo < hi) or size < 2:
-        raise RangeError("need lo < hi and size >= 2")
-    k = size / (hi - lo)
-    if interpolated:
-        p = lo
-        count = size + 1  # guard entry
-    else:
-        p = lo + (hi - lo) / (2 * size)
-        count = size
-    spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi)
-    entries = tabulate(f, _nodes(spec), count).astype(np.float32)
-    tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated)
+    return _tabulated(f, _m_layout(lo, hi, size, interpolated), interpolated)
 
 
 def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
@@ -174,10 +233,6 @@ def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
     if np.count_nonzero(bad):
         raise RangeError(f"{float(x[bad][0])} outside covered range "
                          f"[{s.lo}, {s.hi}]")
-
-
-def _size(lut: FuzzyLut) -> int:
-    return len(lut.entries) - 1 if lut.interpolated else len(lut.entries)
 
 
 def _clamp(a: np.ndarray, hi: int) -> np.ndarray:
@@ -197,14 +252,14 @@ def _lerp(lut: FuzzyLut, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _nearest(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
     """Entry of the node nearest each table position ``t``."""
-    a = _clamp(np.rint(t).astype(np.int64), _size(lut) - 1)
+    a = _clamp(np.rint(t).astype(np.int64), lut.spec.size - 1)
     tally("lut_lookup", a.size)
     return lut.entries[a]
 
 
 def _interpolate(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
     """Linear interpolation between the nodes either side of ``t``."""
-    a = _clamp(np.floor(t).astype(np.int64), _size(lut) - 1)
+    a = _clamp(np.floor(t).astype(np.int64), lut.spec.size - 1)
     tally("float_add", a.size)
     return _lerp(lut, a, t - a.astype(np.float32))
 
@@ -230,24 +285,18 @@ def mlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 # L-LUT (float and fixed entries)
 # ---------------------------------------------------------------------------
 
-def _llut_layout(lo: float, hi: float, size: int, interpolated: bool):
-    """The L spec of a table of ``size`` cells from ``lo``, and its entry
-    count; rounding the density down to 2**n expands the covered range."""
-    n = int(math.floor(math.log2(size / (hi - lo))))
-    k = 2.0 ** n
-    p = lo if interpolated else lo + 1.0 / (2 * k)
-    spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=lo + size / k)
-    return spec, size + 1 if interpolated else size
+def _l_table(f, lo: float, hi: float, size: int, interpolated: bool,
+             fixed: bool) -> FuzzyLut:
+    """The L-LUT of ``size`` cells from lo: rounding the M density of
+    [lo, hi] down to 2**n expands the covered range."""
+    n = math.floor(math.log2(_m_layout(lo, hi, size, interpolated).k))
+    return _tabulated(f, _l_layout(lo, n, size, interpolated, fixed),
+                      interpolated, fixed)
 
 
 def build_llut(f, lo: float, hi: float, size: int,
                interpolated: bool = False) -> FuzzyLut:
-    if not (lo < hi) or size < 2:
-        raise RangeError("need lo < hi and size >= 2")
-    spec, count = _llut_layout(lo, hi, size, interpolated)
-    entries = tabulate(f, _nodes(spec), count).astype(np.float32)
-    tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated)
+    return _l_table(f, lo, hi, size, interpolated, fixed=False)
 
 
 def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -269,39 +318,27 @@ def llut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 def build_fixed_llut(f, lo: float, hi: float, size: int,
                      interpolated: bool = False) -> FuzzyLut:
     """L-LUT with Q3.28 entries and shift-based raw addressing."""
-    if not (lo < hi) or size < 2:
-        raise RangeError("need lo < hi and size >= 2")
-    spec, count = _llut_layout(lo, hi, size, interpolated)
-    if spec.n > FRAC_BITS or spec.n < 0:
-        raise RangeError(f"L-LUT density exponent {spec.n} outside "
-                         f"[0, {FRAC_BITS}]")
-    # Queries arrive as Q3.28, so any covered range within [-8, 8] works;
-    # node inputs to f stay double so the 8.0 guard node is fine.
-    if not (-8.0 < lo and spec.hi <= 8.0):
-        raise RangeError("fixed L-LUT inputs must lie inside the Q3.28 range")
-    entries = to_fixed_array(tabulate(f, _nodes(spec), count))
-    tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    fixed=True, p_raw=to_fixed(spec.p).raw)
+    return _l_table(f, lo, hi, size, interpolated, fixed=True)
 
 
 def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the address is a rounding shift of x - p."""
-    shift = FRAC_BITS - lut.spec.n
+    s = lut.spec
+    shift = FRAC_BITS - s.n
     tally("int_add", 2 * raw.size)
     tally("int_shift", raw.size)
-    a = (raw - lut.p_raw + ((1 << shift) >> 1)) >> shift  # round to nearest
+    a = (raw - s.p_raw + ((1 << shift) >> 1)) >> shift  # round to nearest
     tally("lut_lookup", raw.size)
-    return lut.entries[_clamp(a, _size(lut) - 1)]
+    return lut.entries[_clamp(a, s.size - 1)]
 
 
 def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the bits below the address are the Q3.28 delta."""
     s = lut.spec
     shift = FRAC_BITS - s.n
-    size = _size(lut)
+    size = s.size
     tally("int_add", raw.size)
-    diff = _clamp(raw - lut.p_raw, size << shift)
+    diff = _clamp(raw - s.p_raw, size << shift)
     tally("int_shift", 2 * raw.size)
     a = diff >> shift
     delta_raw = (diff & ((1 << shift) - 1)) << s.n  # fraction in Q3.28
@@ -331,27 +368,11 @@ def _dlut_address(s: SpacingSpec, x32: np.ndarray):
     return ((e - s.base_exponent) << s.mant_bits) | top, bits
 
 
-def _d_spec(exp_bits: int, mant_bits: int, base_exponent: int,
-            hi_exponent: int) -> SpacingSpec:
-    """The D spec covering [2**base_exponent, 2**hi_exponent)."""
-    return SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
-                       base_exponent=base_exponent, hi_exponent=hi_exponent,
-                       lo=math.ldexp(1.0, base_exponent),
-                       hi=math.ldexp(1.0, hi_exponent))
-
-
 def build_dlut(f, exp_bits: int, mant_bits: int,
                base_exponent: int) -> FuzzyLut:
-    """Interpolated D-LUT over 2**exp_bits octaves from 2**base_exponent."""
-    if exp_bits < 1 or mant_bits < 1 or mant_bits > 23:
-        raise RangeError("need exp_bits >= 1 and 1 <= mant_bits <= 23")
-    hi_exponent = base_exponent + (1 << exp_bits)
-    count = (1 << exp_bits) << mant_bits
-    spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
-    # The guard entry (address count) is the node 2**hi_exponent.
-    entries = tabulate(f, _nodes(spec), count + 1).astype(np.float32)
-    tally("table_setup_entries", count + 1)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=True)
+    """Interpolated D-LUT over 2**exp_bits octaves from 2**base_exponent;
+    the guard entry is the node 2**hi_exponent."""
+    return _tabulated(f, _d_layout(exp_bits, mant_bits, base_exponent), True)
 
 
 def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -382,8 +403,7 @@ def build_dllut(f, exp_bits: int, mant_bits: int,
                 base_exponent: int) -> FuzzyLut:
     """L-LUT below 2**base_exponent, D-LUT above; both interpolated."""
     high = build_dlut(f, exp_bits, mant_bits, base_exponent)  # checks the sizes
-    low = build_llut(f, 0.0, math.ldexp(1.0, base_exponent), 1 << mant_bits,
-                     interpolated=True)
+    low = build_llut(f, 0.0, high.spec.lo, 1 << mant_bits, interpolated=True)
     return _dl_table(low, high)
 
 
@@ -408,9 +428,10 @@ def lut_memory_bytes(lut: FuzzyLut) -> int:
 
 _KIND_TAG = {"M": 0, "L": 1, "D": 2, "DL": 3}
 _TAG_KIND = {v: k for k, v in _KIND_TAG.items()}
-_MAGIC = b"TPLT"
+_MAGIC = b"TPL2"
 _HEADER = struct.Struct("<4sBBxx")
-_PARAMS = struct.Struct("<ddqqq")  # p, k_or_n, exp_bits, mant_bits, base_exponent
+# (lo, hi) of M or (lo, n) of L; exp_bits, mant_bits, base_exponent of D
+_PARAMS = struct.Struct("<ddqqq")
 _COUNT = struct.Struct("<I")
 
 
@@ -418,18 +439,14 @@ def dump_table(lut: FuzzyLut) -> bytes:
     flags = (1 if lut.interpolated else 0) | (2 if lut.fixed else 0)
     head = _HEADER.pack(_MAGIC, _KIND_TAG[lut.spec.kind], flags)
     s = lut.spec
+    pair = {"M": (s.lo, s.hi), "L": (s.lo, float(s.n))}.get(s.kind, (0.0, 0.0))
+    body = _PARAMS.pack(*pair, s.exp_bits, s.mant_bits, s.base_exponent)
     if s.kind == "DL":
-        body = _PARAMS.pack(0.0, 0.0, s.exp_bits, s.mant_bits, s.base_exponent)
         body += _COUNT.pack(0)
         return head + body + dump_table(lut.sub_low) + dump_table(lut.sub_high)
-    k_or_n = float(s.n) if s.kind == "L" else s.k
-    body = _PARAMS.pack(s.p, k_or_n, s.exp_bits, s.mant_bits, s.base_exponent)
     body += _COUNT.pack(len(lut.entries))
-    if lut.fixed:
-        body += np.asarray(lut.entries, dtype="<i4").tobytes()
-    else:
-        body += np.asarray(lut.entries, dtype="<f4").tobytes()
-    return head + body
+    return head + body + np.asarray(
+        lut.entries, dtype="<i4" if lut.fixed else "<f4").tobytes()
 
 
 def _unpack(st: struct.Struct, buf: bytes, off: int):
@@ -447,10 +464,10 @@ def _load_one(buf: bytes, off: int,
               part_of_dl: bool = False) -> tuple[FuzzyLut, int]:
     (magic, tag, flags), off = _unpack(_HEADER, buf, off)
     if magic != _MAGIC:
-        raise TableFormatError("bad table magic")
+        raise TableFormatError(f"bad table magic {magic!r}, not {_MAGIC!r}")
     _require(tag in _TAG_KIND, f"unknown kind tag {tag}")
     _require(flags <= 3, f"unknown flags {flags:#x}")
-    (p, k_or_n, exp_bits, mant_bits, base_exponent), off = _unpack(
+    (first, second, exp_bits, mant_bits, base_exponent), off = _unpack(
         _PARAMS, buf, off)
     (count,), off = _unpack(_COUNT, buf, off)
     kind = _TAG_KIND[tag]
@@ -473,47 +490,27 @@ def _load_one(buf: bytes, off: int,
 
     _require(count <= (len(buf) - off) // 4,
              f"{count} entries run past the end of the buffer")
-    size = count - 1 if interpolated else count
-    _require(size >= 2, "fewer than two table cells")
     _require(not fixed or kind == "L", "only L-LUTs have fixed entries")
-    if fixed:
-        entries = np.frombuffer(buf, dtype="<i4", count=count,
-                                offset=off).astype(np.int64)
-    else:
-        entries = np.frombuffer(buf, dtype="<f4", count=count, offset=off).copy()
+    entries = np.frombuffer(buf, dtype="<i4" if fixed else "<f4",
+                            count=count, offset=off)
+    entries = entries.astype(np.int64) if fixed else entries.copy()
     off += count * 4
 
-    if kind == "D":
-        _require(interpolated, "D-LUT without its guard entry")
-        _require(exp_bits >= 1 and 1 <= mant_bits <= 23,
-                 "exponent or mantissa field width")
-        steps, rest = divmod(size, 1 << mant_bits)
-        hi_exponent = base_exponent + steps
-        _require(rest == 0, "entries do not fill whole octaves")
-        _require(hi_exponent < 1024, "D-LUT range exceeds a double")
-        spec = _d_spec(exp_bits, mant_bits, base_exponent, hi_exponent)
-        return FuzzyLut(spec=spec, entries=entries, interpolated=True), off
-
-    _require(math.isfinite(p), "non-finite first node")
-    if kind == "L":
-        _require(k_or_n.is_integer() and -1074 <= k_or_n <= 1023,
-                 "L-LUT density exponent")
-        n = int(k_or_n)
-        k = 2.0 ** n
-        lo = p if interpolated else p - 1.0 / (2 * k)
-        spec = SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=lo + size / k)
-    else:
-        _require(0.0 < k_or_n < math.inf, "M-LUT density")
-        k = k_or_n
-        lo = p if interpolated else p - 1.0 / (2 * k)
-        spec = SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=lo + size / k)
-    lut = FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                   fixed=fixed)
-    if fixed:
-        _require(0 <= spec.n <= FRAC_BITS and -8.0 < p < 8.0,
-                 "fixed L-LUT layout outside Q3.28")
-        lut.p_raw = to_fixed(p).raw
-    return lut, off
+    size = count - interpolated
+    try:
+        if kind == "D":
+            _require(interpolated, "D-LUT without its guard entry")
+            spec = _d_layout(exp_bits, mant_bits, base_exponent)
+            _require(size == spec.size, "entries do not fill its octaves")
+        elif kind == "L":
+            _require(second.is_integer(), "L-LUT density exponent")
+            spec = _l_layout(first, int(second), size, interpolated, fixed)
+        else:
+            spec = _m_layout(first, second, size, interpolated)
+    except RangeError as exc:
+        raise TableFormatError(f"malformed table record: {exc}") from None
+    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
+                    fixed=fixed), off
 
 
 def load_table(buf: bytes) -> FuzzyLut:

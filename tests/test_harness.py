@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pimfuncs.api import FunctionId, MethodId
-from pimfuncs.costmodel import with_counting
-from pimfuncs.errors import (DomainError, PimFuncsError,
+from pimfuncs.costmodel import counting, with_counting
+from pimfuncs.errors import (DomainError, PimFuncsError, RangeError,
                              UnsupportedCombinationError)
 from pimfuncs.harness import (WORKLOADS, _kernel, amortization_crossover,
                               csv_text, emit_csv, rmse_sweep,
@@ -176,6 +176,30 @@ class TestSoftmax:
         e = exp_f(np.zeros(k)).astype(np.float64)
         out = e / e.sum()
         assert np.allclose(out, 1.0 / k, atol=1e-9)
+
+
+class TestCountBelowOne:
+    """A count below 1 is refused before any table is built."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_runners(self, name, n):
+        runner, variants = WORKLOADS[name]
+        with counting() as c, pytest.raises(RangeError, match="at least 1"):
+            runner(n, variants[1])
+        assert c.table_setup_entries == 0
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rmse_sweep(self, n_samples):
+        with counting() as c, pytest.raises(RangeError, match="at least 1"):
+            rmse_sweep(FunctionId.SIN, MethodId.LLUT_INTERP, [64],
+                       n_samples=n_samples)
+        assert c.table_setup_entries == 0
+
+    def test_softmax_runs_whole_rows(self):
+        # At least one row of 1,024; n_elements is the count that ran.
+        assert run_softmax(1, "LLutInterp").n_elements == 1024
+        assert run_softmax(3000, "LLutInterp").n_elements == 2048
 
 
 class TestCrossover:

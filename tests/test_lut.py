@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pimfuncs.costmodel import with_counting
+from pimfuncs.costmodel import counting, with_counting
 from pimfuncs.errors import RangeError
 from pimfuncs.fixedpoint import to_fixed_array, to_float_array
 from pimfuncs.lut import (build_dllut, build_dlut,
@@ -231,3 +231,35 @@ class TestMemoryAccounting:
         _, c = with_counting(
             lambda: build_llut(math.sin, 0.0, 5.0, 128, interpolated=True))
         assert c.table_setup_entries == 129
+
+
+class TestLayoutChecks:
+    """Sizes and ranges no layout accepts raise RangeError before any
+    entry is tabulated."""
+
+    @pytest.mark.parametrize("build, args", [
+        (build_dlut, (12, 2, -16)),  # more octaves than a double has
+        (build_dlut, (4, 2, 1020)),  # 2**1036 overflows
+        (build_dlut, (4, 2, -1080)),  # below the smallest subnormal
+        (build_dllut, (4, 2, 1020)),
+        (build_mlut, (-1e308, 1e308, 10)),  # hi - lo overflows
+        (build_llut, (-1e308, 1e308, 10)),
+        (build_mlut, (0.0, 1e-320, 4)),  # infinite density
+        (build_llut, (0.0, math.nan, 4)),
+    ])
+    def test_refused(self, build, args):
+        with counting() as c, pytest.raises(RangeError):
+            build(math.sin, *args)
+        assert c.table_setup_entries == 0
+
+    @pytest.mark.parametrize("build", [build_mlut, build_llut,
+                                       build_fixed_llut])
+    @pytest.mark.parametrize("interp", [False, True])
+    def test_spec_size_counts_cells(self, build, interp):
+        t = build(math.sin, 0.0, 1.0, 100, interpolated=interp)
+        assert t.spec.size == 100 == len(t.entries) - interp
+
+    def test_d_spec_size_counts_cells(self):
+        t = build_dlut(math.tanh, 3, 5, -4)
+        assert t.spec.size == 8 << 5 == len(t.entries) - 1
+        assert t.spec.hi_exponent == 4

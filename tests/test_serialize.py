@@ -37,7 +37,7 @@ class TestRoundTrip:
 
     def test_magic(self):
         blob = dump_table(_tables()["mlut"])
-        assert blob[:4] == b"TPLT"
+        assert blob[:4] == b"TPL2"
 
     def test_entries_bit_exact(self):
         for t in _tables().values():
@@ -186,3 +186,102 @@ class TestUntrustedInput:
             blob[pos] = value
         _loads_or_rejects(bytes(blob))
         _loads_or_rejects(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
+
+
+def _sample_configs():
+    """Seeded (kind, build, lo, hi, size, interpolated) draws, the sine
+    M-LUT of 1,000 cells on [0, 2*pi] first."""
+    rng = np.random.default_rng(13)
+    float_ranges = [(0.0, 2 * math.pi), (0.0, 1.0), (1.0, 2.0), (0.5, 2.0),
+                    (-3.0, 7.5), (1e-3, 0.1), (-100.0, 250.0)]
+    # Fixed ranges of width <= 2, whose expanded range stays inside Q3.28.
+    fixed_ranges = [(0.0, 1.0), (1.0, 2.0), (0.5, 2.0), (-1.0, 1.0),
+                    (-3.5, -1.5)]
+    kinds = [("M", build_mlut, float_ranges), ("L", build_llut, float_ranges),
+             ("fixed-L", build_fixed_llut, fixed_ranges)]
+    configs = [("M", build_mlut, 0.0, 2 * math.pi, 1000, False)]
+    for _ in range(240):
+        kind, build, ranges = kinds[rng.integers(len(kinds))]
+        lo, hi = ranges[rng.integers(len(ranges))]
+        configs.append((kind, build, lo, hi, int(rng.integers(2, 5000)),
+                        bool(rng.integers(2))))
+    return configs
+
+
+_EDGE_QUERY = {
+    ("M", False): mlut_query, ("M", True): mlut_query_interp,
+    ("L", False): llut_query, ("L", True): llut_query_interp,
+}
+
+
+class TestLayoutRoundTrip:
+    def test_spec_and_edge_queries_survive_a_round_trip(self):
+        mismatches = []
+        for kind, build, lo, hi, size, interp in _sample_configs():
+            t = build(math.sin, lo, hi, size, interpolated=interp)
+            back = load_table(dump_table(t))
+            edges = np.array([t.spec.lo, t.spec.hi])
+            if kind == "fixed-L":
+                query = (fixed_llut_query_interp if interp
+                         else fixed_llut_query)
+                edges = to_fixed_array(edges)
+            else:
+                query = _EDGE_QUERY[kind, interp]
+            if back.spec != t.spec or not np.array_equal(query(back, edges),
+                                                         query(t, edges)):
+                mismatches.append((kind, lo, hi, size, interp))
+        assert mismatches == []
+
+    def test_sine_mlut_keeps_its_range(self):
+        t = build_mlut(math.sin, 0.0, 2 * math.pi, 1000)
+        back = load_table(dump_table(t))
+        assert (back.spec.lo, back.spec.hi) == (0.0, 2 * math.pi)
+        assert mlut_query(back, np.array([0.0]))[0] == mlut_query(
+            t, np.array([0.0]))[0]
+
+
+class TestLayoutFields:
+    """Record fields that no layout accepts are refused as malformed."""
+
+    def test_d_entries_disagree_with_the_octaves(self):
+        # exp_bits 4 says 16 octaves; keep the entries of 3 and the guard.
+        t = _tables()["dlut"]
+        cells = 3 << t.spec.mant_bits
+        blob = bytearray(_DUMPS["dlut"][:52])
+        struct.pack_into("<I", blob, 48, cells + 1)
+        blob += np.asarray(t.entries[:cells + 1], dtype="<f4").tobytes()
+        with pytest.raises(TableFormatError, match="octaves"):
+            load_table(bytes(blob))
+
+    @pytest.mark.parametrize("offset, value", [
+        (40, 2 ** 40), (40, -2 ** 40), (40, 2 ** 63 - 1), (40, -2 ** 63),
+        (24, 2 ** 62), (24, 12), (24, -1), (32, 24), (32, 2 ** 62)],
+        ids=["base-2^40", "base--2^40", "base-max", "base-min",
+             "exp_bits-2^62", "exp_bits-12", "exp_bits--1", "mant_bits-24",
+             "mant_bits-2^62"])
+    def test_d_field_out_of_bounds(self, offset, value):
+        low_count = struct.unpack_from("<I", _DUMPS["dllut"], 52 + 48)[0]
+        d_part = 52 + 52 + 4 * low_count  # after the DL header and L part
+        for name, start in (("dlut", 0), ("dllut", 0), ("dllut", d_part)):
+            blob = bytearray(_DUMPS[name])
+            struct.pack_into("<q", blob, start + offset, value)
+            with pytest.raises(TableFormatError):
+                load_table(bytes(blob))
+
+    @pytest.mark.parametrize("name, offset, value", [
+        ("mlut", 8, math.nan), ("mlut", 16, math.inf), ("mlut", 8, 5.0),
+        ("mlut", 8, -math.inf), ("mlut", 16, 1e-320),
+        ("llut", 16, 0.5), ("llut", 16, 1024.0), ("llut", 16, -1075.0),
+        ("llut", 16, math.nan), ("llut", 16, -1070.0), ("llut", 8, math.inf),
+        ("fixed", 16, 29.0), ("fixed", 16, -1.0), ("fixed", 8, -8.0),
+        ("fixed", 8, 7.0)])
+    def test_m_and_l_field_out_of_bounds(self, name, offset, value):
+        blob = bytearray(_DUMPS[name])
+        struct.pack_into("<d", blob, offset, value)
+        with pytest.raises(TableFormatError):
+            load_table(bytes(blob))
+
+    def test_previous_magic_is_refused(self):
+        blob = b"TPLT" + _DUMPS["mlut"][4:]
+        with pytest.raises(TableFormatError, match="magic"):
+            load_table(blob)
