@@ -83,10 +83,16 @@ class EvaluatorConfig:
 
 
 @lut.array_formula
+def cndf_exact(x):
+    """The exact Gaussian CDF Phi, of a float or elementwise over an array."""
+    return 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
+
+
+@lut.array_formula
 def gelu_exact(x):
-    """x * Phi(x) with the exact Gaussian CDF (host-side reference), of a
-    float or elementwise over a float64 array."""
-    return x * 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
+    """x * Phi(x): the bits of x * 0.5 * (1 + erf(x / sqrt(2))), since
+    either halving is exact or, at subnormal x, 1 + erf(...) is 1."""
+    return x * cndf_exact(x)
 
 
 @dataclass(eq=False)
@@ -105,7 +111,8 @@ class Evaluator:
     tables: tuple
 
     def evaluate(self, x) -> np.float32:
-        return self.pipeline(np.array([float(x)]))[0]
+        """One value, rounded to float32 as ``evaluate_batch`` rounds it."""
+        return self.pipeline(np.asarray([x], np.float32).astype(np.float64))[0]
 
     def evaluate_batch(self, xs) -> tuple[np.ndarray, OpCounts]:
         arr = np.asarray(xs, dtype=np.float32)
@@ -187,33 +194,33 @@ def _as_is(x):  # sin(x) ~= tanh(x) ~= x below table resolution
     return x.astype(np.float32)
 
 
-def _d_sin(query, tiny, x):
+def _d_sin(query, lo, x):
     r = reduce_2pi_array(np.abs(x))
-    v = piecewise(r < tiny, r, _as_is, query)
+    v = piecewise(r < lo, r, _as_is, query)
     return np.where(x < 0, -v, v)
 
 
-def _d_tanh(query, tiny, x):
+def _d_tanh(query, lo, x):
     def reflected(v):
         q = query(np.abs(v))
         return np.where(v < 0, -q, q)
-    return piecewise(np.abs(x) < tiny, x, _as_is, reflected)
+    return piecewise(np.abs(x) < lo, x, _as_is, reflected)
 
 
-def _d_gelu(query, tiny, x):
+def _d_gelu(query, lo, x):
     """gelu(x) = gelu(-x) + x for x < 0, and gelu(x) ~= x/2 near zero."""
     neg = ~(x >= 0)
     tally("float_add", int(np.count_nonzero(neg)))
     ax = np.where(neg, -x, x)
-    v = piecewise(ax < tiny, ax,
+    v = piecewise(ax < lo, ax,
                   lambda a: ldexp32(a.astype(np.float32), -1), query)
     v[neg] += x[neg].astype(np.float32)
     return v
 
 
-# function -> (host f, pipeline step(query, tiny, x)); the D part covers
-# 2**EXP_BITS octaves from its base exponent, and inputs below ``tiny``
-# bypass the table.
+# function -> (host f, pipeline step(query, lo, x)); the D part covers
+# 2**EXP_BITS octaves from its base exponent, and inputs below the
+# table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.
 _D_CELLS = {
     FunctionId.SIN: (math.sin, _d_sin),
     FunctionId.TANH: (math.tanh, _d_tanh),
@@ -225,11 +232,11 @@ def _d_cell(function: FunctionId, cfg: EvaluatorConfig):
     host, step = _D_CELLS[function]
     if cfg.method is MethodId.DLLUT_INTERP:
         table = lut.build_dllut(host, EXP_BITS, cfg.mant_bits, DL_BASE_EXPONENT)
-        query, tiny = lut.dllut_query_interp, 0.0  # L part reaches down to 0
+        query = lut.dllut_query_interp
     else:
         table = lut.build_dlut(host, EXP_BITS, cfg.mant_bits, BASE_EXPONENT)
-        query, tiny = lut.dlut_query_interp, math.ldexp(1.0, BASE_EXPONENT)
-    return (table,), partial(step, partial(query, table), tiny)
+        query = lut.dlut_query_interp
+    return (table,), partial(step, partial(query, table), table.spec.lo)
 
 
 # ---------------------------------------------------------------------------

@@ -137,23 +137,15 @@ _LDEXP_CLIP = 400
 
 
 def ldexp32(arg, exp):
-    """Float32 ``arg * 2**exp``: a scalar, or elementwise over an array.
+    """Float32 ``arg * 2**exp``, elementwise over an array or a numpy scalar.
 
     Rounds to nearest even, overflows to +-inf without a warning and
     underflows gradually through the subnormals; IEEE special values
     propagate unchanged.  ``exp`` may be any integer-valued scalar or
-    array, however large.
+    array, however large.  A scalar ``arg`` gives a ``np.float32``.
     """
-    if isinstance(arg, np.ndarray):
-        tally("ldexp_op", arg.size)
-        exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
-        with np.errstate(over="ignore"):
-            return np.ldexp(arg.astype(np.float32, copy=False),
-                            exp.astype(np.int64))
-    tally("ldexp_op")
-    x = np.float32(arg)
-    exp = int(max(-_LDEXP_CLIP, min(_LDEXP_CLIP, exp)))
-    if abs(float(x)) < 2.0 ** (128 - exp):  # finite result: skip errstate's cost
-        return np.ldexp(x, exp)
+    x = np.asarray(arg, dtype=np.float32)
+    tally("ldexp_op", x.size)
+    exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
     with np.errstate(over="ignore"):
-        return np.ldexp(x, exp)
+        return np.ldexp(x, exp.astype(np.int64))

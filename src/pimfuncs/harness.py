@@ -13,7 +13,7 @@ rounded ``+ - * /`` and ``sqrt`` on float64, in the scalar formula's
 operation order, so every value is bit-identical to a loop over the
 elements.  Float32 inputs are cast to float64 before any arithmetic,
 and numpy's transcendental ufuncs, which can differ from libm in the
-last bit, are not used.  The same array formulas (``_cndf_exact``,
+last bit, are not used.  The same array formulas (``api.cndf_exact``,
 ``gelu_exact``) build the CNDF and GELU tables.
 
 ``WORKLOADS`` maps the paper's three workloads to their runners and the
@@ -37,10 +37,10 @@ import numpy as np
 
 from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                  build_evaluator, gelu_exact, table_kernel)
+                  build_evaluator, cndf_exact, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError
-from .rangeext import exp_via, log_via, sqrt_via
+from .rangeext import exp_via, log_via, piecewise, sqrt_via
 
 RNG_ID = "pcg64"
 
@@ -73,7 +73,11 @@ _REFERENCE = {
     FunctionId.GELU: gelu_exact,
 }
 
-_ITER_METHODS = (MethodId.CORDIC, MethodId.CORDIC_LUT)
+# Method -> the EvaluatorConfig field a sweep's size_or_iters sets; a D
+# table's size is its mantissa field width, 2**mant_bits cells per octave.
+_SIZING_FIELD = dict.fromkeys(MethodId, "lut_size") | {
+    MethodId.CORDIC: "n_iter", MethodId.CORDIC_LUT: "n_iter",
+    MethodId.DLUT_INTERP: "mant_bits", MethodId.DLLUT_INTERP: "mant_bits"}
 
 
 @dataclass
@@ -111,15 +115,8 @@ def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
 
 def _config_for(method: MethodId, number_format: NumberFormat,
                 size_or_iters: int) -> EvaluatorConfig:
-    if method in _ITER_METHODS:
-        return EvaluatorConfig(method=method, number_format=number_format,
-                               n_iter=size_or_iters)
-    if method in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP):
-        # size maps onto the mantissa field width: 2**mant_bits cells/octave
-        return EvaluatorConfig(method=method, number_format=number_format,
-                               mant_bits=size_or_iters)
     return EvaluatorConfig(method=method, number_format=number_format,
-                           lut_size=size_or_iters)
+                           **{_SIZING_FIELD[method]: size_or_iters})
 
 
 def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
@@ -195,24 +192,33 @@ _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _poly_cndf(x: np.ndarray) -> np.ndarray:
-    """CNDF(x) = 1 - CNDF(-x) for x < 0."""
-    neg = x < 0.0
-    tally("float_add", int(np.count_nonzero(neg)))
-    ax = np.where(neg, -x, x)
-    tally("float_mul", 2 * x.size)
-    tally("float_add", x.size)
-    tally("float_div", x.size)
+def _reflected(cndf):
+    """The CNDF of every x from ``cndf``, a float32 CNDF of x >= 0, by
+    CNDF(x) = 1 - CNDF(-x).  The float32 1 - q is exact for q in [0.5, 1]
+    (Sterbenz); just below 0.5 it rounds once, as a double's cast does."""
+    def reflected(x):
+        neg = x < 0.0
+        tally("float_add", int(np.count_nonzero(neg)))
+        q = cndf(np.where(neg, -x, x))
+        return np.where(neg, np.float32(1.0) - q, q)
+    return reflected
+
+
+@_reflected
+def _poly_cndf(ax: np.ndarray) -> np.ndarray:
+    """The Abramowitz-Stegun CNDF of ax >= 0, in float32."""
+    tally("float_mul", 2 * ax.size)
+    tally("float_add", ax.size)
+    tally("float_div", ax.size)
     k = (1.0 / (1.0 + _AS_P * ax)).astype(np.float32)
-    tally("float_mul", 2 * x.size)
+    tally("float_mul", 2 * ax.size)
     pdf = (_INV_SQRT_2PI * _poly_kernel("exp")(-0.5 * ax * ax).astype(np.float64)
            ).astype(np.float32)
     # b1 k + ... + b5 k^5 evaluated as k * poly(k)
     poly = _horner((0.0,) + _AS_B, k)
-    tally("float_mul", x.size)
-    tally("float_add", x.size)
-    p = np.float32(1.0) - pdf * poly
-    return np.where(neg, (1.0 - p.astype(np.float64)).astype(np.float32), p)
+    tally("float_mul", ax.size)
+    tally("float_add", ax.size)
+    return np.float32(1.0) - pdf * poly
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +239,14 @@ WORKLOAD_LUT_SIZE = 4096
 SOFTMAX_VECTOR_LEN = 1024
 
 
-@lut.array_formula
-def _cndf_exact(x):
-    """The exact Gaussian CDF, elementwise over a float64 array."""
-    return 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
-
-
 def _make_cndf_lut(number_format: NumberFormat):
-    """CNDF from an interpolated L-LUT over [0, 8); float64 results."""
+    """CNDF from an interpolated L-LUT over [0, 8), saturated to 0 or 1
+    beyond +-8; float32 results."""
     cfg = EvaluatorConfig(method=MethodId.LLUT_INTERP, lut_size=CNDF_LUT_SIZE,
                           number_format=number_format)
-    _, query = table_kernel(_cndf_exact, 0.0, 8.0, cfg)
-
-    def cndf(x):
-        out = np.where(x >= 8.0, 1.0, 0.0)
-        inside = ~((x >= 8.0) | (x <= -8.0))
-        xs = x[inside]
-        neg = xs < 0.0
-        tally("float_add", int(np.count_nonzero(neg)))
-        q = query(np.where(neg, -xs, xs)).astype(np.float64)
-        out[inside] = np.where(neg, 1.0 - q, q)
-        return out
-    return cndf
+    _, query = table_kernel(cndf_exact, 0.0, 8.0, cfg)
+    return lambda x: piecewise(~(np.abs(x) >= 8.0), x, _reflected(query),
+                               lambda v: (v >= 8.0).astype(np.float32))
 
 
 # Workload variant -> the config of its kernels; None is the polynomial
@@ -318,8 +310,8 @@ def _bs_reference(spot, strike, rate, vol, expiry) -> np.ndarray:
     d1 = (lut.mapped(math.log, spot / strike)
           + (rate + 0.5 * vol * vol) * expiry) / srt
     d2 = d1 - srt
-    return (spot * _cndf_exact(d1)
-            - strike * lut.mapped(math.exp, -rate * expiry) * _cndf_exact(d2))
+    return (spot * cndf_exact(d1)
+            - strike * lut.mapped(math.exp, -rate * expiry) * cndf_exact(d2))
 
 
 def _bs_sample(n: int, seed: int) -> tuple:

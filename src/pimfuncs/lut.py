@@ -7,7 +7,7 @@ variants).  Address generation per kind:
   M:  a(x) = round((x - p) * k)          one float multiply
   L:  a(x) = round(ldexp(x - p, n))      no multiply, density 2**n
   D:  exponent/mantissa bit extraction   no multiply
-  DL: L-LUT below 2**base_exponent, D-LUT above
+  DL: L-LUT on [0, 2**base_exponent), D-LUT from there up
 
 Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
 spacing/2); interpolated tables (D and DL always) put the first node at
@@ -15,9 +15,11 @@ lo and carry one guard entry so entries[a + 1] never branches.
 
 Each kind has one layout, which holds all of its size and range checks:
 M from (lo, hi, size), L from (lo, n, size), D from (exp_bits,
-mant_bits, base_exponent).  The builders and :func:`load_table` both
-make their specs through it, and a table record (magic ``TPL2``) stores
-those inputs, so a loaded table's spec equals the built table's.
+mant_bits, base_exponent); M and L refuse what float32 queries cannot
+address.  The builders and :func:`load_table` both make their specs
+through it, and a table record (magic ``TPL2``) stores those inputs, so
+a loaded table's spec equals the built table's, and a DL record's L part
+must be :func:`build_dllut`'s: 2**mant_bits cells up to the D part.
 
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
@@ -62,6 +64,7 @@ from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
 TABULATE_CHUNK = 4096  # elements per host-function call or map
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def array_formula(f):
@@ -143,12 +146,13 @@ class FuzzyLut:
 
 def _m_layout(lo: float, hi: float, size: int,
               interpolated: bool) -> SpacingSpec:
-    """M spec of ``size`` cells on exactly [lo, hi]."""
+    """M spec of ``size`` cells on exactly [lo, hi]; float32 queries need
+    |lo|, |hi| <= FLT_MAX / 2, so x - p is finite, and a finite density."""
     if not (lo < hi) or size < 2:
         raise RangeError("need lo < hi and size >= 2")
     k = size / (hi - lo)
-    if not 0.0 < k < math.inf:
-        raise RangeError(f"density {k} of [{lo}, {hi}] is not finite")
+    if not (max(-lo, hi) <= _F32_MAX / 2 and k <= _F32_MAX):
+        raise RangeError(f"[{lo}, {hi}] of density {k} is beyond float32")
     p = lo if interpolated else lo + (hi - lo) / (2 * size)
     return SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi, size=size)
 
@@ -161,8 +165,8 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
         raise RangeError("need size >= 2 and -1074 <= n <= 1023")
     k = 2.0 ** n
     hi = lo + size / k
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise RangeError(f"L-LUT range [{lo}, {hi}] is not finite")
+    if not max(-lo, hi) <= _F32_MAX / 2:
+        raise RangeError(f"L-LUT range [{lo}, {hi}] is beyond float32")
     p = lo if interpolated else lo + 1.0 / (2 * k)
     # Queries arrive as Q3.28, so any covered range within [-8, 8] works;
     # node inputs to f stay double so the 8.0 guard node is fine.
@@ -411,8 +415,8 @@ def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     if np.count_nonzero(x < 0.0):
         raise RangeError("DL-LUT query requires x >= 0; negative inputs are "
                          "the symmetry wrapper's job")
-    low = (x < lut.sub_low.spec.hi) & (x < math.ldexp(1.0, lut.spec.base_exponent))
-    return piecewise(low, x, lambda v: llut_query_interp(lut.sub_low, v),
+    return piecewise(x < lut.sub_high.spec.lo, x,
+                     lambda v: llut_query_interp(lut.sub_low, v),
                      lambda v: dlut_query_interp(lut.sub_high, v))
 
 
@@ -480,12 +484,15 @@ def _load_one(buf: bytes, off: int,
         low, off = _load_one(buf, off, part_of_dl=True)
         high, off = _load_one(buf, off, part_of_dl=True)
         _require(low.spec.kind == "L" and high.spec.kind == "D"
-                 and low.interpolated and high.interpolated,
-                 "DL-LUT parts must be interpolated L- and D-LUTs")
-        _require((high.spec.exp_bits, high.spec.mant_bits,
-                  high.spec.base_exponent) == (exp_bits, mant_bits,
-                                               base_exponent),
+                 and low.interpolated and high.interpolated and not low.fixed,
+                 "DL-LUT parts must be interpolated float L- and D-LUTs")
+        h = high.spec
+        _require((h.exp_bits, h.mant_bits, h.base_exponent)
+                 == (exp_bits, mant_bits, base_exponent),
                  "DL-LUT fields disagree with its D-LUT part")
+        _require((low.spec.lo, low.spec.hi, low.spec.size)
+                 == (0.0, h.lo, 1 << mant_bits),
+                 "DL-LUT's L part does not end at its D part's lower bound")
         return _dl_table(low, high), off
 
     _require(count <= (len(buf) - off) // 4,

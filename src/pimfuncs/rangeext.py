@@ -138,18 +138,16 @@ def piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
 
     Each branch sees only its own elements, and runs only if it has any,
     so its checks and tallies cover exactly those elements.  Branches
-    return fresh float32 arrays whose last axis runs over the elements
-    (leading axes hold several results per element).
+    return a fresh float32 array of one result per element.
     """
     taken = np.count_nonzero(mask)
     if taken == mask.size:
         return on_true(x)
     if taken == 0:
         return on_false(x)
-    a, b = on_true(x[mask]), on_false(x[~mask])
-    out = np.empty(a.shape[:-1] + x.shape, dtype=np.float32)
-    out[..., mask] = a
-    out[..., ~mask] = b
+    out = np.empty(x.shape, dtype=np.float32)
+    out[mask] = on_true(x[mask])
+    out[~mask] = on_false(x[~mask])
     return out
 
 

@@ -246,11 +246,25 @@ class TestLayoutChecks:
         (build_llut, (-1e308, 1e308, 10)),
         (build_mlut, (0.0, 1e-320, 4)),  # infinite density
         (build_llut, (0.0, math.nan, 4)),
+        (build_mlut, (0.0, 1e300, 16)),  # density rounds to 0 in float32
+        (build_mlut, (0.0, 1e200, 16)),  # x beyond float32
+        (build_llut, (0.0, 1e200, 16)),
+        (build_mlut, (0.0, 1e-300, 16)),  # density beyond float32
+        (build_llut, (-3e38, 3e38, 16)),  # x - p beyond float32
     ])
     def test_refused(self, build, args):
         with counting() as c, pytest.raises(RangeError):
             build(math.sin, *args)
         assert c.table_setup_entries == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("query", [mlut_query, mlut_query_interp])
+    def test_widest_m_range_queries_without_overflow(self, query):
+        reach = float(np.finfo(np.float32).max) / 2
+        t = build_mlut(math.atan, -reach, reach, 16,
+                       interpolated=query is mlut_query_interp)
+        out = query(t, np.array([-reach, 0.0, reach]))
+        assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("build", [build_mlut, build_llut,
                                        build_fixed_llut])

@@ -55,3 +55,18 @@ def test_batch_equals_scalar_loop(cell, data):
         scalar = np.asarray([ev.evaluate(x) for x in xs], dtype=np.float32)
     assert out.view(np.uint32).tolist() == scalar.view(np.uint32).tolist()
     assert batch_counts == scalar_counts
+
+
+@pytest.mark.parametrize("cell", CELLS,
+                         ids=lambda c: "-".join(v.value for v in c))
+def test_float64_scalar_is_rounded_as_batch(cell):
+    """``evaluate`` of a double that is no float32 value rounds it to
+    float32 first, as ``evaluate_batch`` does: same bits, same op counts."""
+    ev = _evaluator(cell)
+    lo, hi = DEFAULT_DOMAINS[cell[0]]
+    for x in np.random.default_rng(14).uniform(lo, hi, 100).tolist():
+        out, batch_counts = ev.evaluate_batch([x])
+        with counting() as scalar_counts:
+            scalar = ev.evaluate(x)
+        assert np.float32(scalar).view(np.uint32) == out.view(np.uint32)[0], x
+        assert batch_counts == scalar_counts

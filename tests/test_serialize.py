@@ -274,7 +274,10 @@ class TestLayoutFields:
         ("llut", 16, 0.5), ("llut", 16, 1024.0), ("llut", 16, -1075.0),
         ("llut", 16, math.nan), ("llut", 16, -1070.0), ("llut", 8, math.inf),
         ("fixed", 16, 29.0), ("fixed", 16, -1.0), ("fixed", 8, -8.0),
-        ("fixed", 8, 7.0)])
+        ("fixed", 8, 7.0),
+        # ranges [0, hi] and an L density 2**-245 beyond float32 queries
+        ("mlut", 16, 1e300), ("mlut", 16, 1e200), ("mlut", 16, 1e-300),
+        ("llut", 16, -245.0)])
     def test_m_and_l_field_out_of_bounds(self, name, offset, value):
         blob = bytearray(_DUMPS[name])
         struct.pack_into("<d", blob, offset, value)
@@ -285,3 +288,41 @@ class TestLayoutFields:
         blob = b"TPLT" + _DUMPS["mlut"][4:]
         with pytest.raises(TableFormatError, match="magic"):
             load_table(blob)
+
+
+
+_DL_LOW = 52  # a DL record's L part follows its header
+
+
+class TestDLParts:
+    """A DL record's L part is the one build_dllut makes: 2**mant_bits
+    float cells from 0 to its D part's lower bound."""
+
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (_DL_LOW + 16, "<d", 7.0),  # 64 cells of width 2**-7: [0, 0.5]
+        (_DL_LOW + 8, "<d", 0.25),
+        (_DL_LOW + 5, "<B", 3)],  # fixed entries
+        ids=["ends-at-0.5", "from-0.25", "fixed"])
+    def test_other_l_part_is_refused(self, offset, fmt, value):
+        blob = bytearray(_DUMPS["dllut"])  # D part from 1
+        struct.pack_into(fmt, blob, offset, value)
+        with pytest.raises(TableFormatError, match="DL-LUT"):
+            load_table(bytes(blob))
+
+    def test_seeded_round_trips(self):
+        rng = np.random.default_rng(21)
+        for _ in range(24):
+            exp_bits, mant_bits, base = (int(rng.integers(lo, hi))
+                                         for lo, hi in ((1, 6), (1, 9), (-20, 8)))
+            t = build_dllut(math.tanh, exp_bits, mant_bits, base)
+            blob = dump_table(t)
+            back = load_table(blob)
+            assert dump_table(back) == blob
+            assert (back.spec, back.sub_low.spec, back.sub_high.spec) == (
+                t.spec, t.sub_low.spec, t.sub_high.spec)
+            h = t.sub_high.spec
+            top = float(np.nextafter(np.float32(h.hi), 0))  # D ranges are [lo, hi)
+            xs = np.concatenate([[0.0, h.lo / 2, h.lo, top],
+                                 rng.uniform(0.0, top, 16)])
+            assert np.array_equal(dllut_query_interp(back, xs),
+                                  dllut_query_interp(t, xs))

@@ -19,14 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from pimfuncs import counting
 from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, EvaluatorConfig, MethodId,
-                          NumberFormat, build_evaluator, gelu_exact)
+                          NumberFormat, build_evaluator, cndf_exact,
+                          gelu_exact)
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
 from pimfuncs.fixedpoint import to_fixed
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
-                              _bs_sample, _cndf_exact, _make_cndf_lut,
-                              _sigmoid_reference, reference_values)
+                              _bs_sample, _make_cndf_lut, _sigmoid_reference,
+                              reference_values)
 from pimfuncs.lut import (TABULATE_CHUNK, array_formula, build_dllut,
                           build_dlut, build_fixed_llut, build_llut,
                           build_mlut, mapped, tabulate)
@@ -151,7 +152,7 @@ class TestMLTables:
     @pytest.mark.parametrize("fixed", (False, True))
     def test_cndf_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
-        lut = build(_cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE, interpolated=True)
+        lut = build(cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE, interpolated=True)
         want = _ml_loop(_cndf, lut, fixed)
         assert np.asarray(lut.entries).tobytes() == want.tobytes()
 
@@ -268,7 +269,7 @@ class TestReferences:
 
 # Each changed host and its scalar form.
 _HOSTS = {
-    "cndf": (_cndf_exact, _cndf),
+    "cndf": (cndf_exact, _cndf),
     "gelu": (gelu_exact, _gelu),
     "sqrt": (_TABLE_CELLS[FunctionId.SQRT][0][0][0], math.sqrt),
     "exp": (_TABLE_CELLS[FunctionId.EXP][0][0][0], _exp2),
@@ -290,7 +291,7 @@ class TestHostProperties:
     def test_hosts_are_the_tabulated_ones(self):
         assert _D_CELLS[FunctionId.GELU][0] is gelu_exact
         assert all(getattr(f, "array_formula", False)
-                   for f in (_cndf_exact, gelu_exact, _HOSTS["sqrt"][0]))
+                   for f in (cndf_exact, gelu_exact, _HOSTS["sqrt"][0]))
         assert not getattr(_HOSTS["exp"][0], "array_formula", False)
 
     @pytest.mark.parametrize("name", sorted(_HOSTS))
