@@ -34,8 +34,8 @@ from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
 from .errors import UnsupportedCombinationError
 from .fixedpoint import ldexp32, to_fixed_array, to_float_array
-from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi_array,
-                       sqrt_via, tan_extend)
+from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi,
+                       reflect_odd, sqrt_via, tan_extend)
 
 
 class FunctionId(Enum):
@@ -156,7 +156,7 @@ def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig):
 
 
 def _tan(q_sin, q_cos, x):
-    r = reduce_2pi_array(x)
+    r = reduce_2pi(x)
     return tan_extend(q_sin(r), q_cos(r))
 
 
@@ -166,9 +166,9 @@ def _tan(q_sin, q_cos, x):
 # or array formulas (np.sqrt is correctly rounded, as math.sqrt is).
 _TABLE_CELLS = {
     FunctionId.SIN: (((math.sin, 0.0, TWO_PI),),
-                     lambda q, x: q(reduce_2pi_array(x))),
+                     lambda q, x: q(reduce_2pi(x))),
     FunctionId.COS: (((math.cos, 0.0, TWO_PI),),
-                     lambda q, x: q(reduce_2pi_array(x))),
+                     lambda q, x: q(reduce_2pi(x))),
     FunctionId.TAN: (((math.sin, 0.0, TWO_PI), (math.cos, 0.0, TWO_PI)),
                      _tan),
     FunctionId.EXP: (((partial(math.pow, 2.0), 0.0, 1.0),),
@@ -195,16 +195,15 @@ def _as_is(x):  # sin(x) ~= tanh(x) ~= x below table resolution
 
 
 def _d_sin(query, lo, x):
-    r = reduce_2pi_array(np.abs(x))
-    v = piecewise(r < lo, r, _as_is, query)
-    return np.where(x < 0, -v, v)
+    def kernel(a):
+        r = reduce_2pi(a)
+        return piecewise(r < lo, r, _as_is, query)
+    return reflect_odd(x, kernel)
 
 
 def _d_tanh(query, lo, x):
-    def reflected(v):
-        q = query(np.abs(v))
-        return np.where(v < 0, -q, q)
-    return piecewise(np.abs(x) < lo, x, _as_is, reflected)
+    return piecewise(np.abs(x) < lo, x, _as_is,
+                     lambda v: reflect_odd(v, query))
 
 
 def _d_gelu(query, lo, x):

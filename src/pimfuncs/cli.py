@@ -101,9 +101,10 @@ def _cmd_table(args) -> int:
         s = table.spec
         entries = ("composite" if table.entries is None
                    else str(len(table.entries)))
+        end = "]" if s.kind in ("M", "L") else ")"  # D/DL refuse hi
         print(f"kind={s.kind} interpolated={table.interpolated} "
               f"fixed={table.fixed} entries={entries} "
-              f"range=[{s.lo!r}, {s.hi!r}] bytes={lut.lut_memory_bytes(table)}")
+              f"range=[{s.lo!r}, {s.hi!r}{end} bytes={lut.lut_memory_bytes(table)}")
         return 0
 
     method = MethodId(args.method)

@@ -26,8 +26,8 @@ from .costmodel import tally
 from .errors import DomainError, RangeError
 from .fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, check_raw_array,
                          ldexp32, to_fixed, to_fixed_array, to_float_array)
-from .rangeext import (HALF_PI_FIXED, LN_2, exp_extend, exp_split_array,
-                       exp_via, log_via, reduce_2pi_array, sqrt_via)
+from .rangeext import (LN_2, exp_extend, exp_split, exp_via, log_via,
+                       quadrant_adjust, quadrant_reduce, reduce_2pi, sqrt_via)
 
 
 class CordicMode(Enum):
@@ -170,15 +170,10 @@ def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
 def sin_cos(rotate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce |x| to [0, 2*pi), fold into [0, pi/2], rotate, unfold;
     returns (sin x, cos x)."""
-    raw = to_fixed_array(reduce_2pi_array(np.abs(x)))
-    q = np.minimum(raw // HALF_PI_FIXED.raw, 3)
-    tally("int_add", int(q.sum()))  # one fixed subtract per quadrant folded
-    xc, yc = rotate(raw - q * HALF_PI_FIXED.raw)
-    cos_r, sin_r = to_float_array(xc), to_float_array(yc)
-    # sin(r + k*pi/2) for k = 0..3; cos(r + q*pi/2) = sin(r + (q+1)*pi/2)
-    turns = (sin_r, cos_r, -sin_r, -cos_r)
-    s = np.choose(q, turns)
-    return np.where(x < 0, -s, s), np.choose((q + 1) % 4, turns)
+    r, q = quadrant_reduce(to_fixed_array(reduce_2pi(np.abs(x))))
+    xc, yc = rotate(r)
+    s, c = quadrant_adjust(to_float_array(xc), to_float_array(yc), q)
+    return np.where(x < 0, -s, s), c
 
 
 def _pow2_angles(r: np.ndarray) -> np.ndarray:
@@ -210,7 +205,7 @@ def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
         return to_float_array(np.stack([yc, xc]))
     far = x[~near]
     ax = np.abs(far)
-    i, r = exp_split_array(np.concatenate([ax, -ax]))
+    i, r = exp_split(np.concatenate([ax, -ax]))
     theta = _pow2_angles(r)
     if k:
         theta = np.concatenate([to_fixed_array(x[near]), theta])

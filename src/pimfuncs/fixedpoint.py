@@ -81,24 +81,9 @@ def fixed_mul(a: FixedQ3_28, b: FixedQ3_28) -> FixedQ3_28:
     return _check_raw((a.raw * b.raw) >> FRAC_BITS)
 
 
-@dataclass(frozen=True)
-class FloatParts:
-    sign: int
-    exponent: int
-    mantissa: float  # in [1, 2)
-
-
-def split_float(x) -> FloatParts:
-    """Decompose a positive finite value as sign * mantissa * 2**exponent."""
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"split_float requires positive finite input, got {x}")
-    m, e = math.frexp(x)  # m in [0.5, 1)
-    return FloatParts(sign=1, exponent=e - 1, mantissa=2.0 * m)
-
-
-def split_float_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`split_float`: (exponents, mantissas in [1, 2))."""
+def split_float(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, mantissas in [1, 2)) with x = mantissa * 2**exponent,
+    elementwise over positive finite values."""
     bad = ~((x > 0.0) & np.isfinite(x))
     if np.count_nonzero(bad):
         raise DomainError("split_float requires positive finite input, "

@@ -15,7 +15,7 @@ lo and carry one guard entry so entries[a + 1] never branches.
 
 Each kind has one layout, which holds all of its size and range checks:
 M from (lo, hi, size), L from (lo, n, size), D from (exp_bits,
-mant_bits, base_exponent); M and L refuse what float32 queries cannot
+mant_bits, base_exponent); each refuses what float32 queries cannot
 address.  The builders and :func:`load_table` both make their specs
 through it, and a table record (magic ``TPL2``) stores those inputs, so
 a loaded table's spec equals the built table's, and a DL record's L part
@@ -124,7 +124,7 @@ class SpacingSpec:
     base_exponent: int = 0
     hi_exponent: int = 0
     lo: float = 0.0
-    hi: float = 0.0  # covered upper bound
+    hi: float = 0.0  # covered upper bound: closed for M/L, open for D/DL
     size: int = 0  # cells; an interpolated table has one more entry
     p_raw: int = 0  # Q3.28 raw p of a fixed L-LUT
 
@@ -180,14 +180,15 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
 def _d_layout(exp_bits: int, mant_bits: int,
               base_exponent: int) -> SpacingSpec:
     """D spec of 2**exp_bits octaves from 2**base_exponent, each of
-    2**mant_bits cells.  No more than 2**11 octaves fit a double, and
-    bounding exp_bits first keeps 1 << exp_bits small."""
+    2**mant_bits cells.  Queries read float32 exponent fields, so the
+    octaves must lie in float32's normal range [2^-126, 2^128); bounding
+    exp_bits first keeps 1 << exp_bits small."""
     if not (1 <= exp_bits <= 11 and 1 <= mant_bits <= 23):
         raise RangeError("need 1 <= exp_bits <= 11 and 1 <= mant_bits <= 23")
     hi_exponent = base_exponent + (1 << exp_bits)
-    if not (-1074 <= base_exponent and hi_exponent < 1024):
+    if not (-126 <= base_exponent and hi_exponent <= 128):
         raise RangeError(f"D-LUT range [2^{base_exponent}, 2^{hi_exponent}) "
-                         f"exceeds a double")
+                         f"exceeds float32's normal range [2^-126, 2^128)")
     return SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
                        base_exponent=base_exponent, hi_exponent=hi_exponent,
                        lo=math.ldexp(1.0, base_exponent),

@@ -3,12 +3,14 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
-from pimfuncs import lut
+from pimfuncs import RangeError, lut
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator)
 from pimfuncs.cli import main
+from pimfuncs.fixedpoint import to_fixed_array
 
 F, M = FunctionId, MethodId
 
@@ -33,6 +35,34 @@ def test_table_dump_writes_the_evaluators_table(tmp_path, capsys, argv,
     assert lut.dump_table(lut.load_table_file(path)) == blob
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("wrote ") and out[1].startswith("kind=")
+
+
+@pytest.mark.parametrize("argv, query", [
+    (["--method", "mlut"], lut.mlut_query),
+    ([], lut.llut_query_interp),
+    (["--function", "exp", "--format", "fixed"],
+     lambda t, x: lut.fixed_llut_query_interp(t, to_fixed_array(x))),
+    (["--function", "tanh", "--method", "dlut-interp"], lut.dlut_query_interp),
+    (["--function", "tanh", "--method", "dllut-interp"],
+     lut.dllut_query_interp),
+], ids=["M", "L", "fixed-L", "D", "DL"])
+def test_table_load_prints_the_range_its_query_accepts(tmp_path, capsys,
+                                                       argv, query):
+    """``[lo, hi]`` for M and L, ``[lo, hi)`` for D and DL."""
+    path = tmp_path / "t.tplt"
+    assert main(["table", "dump", "--path", str(path)] + argv) == 0
+    assert main(["table", "load", "--path", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1].split(" bytes=")[0]
+    t = lut.load_table_file(path)
+    s = t.spec
+    assert printed.endswith(f"range=[{s.lo!r}, {s.hi!r}"
+                            + ("]" if s.kind in ("M", "L") else ")"))
+    query(t, np.array([s.lo]))
+    if printed.endswith("]"):
+        query(t, np.array([s.hi]))
+    else:
+        with pytest.raises(RangeError):
+            query(t, np.array([s.hi]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -86,21 +86,19 @@ class TestArithmetic:
 
 class TestSplitFloat:
     def test_basic(self):
-        p = split_float(6.0)
-        assert p.exponent == 2
-        assert p.mantissa == 1.5
-        assert p.sign == 1
+        e, m = split_float(np.array([6.0]))
+        assert (e[0], m[0]) == (2, 1.5)
 
     def test_mantissa_range(self):
-        for x in [0.001, 0.5, 1.0, 1.999, 12345.678]:
-            p = split_float(x)
-            assert 1.0 <= p.mantissa < 2.0
-            assert math.ldexp(p.mantissa, p.exponent) == x
+        xs = np.array([0.001, 0.5, 1.0, 1.999, 12345.678])
+        e, m = split_float(xs)
+        assert np.all((1.0 <= m) & (m < 2.0))
+        assert np.array_equal(np.ldexp(m, e), xs)
 
     def test_domain_errors(self):
         for bad in [0.0, -1.0, math.inf, math.nan]:
             with pytest.raises(DomainError):
-                split_float(bad)
+                split_float(np.array([1.0, bad]))
 
 
 class TestLdexp32:

@@ -251,6 +251,8 @@ class TestLayoutChecks:
         (build_llut, (0.0, 1e200, 16)),
         (build_mlut, (0.0, 1e-300, 16)),  # density beyond float32
         (build_llut, (-3e38, 3e38, 16)),  # x - p beyond float32
+        (build_dlut, (4, 6, 120)),  # 2**136 is beyond float32
+        (build_dlut, (4, 6, -160)),  # 2**-160 is 0 in float32
     ])
     def test_refused(self, build, args):
         with counting() as c, pytest.raises(RangeError):
@@ -265,6 +267,14 @@ class TestLayoutChecks:
                        interpolated=query is mlut_query_interp)
         out = query(t, np.array([-reach, 0.0, reach]))
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_widest_d_range_queries_without_overflow(self):
+        top = build_dlut(math.atan, 4, 6, 112)  # up to 2**128
+        bottom = build_dlut(math.atan, 4, 6, -126)
+        f32_max = float(np.finfo(np.float32).max)
+        for t, xs in ((top, [2.0 ** 112, f32_max]), (bottom, [2.0 ** -126])):
+            assert np.all(np.isfinite(dlut_query_interp(t, np.array(xs))))
 
     @pytest.mark.parametrize("build", [build_mlut, build_llut,
                                        build_fixed_llut])

@@ -255,10 +255,11 @@ class TestLayoutFields:
 
     @pytest.mark.parametrize("offset, value", [
         (40, 2 ** 40), (40, -2 ** 40), (40, 2 ** 63 - 1), (40, -2 ** 63),
-        (24, 2 ** 62), (24, 12), (24, -1), (32, 24), (32, 2 ** 62)],
+        (24, 2 ** 62), (24, 12), (24, -1), (32, 24), (32, 2 ** 62),
+        (40, 120), (40, -160)],  # octaves float32 queries cannot reach
         ids=["base-2^40", "base--2^40", "base-max", "base-min",
              "exp_bits-2^62", "exp_bits-12", "exp_bits--1", "mant_bits-24",
-             "mant_bits-2^62"])
+             "mant_bits-2^62", "base-120", "base--160"])
     def test_d_field_out_of_bounds(self, offset, value):
         low_count = struct.unpack_from("<I", _DUMPS["dllut"], 52 + 48)[0]
         d_part = 52 + 52 + 4 * low_count  # after the DL header and L part
