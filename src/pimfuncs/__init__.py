@@ -13,7 +13,7 @@ from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
 from .errors import (DomainError, FixedOverflowError, PimFuncsError,
                      RangeError, TableFormatError,
                      UnsupportedCombinationError)
-from .fixedpoint import FixedQ3_28, ldexp32, split_float, to_fixed, to_float
+from .fixedpoint import ldexp32, split_float, to_fixed, to_float
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "weighted_cost", "with_counting",
     "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",
     "TableFormatError", "UnsupportedCombinationError",
-    "FixedQ3_28", "ldexp32", "split_float", "to_fixed", "to_float",
+    "ldexp32", "split_float", "to_fixed", "to_float",
     "__version__",
 ]

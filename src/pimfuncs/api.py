@@ -33,7 +33,7 @@ import numpy as np
 from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
 from .errors import UnsupportedCombinationError
-from .fixedpoint import ldexp32, to_fixed_array, to_float_array
+from .fixedpoint import ldexp32, to_fixed, to_float
 from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi,
                        reflect_odd, sqrt_via, tan_extend)
 
@@ -145,7 +145,7 @@ def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig):
     if fixed:
         table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp)
         fq = lut.fixed_llut_query_interp if interp else lut.fixed_llut_query
-        return table, lambda r: to_float_array(fq(table, to_fixed_array(r)))
+        return table, lambda r: to_float(fq(table, to_fixed(r)))
     if cfg.method in _L_LUTS:
         table = lut.build_llut(f, lo, hi, cfg.lut_size, interp)
         query = lut.llut_query_interp if interp else lut.llut_query
@@ -305,7 +305,7 @@ def _table_bytes(table) -> int:
         return lut.lut_memory_bytes(table)
     if isinstance(table, combined.CordicLutTables):
         return combined.cordic_lut_memory_bytes(table)
-    return (len(table.angles) + 1) * 4  # angles and the inverse gain
+    return (len(set(table.schedule)) + 1) * 4  # angles and the inverse gain
 
 
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:

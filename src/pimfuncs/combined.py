@@ -21,12 +21,13 @@ from .cordic import (CordicMode, CordicTables, _iterate,
                      generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
-from .fixedpoint import FRAC_BITS, check_raw_array, to_fixed, to_fixed_array
+from .fixedpoint import FRAC_BITS, check_raw, fixed_shift, fixed_sub, to_fixed
 from .lut import tabulate
 
 # Start-table angles cover [0, 2], enough for any quadrant-reduced circular
 # angle and for the hyperbolic residuals the pipelines produce.
 TABLE_SPAN = 2.0
+TABLE_SPAN_RAW = int(to_fixed(TABLE_SPAN))
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,9 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     theta = lambda a: a * step  # exact: step is a power of two
     cos, sin = ((math.cos, math.sin) if mode is CordicMode.CIRCULAR
                 else (math.cosh, math.sinh))
-    cells = np.stack([to_fixed_array(tabulate(cos, theta, count) * inv_g_rem),
-                      to_fixed_array(tabulate(sin, theta, count) * inv_g_rem),
-                      to_fixed_array(theta(np.arange(count)))], axis=1)
+    cells = np.stack([to_fixed(tabulate(cos, theta, count) * inv_g_rem),
+                      to_fixed(tabulate(sin, theta, count) * inv_g_rem),
+                      to_fixed(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
     return CordicLutTables(cells=cells, rem_tables=rem, density_n=b - 1)
 
@@ -73,19 +74,17 @@ def cordic_lut_rotate(tables: CordicLutTables, theta: np.ndarray):
     ``theta`` is an int64 array of raw Q3.28 angles in [0, TABLE_SPAN];
     the results are int64 raw arrays that must stay inside Q3.28.
     """
-    bad = (theta < 0) | (theta > to_fixed(TABLE_SPAN).raw)
+    bad = (theta < 0) | (theta > TABLE_SPAN_RAW)
     if np.count_nonzero(bad):
         raise RangeError(f"theta {theta[bad][0] / (1 << FRAC_BITS):.6f} "
                          f"outside start-table span [0, {TABLE_SPAN}]")
     shift = FRAC_BITS - tables.density_n
     tally("int_add", theta.size)
-    tally("int_shift", theta.size)
-    a = (theta + (1 << (shift - 1))) >> shift  # nearest cell
+    a = fixed_shift(theta + (1 << (shift - 1)), shift)  # nearest cell
     tally("lut_lookup", theta.size)
     x, y, consumed = tables.cells[a].T
-    tally("int_add", theta.size)
-    x, y, _ = _iterate(tables.rem_tables, x, y, theta - consumed)
-    return check_raw_array(x), check_raw_array(y)
+    x, y, _ = _iterate(tables.rem_tables, x, y, fixed_sub(theta, consumed))
+    return check_raw(x), check_raw(y)
 
 
 def rotator(tables: CordicLutTables):
@@ -99,5 +98,5 @@ def rotator(tables: CordicLutTables):
 
 def cordic_lut_memory_bytes(tables: CordicLutTables) -> int:
     cell_bytes = len(tables.cells) * 3 * 4
-    angle_bytes = (len(tables.rem_tables.angles) + 1) * 4  # + inv_gain
+    angle_bytes = (len(set(tables.rem_tables.schedule)) + 1) * 4  # + inv_gain
     return cell_bytes + angle_bytes

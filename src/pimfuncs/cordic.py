@@ -24,8 +24,8 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import DomainError, RangeError
-from .fixedpoint import (FRAC_BITS, SCALE, FixedQ3_28, check_raw_array,
-                         ldexp32, to_fixed, to_fixed_array, to_float_array)
+from .fixedpoint import (SCALE, check_raw, fixed_add, fixed_mul, ldexp32,
+                         to_fixed, to_float)
 from .rangeext import (LN_2, exp_extend, exp_split, exp_via, log_via,
                        quadrant_adjust, quadrant_reduce, reduce_2pi, sqrt_via)
 
@@ -48,9 +48,8 @@ HYP_DIRECT_MAX = 1.1
 class CordicTables:
     mode: CordicMode
     n_iter: int
-    angles: tuple  # FixedQ3_28 per distinct iteration index, decreasing
     gain: float  # product of the performed iterations' scale factors
-    inv_gain: FixedQ3_28
+    inv_gain: int  # raw Q3.28 1 / gain
     schedule: tuple  # performed iteration indices in order, repeats included
     phi_raw: tuple  # raw Q3.28 angle per performed iteration
     max_angle: float  # convergence bound: sum of performed angles
@@ -91,7 +90,6 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
 
     schedule = _build_schedule(mode, n_iter, start)
     distinct = sorted(set(schedule))
-    angles = tuple(to_fixed(_angle(mode, i)) for i in distinct)
 
     gain = 1.0
     max_angle = 0.0
@@ -101,12 +99,11 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
             gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
         else:
             gain *= math.sqrt(1.0 - 2.0 ** (-2 * i))
-    inv_gain = to_fixed(1.0 / gain)
     tally("table_setup_entries", len(distinct) + 1)
-    by_index = {i: a.raw for i, a in zip(distinct, angles)}
+    by_index = {i: int(to_fixed(_angle(mode, i))) for i in distinct}
     phi_raw = tuple(by_index[i] for i in schedule)
-    return CordicTables(mode=mode, n_iter=len(schedule), angles=angles,
-                        gain=gain, inv_gain=inv_gain,
+    return CordicTables(mode=mode, n_iter=len(schedule), gain=gain,
+                        inv_gain=int(to_fixed(1.0 / gain)),
                         schedule=tuple(schedule), phi_raw=phi_raw,
                         max_angle=max_angle)
 
@@ -140,9 +137,9 @@ def cordic_rotate(tables: CordicTables, theta: np.ndarray):
     if np.count_nonzero(bad):
         raise RangeError(f"theta {theta[bad][0] / SCALE:.6f} outside "
                          f"convergence range +-{tables.max_angle:.4f}")
-    x, y, _ = _iterate(tables, np.full(theta.shape, tables.inv_gain.raw),
+    x, y, _ = _iterate(tables, np.full(theta.shape, tables.inv_gain),
                        np.zeros_like(theta), theta)
-    return check_raw_array(x), check_raw_array(y)
+    return check_raw(x), check_raw(y)
 
 
 def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
@@ -160,7 +157,7 @@ def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
     if np.count_nonzero(bad):
         raise RangeError(f"atanh/atan({ratio[bad][0]:.4f}) outside convergence range")
     x, _, t = _iterate(tables, x0, y0, np.zeros_like(x0), vectoring=True)
-    return check_raw_array(x), check_raw_array(t)
+    return check_raw(x), check_raw(t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +167,21 @@ def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
 def sin_cos(rotate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce |x| to [0, 2*pi), fold into [0, pi/2], rotate, unfold;
     returns (sin x, cos x)."""
-    r, q = quadrant_reduce(to_fixed_array(reduce_2pi(np.abs(x))))
+    r, q = quadrant_reduce(to_fixed(reduce_2pi(np.abs(x))))
     xc, yc = rotate(r)
-    s, c = quadrant_adjust(to_float_array(xc), to_float_array(yc), q)
+    s, c = quadrant_adjust(to_float(xc), to_float(yc), q)
     return np.where(x < 0, -s, s), c
 
 
 def _pow2_angles(r: np.ndarray) -> np.ndarray:
     """Raw angles r ln 2 of 2**r = cosh(r ln 2) + sinh(r ln 2)."""
     tally("float_mul", r.size)
-    return to_fixed_array(r * LN_2)
+    return to_fixed(r * LN_2)
 
 
 def _pow2_finish(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     """2**r from the rotated (cosh, sinh) of :func:`_pow2_angles`."""
-    tally("int_add", xc.size)
-    return to_float_array(check_raw_array(xc + yc))
+    return to_float(fixed_add(xc, yc))
 
 
 def exp_array(rotate, x: np.ndarray) -> np.ndarray:
@@ -201,14 +197,14 @@ def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
     near = np.abs(x) <= HYP_DIRECT_MAX
     k = int(np.count_nonzero(near))
     if k == x.size:  # an empty x too, so every batch rotates once
-        xc, yc = rotate(to_fixed_array(x))
-        return to_float_array(np.stack([yc, xc]))
+        xc, yc = rotate(to_fixed(x))
+        return to_float(np.stack([yc, xc]))
     far = x[~near]
     ax = np.abs(far)
     i, r = exp_split(np.concatenate([ax, -ax]))
     theta = _pow2_angles(r)
     if k:
-        theta = np.concatenate([to_fixed_array(x[near]), theta])
+        theta = np.concatenate([to_fixed(x[near]), theta])
     xc, yc = rotate(theta)
     # Halving 2**r before the extension by 2**i keeps exp(|x|)/2 finite
     # up to |x| ~ 89.4, where exp(|x|) itself overflows float32.
@@ -218,7 +214,7 @@ def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
     s = hp - hm
     out = np.empty((2,) + x.shape, dtype=np.float32)
     if k:
-        out[:, near] = to_float_array(np.stack([yc[:k], xc[:k]]))
+        out[:, near] = to_float(np.stack([yc[:k], xc[:k]]))
     out[:, ~near] = np.stack([np.where(far < 0, -s, s), hp + hm])
     return out
 
@@ -234,19 +230,15 @@ def tanh_array(rotate, x: np.ndarray) -> np.ndarray:
 def log_array(tables: CordicTables, x: np.ndarray) -> np.ndarray:
     """ln(m) = 2 * atanh((m - 1) / (m + 1)) on the mantissa, then extend."""
     def ln_mantissa(m):
-        _, theta = cordic_vector(tables, to_fixed_array(m + 1.0),
-                                 to_fixed_array(m - 1.0))
-        return ldexp32(to_float_array(theta), 1)
+        _, theta = cordic_vector(tables, to_fixed(m + 1.0), to_fixed(m - 1.0))
+        return ldexp32(to_float(theta), 1)
     return log_via(ln_mantissa, x)
 
 
 def sqrt_array(tables: CordicTables, x: np.ndarray) -> np.ndarray:
     """sqrt(m) = sqrt((m + 1/4)^2 - (m - 1/4)^2) via hyperbolic vectoring."""
     def sqrt_mantissa(m):
-        xr, _ = cordic_vector(tables, to_fixed_array(m + 0.25),
-                              to_fixed_array(m - 0.25))
-        tally("int_mul", m.size)  # gain compensation
-        return to_float_array(check_raw_array(
-            (xr * tables.inv_gain.raw) >> FRAC_BITS))
+        xr, _ = cordic_vector(tables, to_fixed(m + 0.25), to_fixed(m - 0.25))
+        return to_float(fixed_mul(xr, tables.inv_gain))  # gain compensation
     return sqrt_via(sqrt_mantissa, x)
 

@@ -101,14 +101,17 @@ def with_counting(thunk):
     return result, c
 
 
-def weighted_cost(counts: OpCounts, weights: dict | None = None) -> float:
-    if weights is None:
-        weights = DEFAULT_WEIGHTS
+def _check_weights(weights: dict) -> dict:
     for key, w in weights.items():
         if key not in OP_FIELDS:
             raise ValueError(f"unknown op field in weights: {key}")
-        if w < 0:
-            raise ValueError(f"negative weight for {key}")
+        if not 0 <= w < float("inf"):  # NaN fails this too
+            raise ValueError(f"weight {w} for {key} is not finite and >= 0")
+    return weights
+
+
+def weighted_cost(counts: OpCounts, weights: dict | None = None) -> float:
+    weights = _check_weights(DEFAULT_WEIGHTS if weights is None else weights)
     return sum(weights.get(f, 0.0) * getattr(counts, f) for f in OP_FIELDS)
 
 
@@ -121,8 +124,5 @@ def load_weights(path) -> dict:
             if not line:
                 continue
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in OP_FIELDS:
-                raise ValueError(f"unknown op field in weight profile: {key}")
-            weights[key] = float(value)
-    return weights
+            weights[key.strip()] = float(value)
+    return _check_weights(weights)

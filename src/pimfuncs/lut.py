@@ -58,8 +58,7 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import RangeError, TableFormatError
-from .fixedpoint import (FRAC_BITS, check_raw_array, ldexp32, to_fixed,
-                         to_fixed_array)
+from .fixedpoint import FRAC_BITS, SCALE, check_raw, ldexp32, to_fixed
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
@@ -174,7 +173,7 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
         raise RangeError(f"a fixed L-LUT needs 0 <= n <= {FRAC_BITS} and "
                          f"its range inside Q3.28, got {n} and [{lo}, {hi}]")
     return SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi, size=size,
-                       p_raw=to_fixed(p).raw if fixed else 0)
+                       p_raw=int(to_fixed(p)) if fixed else 0)
 
 
 def _d_layout(exp_bits: int, mant_bits: int,
@@ -218,7 +217,7 @@ def _tabulated(f, spec: SpacingSpec, interpolated: bool,
     count = spec.size + interpolated
     values = tabulate(f, _nodes(spec), count)
     tally("table_setup_entries", count)
-    entries = to_fixed_array(values) if fixed else values.astype(np.float32)
+    entries = to_fixed(values) if fixed else values.astype(np.float32)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     fixed=fixed)
 
@@ -328,6 +327,7 @@ def build_fixed_llut(f, lo: float, hi: float, size: int,
 
 def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the address is a rounding shift of x - p."""
+    _check_range(lut, raw / SCALE)
     s = lut.spec
     shift = FRAC_BITS - s.n
     tally("int_add", 2 * raw.size)
@@ -339,6 +339,7 @@ def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
 
 def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     """Raw Q3.28 input; the bits below the address are the Q3.28 delta."""
+    _check_range(lut, raw / SCALE)
     s = lut.spec
     shift = FRAC_BITS - s.n
     size = s.size
@@ -352,7 +353,7 @@ def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     l1 = lut.entries[np.minimum(a + 1, size)]
     tally("int_add", 2 * raw.size)
     tally("int_mul", raw.size)
-    return check_raw_array(l0 + (((l1 - l0) * delta_raw) >> FRAC_BITS))
+    return check_raw(l0 + (((l1 - l0) * delta_raw) >> FRAC_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,9 @@ def build_dlut(f, exp_bits: int, mant_bits: int,
 
 def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     s = lut.spec
-    addr, bits = _dlut_address(s, x.astype(np.float32))
+    with np.errstate(over="ignore"):  # +-inf beyond float32: refused below
+        x32 = x.astype(np.float32)
+    addr, bits = _dlut_address(s, x32)
     low_bits = 23 - s.mant_bits
     # Delta comes straight from the mantissa bits below the address field.
     rem = bits & ((1 << low_bits) - 1)

@@ -20,7 +20,7 @@ from .errors import DomainError
 from .fixedpoint import ldexp32, split_float, to_fixed
 
 TWO_PI = 2.0 * math.pi
-HALF_PI_RAW = to_fixed(math.pi / 2.0).raw
+HALF_PI_RAW = int(to_fixed(math.pi / 2.0))
 LOG2_E = math.log2(math.e)
 LN_2 = math.log(2.0)
 

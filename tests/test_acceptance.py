@@ -14,7 +14,7 @@ from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, supported)
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting, weighted_cost
-from pimfuncs.fixedpoint import to_fixed_array, to_float_array
+from pimfuncs.fixedpoint import to_fixed, to_float
 from pimfuncs.harness import (DEFAULT_DOMAINS, amortization_crossover,
                               csv_text, reference_values, rmse_sweep,
                               run_blackscholes, run_sigmoid, run_softmax)
@@ -116,7 +116,7 @@ def test_c04_multiplication_budgets(capfd):
            fmuls(mlut_query, m, x), fmuls(mlut_query_interp, mi, x),
            fmuls(dlut_query_interp, d, x))
     tables = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-    theta = to_fixed_array(np.array([0.7]))
+    theta = to_fixed(np.array([0.7]))
     _, cc = with_counting(lambda: cordic_rotate(tables, theta))
     ok = got == (0, 1, 1, 2, 1) and cc.int_mul == 0 and cc.float_mul == 0
     _verdict(capfd, 4, "multiplication-budgets", ok,
@@ -136,7 +136,7 @@ def test_c05_cost_flatness_and_growth(capfd):
     flat = per_size[0] == per_size[1] == per_size[2]
 
     shifts = []
-    theta = to_fixed_array(np.array([0.7]))
+    theta = to_fixed(np.array([0.7]))
     for n in (8, 16, 24):
         t = generate_cordic_tables(CordicMode.CIRCULAR, n)
         _, c = with_counting(lambda: cordic_rotate(t, theta))
@@ -153,13 +153,13 @@ def test_c06_cordic_error_decay(capfd):
     # iteration, until the fixed/float error floor is reached.
     floor = 2e-7
     xs = np.linspace(0.0, math.pi / 2, 4096)
-    raw = to_fixed_array(xs)
+    raw = to_fixed(xs)
     sines = np.array(list(map(math.sin, xs.tolist())))
     errs = {}
     for n in range(8, 26):
         t = generate_cordic_tables(CordicMode.CIRCULAR, n)
         _, y = cordic_rotate(t, raw)  # one call over all 4096 angles
-        errs[n] = float(np.max(np.abs(to_float_array(y).astype(np.float64)
+        errs[n] = float(np.max(np.abs(to_float(y).astype(np.float64)
                                       - sines)))
     worst = math.inf
     checked = 0

@@ -10,7 +10,7 @@ from pimfuncs import RangeError, lut
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator)
 from pimfuncs.cli import main
-from pimfuncs.fixedpoint import to_fixed_array
+from pimfuncs.fixedpoint import to_fixed
 
 F, M = FunctionId, MethodId
 
@@ -41,7 +41,7 @@ def test_table_dump_writes_the_evaluators_table(tmp_path, capsys, argv,
     (["--method", "mlut"], lut.mlut_query),
     ([], lut.llut_query_interp),
     (["--function", "exp", "--format", "fixed"],
-     lambda t, x: lut.fixed_llut_query_interp(t, to_fixed_array(x))),
+     lambda t, x: lut.fixed_llut_query_interp(t, to_fixed(x))),
     (["--function", "tanh", "--method", "dlut-interp"], lut.dlut_query_interp),
     (["--function", "tanh", "--method", "dllut-interp"],
      lut.dllut_query_interp),
@@ -144,6 +144,19 @@ def test_workload_unknown_variant(tmp_path, capsys):
 def test_count_below_one_is_refused(tmp_path, capsys, argv):
     path = tmp_path / "out.csv"
     assert main(argv + ["--out", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("weight", ("-1", "nan", "inf"))
+def test_bad_weight_is_refused_before_any_work(tmp_path, capsys, weight):
+    prof = tmp_path / "w.txt"
+    prof.write_text(f"float_mul={weight}\n")
+    path = tmp_path / "out.csv"
+    assert main(["--weights", str(prof), "sweep", "--function", "sin",
+                 "--method", "llut-interp", "--sizes", "64", "--samples", "8",
+                 "--out", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not path.exists()

@@ -8,17 +8,17 @@ from pimfuncs.combined import (build_cordic_lut, cordic_lut_memory_bytes,
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed_array, to_float_array
+from pimfuncs.fixedpoint import to_fixed, to_float
 
 
 def fx(*values) -> np.ndarray:
     """Raw Q3.28 int64 array of ``values``."""
-    return to_fixed_array(np.array(values, dtype=np.float64))
+    return to_fixed(values)
 
 
 def fl(raw: np.ndarray) -> np.ndarray:
     """float64 values of a raw Q3.28 array."""
-    return to_float_array(raw).astype(np.float64)
+    return to_float(raw).astype(np.float64)
 
 
 class TestBuild:

@@ -11,31 +11,31 @@ from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_rotate,
                              cordic_vector, generate_cordic_tables)
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, RangeError
-from pimfuncs.fixedpoint import (RAW_MAX, RAW_MIN, to_fixed, to_fixed_array,
-                                 to_float_array)
+from pimfuncs.fixedpoint import RAW_MAX, RAW_MIN, SCALE, to_fixed, to_float
 from pimfuncs.harness import DEFAULT_DOMAINS
 
 
 def fx(*values) -> np.ndarray:
     """Raw Q3.28 int64 array of ``values``."""
-    return to_fixed_array(np.array(values, dtype=np.float64))
+    return to_fixed(values)
 
 
 def fl(raw: np.ndarray) -> np.ndarray:
     """float64 values of a raw Q3.28 array."""
-    return to_float_array(raw).astype(np.float64)
+    return to_float(raw).astype(np.float64)
 
 
 class TestTableGeneration:
     def test_circular_inverse_gain(self):
         # Product over i=0..23 of 1/sqrt(1 + 2^-2i), independent double oracle
         t = generate_cordic_tables(CordicMode.CIRCULAR, 24)
-        assert float(t.inv_gain) == pytest.approx(0.6072529350088813, abs=1e-8)
+        assert t.inv_gain / SCALE == pytest.approx(0.6072529350088813,
+                                                   abs=1e-8)
 
     def test_circular_schedule(self):
         t = generate_cordic_tables(CordicMode.CIRCULAR, 8)
         assert t.schedule == tuple(range(8))
-        assert float(t.angles[0]) == pytest.approx(math.atan(1.0), abs=1e-8)
+        assert t.phi_raw[0] / SCALE == pytest.approx(math.atan(1.0), abs=1e-8)
 
     def test_hyperbolic_repeats(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 16)
@@ -213,7 +213,7 @@ class TestPipelines:
 
     def test_tan_pole(self):
         # Exactly the fixed-point pi/2 lands on raw cos == 0
-        v = _cordic("tan", float(to_fixed(math.pi / 2)))
+        v = _cordic("tan", to_fixed(math.pi / 2) / SCALE)
         assert abs(float(v)) > 1e6 or math.isinf(float(v))
 
     @pytest.mark.parametrize("x", [-4.0, -2.0, -0.9, 0.0, 0.4, 1.1, 3.0, 5.0])

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -81,11 +82,14 @@ def test_weighted_cost_default():
 
 
 def test_weighted_cost_validates():
-    c = OpCounts()
     with pytest.raises(ValueError):
-        weighted_cost(c, {"bogus_field": 1.0})
+        weighted_cost(OpCounts(), {"bogus_field": 1.0})
+
+
+@pytest.mark.parametrize("w", (-1.0, math.nan, math.inf))
+def test_weighted_cost_refuses_weight(w):
     with pytest.raises(ValueError):
-        weighted_cost(c, {"float_mul": -1.0})
+        weighted_cost(OpCounts(), {"float_mul": w})
 
 
 def test_default_weights_cover_cost_fields():

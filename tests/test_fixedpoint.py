@@ -5,83 +5,85 @@ import pytest
 
 from pimfuncs.costmodel import with_counting
 from pimfuncs.errors import DomainError, FixedOverflowError, RangeError
-from pimfuncs.fixedpoint import (SCALE, FixedQ3_28, fixed_add, fixed_mul,
-                                 fixed_shift, fixed_sub, ldexp32, split_float,
-                                 to_fixed, to_float)
+from pimfuncs.fixedpoint import (RAW_MAX, RAW_MIN, SCALE, check_raw, fixed_add,
+                                 fixed_mul, fixed_shift, fixed_sub, ldexp32,
+                                 split_float, to_fixed, to_float)
 
 
 class TestToFixed:
     def test_exact_small_values(self):
-        assert to_fixed(0.0).raw == 0
-        assert to_fixed(1.0).raw == SCALE
-        assert to_fixed(-1.0).raw == -SCALE
-        assert to_fixed(0.5).raw == SCALE // 2
+        raw = to_fixed(np.array([0.0, 1.0, -1.0, 0.5]))
+        assert raw.dtype == np.int64
+        assert raw.tolist() == [0, SCALE, -SCALE, SCALE // 2]
+        assert to_fixed(1.0).shape == ()  # a float gives a 0-d result
 
     def test_pi_oracle(self):
         # round(pi * 2**28) computed independently with integer arithmetic
-        assert to_fixed(math.pi).raw == 843314857
+        assert to_fixed(math.pi) == 843314857
 
     def test_round_to_nearest_even(self):
-        # 2**-29 is exactly halfway between raw 0 and raw 1 -> even (0)
-        assert to_fixed(2.0 ** -29).raw == 0
+        # 2**-29 is exactly halfway between raw 0 and raw 1 -> even (0);
         # 3 * 2**-29 is halfway between raw 1 and raw 2 -> even (2)
-        assert to_fixed(3.0 * 2.0 ** -29).raw == 2
+        assert to_fixed([2.0 ** -29, 3.0 * 2.0 ** -29]).tolist() == [0, 2]
 
     def test_range_limits(self):
-        to_fixed(7.999999)
-        to_fixed(-7.999999)
-        with pytest.raises(RangeError):
-            to_fixed(8.0)
-        with pytest.raises(RangeError):
-            to_fixed(-8.0)
-        with pytest.raises(RangeError):
-            to_fixed(math.inf)
-        with pytest.raises(RangeError):
-            to_fixed(math.nan)
+        to_fixed(np.array([7.999999, -7.999999]))
+        for bad in [8.0, -8.0, math.inf, -math.inf, math.nan]:
+            with pytest.raises(RangeError):
+                to_fixed(np.array([0.5, bad]))
+            with pytest.raises(RangeError):
+                to_fixed(bad)
 
     def test_round_trip(self):
-        for x in [0.1, -2.7, 3.14159, 7.5, -7.99]:
-            assert abs(float(to_fixed(x)) - x) <= 2.0 ** -29
+        xs = np.array([0.1, -2.7, 3.14159, 7.5, -7.99])
+        assert np.all(np.abs(to_fixed(xs) / SCALE - xs) <= 2.0 ** -29)
 
 
 class TestArithmetic:
     def test_add_sub(self):
-        a, b = to_fixed(1.25), to_fixed(2.5)
-        assert float(fixed_add(a, b)) == pytest.approx(3.75, abs=1e-8)
-        assert float(fixed_sub(a, b)) == pytest.approx(-1.25, abs=1e-8)
+        a, b = to_fixed([1.25, -0.5]), to_fixed([2.5, 0.25])
+        assert (fixed_add(a, b) / SCALE).tolist() == [3.75, -0.25]
+        assert (fixed_sub(a, b) / SCALE).tolist() == [-1.25, -0.75]
 
     def test_add_overflow_raises(self):
-        big = to_fixed(7.9)
+        big = to_fixed(np.array([0.0, 7.9]))
         with pytest.raises(FixedOverflowError):
             fixed_add(big, big)
+        with pytest.raises(FixedOverflowError):
+            fixed_sub(-big, big)
 
     def test_shift_is_arithmetic(self):
-        assert fixed_shift(FixedQ3_28(-8), 2).raw == -2
-        assert fixed_shift(FixedQ3_28(-1), 1).raw == -1  # floor, not trunc
-        assert fixed_shift(to_fixed(1.0), 4).raw == SCALE >> 4
+        assert fixed_shift(np.array([-8, SCALE]), 2).tolist() == [-2, SCALE // 4]
+        # floor, not truncation toward 0
+        assert fixed_shift(np.array([-1]), 1).tolist() == [-1]
+        assert fixed_shift(np.array([RAW_MIN]), 31).tolist() == [-1]
 
     def test_shift_range(self):
-        with pytest.raises(RangeError):
-            fixed_shift(to_fixed(1.0), 32)
-        with pytest.raises(RangeError):
-            fixed_shift(to_fixed(1.0), -1)
+        for i in (32, -1):
+            with pytest.raises(RangeError):
+                fixed_shift(to_fixed(np.array([1.0])), i)
 
     def test_mul(self):
-        a, b = to_fixed(1.5), to_fixed(2.0)
-        assert float(fixed_mul(a, b)) == pytest.approx(3.0, abs=1e-8)
-        assert float(fixed_mul(to_fixed(-1.5), b)) == pytest.approx(-3.0, abs=2e-8)
+        a, b = to_fixed(np.array([1.5, -1.5])), to_fixed(2.0)
+        assert (fixed_mul(a, b) / SCALE).tolist() == [3.0, -3.0]
+        # truncated toward -inf: (+-2**-28) * 0.5 gives 0 and -2**-28
+        assert fixed_mul(np.array([1, -1]), SCALE // 2).tolist() == [0, -1]
+        with pytest.raises(FixedOverflowError):
+            fixed_mul(to_fixed(np.array([4.0])), to_fixed(2.0))
 
     def test_raw_bounds_enforced(self):
         with pytest.raises(FixedOverflowError):
-            FixedQ3_28(1 << 31)
-        FixedQ3_28((1 << 31) - 1)
-        FixedQ3_28(-(1 << 31))
+            check_raw(np.array([0, RAW_MAX + 1]))
+        with pytest.raises(FixedOverflowError):
+            check_raw(np.array([RAW_MIN - 1]))
+        ok = np.array([RAW_MAX, RAW_MIN])
+        assert check_raw(ok) is ok
 
     def test_ops_are_tallied(self):
-        a, b = to_fixed(0.5), to_fixed(0.25)
-        _, c = with_counting(lambda: fixed_mul(fixed_add(a, b), b))
-        assert c.int_add == 1
-        assert c.int_mul == 1
+        a, b = to_fixed(np.array([0.5, 0.25, 1.0])), to_fixed(0.25)
+        _, c = with_counting(lambda: fixed_shift(
+            fixed_sub(fixed_mul(fixed_add(a, b), b), b), 1))
+        assert (c.int_add, c.int_mul, c.int_shift) == (6, 3, 3)
 
 
 class TestSplitFloat:
@@ -159,6 +161,7 @@ class TestLdexp32:
 
 
 def test_to_float_is_float32():
-    v = to_float(to_fixed(1.0 / 3.0))
-    assert isinstance(v, np.float32)
-    assert abs(float(v) - 1.0 / 3.0) < 1e-7
+    v = to_float(to_fixed(np.array([1.0 / 3.0, -2.5])))
+    assert v.dtype == np.float32
+    assert abs(float(v[0]) - 1.0 / 3.0) < 1e-7 and v[1] == -2.5
+    assert isinstance(to_float(to_fixed(1.0 / 3.0)), np.float32)

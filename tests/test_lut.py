@@ -5,7 +5,7 @@ import pytest
 
 from pimfuncs.costmodel import counting, with_counting
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed_array, to_float_array
+from pimfuncs.fixedpoint import to_fixed, to_float
 from pimfuncs.lut import (build_dllut, build_dlut,
                           build_fixed_llut, build_llut, build_mlut,
                           dllut_query_interp, dlut_query_interp,
@@ -21,7 +21,7 @@ def at(query, t, x):
 
 def fixed_at(query, t, xs):
     """A fixed-table ``query`` of float inputs, converted through Q3.28."""
-    return to_float_array(query(t, to_fixed_array(np.asarray(xs, float))))
+    return to_float(query(t, to_fixed(xs)))
 
 
 class TestMlutAddressing:
@@ -145,8 +145,20 @@ class TestFixedLlut:
         # nearest-entry rounding term is 0, not a negative shift.
         t = build_fixed_llut(math.sin, 0.0, 2.0 ** -27, 2)
         assert t.spec.n == 28
-        got = fixed_llut_query(t, to_fixed_array(np.array([2.0 ** -29])))
+        got = fixed_llut_query(t, to_fixed(np.array([2.0 ** -29])))
         assert got[0] == t.entries[0]
+
+    @pytest.mark.parametrize("interp", (False, True))
+    def test_out_of_range_raises(self, interp):
+        # An L-LUT covers [0, 1] at 16 cells; 5.0 would read a clamped cell.
+        t = build_fixed_llut(math.sin, 0.0, 1.0, 16, interpolated=interp)
+        query = fixed_llut_query_interp if interp else fixed_llut_query
+        s = t.spec
+        edges = to_fixed(np.array([s.lo, s.hi]))
+        query(t, edges)
+        for raw in (edges[0] - 1, edges[1] + 1, to_fixed(5.0), to_fixed(-5.0)):
+            with pytest.raises(RangeError):
+                query(t, np.array([edges[0], raw]))
 
 
 class TestDlut:
@@ -182,6 +194,15 @@ class TestDlut:
         with pytest.raises(RangeError):
             at(dlut_query_interp, t, -1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_beyond_float32_raises(self):
+        # +-1e39 cast to float32 is +-inf, refused by the range check
+        # rather than leaking an overflow warning from the cast.
+        t = build_dlut(math.tanh, exp_bits=5, mant_bits=8, base_exponent=-16)
+        for x in (1e39, -1e39):
+            with pytest.raises(RangeError):
+                at(dlut_query_interp, t, x)
+
     def test_one_float_multiply(self):
         t = build_dlut(math.tanh, exp_bits=5, mant_bits=8, base_exponent=-16)
         _, c = with_counting(lambda: at(dlut_query_interp, t, 0.37))
@@ -209,6 +230,12 @@ class TestDllut:
         t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
         with pytest.raises(RangeError):
             at(dllut_query_interp, t, -0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_beyond_float32_raises(self):
+        t = build_dllut(math.tanh, exp_bits=4, mant_bits=8, base_exponent=0)
+        with pytest.raises(RangeError):
+            at(dllut_query_interp, t, 1e39)
 
 
 class TestMemoryAccounting:

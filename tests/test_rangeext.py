@@ -7,7 +7,7 @@ import pytest
 from pimfuncs import api, rangeext
 from pimfuncs.costmodel import OpCounts, counting
 from pimfuncs.errors import DomainError
-from pimfuncs.fixedpoint import SCALE, split_float, to_fixed_array
+from pimfuncs.fixedpoint import SCALE, split_float, to_fixed
 from pimfuncs.harness import DEFAULT_DOMAINS
 from pimfuncs.rangeext import (TWO_PI, exp_extend, exp_split, log_extend,
                                quadrant_adjust, quadrant_reduce, reduce_2pi,
@@ -44,18 +44,18 @@ class TestReduce2Pi:
 
 class TestQuadrants:
     def test_reduce_all_quadrants(self):
-        theta = to_fixed_array(0.7 + np.arange(4) * math.pi / 2)
+        theta = to_fixed(0.7 + np.arange(4) * math.pi / 2)
         r, q = quadrant_reduce(theta)
         assert q.tolist() == [0, 1, 2, 3]
         np.testing.assert_allclose(r / SCALE, 0.7, atol=1e-7)
 
     def test_angle_stays_small(self):
-        r, _ = quadrant_reduce(to_fixed_array(np.linspace(0, TWO_PI - 1e-6, 101)))
+        r, _ = quadrant_reduce(to_fixed(np.linspace(0, TWO_PI - 1e-6, 101)))
         assert np.all((-1e-7 <= r / SCALE) & (r / SCALE <= math.pi / 2 + 1e-7))
 
     def test_adjust_recovers_sin_cos(self):
         xs = np.linspace(0.01, TWO_PI - 0.01, 37)
-        r, q = quadrant_reduce(to_fixed_array(xs))
+        r, q = quadrant_reduce(to_fixed(xs))
         a = r / SCALE
         s, c = quadrant_adjust(np.cos(a).astype(np.float32),
                                np.sin(a).astype(np.float32), q)
@@ -117,12 +117,6 @@ class TestReflectOdd:
         assert c == OpCounts()  # the sign flip is not tallied
 
 
-# Kept apart from the call check: the Q3.28 scalar box, which table
-# set-up uses but no pipeline calls.
-_Q3_28_BOX = {"to_fixed", "to_float", "fixed_add", "fixed_sub",
-              "fixed_shift", "fixed_mul"}
-
-
 class _Recording(Patches):
     def __init__(self):
         super().__init__()
@@ -140,8 +134,7 @@ def test_tracer_wraps_range_steps_that_default_cells_call():
     Tracer().install(patches)
     patches.undo()
     steps = [f for f in patches.replaced
-             if f.__module__ in ("pimfuncs.rangeext", "pimfuncs.fixedpoint")
-             and f.__name__ not in _Q3_28_BOX]
+             if f.__module__ in ("pimfuncs.rangeext", "pimfuncs.fixedpoint")]
     assert {"quadrant_reduce", "reflect_odd",
             "split_float"} <= {f.__name__ for f in steps}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimfuncs.errors import PimFuncsError, TableFormatError
-from pimfuncs.fixedpoint import to_fixed_array
+from pimfuncs.fixedpoint import to_fixed
 from pimfuncs.lut import (build_dllut, build_dlut, build_fixed_llut,
                           build_llut, build_mlut, dllut_query_interp,
                           dlut_query_interp, dump_table, fixed_llut_query,
@@ -83,7 +83,7 @@ class TestQueriesAfterReload:
     def test_fixed(self):
         t, ti = _tables()["fixed"], _tables()["fixed_i"]
         tb, tib = load_table(dump_table(t)), load_table(dump_table(ti))
-        raw = to_fixed_array(np.array([0.1, 2.5, 5.9]))
+        raw = to_fixed(np.array([0.1, 2.5, 5.9]))
         assert np.array_equal(fixed_llut_query(tb, raw),
                               fixed_llut_query(t, raw))
         assert np.array_equal(fixed_llut_query_interp(tib, raw),
@@ -224,7 +224,7 @@ class TestLayoutRoundTrip:
             if kind == "fixed-L":
                 query = (fixed_llut_query_interp if interp
                          else fixed_llut_query)
-                edges = to_fixed_array(edges)
+                edges = to_fixed(edges)
             else:
                 query = _EDGE_QUERY[kind, interp]
             if back.spec != t.spec or not np.array_equal(query(back, edges),

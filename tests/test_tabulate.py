@@ -4,7 +4,7 @@ Every table builder and every double reference evaluates its host
 function over vectorized nodes, a chunk at a time: a scalar host is
 mapped node by node, an array formula is called once per float64 chunk.
 The oracles here are the per-node loops written out:
-``[f(float(v)) for v in nodes]``, ``to_fixed(...).raw`` per entry, and
+``[f(float(v)) for v in nodes]``, ``round(v * 2**28)`` per entry, and
 the D-LUT ``divmod``/``math.ldexp`` address loop, with each compound
 host written as its scalar formula (``_cndf``, ``_gelu``, ``2.0 ** r``)
 rather than imported from the library.  Sizes straddle the chunk edges.
@@ -24,7 +24,6 @@ from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, EvaluatorConfig, MethodId,
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
@@ -58,6 +57,13 @@ _SCALAR_REFERENCE = {
 }
 
 
+def _q3_28(v: float) -> int:
+    """The Q3.28 raw of one double, round half to even, |v| < 8 only."""
+    if not abs(v) < 8.0:
+        raise RangeError(f"{v} outside Q3.28 range (-8, 8)")
+    return round(v * 2 ** 28)
+
+
 def _bits(a) -> list:
     a = np.asarray(a)
     return a.view(np.uint32 if a.dtype == np.float32 else np.uint64).tolist()
@@ -68,7 +74,7 @@ def _ml_loop(f, lut, fixed=False):
     s = lut.spec
     nodes = s.p + np.arange(len(lut.entries)) / s.k
     if fixed:
-        return np.asarray([to_fixed(f(float(v))).raw for v in nodes],
+        return np.asarray([_q3_28(f(float(v))) for v in nodes],
                           dtype=np.int64)
     return np.asarray([f(float(v)) for v in nodes], dtype=np.float32)
 
@@ -226,8 +232,8 @@ class TestCordicLutStartCells:
         cos, sin = ((math.cos, math.sin) if mode is CordicMode.CIRCULAR
                     else (math.cosh, math.sinh))
         step = TABLE_SPAN / (1 << b)
-        want = [(to_fixed(cos(a * step) * inv_g).raw,
-                 to_fixed(sin(a * step) * inv_g).raw, to_fixed(a * step).raw)
+        want = [(_q3_28(cos(a * step) * inv_g), _q3_28(sin(a * step) * inv_g),
+                 _q3_28(a * step))
                 for a in range((1 << b) + 1)]
         assert tables.cells.dtype == np.int64
         assert [tuple(row) for row in tables.cells.tolist()] == want
