@@ -95,6 +95,14 @@ def gelu_exact(x):
     return x * cndf_exact(x)
 
 
+def _as_float32(xs) -> np.ndarray:
+    """``xs`` rounded to float32; a double beyond float32 becomes +-inf."""
+    if isinstance(xs, np.ndarray) and xs.dtype == np.float32:
+        return xs  # nothing to round, and errstate costs a microsecond
+    with np.errstate(over="ignore"):
+        return np.asarray(xs, dtype=np.float32)
+
+
 @dataclass(eq=False)
 class Evaluator:
     """One built cell.  ``pipeline`` maps a float64 array to float32
@@ -112,10 +120,10 @@ class Evaluator:
 
     def evaluate(self, x) -> np.float32:
         """One value, rounded to float32 as ``evaluate_batch`` rounds it."""
-        return self.pipeline(np.asarray([x], np.float32).astype(np.float64))[0]
+        return self.pipeline(_as_float32([x]).astype(np.float64))[0]
 
     def evaluate_batch(self, xs) -> tuple[np.ndarray, OpCounts]:
-        arr = np.asarray(xs, dtype=np.float32)
+        arr = _as_float32(xs)
         with counting() as c:
             out = self.pipeline(arr.ravel().astype(np.float64))
         return out.reshape(arr.shape), c
@@ -161,19 +169,21 @@ def _tan(q_sin, q_cos, x):
 
 
 # function -> ((host f, lo, hi) per table, pipeline step); the step
-# takes one query per table, then the input array.  Hosts are libm
-# callables mapped per node (math.pow(2.0, r) is 2.0 ** r, bit for bit)
-# or array formulas (np.sqrt is correctly rounded, as math.sqrt is).
+# takes one query per table, then the input array.  The libm hosts are
+# twins (lut.twin): numpy's ufunc gives each entry it settles, and libm,
+# called per node, the rest (math.pow(2.0, r) is 2.0 ** r, bit for bit).
+# sqrt's host is an array formula: np.sqrt is correctly rounded, as
+# math.sqrt is.
+_SIN = lut.twin(math.sin, np.sin)
+_COS = lut.twin(math.cos, np.cos)
 _TABLE_CELLS = {
-    FunctionId.SIN: (((math.sin, 0.0, TWO_PI),),
-                     lambda q, x: q(reduce_2pi(x))),
-    FunctionId.COS: (((math.cos, 0.0, TWO_PI),),
-                     lambda q, x: q(reduce_2pi(x))),
-    FunctionId.TAN: (((math.sin, 0.0, TWO_PI), (math.cos, 0.0, TWO_PI)),
-                     _tan),
-    FunctionId.EXP: (((partial(math.pow, 2.0), 0.0, 1.0),),
+    FunctionId.SIN: (((_SIN, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
+    FunctionId.COS: (((_COS, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
+    FunctionId.TAN: (((_SIN, 0.0, TWO_PI), (_COS, 0.0, TWO_PI)), _tan),
+    FunctionId.EXP: (((lut.twin(partial(math.pow, 2.0), np.exp2), 0.0, 1.0),),
                      lambda q, x: exp_via(q, x)),
-    FunctionId.LOG: (((math.log, 1.0, 2.0),), lambda q, x: log_via(q, x)),
+    FunctionId.LOG: (((lut.twin(math.log, np.log), 1.0, 2.0),),
+                     lambda q, x: log_via(q, x)),
     FunctionId.SQRT: (((lut.array_formula(np.sqrt), 0.5, 2.0),),
                       lambda q, x: sqrt_via(q, x)),
 }
@@ -221,8 +231,8 @@ def _d_gelu(query, lo, x):
 # 2**EXP_BITS octaves from its base exponent, and inputs below the
 # table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.
 _D_CELLS = {
-    FunctionId.SIN: (math.sin, _d_sin),
-    FunctionId.TANH: (math.tanh, _d_tanh),
+    FunctionId.SIN: (_SIN, _d_sin),
+    FunctionId.TANH: (lut.twin(math.tanh, np.tanh), _d_tanh),
     FunctionId.GELU: (gelu_exact, _d_gelu),
 }
 

@@ -104,6 +104,10 @@ def ldexp32(arg, exp):
     """
     x = np.asarray(arg, dtype=np.float32)
     tally("ldexp_op", x.size)
-    exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
+    if isinstance(exp, int):
+        exp = min(max(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
+    else:  # an int64 exponent takes np.ldexp's slow non-SIMD loop
+        exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP),
+                         _LDEXP_CLIP).astype(np.int32)
     with np.errstate(over="ignore"):
-        return np.ldexp(x, exp.astype(np.int64))
+        return np.ldexp(x, exp)

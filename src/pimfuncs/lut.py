@@ -23,13 +23,13 @@ must be :func:`build_dllut`'s: 2**mant_bits cells up to the D part.
 
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
-the address's mantissa and exponent fields for D), and :func:`mapped`
-evaluates the host function on them, a chunk of TABULATE_CHUNK nodes at a
-time, so the Python floats alive at once are bounded by the chunk size.
+the address's mantissa and exponent fields for D), and the host function
+is evaluated on them a chunk of TABULATE_CHUNK nodes at a time, so the
+temporaries alive at once are bounded by the chunk size.
 
-A host function is one of two kinds.  A scalar host (``math.sin``,
-``partial(math.pow, 2.0)``, ...) takes one double and is called once per
-node, in address order, exactly as a per-node loop would call it.  An
+A host function is one of three kinds.  A scalar host (``math.cos``,
+``math.sinh``, ...) takes one double and is called once per node, in
+address order, exactly as a per-node loop would call it.  An
 :func:`array_formula` takes a float64 chunk and is called once per
 chunk: it maps each libm step over the chunk with :func:`mapped` and does
 the arithmetic between steps in numpy.  Its inputs are cast to float64
@@ -37,9 +37,18 @@ first; under numpy's weak-scalar rule a float32 chunk would keep
 ``x / math.sqrt(2.0)`` in float32.  An array formula may use only the
 operations IEEE 754 rounds correctly (``+ - * /`` and ``np.sqrt``), which
 give the same bits in numpy as on Python floats, so its entries are
-bit-identical to its scalar form's.  It may not use numpy's
-transcendental ufuncs (``np.exp``, ``np.log``, ``np.power``, ``np.tanh``,
-...), which can differ from libm in the last bit.
+bit-identical to its scalar form's.
+
+A :func:`twin` is a scalar host that carries a numpy twin, such as
+``twin(math.sin, np.sin)``.  numpy's transcendental ufuncs can differ
+from libm in the last bits (by up to 3 ulps for ``np.tanh``), so
+:func:`tabulate` keeps a twin value ``v`` only where Ziv's rounding test
+settles it: ``v`` is nonzero, and ``v - m`` and ``v + m``, with
+``m = SETTLE_ULPS`` ulps of ``v``, are finite and round to the same
+stored entry (float32, or the Q3.28 raw of a fixed table).  libm's value
+lies between them, so it has that entry too.  Every other node is passed
+to the scalar host, in address order, so each entry, and each exception
+a per-node loop would raise, is libm's.
 
 Every query takes a 1-d array, float64 or (fixed variants) raw Q3.28
 int64, and returns one float32 or raw Q3.28 result per element; one
@@ -58,11 +67,13 @@ import numpy as np
 
 from .costmodel import tally
 from .errors import RangeError, TableFormatError
-from .fixedpoint import FRAC_BITS, SCALE, check_raw, ldexp32, to_fixed
+from .fixedpoint import (FRAC_BITS, RAW_MAX, SCALE, check_raw, ldexp32,
+                         to_fixed)
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
 TABULATE_CHUNK = 4096  # elements per host-function call or map
+SETTLE_ULPS = 2 ** 10  # a twin's margin, far above its few ulps from libm
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -98,17 +109,53 @@ def mapped(f, x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def tabulate(f, nodes, count: int) -> np.ndarray:
+def twin(host, ufunc):
+    """The scalar host ``host``, carrying ``ufunc`` as its numpy twin.
+
+    It is called as ``host`` is; :func:`tabulate` evaluates the twin over
+    each chunk and sends only the nodes it cannot settle to ``host``.
+    """
+    scalar = functools.partial(host)
+    scalar.twin = ufunc
+    return scalar
+
+
+def _settled(v: np.ndarray, fixed: bool) -> np.ndarray:
+    """Where ``v`` is nonzero and every double within SETTLE_ULPS ulps of
+    it is finite and has its stored entry: float32, or a Q3.28 raw inside
+    (-RAW_MAX, RAW_MAX), which only doubles in (-8, 8) round to."""
+    m = SETTLE_ULPS * np.spacing(np.abs(v))
+    lo, hi = v - m, v + m
+    if fixed:
+        lo, hi = np.rint(lo * SCALE), np.rint(hi * SCALE)
+        same = (lo == hi) & (np.abs(lo) < RAW_MAX)
+    else:  # bits, not ==, which takes -0.0 for 0.0
+        same = (lo.astype(np.float32).view(np.uint32)
+                == hi.astype(np.float32).view(np.uint32))
+    return same & np.isfinite(lo) & np.isfinite(hi) & (v != 0)
+
+
+def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
     """``f(nodes(a))`` for each address ``a`` in [0, count), as float64.
 
     ``nodes`` maps an int64 address array to the double nodes at those
-    addresses; ``f`` is a host function of either kind (:func:`mapped`).
-    Nodes are made a chunk at a time too, so their temporaries stay small.
+    addresses; ``f`` is a host function of any kind (see the module
+    docstring).  The values of a :func:`twin` are settled against
+    ``fixed`` tables' Q3.28 entries, or else float32 ones.  Nodes are made
+    a chunk at a time too, so their temporaries stay small.
     """
+    twin_of = getattr(f, "twin", None)
     out = np.empty(count)
     for start in range(0, count, TABULATE_CHUNK):
         a = np.arange(start, min(start + TABULATE_CHUNK, count))
-        out[start:start + a.size] = mapped(f, nodes(a))
+        x = np.asarray(nodes(a), dtype=np.float64)
+        values = out[start:start + a.size]
+        left = slice(None)  # every node, unless a twin settles some
+        if twin_of is not None:
+            with np.errstate(all="ignore"):
+                values[:] = twin_of(x)
+                left = np.flatnonzero(~_settled(values, fixed))
+        values[left] = mapped(f, x[left])
     return out
 
 
@@ -202,8 +249,9 @@ def _nodes(s: SpacingSpec):
     if s.kind != "D":
         raise ValueError(f"no node formula for kind {s.kind}")
     m = s.mant_bits  # address = step:frac; node (1 + frac/2**m) * 2**(base+step)
+    # An int32 exponent takes np.ldexp's fast loop; int64 does not.
     return lambda a: np.ldexp(1.0 + (a & ((1 << m) - 1)) / (1 << m),
-                              s.base_exponent + (a >> m))
+                              (s.base_exponent + (a >> m)).astype(np.int32))
 
 
 def node_of(lut: FuzzyLut, addr: int) -> float:
@@ -215,7 +263,7 @@ def _tabulated(f, spec: SpacingSpec, interpolated: bool,
                fixed: bool = False) -> FuzzyLut:
     """The table of ``f`` at the nodes of ``spec``, guard entry included."""
     count = spec.size + interpolated
-    values = tabulate(f, _nodes(spec), count)
+    values = tabulate(f, _nodes(spec), count, fixed)
     tally("table_setup_entries", count)
     entries = to_fixed(values) if fixed else values.astype(np.float32)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,

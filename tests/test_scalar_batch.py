@@ -70,3 +70,28 @@ def test_float64_scalar_is_rounded_as_batch(cell):
             scalar = ev.evaluate(x)
         assert np.float32(scalar).view(np.uint32) == out.view(np.uint32)[0], x
         assert batch_counts == scalar_counts
+
+
+def _outcome(call, x):
+    """The result bits of ``call(x)``, or the type of what it raises."""
+    try:
+        out = call(x)
+    except Exception as exc:
+        return type(exc)
+    return np.asarray(out[0] if isinstance(out, tuple) else out,
+                      dtype=np.float32).view(np.uint32).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cell", CELLS,
+                         ids=lambda c: "-".join(v.value for v in c))
+def test_double_beyond_float32_is_rounded_to_inf(cell):
+    """A double beyond float32 rounds to +-inf without a cast warning, so
+    both paths treat it as they treat float32 +-inf."""
+    ev = _evaluator(cell)
+    for sign in (1.0, -1.0):
+        inf = np.float32(sign * math.inf)
+        for x in (sign * 1e39, sign * 1e300):
+            assert _outcome(ev.evaluate, x) == _outcome(ev.evaluate, inf), x
+            assert (_outcome(ev.evaluate_batch, [x])
+                    == _outcome(ev.evaluate_batch, np.array([inf]))), x

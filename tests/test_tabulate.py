@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pimfuncs.lut
 from pimfuncs import counting
 from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, EvaluatorConfig, MethodId,
                           NumberFormat, build_evaluator, cndf_exact,
@@ -27,9 +28,9 @@ from pimfuncs.errors import RangeError
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
-from pimfuncs.lut import (TABULATE_CHUNK, array_formula, build_dllut,
-                          build_dlut, build_fixed_llut, build_llut,
-                          build_mlut, mapped, tabulate)
+from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, array_formula,
+                          build_dllut, build_dlut, build_fixed_llut,
+                          build_llut, build_mlut, mapped, tabulate, twin)
 
 SIZES = (2, 4095, 4096, 4097, 8192, 65536)
 SEEDS = (0, 1, 7)
@@ -218,6 +219,151 @@ class TestDTables:
         for lut in (build_dlut(gelu_exact, 5, 8, -16),
                     build_dllut(gelu_exact, 5, 8, 0).sub_high):
             assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
+
+
+def _perturbed(ufunc):
+    """``ufunc`` moved SETTLE_ULPS/4 ulps off at every node, up and down
+    in turn."""
+    def off(x):
+        v = ufunc(x)
+        sign = np.where(np.arange(v.size) % 2, 1.0, -1.0)
+        return v + sign * (SETTLE_ULPS // 4) * np.spacing(np.abs(v))
+    return off
+
+
+def _above_midpoint(fixed):
+    """A host whose value at v sits SETTLE_ULPS/8 ulps above the midpoint
+    between two stored entries near v (float32s, or Q3.28 raws), so it
+    rounds up, and a twin SETTLE_ULPS/4 ulps below it, which rounds down."""
+    def mid(v):
+        if fixed:
+            return (np.floor(v * 2.0 ** 28) + 0.5) / 2.0 ** 28
+        lo = np.asarray(v, dtype=np.float32)
+        hi = np.nextafter(lo, np.float32(np.inf))
+        return (lo.astype(np.float64) + hi) / 2
+
+    def host(v):
+        m = float(mid(v))
+        return m + SETTLE_ULPS // 8 * math.ulp(m)
+
+    def below(x):
+        m = mid(x)
+        return m - SETTLE_ULPS // 8 * np.spacing(m)
+    return host, below
+
+
+_TWIN_ML = [(f, m, fmt) for f in (FunctionId.SIN, FunctionId.COS,
+                                  FunctionId.LOG) for m, fmt in _ML_CONFIGS]
+_TWIN_D = [(f, m) for f in (FunctionId.SIN, FunctionId.TANH)
+           for m in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP)]
+
+
+class TestTwinHosts:
+    """Twin hosts give the per-node libm table bit for bit, and send libm
+    only the nodes their numpy values cannot settle."""
+
+    def test_libm_hosts_carry_twins(self):
+        ml = {f: [h for h, _, _ in hosts]
+              for f, (hosts, _) in _TABLE_CELLS.items()}
+        for f in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN,
+                  FunctionId.EXP, FunctionId.LOG):
+            assert all(getattr(h, "twin", None) for h in ml[f]), f
+        assert _D_CELLS[FunctionId.SIN][0].twin is np.sin
+        assert _D_CELLS[FunctionId.TANH][0].twin is np.tanh
+        assert not hasattr(ml[FunctionId.SQRT][0], "twin")
+        assert not hasattr(_D_CELLS[FunctionId.GELU][0], "twin")
+
+    @pytest.mark.parametrize("size", (64, 4095, 65536))  # fixed: inside Q3.28
+    @pytest.mark.parametrize("function,method,fmt", _TWIN_ML,
+                             ids=[f"{f.value}-{m.value}-{fmt.value}"
+                                  for f, m, fmt in _TWIN_ML])
+    def test_ml_evaluator_tables(self, function, method, fmt, size):
+        ev = build_evaluator(function, EvaluatorConfig(
+            method=method, number_format=fmt, lut_size=size))
+        (table,) = ev.tables
+        fixed = fmt is NumberFormat.FIXED
+        assert (np.asarray(table.entries).tobytes() == _ml_loop(
+            _SCALAR_REFERENCE[function], table, fixed).tobytes())
+
+    @pytest.mark.parametrize("mant_bits", (1, 8, 12))
+    @pytest.mark.parametrize("function,method", _TWIN_D,
+                             ids=[f"{f.value}-{m.value}" for f, m in _TWIN_D])
+    def test_d_evaluator_tables(self, function, method, mant_bits):
+        (table,) = build_evaluator(function, EvaluatorConfig(
+            method=method, mant_bits=mant_bits)).tables
+        f = _SCALAR_REFERENCE[function]
+        if method is MethodId.DLLUT_INTERP:
+            assert _bits(table.sub_low.entries) == _bits(
+                _ml_loop(f, table.sub_low))
+            table = table.sub_high
+        assert _bits(table.entries) == _bits(_d_loop(f, table))
+
+    @pytest.mark.parametrize("function,config", [
+        (FunctionId.SIN, EvaluatorConfig(method=MethodId.LLUT_INTERP,
+                                         lut_size=4096)),
+        (FunctionId.TANH, EvaluatorConfig(method=MethodId.DLUT_INTERP,
+                                          mant_bits=12)),
+    ], ids=["sin-llut-interp", "tanh-dlut-interp"])
+    def test_libm_sees_few_nodes(self, monkeypatch, function, config):
+        """A settle test that always failed would keep every entry and
+        lose the speed; under 0.1% of the nodes may reach libm."""
+        sent = []
+
+        def counted(f, x):
+            sent.append(np.size(x))
+            return mapped(f, x)
+        monkeypatch.setattr(pimfuncs.lut, "mapped", counted)
+        with counting() as c:
+            build_evaluator(function, config)
+        assert sum(sent) < 0.001 * c.table_setup_entries
+
+    @pytest.mark.parametrize("fixed", (False, True))
+    def test_perturbed_twin_gives_libm_table(self, fixed):
+        build = build_fixed_llut if fixed else build_llut
+        lut = build(twin(math.sin, _perturbed(np.sin)), 0.0, 2.0 * math.pi,
+                    8192, interpolated=True)
+        assert np.asarray(lut.entries).tobytes() == _ml_loop(
+            math.sin, lut, fixed).tobytes()
+        lut = build_dlut(twin(math.tanh, _perturbed(np.tanh)), 5, 10, -16)
+        assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
+
+    @pytest.mark.parametrize("fixed", (False, True))
+    def test_twin_across_a_rounding_boundary_defers_to_libm(self, fixed):
+        """Every node's libm value and twin value round to different
+        entries, so any node the twin settled would show."""
+        host, below = _above_midpoint(fixed)
+        build = build_fixed_llut if fixed else build_llut
+        lut = build(twin(host, below), 0.0, 4.0, 4096, interpolated=True)
+        want = _ml_loop(host, lut, fixed)
+        assert np.asarray(lut.entries).tobytes() == want.tobytes()
+        assert want.tobytes() != _ml_loop(
+            lambda v: float(below(np.array([v]))[0]), lut, fixed).tobytes()
+
+    def test_nan_twin_sends_every_node_to_libm_in_order(self):
+        seen = []
+
+        def f(v):
+            seen.append(v)
+            return math.sin(v)
+        size = 2 * TABULATE_CHUNK + 3
+        lut = build_llut(twin(f, lambda x: np.full_like(x, np.nan)),
+                         0.0, 2.0 * math.pi, size, interpolated=True)
+        s = lut.spec
+        assert seen == (s.p + np.arange(size + 1) / s.k).tolist()
+        assert _bits(lut.entries) == _bits(_ml_loop(math.sin, lut))
+
+    @pytest.mark.parametrize("host,ufunc,lo,hi,exc", [
+        (math.exp, np.exp, 0.0, 710.0, OverflowError),
+        (math.log, np.log, 0.0, 1.0, ValueError),
+    ], ids=["exp-overflow", "log-domain"])
+    def test_libm_exception_is_raised_as_the_loop_raises_it(
+            self, host, ufunc, lo, hi, exc):
+        raised = []
+        for f in (host, twin(host, ufunc)):
+            with pytest.raises(exc) as info:
+                build_mlut(f, lo, hi, 64, interpolated=True)
+            raised.append(info.value.args)
+        assert raised[0] == raised[1]
 
 
 class TestCordicLutStartCells:
