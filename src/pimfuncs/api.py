@@ -23,6 +23,7 @@ never at import.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
-from .errors import UnsupportedCombinationError
+from .errors import DomainError, UnsupportedCombinationError
 from .fixedpoint import ldexp32, to_fixed, to_float
 from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi,
                        reflect_odd, sqrt_via, tan_extend)
@@ -95,10 +96,82 @@ def gelu_exact(x):
     return x * cndf_exact(x)
 
 
+# Cephes ndtr.c (Moshier) erf coefficients, highest degree first; the
+# denominators U and Q are monic.
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
+          7003.325141128051, 55592.30130103949)
+_ERF_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801,
+          22629.000061389095, 49267.39426086359)
+_ERFC_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
+           48.63719709856814, 196.5208329560771, 526.4451949954773,
+           934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_ERFC_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199,
+           975.7085017432055, 1823.9091668790973, 2246.3376081871097,
+           1656.6630919416134, 557.5353408177277)
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    y = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf_twin(x: np.ndarray) -> np.ndarray:
+    """erf over a float64 array, within a few ulps of ``math.erf``.
+
+    x T(x^2) / U(x^2) for |x| < 1; 1 - exp(-x^2) P(|x|) / Q(|x|), signed
+    as x, for |x| < 6; +-1 beyond, where libm's erf is 1.0 too.  +-0 keep
+    their sign and NaN stays NaN.
+    """
+    a = np.abs(x)
+    out = np.sign(x)  # +-1, and NaN kept
+    small = a < 1.0
+    s = x[small]
+    z = s * s
+    out[small] = s * _horner(_ERF_T, z) / _horner(_ERF_U, z)
+    tail = (a >= 1.0) & (a < 6.0)
+    b = a[tail]
+    out[tail] = np.copysign(
+        1.0 - np.exp(-b * b) * _horner(_ERFC_P, b) / _horner(_ERFC_Q, b),
+        x[tail])
+    return out
+
+
+def _cndf_twin(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf_twin(x / math.sqrt(2.0)))
+
+
+# The CNDF and GELU table hosts: the libm formulas above, twinned.
+CNDF_HOST = lut.twin(cndf_exact, _cndf_twin)
+_GELU = lut.twin(gelu_exact, lambda x: x * _cndf_twin(x))
+
+
+def _real(v) -> float:
+    """``v`` as a double; an int beyond the double range is +-inf."""
+    if not isinstance(v, numbers.Real):
+        raise DomainError(f"not a real number: {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _as_float32(xs) -> np.ndarray:
-    """``xs`` rounded to float32; a double beyond float32 becomes +-inf."""
+    """``xs`` rounded to float32; a real number beyond float32 (a double
+    such as 1e39, an int such as 10**400) becomes +-inf.  Strings, bytes,
+    None, complex and other objects raise DomainError."""
     if isinstance(xs, np.ndarray) and xs.dtype == np.float32:
         return xs  # nothing to round, and errstate costs a microsecond
+    try:
+        arr = np.asarray(xs)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"not an array of real numbers: {exc}") from None
+    if arr.dtype == object:  # Python ints beyond int64, or mixed objects
+        xs = np.reshape([_real(v) for v in arr.ravel().tolist()], arr.shape)
+    elif arr.dtype.kind not in "biuf":
+        raise DomainError(f"not real numbers: dtype {arr.dtype}")
     with np.errstate(over="ignore"):
         return np.asarray(xs, dtype=np.float32)
 
@@ -229,11 +302,13 @@ def _d_gelu(query, lo, x):
 
 # function -> (host f, pipeline step(query, lo, x)); the D part covers
 # 2**EXP_BITS octaves from its base exponent, and inputs below the
-# table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.
+# table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.  Every host
+# is a twin: sin and tanh of numpy's ufuncs, GELU of ``erf_twin``, whose
+# unsettled nodes reach the array formula ``gelu_exact`` once per chunk.
 _D_CELLS = {
     FunctionId.SIN: (_SIN, _d_sin),
     FunctionId.TANH: (lut.twin(math.tanh, np.tanh), _d_tanh),
-    FunctionId.GELU: (gelu_exact, _d_gelu),
+    FunctionId.GELU: (_GELU, _d_gelu),
 }
 
 

@@ -89,22 +89,23 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
         start = 1 if first_index is None else max(1, first_index)
 
     schedule = _build_schedule(mode, n_iter, start)
-    distinct = sorted(set(schedule))
+    angles = {i: _angle(mode, i) for i in sorted(set(schedule))}
 
     gain = 1.0
     max_angle = 0.0
     for i in schedule:
-        max_angle += _angle(mode, i)
+        max_angle += angles[i]
         if mode is CordicMode.CIRCULAR:
             gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
         else:
             gain *= math.sqrt(1.0 - 2.0 ** (-2 * i))
-    tally("table_setup_entries", len(distinct) + 1)
-    by_index = {i: int(to_fixed(_angle(mode, i))) for i in distinct}
-    phi_raw = tuple(by_index[i] for i in schedule)
+    tally("table_setup_entries", len(angles) + 1)
+    # One conversion for the whole table; tolist() gives Python ints.
+    *raws, inv_gain = to_fixed([*angles.values(), 1.0 / gain]).tolist()
+    by_index = dict(zip(angles, raws))
     return CordicTables(mode=mode, n_iter=len(schedule), gain=gain,
-                        inv_gain=int(to_fixed(1.0 / gain)),
-                        schedule=tuple(schedule), phi_raw=phi_raw,
+                        inv_gain=inv_gain, schedule=tuple(schedule),
+                        phi_raw=tuple(by_index[i] for i in schedule),
                         max_angle=max_angle)
 
 

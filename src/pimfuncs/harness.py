@@ -11,10 +11,14 @@ maps the scalar ``math`` function over the array in chunks
 (``lut.mapped``), and the arithmetic between steps is numpy's correctly
 rounded ``+ - * /`` and ``sqrt`` on float64, in the scalar formula's
 operation order, so every value is bit-identical to a loop over the
-elements.  Float32 inputs are cast to float64 before any arithmetic,
-and numpy's transcendental ufuncs, which can differ from libm in the
-last bit, are not used.  The same array formulas (``api.cndf_exact``,
-``gelu_exact``) build the CNDF and GELU tables.
+elements.  Float32 inputs are cast to float64 before any arithmetic.
+No numpy twin enters a reference (a transcendental ufunc, or
+``api.erf_twin``): a twin can differ from libm in the last bits, and a
+reference's double is compared itself.  The CNDF and GELU tables are
+built from twins of the same array formulas (``api.CNDF_HOST`` and the
+GELU host of ``api._D_CELLS``), which keep a twin value only where a
+rounding test proves it has libm's entry and send every other node to
+``api.cndf_exact`` or ``gelu_exact``.
 
 ``WORKLOADS`` maps the paper's three workloads to their runners and the
 variants each accepts (others raise ``UnsupportedCombinationError``); one
@@ -36,8 +40,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import lut
-from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                  build_evaluator, cndf_exact, gelu_exact, table_kernel)
+from .api import (CNDF_HOST, EvaluatorConfig, FunctionId, MethodId,
+                  NumberFormat, build_evaluator, cndf_exact, gelu_exact,
+                  table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError
 from .rangeext import exp_via, log_via, piecewise, sqrt_via
@@ -244,7 +249,7 @@ def _make_cndf_lut(number_format: NumberFormat):
     beyond +-8; float32 results."""
     cfg = EvaluatorConfig(method=MethodId.LLUT_INTERP, lut_size=CNDF_LUT_SIZE,
                           number_format=number_format)
-    _, query = table_kernel(cndf_exact, 0.0, 8.0, cfg)
+    _, query = table_kernel(CNDF_HOST, 0.0, 8.0, cfg)
     return lambda x: piecewise(~(np.abs(x) >= 8.0), x, _reflected(query),
                                lambda v: (v >= 8.0).astype(np.float32))
 

@@ -39,16 +39,18 @@ operations IEEE 754 rounds correctly (``+ - * /`` and ``np.sqrt``), which
 give the same bits in numpy as on Python floats, so its entries are
 bit-identical to its scalar form's.
 
-A :func:`twin` is a scalar host that carries a numpy twin, such as
-``twin(math.sin, np.sin)``.  numpy's transcendental ufuncs can differ
-from libm in the last bits (by up to 3 ulps for ``np.tanh``), so
+A :func:`twin` is a libm host, scalar or array formula, that carries a
+numpy twin, such as ``twin(math.sin, np.sin)`` or the CNDF formula with
+a numpy erf (``api.CNDF_HOST``).  numpy's transcendental ufuncs, and
+that erf, can differ from libm in the last bits (by up to 3 ulps), so
 :func:`tabulate` keeps a twin value ``v`` only where Ziv's rounding test
 settles it: ``v`` is nonzero, and ``v - m`` and ``v + m``, with
 ``m = SETTLE_ULPS`` ulps of ``v``, are finite and round to the same
 stored entry (float32, or the Q3.28 raw of a fixed table).  libm's value
 lies between them, so it has that entry too.  Every other node is passed
-to the scalar host, in address order, so each entry, and each exception
-a per-node loop would raise, is libm's.
+to the libm host, in address order (node by node, or in one call per
+chunk to an array formula), so each entry, and each exception a
+per-node loop would raise, is libm's.
 
 Every query takes a 1-d array, float64 or (fixed variants) raw Q3.28
 int64, and returns one float32 or raw Q3.28 result per element; one
@@ -110,14 +112,19 @@ def mapped(f, x) -> np.ndarray:
 
 
 def twin(host, ufunc):
-    """The scalar host ``host``, carrying ``ufunc`` as its numpy twin.
+    """The libm host ``host``, carrying ``ufunc``, a numpy function of a
+    float64 array (a ufunc or a formula of them), as its twin.
 
-    It is called as ``host`` is; :func:`tabulate` evaluates the twin over
-    each chunk and sends only the nodes it cannot settle to ``host``.
+    It is called as ``host`` is, and is an :func:`array_formula` when
+    ``host`` is one; :func:`tabulate` evaluates the twin over each chunk
+    and sends only the nodes it cannot settle to ``host``, node by node
+    for a scalar host and in one call per chunk for an array formula.
     """
-    scalar = functools.partial(host)
-    scalar.twin = ufunc
-    return scalar
+    twinned = functools.partial(host)
+    twinned.twin = ufunc
+    if getattr(host, "array_formula", False):
+        twinned.array_formula = True
+    return twinned
 
 
 def _settled(v: np.ndarray, fixed: bool) -> np.ndarray:

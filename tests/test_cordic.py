@@ -61,6 +61,28 @@ class TestTableGeneration:
         with pytest.raises(RangeError):
             generate_cordic_tables(CordicMode.HYPERBOLIC, 31)
 
+    # first_index None is plain CORDIC's; 2..20 are CORDIC+LUT's address
+    # widths, whose remaining iterations start there.
+    @pytest.mark.parametrize("first_index", [None, *range(2, 21)])
+    @pytest.mark.parametrize("mode", list(CordicMode))
+    def test_raws_are_per_angle_conversions(self, mode, first_index):
+        """Each raw angle and the raw inverse gain are the Q3.28 of that
+        one double, a Python int, with gain and max_angle the products
+        and sums taken in schedule order."""
+        angle = math.atan if mode is CordicMode.CIRCULAR else math.atanh
+        sign = 1.0 if mode is CordicMode.CIRCULAR else -1.0
+        for n_iter in range(1, 33 if mode is CordicMode.CIRCULAR else 31):
+            t = generate_cordic_tables(mode, n_iter, first_index)
+            gain, max_angle = 1.0, 0.0
+            for i in t.schedule:
+                gain *= math.sqrt(1.0 + sign * 2.0 ** (-2 * i))
+                max_angle += angle(2.0 ** -i)
+            assert (t.gain, t.max_angle) == (gain, max_angle)
+            assert t.phi_raw == tuple(int(to_fixed(angle(2.0 ** -i)))
+                                      for i in t.schedule)
+            assert t.inv_gain == int(to_fixed(1.0 / gain))
+            assert {type(v) for v in (*t.phi_raw, t.inv_gain)} == {int}
+
 
 class TestRotation:
     def test_sin_cos_of_one(self):

@@ -6,6 +6,7 @@ sweep domain, plus the domain's special points 0 and 2*pi where they
 belong to it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pimfuncs import (EvaluatorConfig, MethodId, NumberFormat, build_evaluator,
                       counting, supported)
 from pimfuncs.api import FunctionId
+from pimfuncs.errors import DomainError
 from pimfuncs.harness import DEFAULT_DOMAINS
 
 CELLS = [(f, m, fmt) for m in MethodId for f in FunctionId
@@ -95,3 +97,39 @@ def test_double_beyond_float32_is_rounded_to_inf(cell):
             assert _outcome(ev.evaluate, x) == _outcome(ev.evaluate, inf), x
             assert (_outcome(ev.evaluate_batch, [x])
                     == _outcome(ev.evaluate_batch, np.array([inf]))), x
+
+
+@pytest.mark.parametrize("cell", CELLS,
+                         ids=lambda c: "-".join(v.value for v in c))
+def test_int_beyond_double_is_rounded_to_inf(cell):
+    """An int too large for a double rounds to +-inf, as a double beyond
+    float32 does, rather than raising a bare OverflowError."""
+    ev = _evaluator(cell)
+    for sign in (1, -1):
+        big, inf = sign * 10 ** 400, np.float32(sign * math.inf)
+        assert _outcome(ev.evaluate, big) == _outcome(ev.evaluate, inf)
+        for xs in ([big], [0.5, big]):
+            assert (_outcome(ev.evaluate_batch, xs) == _outcome(
+                ev.evaluate_batch, np.array(xs[:-1] + [inf], np.float32)))
+
+
+_NOT_REAL = {"str": "1.5", "bytes": b"1", "None": None, "complex": 1 + 2j,
+             "object": object(), "ragged": [[1.0], [1.0, 2.0]]}
+
+
+def _unreachable(x):
+    raise AssertionError(f"the pipeline ran on {x}")
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_REAL))
+def test_non_real_input_is_refused(name):
+    """Strings and bytes are not parsed, None is not NaN, and complex
+    numbers, other objects and ragged nesting raise DomainError, not a
+    bare TypeError or ValueError, before any evaluation."""
+    x = _NOT_REAL[name]
+    ev = dataclasses.replace(_evaluator(CELLS[0]), pipeline=_unreachable)
+    for call, arg in ((ev.evaluate, x), (ev.evaluate_batch, [x]),
+                      (ev.evaluate_batch, [0.5, x]),
+                      (ev.evaluate_batch, np.array([x], dtype=object))):
+        with pytest.raises(DomainError):
+            call(arg)

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pimfuncs.harness
 import pimfuncs.lut
 from pimfuncs import counting
-from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, EvaluatorConfig, MethodId,
-                          NumberFormat, build_evaluator, cndf_exact,
-                          gelu_exact)
+from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, EvaluatorConfig,
+                          MethodId, NumberFormat, build_evaluator, cndf_exact,
+                          erf_twin, gelu_exact, table_kernel)
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
@@ -271,7 +272,7 @@ class TestTwinHosts:
         assert _D_CELLS[FunctionId.SIN][0].twin is np.sin
         assert _D_CELLS[FunctionId.TANH][0].twin is np.tanh
         assert not hasattr(ml[FunctionId.SQRT][0], "twin")
-        assert not hasattr(_D_CELLS[FunctionId.GELU][0], "twin")
+        assert _D_CELLS[FunctionId.GELU][0].twin
 
     @pytest.mark.parametrize("size", (64, 4095, 65536))  # fixed: inside Q3.28
     @pytest.mark.parametrize("function,method,fmt", _TWIN_ML,
@@ -366,6 +367,126 @@ class TestTwinHosts:
         assert raised[0] == raised[1]
 
 
+def _ulps(a, b) -> np.ndarray:
+    """How many doubles apart ``a`` and ``b`` are, elementwise (finite
+    values; -0.0 and 0.0 are the same), on their ordered bit patterns."""
+    def ordered(v):
+        i = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+_D_METHODS = (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP)
+
+
+class TestErfTwin:
+    """The numpy erf behind the CNDF and GELU twins, and the tables those
+    twins build."""
+
+    def test_near_math_erf(self):
+        x = np.concatenate([
+            np.random.default_rng(19).uniform(-8.0, 8.0, 200_000),
+            np.linspace(-8.0, 8.0, 16_001), _SPECIALS])
+        got = erf_twin(x)
+        want = np.array([math.erf(v) for v in x.tolist()])
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all() and not np.isnan(got[~nan]).any()
+        assert _ulps(got[~nan], want[~nan]).max() <= SETTLE_ULPS // 64
+        assert _bits(erf_twin(np.array([0.0, -0.0]))) == _bits(
+            np.array([0.0, -0.0]))
+
+    @pytest.mark.parametrize("size", (16, 4096, 8192, 65536))
+    @pytest.mark.parametrize("interpolated", (False, True))
+    @pytest.mark.parametrize("fixed", (False, True))
+    def test_cndf_tables(self, fixed, interpolated, size):
+        build = build_fixed_llut if fixed else build_llut
+        lut = build(CNDF_HOST, 0.0, 8.0, size, interpolated)
+        assert np.asarray(lut.entries).tobytes() == _ml_loop(
+            _cndf, lut, fixed).tobytes()
+
+    @pytest.mark.parametrize("mant_bits", range(1, 13))
+    @pytest.mark.parametrize("method", _D_METHODS, ids=lambda m: m.value)
+    def test_gelu_tables(self, method, mant_bits):
+        (table,) = build_evaluator(FunctionId.GELU, EvaluatorConfig(
+            method=method, mant_bits=mant_bits)).tables
+        if method is MethodId.DLLUT_INTERP:
+            assert _bits(table.sub_low.entries) == _bits(
+                _ml_loop(_gelu, table.sub_low))
+            table = table.sub_high
+        assert _bits(table.entries) == _bits(_d_loop(_gelu, table))
+
+    @pytest.mark.parametrize("build", [
+        lambda: _make_cndf_lut(NumberFormat.FLOAT),
+        lambda: _make_cndf_lut(NumberFormat.FIXED),
+        *(lambda m=m: build_evaluator(FunctionId.GELU, EvaluatorConfig(
+            method=m, mant_bits=12)) for m in _D_METHODS),
+    ], ids=["cndf-float", "cndf-fixed", "gelu-dlut", "gelu-dllut"])
+    def test_libm_sees_few_nodes(self, monkeypatch, build):
+        sent = []
+
+        def counted(f, x):
+            if getattr(f, "twin", None) is not None:  # tabulate's call
+                sent.append(np.size(x))
+            return mapped(f, x)
+        monkeypatch.setattr(pimfuncs.lut, "mapped", counted)
+        with counting() as c:
+            build()
+        assert sent and sum(sent) < 0.001 * c.table_setup_entries
+
+    @pytest.mark.parametrize("fixed", (False, True))
+    def test_perturbed_twin_gives_libm_table(self, fixed):
+        build = build_fixed_llut if fixed else build_llut
+        lut = build(twin(cndf_exact, _perturbed(CNDF_HOST.twin)), 0.0, 8.0,
+                    CNDF_LUT_SIZE, interpolated=True)
+        assert np.asarray(lut.entries).tobytes() == _ml_loop(
+            _cndf, lut, fixed).tobytes()
+
+    def test_unsettled_nodes_reach_array_formula_once_per_chunk(self):
+        seen = []
+
+        @array_formula
+        def f(x):
+            seen.append(x.tolist())
+            return x * 0.5
+        count = 2 * TABULATE_CHUNK + 3
+        out = tabulate(twin(f, lambda x: np.where(x % 3 == 0, np.nan, x * 0.5)),
+                       lambda a: a + 1.0, count)
+        nodes = np.arange(count) + 1.0
+        assert seen == [[v for v in nodes[start:start + TABULATE_CHUNK].tolist()
+                         if v % 3 == 0]
+                        for start in range(0, count, TABULATE_CHUNK)]
+        assert _bits(out) == _bits(nodes * 0.5)
+
+
+# Each twin host and the range its tables' nodes cover: the M/L hosts on
+# their intervals, the D/DL hosts on [0, 1) (a DL-LUT's L part) and
+# log-uniformly across the D octaves [2^-16, 2^32).
+_TWIN_HOSTS = {
+    "sin": (_TABLE_CELLS[FunctionId.SIN][0][0][0], 0.0, 2.0 * math.pi),
+    "cos": (_TABLE_CELLS[FunctionId.COS][0][0][0], 0.0, 2.0 * math.pi),
+    "exp2": (_TABLE_CELLS[FunctionId.EXP][0][0][0], 0.0, 1.0),
+    "log": (_TABLE_CELLS[FunctionId.LOG][0][0][0], 1.0, 2.0),
+    "cndf": (CNDF_HOST, 0.0, 8.0),
+    "sin-d": (_D_CELLS[FunctionId.SIN][0], None, None),
+    "tanh-d": (_D_CELLS[FunctionId.TANH][0], None, None),
+    "gelu-d": (_D_CELLS[FunctionId.GELU][0], None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_TWIN_HOSTS))
+def test_twin_is_well_inside_the_settle_margin(name):
+    """The settle test needs each twin within SETTLE_ULPS ulps of libm;
+    measure that it is within a 64th of that, on 200,000 seeded nodes."""
+    host, lo, hi = _TWIN_HOSTS[name]
+    rng = np.random.default_rng(200_000)
+    if lo is None:
+        x = np.concatenate([rng.uniform(0.0, 1.0, 100_000),
+                            np.exp2(rng.uniform(-16.0, 32.0, 100_000))])
+    else:
+        x = rng.uniform(lo, hi, 200_000)
+    assert _ulps(host.twin(x), mapped(host, x)).max() <= SETTLE_ULPS // 64
+
+
 class TestCordicLutStartCells:
     @pytest.mark.parametrize("mode", (CordicMode.CIRCULAR, CordicMode.HYPERBOLIC))
     @pytest.mark.parametrize("b", (2, 6, 12, 13))
@@ -439,9 +560,26 @@ def _outcome(f, v: float):
         return type(exc)
 
 
+def _is_twin_of(host, formula) -> bool:
+    """Whether ``host`` is ``formula`` carrying a twin, still an array
+    formula, so its unsettled nodes reach ``formula`` once per chunk."""
+    return (host.func is formula and callable(host.twin)
+            and host.array_formula)
+
+
 class TestHostProperties:
-    def test_hosts_are_the_tabulated_ones(self):
-        assert _D_CELLS[FunctionId.GELU][0] is gelu_exact
+    def test_hosts_are_the_tabulated_ones(self, monkeypatch):
+        assert _is_twin_of(_D_CELLS[FunctionId.GELU][0], gelu_exact)
+        hosts = []
+
+        def kernel(f, *args):
+            hosts.append(f)
+            return table_kernel(f, *args)
+        monkeypatch.setattr(pimfuncs.harness, "table_kernel", kernel)
+        for fmt in NumberFormat:
+            _make_cndf_lut(fmt)
+        assert len(hosts) == 2
+        assert all(_is_twin_of(h, cndf_exact) for h in hosts)
         assert all(getattr(f, "array_formula", False)
                    for f in (cndf_exact, gelu_exact, _HOSTS["sqrt"][0]))
         assert not getattr(_HOSTS["exp"][0], "array_formula", False)
