@@ -83,16 +83,17 @@ class EvaluatorConfig:
     mant_bits: int = 8  # D-LUT / DL-LUT mantissa field
 
 
-@lut.array_formula
 def cndf_exact(x):
-    """The exact Gaussian CDF Phi, of a float or elementwise over an array."""
+    """The exact Gaussian CDF Phi, of a float or elementwise over an
+    array, in float64: a float32 ``x / math.sqrt(2.0)`` would stay float32."""
+    x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + lut.mapped(math.erf, x / math.sqrt(2.0)))
 
 
-@lut.array_formula
 def gelu_exact(x):
     """x * Phi(x): the bits of x * 0.5 * (1 + erf(x / sqrt(2))), since
     either halving is exact or, at subnormal x, 1 + erf(...) is 1."""
+    x = np.asarray(x, dtype=np.float64)
     return x * cndf_exact(x)
 
 
@@ -243,22 +244,21 @@ def _tan(q_sin, q_cos, x):
 
 # function -> ((host f, lo, hi) per table, pipeline step); the step
 # takes one query per table, then the input array.  The libm hosts are
-# twins (lut.twin): numpy's ufunc gives each entry it settles, and libm,
-# called per node, the rest (math.pow(2.0, r) is 2.0 ** r, bit for bit).
-# sqrt's host is an array formula: np.sqrt is correctly rounded, as
+# lifted and twinned (lut.twin): numpy's ufunc gives each entry it
+# settles, and libm, mapped over the nodes, the rest (math.pow(2.0, r) is
+# 2.0 ** r, bit for bit).  sqrt's host is np.sqrt, correctly rounded, as
 # math.sqrt is.
-_SIN = lut.twin(math.sin, np.sin)
-_COS = lut.twin(math.cos, np.cos)
+_SIN = lut.twin(partial(lut.mapped, math.sin), np.sin)
+_COS = lut.twin(partial(lut.mapped, math.cos), np.cos)
+_EXP2 = lut.twin(partial(lut.mapped, partial(math.pow, 2.0)), np.exp2)
+_LOG = lut.twin(partial(lut.mapped, math.log), np.log)
 _TABLE_CELLS = {
     FunctionId.SIN: (((_SIN, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
     FunctionId.COS: (((_COS, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
     FunctionId.TAN: (((_SIN, 0.0, TWO_PI), (_COS, 0.0, TWO_PI)), _tan),
-    FunctionId.EXP: (((lut.twin(partial(math.pow, 2.0), np.exp2), 0.0, 1.0),),
-                     lambda q, x: exp_via(q, x)),
-    FunctionId.LOG: (((lut.twin(math.log, np.log), 1.0, 2.0),),
-                     lambda q, x: log_via(q, x)),
-    FunctionId.SQRT: (((lut.array_formula(np.sqrt), 0.5, 2.0),),
-                      lambda q, x: sqrt_via(q, x)),
+    FunctionId.EXP: (((_EXP2, 0.0, 1.0),), lambda q, x: exp_via(q, x)),
+    FunctionId.LOG: (((_LOG, 1.0, 2.0),), lambda q, x: log_via(q, x)),
+    FunctionId.SQRT: (((np.sqrt, 0.5, 2.0),), lambda q, x: sqrt_via(q, x)),
 }
 
 
@@ -303,11 +303,11 @@ def _d_gelu(query, lo, x):
 # function -> (host f, pipeline step(query, lo, x)); the D part covers
 # 2**EXP_BITS octaves from its base exponent, and inputs below the
 # table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.  Every host
-# is a twin: sin and tanh of numpy's ufuncs, GELU of ``erf_twin``, whose
-# unsettled nodes reach the array formula ``gelu_exact`` once per chunk.
+# is a twin: sin and tanh of numpy's ufuncs, GELU of ``erf_twin``.
 _D_CELLS = {
     FunctionId.SIN: (_SIN, _d_sin),
-    FunctionId.TANH: (lut.twin(math.tanh, np.tanh), _d_tanh),
+    FunctionId.TANH: (lut.twin(partial(lut.mapped, math.tanh), np.tanh),
+                      _d_tanh),
     FunctionId.GELU: (_GELU, _d_gelu),
 }
 
@@ -390,7 +390,7 @@ def _table_bytes(table) -> int:
         return lut.lut_memory_bytes(table)
     if isinstance(table, combined.CordicLutTables):
         return combined.cordic_lut_memory_bytes(table)
-    return (len(set(table.schedule)) + 1) * 4  # angles and the inverse gain
+    return cordic._angle_bytes(table)
 
 
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .cordic import (CordicMode, CordicTables, _iterate,
+from .cordic import (CordicMode, CordicTables, _angle_bytes, _iterate,
                      generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
 from .fixedpoint import FRAC_BITS, check_raw, fixed_shift, fixed_sub, to_fixed
-from .lut import tabulate
+from .lut import mapped, tabulate
 
 # Start-table angles cover [0, 2], enough for any quadrant-reduced circular
 # angle and for the hyperbolic residuals the pipelines produce.
@@ -59,8 +60,9 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     count = (1 << b) + 1  # guard cell at theta = TABLE_SPAN
     step = TABLE_SPAN / (1 << b)
     theta = lambda a: a * step  # exact: step is a power of two
-    cos, sin = ((math.cos, math.sin) if mode is CordicMode.CIRCULAR
-                else (math.cosh, math.sinh))
+    cos, sin = ((partial(mapped, math.cos), partial(mapped, math.sin))
+                if mode is CordicMode.CIRCULAR
+                else (partial(mapped, math.cosh), partial(mapped, math.sinh)))
     cells = np.stack([to_fixed(tabulate(cos, theta, count) * inv_g_rem),
                       to_fixed(tabulate(sin, theta, count) * inv_g_rem),
                       to_fixed(theta(np.arange(count)))], axis=1)
@@ -97,6 +99,4 @@ def rotator(tables: CordicLutTables):
 
 
 def cordic_lut_memory_bytes(tables: CordicLutTables) -> int:
-    cell_bytes = len(tables.cells) * 3 * 4
-    angle_bytes = (len(set(tables.rem_tables.schedule)) + 1) * 4  # + inv_gain
-    return cell_bytes + angle_bytes
+    return len(tables.cells) * 3 * 4 + _angle_bytes(tables.rem_tables)

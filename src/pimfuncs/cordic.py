@@ -109,6 +109,12 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
                         max_angle=max_angle)
 
 
+def _angle_bytes(tables: CordicTables) -> int:
+    """Modelled device memory of the angle table: one word per distinct
+    angle, and one for the inverse gain."""
+    return (len(set(tables.schedule)) + 1) * 4
+
+
 def _iterate(tables: CordicTables, x: np.ndarray, y: np.ndarray, t: np.ndarray,
              vectoring: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The iteration loop over int64 arrays; multiplication-free by

@@ -7,7 +7,7 @@ the kernels see, and wall-clock fields are excluded from CSV output
 unless explicitly requested.
 
 References are array arithmetic around libm: each transcendental step
-maps the scalar ``math`` function over the array in chunks
+maps the scalar ``math`` function over the array, element by element
 (``lut.mapped``), and the arithmetic between steps is numpy's correctly
 rounded ``+ - * /`` and ``sqrt`` on float64, in the scalar formula's
 operation order, so every value is bit-identical to a loop over the
@@ -15,9 +15,9 @@ elements.  Float32 inputs are cast to float64 before any arithmetic.
 No numpy twin enters a reference (a transcendental ufunc, or
 ``api.erf_twin``): a twin can differ from libm in the last bits, and a
 reference's double is compared itself.  The CNDF and GELU tables are
-built from twins of the same array formulas (``api.CNDF_HOST`` and the
-GELU host of ``api._D_CELLS``), which keep a twin value only where a
-rounding test proves it has libm's entry and send every other node to
+built from twins of the same formulas (``api.CNDF_HOST`` and the GELU
+host of ``api._D_CELLS``), which keep a twin value only where a rounding
+test proves it has libm's entry and send every other node to
 ``api.cndf_exact`` or ``gelu_exact``.
 
 ``WORKLOADS`` maps the paper's three workloads to their runners and the
@@ -41,8 +41,8 @@ import numpy as np
 
 from . import lut
 from .api import (CNDF_HOST, EvaluatorConfig, FunctionId, MethodId,
-                  NumberFormat, build_evaluator, cndf_exact, gelu_exact,
-                  table_kernel)
+                  NumberFormat, _horner, build_evaluator, cndf_exact,
+                  gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError
 from .rangeext import exp_via, log_via, piecewise, sqrt_via
@@ -65,18 +65,12 @@ DEFAULT_DOMAINS = {
     FunctionId.GELU: (-8.0, 8.0),
 }
 
+# Function -> its double reference, a function of a float64 array.
 _REFERENCE = {
-    FunctionId.SIN: math.sin,
-    FunctionId.COS: math.cos,
-    FunctionId.TAN: math.tan,
-    FunctionId.SINH: math.sinh,
-    FunctionId.COSH: math.cosh,
-    FunctionId.TANH: math.tanh,
-    FunctionId.EXP: math.exp,
-    FunctionId.LOG: math.log,
-    FunctionId.SQRT: math.sqrt,
-    FunctionId.GELU: gelu_exact,
-}
+    FunctionId(f.__name__): partial(lut.mapped, f)
+    for f in (math.sin, math.cos, math.tan, math.sinh, math.cosh, math.tanh,
+              math.exp, math.log)
+} | {FunctionId.SQRT: np.sqrt, FunctionId.GELU: gelu_exact}
 
 # Method -> the EvaluatorConfig field a sweep's size_or_iters sets; a D
 # table's size is its mantissa field width, 2**mant_bits cells per octave.
@@ -115,7 +109,7 @@ class WorkloadResult:
 
 def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
     """Double-precision reference evaluated on the exact float32 inputs."""
-    return lut.mapped(_REFERENCE[function], xs32)
+    return _REFERENCE[function](xs32.astype(np.float64))
 
 
 def _config_for(method: MethodId, number_format: NumberFormat,
@@ -162,15 +156,13 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
 # Polynomial baseline (comparison only)
 # ---------------------------------------------------------------------------
 
-def _horner(coeffs, x) -> np.ndarray:
-    """Power-series Horner evaluation in float32, every multiply tallied."""
-    x32 = x.astype(np.float32)
-    acc = np.full(x32.shape, coeffs[-1], dtype=np.float32)
-    for c in reversed(coeffs[:-1]):
-        tally("float_mul", x32.size)
-        tally("float_add", x32.size)
-        acc = acc * x32 + np.float32(c)
-    return acc
+def _polynomial(coeffs, x) -> np.ndarray:
+    """Horner evaluation in float32 of ``coeffs``, highest degree first,
+    with its multiplies and adds tallied."""
+    ops = (len(coeffs) - 1) * x.size
+    tally("float_mul", ops)
+    tally("float_add", ops)
+    return _horner(coeffs, x.astype(np.float32))
 
 
 # Function -> (range split, reduced domain, degree, host fitted on it).
@@ -188,7 +180,8 @@ def _poly_kernel(function: str):
     via, (lo, hi), degree, host = _POLY_FITS[function]
     xs = np.linspace(lo, hi, 512)
     fit = np.polynomial.Polynomial.fit(xs, host(xs), degree).convert()
-    return partial(via, partial(_horner, tuple(float(c) for c in fit.coef)))
+    return partial(via, partial(_polynomial,
+                                tuple(float(c) for c in fit.coef[::-1])))
 
 
 # Abramowitz & Stegun 26.2.17 rational approximation of the Gaussian CDF.
@@ -220,7 +213,7 @@ def _poly_cndf(ax: np.ndarray) -> np.ndarray:
     pdf = (_INV_SQRT_2PI * _poly_kernel("exp")(-0.5 * ax * ax).astype(np.float64)
            ).astype(np.float32)
     # b1 k + ... + b5 k^5 evaluated as k * poly(k)
-    poly = _horner((0.0,) + _AS_B, k)
+    poly = _polynomial(_AS_B[::-1] + (0.0,), k)
     tally("float_mul", ax.size)
     tally("float_add", ax.size)
     return np.float32(1.0) - pdf * poly

@@ -24,33 +24,31 @@ must be :func:`build_dllut`'s: 2**mant_bits cells up to the D part.
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
 the address's mantissa and exponent fields for D), and the host function
-is evaluated on them a chunk of TABULATE_CHUNK nodes at a time, so the
+is called on them a chunk of TABULATE_CHUNK nodes at a time, so the
 temporaries alive at once are bounded by the chunk size.
 
-A host function is one of three kinds.  A scalar host (``math.cos``,
-``math.sinh``, ...) takes one double and is called once per node, in
-address order, exactly as a per-node loop would call it.  An
-:func:`array_formula` takes a float64 chunk and is called once per
-chunk: it maps each libm step over the chunk with :func:`mapped` and does
-the arithmetic between steps in numpy.  Its inputs are cast to float64
-first; under numpy's weak-scalar rule a float32 chunk would keep
-``x / math.sqrt(2.0)`` in float32.  An array formula may use only the
-operations IEEE 754 rounds correctly (``+ - * /`` and ``np.sqrt``), which
-give the same bits in numpy as on Python floats, so its entries are
-bit-identical to its scalar form's.
+A host is a function of a float64 array that returns libm's doubles,
+elementwise.  A libm function is lifted to one where it is named, as
+``functools.partial(mapped, math.sin)``, which calls it once per node in
+address order, exactly as a per-node loop would.  A formula host
+(``api.cndf_exact``) maps its libm steps with :func:`mapped` too and
+does the arithmetic between them in numpy, with only the operations
+IEEE 754 rounds correctly (``+ - * /`` and ``np.sqrt``, itself the sqrt
+host), which give the same bits in numpy as on Python floats.  It casts
+its input to float64 first: under numpy's weak-scalar rule a float32
+array would keep ``x / math.sqrt(2.0)`` in float32.
 
-A :func:`twin` is a libm host, scalar or array formula, that carries a
-numpy twin, such as ``twin(math.sin, np.sin)`` or the CNDF formula with
-a numpy erf (``api.CNDF_HOST``).  numpy's transcendental ufuncs, and
-that erf, can differ from libm in the last bits (by up to 3 ulps), so
+A :func:`twin` is a host that carries a numpy twin, such as
+``twin(partial(mapped, math.sin), np.sin)`` or the CNDF formula with a
+numpy erf (``api.CNDF_HOST``).  numpy's transcendental ufuncs, and that
+erf, can differ from libm in the last bits (by up to 3 ulps), so
 :func:`tabulate` keeps a twin value ``v`` only where Ziv's rounding test
 settles it: ``v`` is nonzero, and ``v - m`` and ``v + m``, with
 ``m = SETTLE_ULPS`` ulps of ``v``, are finite and round to the same
 stored entry (float32, or the Q3.28 raw of a fixed table).  libm's value
-lies between them, so it has that entry too.  Every other node is passed
-to the libm host, in address order (node by node, or in one call per
-chunk to an array formula), so each entry, and each exception a
-per-node loop would raise, is libm's.
+lies between them, so it has that entry too.  Every other node goes to
+the host, in address order and in one call per chunk, so each entry,
+and each exception a per-node loop would raise, is libm's.
 
 Every query takes a 1-d array, float64 or (fixed variants) raw Q3.28
 int64, and returns one float32 or raw Q3.28 result per element; one
@@ -74,56 +72,28 @@ from .fixedpoint import (FRAC_BITS, RAW_MAX, SCALE, check_raw, ldexp32,
 from .rangeext import piecewise
 
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
-TABULATE_CHUNK = 4096  # elements per host-function call or map
+TABULATE_CHUNK = 4096  # nodes per host call
 SETTLE_ULPS = 2 ** 10  # a twin's margin, far above its few ulps from libm
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def array_formula(f):
-    """Mark ``f``, a formula over float64 arrays, as an array host.
-
-    :func:`mapped` calls it once per chunk rather than once per element.
-    Its input is cast to float64 on every call, a float included.
-    """
-    @functools.wraps(f)
-    def formula(x):
-        return f(np.asarray(x, dtype=np.float64))
-    formula.array_formula = True
-    return formula
-
-
 def mapped(f, x) -> np.ndarray:
-    """``f`` of each element of ``x``, as float64 shaped as ``x``.
-
-    ``x`` is cast to float64.  A scalar ``f`` is called once per element,
-    in order, on a Python float; an :func:`array_formula` once per chunk
-    of TABULATE_CHUNK elements.
-    """
+    """``f`` of each element of ``x``, in order, as float64 shaped as
+    ``x``: a scalar libm function ``f`` lifted to an array host."""
     x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    array = getattr(f, "array_formula", False)
-    for start in range(0, flat.size, TABULATE_CHUNK):
-        chunk = flat[start:start + TABULATE_CHUNK]
-        out[start:start + chunk.size] = (
-            f(chunk) if array
-            else np.fromiter(map(f, chunk.tolist()), np.float64, chunk.size))
-    return out.reshape(x.shape)
+    return np.fromiter(map(f, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)
 
 
 def twin(host, ufunc):
-    """The libm host ``host``, carrying ``ufunc``, a numpy function of a
+    """The host ``host``, carrying ``ufunc``, a numpy function of a
     float64 array (a ufunc or a formula of them), as its twin.
 
-    It is called as ``host`` is, and is an :func:`array_formula` when
-    ``host`` is one; :func:`tabulate` evaluates the twin over each chunk
-    and sends only the nodes it cannot settle to ``host``, node by node
-    for a scalar host and in one call per chunk for an array formula.
+    It is called as ``host`` is; :func:`tabulate` evaluates the twin over
+    each chunk and sends only the nodes it cannot settle to ``host``.
     """
     twinned = functools.partial(host)
     twinned.twin = ufunc
-    if getattr(host, "array_formula", False):
-        twinned.array_formula = True
     return twinned
 
 
@@ -146,23 +116,26 @@ def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
     """``f(nodes(a))`` for each address ``a`` in [0, count), as float64.
 
     ``nodes`` maps an int64 address array to the double nodes at those
-    addresses; ``f`` is a host function of any kind (see the module
-    docstring).  The values of a :func:`twin` are settled against
-    ``fixed`` tables' Q3.28 entries, or else float32 ones.  Nodes are made
-    a chunk at a time too, so their temporaries stay small.
+    addresses, and ``f``, a host (see the module docstring), is called
+    once per chunk on float64 nodes.  The last chunk takes in a remainder
+    shorter than TABULATE_CHUNK, so no chunk is a lone guard node.  The
+    values of a :func:`twin` are settled against ``fixed`` tables' Q3.28
+    entries, or else float32 ones.
     """
     twin_of = getattr(f, "twin", None)
     out = np.empty(count)
-    for start in range(0, count, TABULATE_CHUNK):
-        a = np.arange(start, min(start + TABULATE_CHUNK, count))
-        x = np.asarray(nodes(a), dtype=np.float64)
-        values = out[start:start + a.size]
+    chunks = max(1, count // TABULATE_CHUNK)
+    for i in range(chunks):
+        start = i * TABULATE_CHUNK
+        stop = count if i == chunks - 1 else start + TABULATE_CHUNK
+        x = np.asarray(nodes(np.arange(start, stop)), dtype=np.float64)
+        values = out[start:stop]
         left = slice(None)  # every node, unless a twin settles some
         if twin_of is not None:
             with np.errstate(all="ignore"):
                 values[:] = twin_of(x)
                 left = np.flatnonzero(~_settled(values, fixed))
-        values[left] = mapped(f, x[left])
+        values[left] = f(x[left])
     return out
 
 
@@ -254,7 +227,8 @@ def _nodes(s: SpacingSpec):
     if s.kind in ("M", "L"):
         return lambda a: s.p + a / s.k
     if s.kind != "D":
-        raise ValueError(f"no node formula for kind {s.kind}")
+        raise RangeError("a DL-LUT has no addresses of its own; use its "
+                         "sub_low or sub_high part")
     m = s.mant_bits  # address = step:frac; node (1 + frac/2**m) * 2**(base+step)
     # An int32 exponent takes np.ldexp's fast loop; int64 does not.
     return lambda a: np.ldexp(1.0 + (a & ((1 << m) - 1)) / (1 << m),
@@ -262,7 +236,10 @@ def _nodes(s: SpacingSpec):
 
 
 def node_of(lut: FuzzyLut, addr: int) -> float:
-    """Pseudo-inverse a^-1: the exact preimage stored at an address."""
+    """Pseudo-inverse a^-1: the exact preimage stored at an address.
+
+    A DL-LUT raises RangeError: its addresses are its parts',
+    ``lut.sub_low`` and ``lut.sub_high``, so ask the part instead."""
     return float(_nodes(lut.spec)(np.array([addr]))[0])
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,19 +13,22 @@ from pimfuncs.lut import (build_dllut, build_dlut, build_fixed_llut,
                           dlut_query_interp, dump_table, fixed_llut_query,
                           fixed_llut_query_interp, llut_query,
                           llut_query_interp, load_table, load_table_file,
-                          mlut_query, mlut_query_interp, save_table)
+                          mapped, mlut_query, mlut_query_interp, save_table)
+
+# The table hosts: libm functions lifted to float64 arrays.
+EXP, SIN, TANH = (partial(mapped, f) for f in (math.exp, math.sin, math.tanh))
 
 
 def _tables():
     return {
-        "mlut": build_mlut(math.sin, 0.0, 5.0, 64),
-        "mlut_i": build_mlut(math.sin, 0.0, 5.0, 64, interpolated=True),
-        "llut": build_llut(math.exp, 0.0, 1.0, 128),
-        "llut_i": build_llut(math.exp, 0.0, 1.0, 128, interpolated=True),
-        "fixed": build_fixed_llut(math.sin, 0.0, 6.0, 256),
-        "fixed_i": build_fixed_llut(math.sin, 0.0, 6.0, 256, interpolated=True),
-        "dlut": build_dlut(math.tanh, 4, 6, -8),
-        "dllut": build_dllut(math.tanh, 4, 6, 0),
+        "mlut": build_mlut(SIN, 0.0, 5.0, 64),
+        "mlut_i": build_mlut(SIN, 0.0, 5.0, 64, interpolated=True),
+        "llut": build_llut(EXP, 0.0, 1.0, 128),
+        "llut_i": build_llut(EXP, 0.0, 1.0, 128, interpolated=True),
+        "fixed": build_fixed_llut(SIN, 0.0, 6.0, 256),
+        "fixed_i": build_fixed_llut(SIN, 0.0, 6.0, 256, interpolated=True),
+        "dlut": build_dlut(TANH, 4, 6, -8),
+        "dllut": build_dllut(TANH, 4, 6, 0),
     }
 
 
@@ -218,7 +222,7 @@ class TestLayoutRoundTrip:
     def test_spec_and_edge_queries_survive_a_round_trip(self):
         mismatches = []
         for kind, build, lo, hi, size, interp in _sample_configs():
-            t = build(math.sin, lo, hi, size, interpolated=interp)
+            t = build(SIN, lo, hi, size, interpolated=interp)
             back = load_table(dump_table(t))
             edges = np.array([t.spec.lo, t.spec.hi])
             if kind == "fixed-L":
@@ -233,7 +237,7 @@ class TestLayoutRoundTrip:
         assert mismatches == []
 
     def test_sine_mlut_keeps_its_range(self):
-        t = build_mlut(math.sin, 0.0, 2 * math.pi, 1000)
+        t = build_mlut(SIN, 0.0, 2 * math.pi, 1000)
         back = load_table(dump_table(t))
         assert (back.spec.lo, back.spec.hi) == (0.0, 2 * math.pi)
         assert mlut_query(back, np.array([0.0]))[0] == mlut_query(
@@ -315,7 +319,7 @@ class TestDLParts:
         for _ in range(24):
             exp_bits, mant_bits, base = (int(rng.integers(lo, hi))
                                          for lo, hi in ((1, 6), (1, 9), (-20, 8)))
-            t = build_dllut(math.tanh, exp_bits, mant_bits, base)
+            t = build_dllut(TANH, exp_bits, mant_bits, base)
             blob = dump_table(t)
             back = load_table(blob)
             assert dump_table(back) == blob

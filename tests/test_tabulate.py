@@ -1,9 +1,10 @@
 """Chunked tabulation is bit-identical to a per-node loop.
 
-Every table builder and every double reference evaluates its host
-function over vectorized nodes, a chunk at a time: a scalar host is
-mapped node by node, an array formula is called once per float64 chunk.
-The oracles here are the per-node loops written out:
+Every table builder calls its host, a function of a float64 array, on
+vectorized nodes, once per chunk, and every double reference calls its
+formula on the whole input; a lifted libm host (``partial(mapped,
+math.sin)``) maps its input one double at a time.  The oracles here are
+the per-node loops written out:
 ``[f(float(v)) for v in nodes]``, ``round(v * 2**28)`` per entry, and
 the D-LUT ``divmod``/``math.ldexp`` address loop, with each compound
 host written as its scalar formula (``_cndf``, ``_gelu``, ``2.0 ** r``)
@@ -12,29 +13,35 @@ rather than imported from the library.  Sizes straddle the chunk edges.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pimfuncs.combined
 import pimfuncs.harness
 import pimfuncs.lut
 from pimfuncs import counting
-from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, EvaluatorConfig,
-                          MethodId, NumberFormat, build_evaluator, cndf_exact,
-                          erf_twin, gelu_exact, table_kernel)
+from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, SUPPORT,
+                          EvaluatorConfig, MethodId, NumberFormat,
+                          build_evaluator, cndf_exact, erf_twin, gelu_exact,
+                          supported, table_kernel)
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
-from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, array_formula,
-                          build_dllut, build_dlut, build_fixed_llut,
-                          build_llut, build_mlut, mapped, tabulate, twin)
+from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, build_dllut,
+                          build_dlut, build_fixed_llut, build_llut,
+                          build_mlut, mapped, tabulate, twin)
 
 SIZES = (2, 4095, 4096, 4097, 8192, 65536)
 SEEDS = (0, 1, 7)
+
+# The table hosts: libm functions lifted to float64 arrays.
+EXP, SIN, TANH = (partial(mapped, f) for f in (math.exp, math.sin, math.tanh))
 
 
 def _cndf(x: float) -> float:
@@ -101,6 +108,40 @@ def _built(build, *args, **kwargs):
     return lut, c.table_setup_entries
 
 
+def _chunks(count: int) -> list:
+    """The (start, stop) of each chunk of ``count`` nodes: TABULATE_CHUNK
+    each, the last taking in a shorter remainder."""
+    n = max(1, count // TABULATE_CHUNK)
+    return [(i * TABULATE_CHUNK,
+             count if i == n - 1 else (i + 1) * TABULATE_CHUNK)
+            for i in range(n)]
+
+
+def _spied_tabulate(monkeypatch, *modules) -> list:
+    """Make each module's ``tabulate`` record, per table, its host, its
+    node count and each array the host is called on, twin or not."""
+    tables = []
+
+    def spied(f, nodes, count, fixed=False):
+        seen = []
+
+        def host(x):
+            seen.append(x)
+            return f(x)
+        tables.append((f, count, seen))
+        spy = twin(host, f.twin) if hasattr(f, "twin") else host
+        return tabulate(spy, nodes, count, fixed)
+    for module in modules:
+        monkeypatch.setattr(module, "tabulate", spied)
+    return tables
+
+
+def _sent_to_twin_hosts(tables) -> int:
+    """How many nodes reached the host of a twin: the unsettled ones."""
+    return sum(x.size for f, _, seen in tables if hasattr(f, "twin")
+               for x in seen)
+
+
 class TestTabulate:
     @pytest.mark.parametrize("count", (0, 1, TABULATE_CHUNK - 1, TABULATE_CHUNK,
                                        TABULATE_CHUNK + 1, 3 * TABULATE_CHUNK))
@@ -110,7 +151,7 @@ class TestTabulate:
         def f(v):
             seen.append(v)
             return math.cos(v)
-        out = tabulate(f, lambda a: a * 0.001, count)
+        out = tabulate(partial(mapped, f), lambda a: a * 0.001, count)
         nodes = [a * 0.001 for a in range(count)]
         assert seen == nodes
         assert out.dtype == np.float64
@@ -118,18 +159,32 @@ class TestTabulate:
 
     @pytest.mark.parametrize("count", (1, TABULATE_CHUNK, 2 * TABULATE_CHUNK + 3))
     def test_array_formula_called_once_per_float64_chunk(self, count):
+        """Any host, here an array formula, is called once per chunk on
+        float64 nodes, the last chunk taking in the remainder."""
         seen = []
 
-        @array_formula
         def f(x):
             seen.append(x)
             return x * 0.5
         out = tabulate(f, lambda a: (a * 0.25).astype(np.float32), count)
         assert [c.dtype for c in seen] == [np.float64] * len(seen)
-        assert [c.size for c in seen] == [
-            min(TABULATE_CHUNK, count - start)
-            for start in range(0, count, TABULATE_CHUNK)]
+        assert [c.size for c in seen] == {
+            1: [1], TABULATE_CHUNK: [TABULATE_CHUNK],
+            2 * TABULATE_CHUNK + 3: [TABULATE_CHUNK, TABULATE_CHUNK + 3]}[count]
         assert _bits(out) == _bits(np.arange(count) * 0.125)
+
+    @pytest.mark.parametrize("k", (1, 11, 12, 13, 17))
+    def test_interpolated_table_has_no_one_node_chunk(self, k):
+        """2**k cells and a guard node: max(1, 2**k // TABULATE_CHUNK)
+        chunks, the guard node in the last."""
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x
+        tabulate(f, lambda a: a * 1.0, (1 << k) + 1)
+        assert len(sizes) == max(1, (1 << k) // TABULATE_CHUNK)
+        assert sum(sizes) == (1 << k) + 1 and min(sizes) > 1
 
 
 class TestMLTables:
@@ -137,7 +192,7 @@ class TestMLTables:
     @pytest.mark.parametrize("interpolated", (False, True))
     @pytest.mark.parametrize("build", (build_mlut, build_llut))
     def test_float_entries(self, build, interpolated, size):
-        lut, entries = _built(build, math.sin, 0.0, 2.0 * math.pi, size,
+        lut, entries = _built(build, SIN, 0.0, 2.0 * math.pi, size,
                               interpolated)
         assert lut.entries.dtype == np.float32
         assert _bits(lut.entries) == _bits(_ml_loop(math.sin, lut))
@@ -146,13 +201,14 @@ class TestMLTables:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("interpolated", (False, True))
     def test_fixed_entries(self, interpolated, size):
-        lut, entries = _built(build_fixed_llut, math.exp, 0.0, 1.0, size,
+        lut, entries = _built(build_fixed_llut, EXP, 0.0, 1.0, size,
                               interpolated)
         assert lut.entries.dtype == np.int64
         assert lut.entries.tolist() == _ml_loop(math.exp, lut, fixed=True).tolist()
         assert entries == size + interpolated == len(lut.entries)
 
-    @pytest.mark.parametrize("f", (math.exp, lambda v: math.nan))
+    @pytest.mark.parametrize("f", (pytest.param(EXP, id="exp"),
+                                   lambda x: np.full_like(x, np.nan)))
     def test_fixed_entry_outside_q3_28_raises(self, f):
         with pytest.raises(RangeError):  # exp(4) = 54.6 >= 8; NaN anywhere
             build_fixed_llut(f, 0.0, 4.0, 64)
@@ -203,14 +259,14 @@ class TestDTables:
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     @pytest.mark.parametrize("interpolated", (True,))  # D-LUTs always are
     def test_dlut(self, mant_bits, interpolated):
-        lut, entries = _built(build_dlut, math.tanh, 5, mant_bits, -16)
+        lut, entries = _built(build_dlut, TANH, 5, mant_bits, -16)
         assert lut.interpolated is interpolated
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
         assert entries == len(lut.entries) == (32 << mant_bits) + 1
 
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     def test_dllut(self, mant_bits):
-        lut, entries = _built(build_dllut, math.sin, 4, mant_bits, 0)
+        lut, entries = _built(build_dllut, SIN, 4, mant_bits, 0)
         low, high = lut.sub_low, lut.sub_high
         assert _bits(low.entries) == _bits(_ml_loop(math.sin, low))
         assert _bits(high.entries) == _bits(_d_loop(math.sin, high))
@@ -264,6 +320,7 @@ class TestTwinHosts:
     only the nodes their numpy values cannot settle."""
 
     def test_libm_hosts_carry_twins(self):
+        """Each libm host is its libm function, lifted, with a twin."""
         ml = {f: [h for h, _, _ in hosts]
               for f, (hosts, _) in _TABLE_CELLS.items()}
         for f in (FunctionId.SIN, FunctionId.COS, FunctionId.TAN,
@@ -271,8 +328,16 @@ class TestTwinHosts:
             assert all(getattr(h, "twin", None) for h in ml[f]), f
         assert _D_CELLS[FunctionId.SIN][0].twin is np.sin
         assert _D_CELLS[FunctionId.TANH][0].twin is np.tanh
-        assert not hasattr(ml[FunctionId.SQRT][0], "twin")
+        assert ml[FunctionId.SQRT] == [np.sqrt]
         assert _D_CELLS[FunctionId.GELU][0].twin
+        lifted = [_lifted(h) for h in (
+            *ml[FunctionId.SIN], *ml[FunctionId.COS], *ml[FunctionId.TAN],
+            *ml[FunctionId.LOG], _D_CELLS[FunctionId.SIN][0],
+            _D_CELLS[FunctionId.TANH][0])]
+        assert lifted == [math.sin, math.cos, math.sin, math.cos, math.log,
+                          math.sin, math.tanh]
+        exp2 = _lifted(ml[FunctionId.EXP][0])
+        assert (exp2.func, exp2.args) == (math.pow, (2.0,))
 
     @pytest.mark.parametrize("size", (64, 4095, 65536))  # fixed: inside Q3.28
     @pytest.mark.parametrize("function,method,fmt", _TWIN_ML,
@@ -308,24 +373,20 @@ class TestTwinHosts:
     def test_libm_sees_few_nodes(self, monkeypatch, function, config):
         """A settle test that always failed would keep every entry and
         lose the speed; under 0.1% of the nodes may reach libm."""
-        sent = []
-
-        def counted(f, x):
-            sent.append(np.size(x))
-            return mapped(f, x)
-        monkeypatch.setattr(pimfuncs.lut, "mapped", counted)
+        tables = _spied_tabulate(monkeypatch, pimfuncs.lut)
         with counting() as c:
             build_evaluator(function, config)
-        assert sum(sent) < 0.001 * c.table_setup_entries
+        assert tables
+        assert _sent_to_twin_hosts(tables) < 0.001 * c.table_setup_entries
 
     @pytest.mark.parametrize("fixed", (False, True))
     def test_perturbed_twin_gives_libm_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
-        lut = build(twin(math.sin, _perturbed(np.sin)), 0.0, 2.0 * math.pi,
+        lut = build(twin(SIN, _perturbed(np.sin)), 0.0, 2.0 * math.pi,
                     8192, interpolated=True)
         assert np.asarray(lut.entries).tobytes() == _ml_loop(
             math.sin, lut, fixed).tobytes()
-        lut = build_dlut(twin(math.tanh, _perturbed(np.tanh)), 5, 10, -16)
+        lut = build_dlut(twin(TANH, _perturbed(np.tanh)), 5, 10, -16)
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
 
     @pytest.mark.parametrize("fixed", (False, True))
@@ -334,7 +395,8 @@ class TestTwinHosts:
         entries, so any node the twin settled would show."""
         host, below = _above_midpoint(fixed)
         build = build_fixed_llut if fixed else build_llut
-        lut = build(twin(host, below), 0.0, 4.0, 4096, interpolated=True)
+        lut = build(twin(partial(mapped, host), below), 0.0, 4.0, 4096,
+                    interpolated=True)
         want = _ml_loop(host, lut, fixed)
         assert np.asarray(lut.entries).tobytes() == want.tobytes()
         assert want.tobytes() != _ml_loop(
@@ -347,7 +409,8 @@ class TestTwinHosts:
             seen.append(v)
             return math.sin(v)
         size = 2 * TABULATE_CHUNK + 3
-        lut = build_llut(twin(f, lambda x: np.full_like(x, np.nan)),
+        lut = build_llut(twin(partial(mapped, f),
+                              lambda x: np.full_like(x, np.nan)),
                          0.0, 2.0 * math.pi, size, interpolated=True)
         s = lut.spec
         assert seen == (s.p + np.arange(size + 1) / s.k).tolist()
@@ -360,7 +423,8 @@ class TestTwinHosts:
     def test_libm_exception_is_raised_as_the_loop_raises_it(
             self, host, ufunc, lo, hi, exc):
         raised = []
-        for f in (host, twin(host, ufunc)):
+        lifted = partial(mapped, host)
+        for f in (lifted, twin(lifted, ufunc)):
             with pytest.raises(exc) as info:
                 build_mlut(f, lo, hi, 64, interpolated=True)
             raised.append(info.value.args)
@@ -422,16 +486,11 @@ class TestErfTwin:
             method=m, mant_bits=12)) for m in _D_METHODS),
     ], ids=["cndf-float", "cndf-fixed", "gelu-dlut", "gelu-dllut"])
     def test_libm_sees_few_nodes(self, monkeypatch, build):
-        sent = []
-
-        def counted(f, x):
-            if getattr(f, "twin", None) is not None:  # tabulate's call
-                sent.append(np.size(x))
-            return mapped(f, x)
-        monkeypatch.setattr(pimfuncs.lut, "mapped", counted)
+        tables = _spied_tabulate(monkeypatch, pimfuncs.lut)
         with counting() as c:
             build()
-        assert sent and sum(sent) < 0.001 * c.table_setup_entries
+        assert any(hasattr(f, "twin") for f, _, _ in tables)
+        assert _sent_to_twin_hosts(tables) < 0.001 * c.table_setup_entries
 
     @pytest.mark.parametrize("fixed", (False, True))
     def test_perturbed_twin_gives_libm_table(self, fixed):
@@ -442,9 +501,9 @@ class TestErfTwin:
             _cndf, lut, fixed).tobytes()
 
     def test_unsettled_nodes_reach_array_formula_once_per_chunk(self):
+        """A formula host gets each chunk's unsettled nodes in one call."""
         seen = []
 
-        @array_formula
         def f(x):
             seen.append(x.tolist())
             return x * 0.5
@@ -452,9 +511,8 @@ class TestErfTwin:
         out = tabulate(twin(f, lambda x: np.where(x % 3 == 0, np.nan, x * 0.5)),
                        lambda a: a + 1.0, count)
         nodes = np.arange(count) + 1.0
-        assert seen == [[v for v in nodes[start:start + TABULATE_CHUNK].tolist()
-                         if v % 3 == 0]
-                        for start in range(0, count, TABULATE_CHUNK)]
+        assert seen == [[v for v in nodes[start:stop].tolist() if v % 3 == 0]
+                        for start, stop in _chunks(count)]
         assert _bits(out) == _bits(nodes * 0.5)
 
 
@@ -484,7 +542,7 @@ def test_twin_is_well_inside_the_settle_margin(name):
                             np.exp2(rng.uniform(-16.0, 32.0, 100_000))])
     else:
         x = rng.uniform(lo, hi, 200_000)
-    assert _ulps(host.twin(x), mapped(host, x)).max() <= SETTLE_ULPS // 64
+    assert _ulps(host.twin(x), host(x)).max() <= SETTLE_ULPS // 64
 
 
 class TestCordicLutStartCells:
@@ -511,8 +569,9 @@ class TestReferences:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("function", list(FunctionId))
     def test_reference_values(self, function, seed):
-        """On float32 inputs: fed float32, the GELU array formula would keep
-        ``x / math.sqrt(2.0)`` in float32 (numpy's weak-scalar rule)."""
+        """On float32 inputs: fed float32, ``np.sqrt`` would round in
+        float32, and so would ``x / math.sqrt(2.0)`` in the GELU formula
+        without its cast (numpy's weak-scalar rule)."""
         xs = np.random.default_rng(seed).uniform(0.01, 6.0, 5000).astype(np.float32)
         f = _SCALAR_REFERENCE[function]
         assert _bits(reference_values(function, xs)) == _bits(
@@ -560,15 +619,40 @@ def _outcome(f, v: float):
         return type(exc)
 
 
+def _lifted(host):
+    """The scalar libm function that ``host``, a lifted libm host or a
+    twin of one, maps over its nodes (a twin's partial flattens)."""
+    assert host.func is mapped and len(host.args) == 1
+    return host.args[0]
+
+
 def _is_twin_of(host, formula) -> bool:
-    """Whether ``host`` is ``formula`` carrying a twin, still an array
-    formula, so its unsettled nodes reach ``formula`` once per chunk."""
-    return (host.func is formula and callable(host.twin)
-            and host.array_formula)
+    """Whether ``host`` is ``formula`` carrying a twin, so its unsettled
+    nodes reach ``formula`` once per chunk."""
+    return host.func is formula and not host.args and callable(host.twin)
+
+
+def _every_tabulated_host(monkeypatch) -> list:
+    """(host, node count, arrays it was called on) of every table that
+    builds every supported cell, both CNDF tables and the CORDIC+LUT
+    start tables."""
+    tables = _spied_tabulate(monkeypatch, pimfuncs.lut, pimfuncs.combined)
+    for method, functions in SUPPORT.items():
+        for function in functions:
+            for fmt in NumberFormat:
+                if supported(function, method, fmt):
+                    build_evaluator(function, EvaluatorConfig(
+                        method=method, number_format=fmt))
+    for fmt in NumberFormat:
+        _make_cndf_lut(fmt)
+    return tables
 
 
 class TestHostProperties:
     def test_hosts_are_the_tabulated_ones(self, monkeypatch):
+        """The CNDF and GELU tables take twins of the exact formulas, and
+        every host tabulated, the CORDIC+LUT start tables' included, maps
+        a float64 array to float64 of the same shape."""
         assert _is_twin_of(_D_CELLS[FunctionId.GELU][0], gelu_exact)
         hosts = []
 
@@ -580,9 +664,38 @@ class TestHostProperties:
             _make_cndf_lut(fmt)
         assert len(hosts) == 2
         assert all(_is_twin_of(h, cndf_exact) for h in hosts)
-        assert all(getattr(f, "array_formula", False)
-                   for f in (cndf_exact, gelu_exact, _HOSTS["sqrt"][0]))
-        assert not getattr(_HOSTS["exp"][0], "array_formula", False)
+        tabulated = [f for f, _, _ in _every_tabulated_host(monkeypatch)]
+        named = [h for hosts, _ in _TABLE_CELLS.values() for h, _, _ in hosts]
+        named += [h for h, _ in _D_CELLS.values()] + [CNDF_HOST]
+        assert {id(h) for h in named} <= {id(f) for f in tabulated}
+        start = [f for f in tabulated if not any(f is h for h in named)]
+        assert sorted({_lifted(f).__name__ for f in start}) == [
+            "cos", "cosh", "sin", "sinh"]
+        x = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+        for f in named + start:
+            for nodes in (x, x[:0], x[:, :1]):
+                y = f(nodes)
+                assert (y.dtype, y.shape) == (np.float64, nodes.shape), f
+
+    def test_tabulate_calls_each_host_once_per_float64_chunk(
+            self, monkeypatch):
+        """At most one call per chunk, a twin's host included, on float64
+        nodes, for every table every cell builds."""
+        for f, count, seen in _every_tabulated_host(monkeypatch):
+            assert 1 <= len(seen) <= len(_chunks(count)), f
+            assert all(x.dtype == np.float64 for x in seen), f
+
+    @pytest.mark.parametrize("build,args", [
+        (build_mlut, (0.0, 1.0, 16)), (build_llut, (0.0, 1.0, 16)),
+        (build_fixed_llut, (0.0, 1.0, 16)), (build_dlut, (5, 4, -16)),
+        (build_dllut, (5, 4, 0))], ids=["M", "L", "fixed-L", "D", "DL"])
+    @pytest.mark.parametrize("host", [math.sin, twin(math.sin, np.sin)],
+                             ids=["bare", "bare-twin"])
+    def test_bare_scalar_host_raises_type_error(self, host, build, args):
+        """A libm function not lifted with ``mapped`` fails at build, with
+        no table made, as numpy refuses it arrays of every size."""
+        with pytest.raises(TypeError):
+            build(host, *args)
 
     @pytest.mark.parametrize("name", sorted(_HOSTS))
     @settings(max_examples=200, deadline=None)
@@ -590,13 +703,15 @@ class TestHostProperties:
                        min_size=1, max_size=50))
     def test_matches_scalar_form(self, name, xs):
         """Bit for bit wherever the scalar form returns a value (NaN
-        included); where it raises, a scalar host raises the same."""
+        included), node by node and over the whole array; where it
+        raises, a lifted libm host raises the same."""
         host, scalar = _HOSTS[name]
         want = [_outcome(scalar, v) for v in xs]
-        if getattr(host, "array_formula", False):
-            with np.errstate(all="ignore"):  # e.g. sqrt(-1), -inf * 0
-                got = _bits(mapped(host, np.array(xs)))
-            for g, w in zip(got, want):
-                assert w is ValueError or g == w
+        with np.errstate(all="ignore"):  # e.g. sqrt(-1), -inf * 0
+            got = [_outcome(lambda v: host(np.array([v]))[0], v) for v in xs]
+            if not any(isinstance(w, type) for w in want):
+                assert _bits(host(np.array(xs))) == want
+        if isinstance(host, partial) and host.func is mapped:
+            assert got == want
         else:
-            assert [_outcome(host, v) for v in xs] == want
+            assert all(w is ValueError or g == w for g, w in zip(got, want))
