@@ -69,9 +69,6 @@ class NumberFormat(Enum):
 
 
 LUT_ADDR_BITS = 6  # CORDIC+LUT start-table address width
-EXP_BITS = 5  # D/DL-LUT exponent field: the D part spans 2**EXP_BITS octaves
-BASE_EXPONENT = -16  # D-LUT lower exponent bound
-DL_BASE_EXPONENT = 0  # DL-LUT L/D boundary exponent
 
 
 @dataclass(frozen=True)
@@ -252,6 +249,7 @@ _SIN = lut.twin(partial(lut.mapped, math.sin), np.sin)
 _COS = lut.twin(partial(lut.mapped, math.cos), np.cos)
 _EXP2 = lut.twin(partial(lut.mapped, partial(math.pow, 2.0)), np.exp2)
 _LOG = lut.twin(partial(lut.mapped, math.log), np.log)
+_TANH = lut.twin(partial(lut.mapped, math.tanh), np.tanh)
 _TABLE_CELLS = {
     FunctionId.SIN: (((_SIN, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
     FunctionId.COS: (((_COS, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
@@ -300,27 +298,34 @@ def _d_gelu(query, lo, x):
     return v
 
 
-# function -> (host f, pipeline step(query, lo, x)); the D part covers
-# 2**EXP_BITS octaves from its base exponent, and inputs below the
-# table's own lower bound ``lo`` (0 for a DL-LUT) bypass it.  Every host
-# is a twin: sin and tanh of numpy's ufuncs, GELU of ``erf_twin``.
+def _saturated(top, above, kernel, x):
+    """float32 ``above(x)`` where |x| >= top, +-inf too; ``kernel`` else."""
+    return piecewise(np.abs(x) >= top, x,
+                     lambda v: above(v).astype(np.float32), kernel)
+
+
+# function -> (host f, octaves [base, hi) of the D-LUT and of the DL-LUT's
+# D part as exponents, f at |x| >= 2**hi or None if no input gets there,
+# step(query, lo, x)).  Past 2**hi, float32 tanh is +-1 and GELU x (+0 at
+# -x); sin reduces into [0, 2*pi).  Inputs below the table's ``lo`` (0 for
+# DL) bypass it too, and no bypass tallies an op.  Hosts are twins.
 _D_CELLS = {
-    FunctionId.SIN: (_SIN, _d_sin),
-    FunctionId.TANH: (lut.twin(partial(lut.mapped, math.tanh), np.tanh),
-                      _d_tanh),
-    FunctionId.GELU: (_GELU, _d_gelu),
+    FunctionId.SIN: (_SIN, ((-16, 3), (0, 3)), None, _d_sin),
+    FunctionId.TANH: (_TANH, ((-16, 4), (0, 4)), np.sign, _d_tanh),
+    FunctionId.GELU: (_GELU, ((-16, 3), (0, 3)), partial(np.fmax, 0.0), _d_gelu),
 }
 
 
 def _d_cell(function: FunctionId, cfg: EvaluatorConfig):
-    host, step = _D_CELLS[function]
-    if cfg.method is MethodId.DLLUT_INTERP:
-        table = lut.build_dllut(host, EXP_BITS, cfg.mant_bits, DL_BASE_EXPONENT)
-        query = lut.dllut_query_interp
-    else:
-        table = lut.build_dlut(host, EXP_BITS, cfg.mant_bits, BASE_EXPONENT)
-        query = lut.dlut_query_interp
-    return (table,), partial(step, partial(query, table), table.spec.lo)
+    host, octaves, above, step = _D_CELLS[function]
+    dl = cfg.method is MethodId.DLLUT_INTERP
+    build, query = ((lut.build_dllut, lut.dllut_query_interp) if dl
+                    else (lut.build_dlut, lut.dlut_query_interp))
+    table = build(host, *octaves[dl], cfg.mant_bits)
+    kernel = partial(step, partial(query, table), table.spec.lo)
+    if above is not None:
+        kernel = partial(_saturated, table.spec.hi, above, kernel)
+    return (table,), kernel
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,9 @@ def ldexp32(arg, exp):
     x = np.asarray(arg, dtype=np.float32)
     tally("ldexp_op", x.size)
     if isinstance(exp, int):
-        exp = min(max(exp, -_LDEXP_CLIP), _LDEXP_CLIP)
+        if exp <= 0:  # cannot overflow, so skip errstate's microseconds
+            return np.ldexp(x, max(exp, -_LDEXP_CLIP))
+        exp = min(exp, _LDEXP_CLIP)
     else:  # an int64 exponent takes np.ldexp's slow non-SIMD loop
         exp = np.minimum(np.maximum(exp, -_LDEXP_CLIP),
                          _LDEXP_CLIP).astype(np.int32)

@@ -7,19 +7,20 @@ variants).  Address generation per kind:
   M:  a(x) = round((x - p) * k)          one float multiply
   L:  a(x) = round(ldexp(x - p, n))      no multiply, density 2**n
   D:  exponent/mantissa bit extraction   no multiply
-  DL: L-LUT on [0, 2**base_exponent), D-LUT from there up
+  DL: L-LUT on [0, 2**base_exponent), D-LUT from there to 2**hi_exponent
 
 Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
 spacing/2); interpolated tables (D and DL always) put the first node at
 lo and carry one guard entry so entries[a + 1] never branches.
 
 Each kind has one layout, which holds all of its size and range checks:
-M from (lo, hi, size), L from (lo, n, size), D from (exp_bits,
-mant_bits, base_exponent); each refuses what float32 queries cannot
-address.  The builders and :func:`load_table` both make their specs
-through it, and a table record (magic ``TPL2``) stores those inputs, so
-a loaded table's spec equals the built table's, and a DL record's L part
-must be :func:`build_dllut`'s: 2**mant_bits cells up to the D part.
+M from (lo, hi, size), L from (lo, n, size), D from (base_exponent,
+hi_exponent, mant_bits), any count of octaves of 2**mant_bits cells;
+each refuses what float32 queries cannot address.  The builders and
+:func:`load_table` both make their specs through it, and a table record
+(magic ``TPL3``) stores those inputs, so a loaded table's spec equals
+the built table's, and a DL record's L part must be
+:func:`build_dllut`'s: 2**mant_bits cells up to the D part.
 
 Every builder tabulates through :func:`tabulate`: the nodes come from one
 vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
@@ -61,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,8 +101,9 @@ def twin(host, ufunc):
 def _settled(v: np.ndarray, fixed: bool) -> np.ndarray:
     """Where ``v`` is nonzero and every double within SETTLE_ULPS ulps of
     it is finite and has its stored entry: float32, or a Q3.28 raw inside
-    (-RAW_MAX, RAW_MAX), which only doubles in (-8, 8) round to."""
-    m = SETTLE_ULPS * np.spacing(np.abs(v))
+    (-RAW_MAX, RAW_MAX), which only doubles in (-8, 8) round to.  The
+    ulp is np.spacing's wherever ``v`` is finite and nonzero, but cheaper."""
+    m = SETTLE_ULPS * np.maximum(np.ldexp(1.0, np.frexp(v)[1] - 53), 5e-324)
     lo, hi = v - m, v + m
     if fixed:
         lo, hi = np.rint(lo * SCALE), np.rint(hi * SCALE)
@@ -145,7 +147,6 @@ class SpacingSpec:
     p: float = 0.0
     k: float = 0.0  # density (M); 2**n for L
     n: int = 0  # power-of-two density exponent (L)
-    exp_bits: int = 0
     mant_bits: int = 0
     base_exponent: int = 0
     hi_exponent: int = 0
@@ -203,23 +204,21 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
                        p_raw=int(to_fixed(p)) if fixed else 0)
 
 
-def _d_layout(exp_bits: int, mant_bits: int,
-              base_exponent: int) -> SpacingSpec:
-    """D spec of 2**exp_bits octaves from 2**base_exponent, each of
+def _d_layout(base_exponent: int, hi_exponent: int,
+              mant_bits: int) -> SpacingSpec:
+    """D spec of the octaves [2**base_exponent, 2**hi_exponent), each of
     2**mant_bits cells.  Queries read float32 exponent fields, so the
-    octaves must lie in float32's normal range [2^-126, 2^128); bounding
-    exp_bits first keeps 1 << exp_bits small."""
-    if not (1 <= exp_bits <= 11 and 1 <= mant_bits <= 23):
-        raise RangeError("need 1 <= exp_bits <= 11 and 1 <= mant_bits <= 23")
-    hi_exponent = base_exponent + (1 << exp_bits)
-    if not (-126 <= base_exponent and hi_exponent <= 128):
+    octaves must lie in float32's normal range [2^-126, 2^128)."""
+    if not 1 <= mant_bits <= 23:
+        raise RangeError("need 1 <= mant_bits <= 23")
+    if not -126 <= base_exponent < hi_exponent <= 128:
         raise RangeError(f"D-LUT range [2^{base_exponent}, 2^{hi_exponent}) "
-                         f"exceeds float32's normal range [2^-126, 2^128)")
-    return SpacingSpec(kind="D", exp_bits=exp_bits, mant_bits=mant_bits,
+                         "is empty or not in float32's [2^-126, 2^128)")
+    return SpacingSpec(kind="D", mant_bits=mant_bits,
                        base_exponent=base_exponent, hi_exponent=hi_exponent,
                        lo=math.ldexp(1.0, base_exponent),
                        hi=math.ldexp(1.0, hi_exponent),
-                       size=(1 << exp_bits) << mant_bits)
+                       size=(hi_exponent - base_exponent) << mant_bits)
 
 
 def _nodes(s: SpacingSpec):
@@ -406,11 +405,12 @@ def _dlut_address(s: SpacingSpec, x32: np.ndarray):
     return ((e - s.base_exponent) << s.mant_bits) | top, bits
 
 
-def build_dlut(f, exp_bits: int, mant_bits: int,
-               base_exponent: int) -> FuzzyLut:
-    """Interpolated D-LUT over 2**exp_bits octaves from 2**base_exponent;
-    the guard entry is the node 2**hi_exponent."""
-    return _tabulated(f, _d_layout(exp_bits, mant_bits, base_exponent), True)
+def build_dlut(f, base_exponent: int, hi_exponent: int,
+               mant_bits: int) -> FuzzyLut:
+    """Interpolated D-LUT over [2**base_exponent, 2**hi_exponent); the
+    guard entry is the node 2**hi_exponent."""
+    return _tabulated(f, _d_layout(base_exponent, hi_exponent, mant_bits),
+                      True)
 
 
 def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -431,18 +431,15 @@ def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 def _dl_table(low: FuzzyLut, high: FuzzyLut) -> FuzzyLut:
     """The DL-LUT of an L part below 2**base_exponent and a D part above,
     whose fields it shares."""
-    h = high.spec
-    spec = SpacingSpec(kind="DL", exp_bits=h.exp_bits, mant_bits=h.mant_bits,
-                       base_exponent=h.base_exponent, hi_exponent=h.hi_exponent,
-                       lo=0.0, hi=h.hi)
+    spec = replace(high.spec, kind="DL", lo=0.0, size=0)
     return FuzzyLut(spec=spec, entries=None, interpolated=True,
                     sub_low=low, sub_high=high)
 
 
-def build_dllut(f, exp_bits: int, mant_bits: int,
-                base_exponent: int) -> FuzzyLut:
-    """L-LUT below 2**base_exponent, D-LUT above; both interpolated."""
-    high = build_dlut(f, exp_bits, mant_bits, base_exponent)  # checks the sizes
+def build_dllut(f, base_exponent: int, hi_exponent: int,
+                mant_bits: int) -> FuzzyLut:
+    """Interpolated L-LUT below 2**base_exponent, D-LUT to 2**hi_exponent."""
+    high = build_dlut(f, base_exponent, hi_exponent, mant_bits)  # checks them
     low = build_llut(f, 0.0, high.spec.lo, 1 << mant_bits, interpolated=True)
     return _dl_table(low, high)
 
@@ -468,9 +465,9 @@ def lut_memory_bytes(lut: FuzzyLut) -> int:
 
 _KIND_TAG = {"M": 0, "L": 1, "D": 2, "DL": 3}
 _TAG_KIND = {v: k for k, v in _KIND_TAG.items()}
-_MAGIC = b"TPL2"
+_MAGIC = b"TPL3"
 _HEADER = struct.Struct("<4sBBxx")
-# (lo, hi) of M or (lo, n) of L; exp_bits, mant_bits, base_exponent of D
+# (lo, hi) of M or (lo, n) of L; base_exponent, hi_exponent, mant_bits of D
 _PARAMS = struct.Struct("<ddqqq")
 _COUNT = struct.Struct("<I")
 
@@ -480,7 +477,7 @@ def dump_table(lut: FuzzyLut) -> bytes:
     head = _HEADER.pack(_MAGIC, _KIND_TAG[lut.spec.kind], flags)
     s = lut.spec
     pair = {"M": (s.lo, s.hi), "L": (s.lo, float(s.n))}.get(s.kind, (0.0, 0.0))
-    body = _PARAMS.pack(*pair, s.exp_bits, s.mant_bits, s.base_exponent)
+    body = _PARAMS.pack(*pair, s.base_exponent, s.hi_exponent, s.mant_bits)
     if s.kind == "DL":
         body += _COUNT.pack(0)
         return head + body + dump_table(lut.sub_low) + dump_table(lut.sub_high)
@@ -507,12 +504,9 @@ def _load_one(buf: bytes, off: int,
         raise TableFormatError(f"bad table magic {magic!r}, not {_MAGIC!r}")
     _require(tag in _TAG_KIND, f"unknown kind tag {tag}")
     _require(flags <= 3, f"unknown flags {flags:#x}")
-    (first, second, exp_bits, mant_bits, base_exponent), off = _unpack(
-        _PARAMS, buf, off)
+    (first, second, *d_fields), off = _unpack(_PARAMS, buf, off)
     (count,), off = _unpack(_COUNT, buf, off)
-    kind = _TAG_KIND[tag]
-    interpolated = bool(flags & 1)
-    fixed = bool(flags & 2)
+    kind, interpolated, fixed = _TAG_KIND[tag], bool(flags & 1), bool(flags & 2)
 
     if kind == "DL":
         _require(not part_of_dl, "DL-LUT nested in a DL-LUT")
@@ -523,11 +517,10 @@ def _load_one(buf: bytes, off: int,
                  and low.interpolated and high.interpolated and not low.fixed,
                  "DL-LUT parts must be interpolated float L- and D-LUTs")
         h = high.spec
-        _require((h.exp_bits, h.mant_bits, h.base_exponent)
-                 == (exp_bits, mant_bits, base_exponent),
+        _require([h.base_exponent, h.hi_exponent, h.mant_bits] == d_fields,
                  "DL-LUT fields disagree with its D-LUT part")
         _require((low.spec.lo, low.spec.hi, low.spec.size)
-                 == (0.0, h.lo, 1 << mant_bits),
+                 == (0.0, h.lo, 1 << h.mant_bits),
                  "DL-LUT's L part does not end at its D part's lower bound")
         return _dl_table(low, high), off
 
@@ -543,7 +536,7 @@ def _load_one(buf: bytes, off: int,
     try:
         if kind == "D":
             _require(interpolated, "D-LUT without its guard entry")
-            spec = _d_layout(exp_bits, mant_bits, base_exponent)
+            spec = _d_layout(*d_fields)
             _require(size == spec.size, "entries do not fill its octaves")
         elif kind == "L":
             _require(second.is_integer(), "L-LUT density exponent")

@@ -115,7 +115,7 @@ def test_c04_multiplication_budgets(capfd):
     mi = build_mlut(SIN, 0.0, 6.0, 256, interpolated=True)
     l = build_llut(SIN, 0.0, 6.0, 256)
     li = build_llut(SIN, 0.0, 6.0, 256, interpolated=True)
-    d = build_dlut(TANH, 5, 8, -16)
+    d = build_dlut(TANH, -16, 16, 8)
     x = np.array([2.5])  # one query each
     got = (fmuls(llut_query, l, x), fmuls(llut_query_interp, li, x),
            fmuls(mlut_query, m, x), fmuls(mlut_query_interp, mi, x),

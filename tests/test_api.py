@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pimfuncs import OpCounts, lut
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, gelu_exact, supported)
 from pimfuncs.errors import DomainError, RangeError, UnsupportedCombinationError
@@ -204,3 +205,77 @@ class TestEvaluatorBehavior:
         ev = build_evaluator(F.TAN, EvaluatorConfig(method=M.CORDIC))
         v = float(ev.evaluate(math.pi / 2))
         assert abs(v) > 1e6 or math.isinf(v)
+
+
+_D_METHODS = (M.DLUT_INTERP, M.DLLUT_INTERP)
+
+
+def _table_query(ev):
+    """The evaluator's table and its own query, with no bypass."""
+    table, = ev.tables
+    query = (lut.dllut_query_interp if table.spec.kind == "DL"
+             else lut.dlut_query_interp)
+    return lambda x: query(table, np.array([x], dtype=np.float64))[0]
+
+
+@pytest.mark.parametrize("method", _D_METHODS)
+class TestDTableSaturation:
+    """tanh and GELU are constant in float32 above their tables' octaves
+    and saturate there, +-inf included, tallying no op; sin's tables stop
+    at 2^3, which no reduced input reaches."""
+
+    @staticmethod
+    def _both_paths(ev, xs):
+        """Batch results and counts, once scalar results match them bit
+        for bit."""
+        xs = np.asarray(xs, dtype=np.float32)
+        out, counts = ev.evaluate_batch(xs)
+        scalar = np.array([ev.evaluate(x) for x in xs], dtype=np.float32)
+        assert scalar.tobytes() == out.tobytes()
+        return out, counts
+
+    def test_octaves(self, method):
+        tops = {F.SIN: 8.0, F.TANH: 16.0, F.GELU: 8.0}
+        for f, top in tops.items():
+            table, = build_evaluator(f, EvaluatorConfig(method=method)).tables
+            assert table.spec.hi == top
+            assert table.spec.lo == (1.0 / 65536 if method is M.DLUT_INTERP
+                                     else 0.0)
+
+    def test_tanh_is_one_from_16(self, method):
+        ev = build_evaluator(F.TANH, EvaluatorConfig(method=method))
+        big = [16.0, 1e10, 3e38, math.inf]
+        out, counts = self._both_paths(ev, big + [-x for x in big])
+        assert out.tolist() == [1.0] * 4 + [-1.0] * 4
+        assert counts.as_dict() == OpCounts().as_dict()
+        below = np.nextafter(np.float32(16.0), np.float32(0.0))
+        kept = _table_query(ev)(below)
+        out, _ = self._both_paths(ev, [below, -below])
+        assert out.tolist() == [kept, -kept]
+
+    def test_gelu_is_x_from_8_and_zero_below_minus_8(self, method):
+        """gelu(-inf) is +0 too, the limit of x * Phi(x)."""
+        ev = build_evaluator(F.GELU, EvaluatorConfig(method=method))
+        big = [8.0, 9.5, 1e10, 3e38, math.inf]
+        out, counts = self._both_paths(ev, big + [-x for x in big])
+        assert out[:5].tolist() == np.float32(big).tolist()
+        assert out[5:].tolist() == [0.0] * 5 and not np.signbit(out[5:]).any()
+        assert counts.as_dict() == OpCounts().as_dict()
+        below = np.nextafter(np.float32(8.0), np.float32(0.0))
+        kept = _table_query(ev)(below)
+        out, _ = self._both_paths(ev, [below])
+        assert out.tolist() == [kept]
+
+    @pytest.mark.parametrize("f", (F.TANH, F.GELU))
+    def test_saturated_elements_tally_nothing(self, method, f):
+        ev = build_evaluator(f, EvaluatorConfig(method=method))
+        small = [0.5, -1.25, 3.0]
+        _, alone = self._both_paths(ev, small)
+        _, mixed = self._both_paths(ev, small + [16.0, -1e10, -math.inf])
+        assert mixed.as_dict() == alone.as_dict()
+
+    @pytest.mark.parametrize("f", (F.TANH, F.GELU))
+    def test_nan_still_refused(self, method, f):
+        ev = build_evaluator(f, EvaluatorConfig(method=method))
+        with pytest.raises(RangeError):
+            ev.evaluate(math.nan)

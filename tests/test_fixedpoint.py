@@ -148,6 +148,24 @@ class TestLdexp32:
         with np.errstate(over="ignore"):
             assert ldexp32(np.float32(-1.5), 1 << 40) == np.float32(-np.inf)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_silent_at_any_int_exponent(self):
+        """A non-positive int exponent cannot overflow: subnormal and
+        zero results come without a warning.  A positive one still
+        overflows to +-inf without one."""
+        x = np.array([1.0, -3e38, 3e38, -1e-40, 0.0, np.inf, np.nan],
+                     dtype=np.float32)
+        for e in (0, -1, -126, -149, -150, -400, -(1 << 40)):
+            got = ldexp32(x, e)
+            want = (x.astype(np.float64) * 2.0 ** max(e, -400)).astype(np.float32)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), e
+        assert ldexp32(x, -149)[0] > 0.0 and ldexp32(x, -150)[0] == 0.0
+        for e in (1, 128, 1 << 40):
+            got = ldexp32(x, e)
+            assert got[2] == np.inf and got[1] == -np.inf, e
+            assert got[4] == 0.0 and got[5] == np.inf and np.isnan(got[6])
+
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(7)
         args = rng.uniform(-1e5, 1e5, 300).astype(np.float32)

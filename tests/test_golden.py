@@ -494,8 +494,8 @@ SETUP_PINS = {
     "exp/llut/float": (16432, 4096),
     "exp/mlut-interp/float": (16436, 4097),
     "exp/mlut/float": (16432, 4096),
-    "gelu/dllut-interp/float": (33896, 8450),
-    "gelu/dlut-interp/float": (32820, 8193),
+    "gelu/dllut-interp/float": (4200, 1026),
+    "gelu/dlut-interp/float": (19508, 4865),
     "log/cordic/float": (108, 27),
     "log/llut-interp/fixed": (16436, 4097),
     "log/llut-interp/float": (16436, 4097),
@@ -505,8 +505,8 @@ SETUP_PINS = {
     "log/mlut/float": (16432, 4096),
     "sin/cordic-lut/float": (872, 218),
     "sin/cordic/float": (116, 29),
-    "sin/dllut-interp/float": (33896, 8450),
-    "sin/dlut-interp/float": (32820, 8193),
+    "sin/dllut-interp/float": (4200, 1026),
+    "sin/dlut-interp/float": (19508, 4865),
     "sin/llut-interp/fixed": (16436, 4097),
     "sin/llut-interp/float": (16436, 4097),
     "sin/llut/fixed": (16432, 4096),
@@ -532,8 +532,8 @@ SETUP_PINS = {
     "tan/mlut/float": (32864, 8192),
     "tanh/cordic-lut/float": (868, 217),
     "tanh/cordic/float": (108, 27),
-    "tanh/dllut-interp/float": (33896, 8450),
-    "tanh/dlut-interp/float": (32820, 8193),
+    "tanh/dllut-interp/float": (5224, 1282),
+    "tanh/dlut-interp/float": (20532, 5121),
 }
 
 WORKLOAD_PINS = {

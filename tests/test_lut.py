@@ -170,30 +170,30 @@ class TestDlut:
     def test_worked_address(self):
         # 3.0 = 1.5 * 2**1; top 2 mantissa bits of 0.5 are '10'
         # (address 6); a node's interpolation delta is 0
-        t = build_dlut(SQRT, exp_bits=3, mant_bits=2, base_exponent=0)
+        t = build_dlut(SQRT, base_exponent=0, hi_exponent=8, mant_bits=2)
         assert at(dlut_query_interp, t, 3.0) == t.entries[6]
         assert t.entries[6] not in (t.entries[5], t.entries[7])
 
     def test_node_round_trip(self):
-        t = build_dlut(SQRT, exp_bits=3, mant_bits=4, base_exponent=-2)
+        t = build_dlut(SQRT, base_exponent=-2, hi_exponent=6, mant_bits=4)
         addrs = [0, 5, 17, 40]
         nodes = np.array([node_of(t, a) for a in addrs])
         assert np.array_equal(dlut_query_interp(t, nodes), t.entries[addrs])
 
     def test_resolution_scales_with_exponent(self):
-        t = build_dlut(SQRT, exp_bits=3, mant_bits=4, base_exponent=0)
+        t = build_dlut(SQRT, base_exponent=0, hi_exponent=8, mant_bits=4)
         # cell width at exponent e is 2**(e - mant_bits)
         assert node_of(t, 1) - node_of(t, 0) == pytest.approx(2.0 ** -4)
         assert node_of(t, 17) - node_of(t, 16) == pytest.approx(2.0 ** -3)
 
     def test_interp_query(self):
-        t = build_dlut(TANH, exp_bits=5, mant_bits=8, base_exponent=-16)
+        t = build_dlut(TANH, base_exponent=-16, hi_exponent=16, mant_bits=8)
         xs = np.array([0.001, 0.37, 1.0, 2.5, 100.0])
         np.testing.assert_allclose(dlut_query_interp(t, xs), np.tanh(xs),
                                    rtol=0, atol=3e-6)
 
     def test_below_base_raises(self):
-        t = build_dlut(TANH, exp_bits=5, mant_bits=8, base_exponent=-16)
+        t = build_dlut(TANH, base_exponent=-16, hi_exponent=16, mant_bits=8)
         with pytest.raises(RangeError):
             at(dlut_query_interp, t, 2.0 ** -20)
         with pytest.raises(RangeError):
@@ -203,13 +203,13 @@ class TestDlut:
     def test_beyond_float32_raises(self):
         # +-1e39 cast to float32 is +-inf, refused by the range check
         # rather than leaking an overflow warning from the cast.
-        t = build_dlut(TANH, exp_bits=5, mant_bits=8, base_exponent=-16)
+        t = build_dlut(TANH, base_exponent=-16, hi_exponent=16, mant_bits=8)
         for x in (1e39, -1e39):
             with pytest.raises(RangeError):
                 at(dlut_query_interp, t, x)
 
     def test_one_float_multiply(self):
-        t = build_dlut(TANH, exp_bits=5, mant_bits=8, base_exponent=-16)
+        t = build_dlut(TANH, base_exponent=-16, hi_exponent=16, mant_bits=8)
         _, c = with_counting(lambda: at(dlut_query_interp, t, 0.37))
         assert c.float_mul == 1
         assert c.int_mul == 0
@@ -217,34 +217,34 @@ class TestDlut:
 
 class TestDllut:
     def test_covers_zero(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         assert at(dllut_query_interp, t, 0.0) == 0.0
 
     def test_boundary_continuity(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         below, above = dllut_query_interp(t, np.array([0.9999999, 1.0]))
         assert abs(below - above) < 1e-5
 
     def test_accuracy(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         xs = np.linspace(0.0, 10.0, 101)
         np.testing.assert_allclose(dllut_query_interp(t, xs), np.tanh(xs),
                                    rtol=0, atol=5e-6)
 
     def test_negative_rejected(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         with pytest.raises(RangeError):
             at(dllut_query_interp, t, -0.5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_beyond_float32_raises(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         with pytest.raises(RangeError):
             at(dllut_query_interp, t, 1e39)
 
     def test_node_of_points_to_the_parts(self):
         """A DL-LUT has no addresses of its own; its parts answer."""
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         with pytest.raises(RangeError, match="sub_low or sub_high"):
             node_of(t, 0)
         assert node_of(t.sub_low, 0) == 0.0 and node_of(t.sub_high, 0) == 1.0
@@ -260,7 +260,7 @@ class TestMemoryAccounting:
         assert lut_memory_bytes(t) == 257 * 4 + 48
 
     def test_dllut_sums_parts(self):
-        t = build_dllut(TANH, exp_bits=4, mant_bits=8, base_exponent=0)
+        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
         assert lut_memory_bytes(t) == (lut_memory_bytes(t.sub_low)
                                        + lut_memory_bytes(t.sub_high))
 
@@ -277,10 +277,10 @@ class TestLayoutChecks:
     entry is tabulated."""
 
     @pytest.mark.parametrize("build, args", [
-        (build_dlut, (12, 2, -16)),  # more octaves than a double has
-        (build_dlut, (4, 2, 1020)),  # 2**1036 overflows
-        (build_dlut, (4, 2, -1080)),  # below the smallest subnormal
-        (build_dllut, (4, 2, 1020)),
+        (build_dlut, (-16, 4080, 2)),  # more octaves than a double has
+        (build_dlut, (1020, 1036, 2)),  # 2**1036 overflows
+        (build_dlut, (-1080, -1064, 2)),  # below the smallest subnormal
+        (build_dllut, (1020, 1036, 2)),
         (build_mlut, (-1e308, 1e308, 10)),  # hi - lo overflows
         (build_llut, (-1e308, 1e308, 10)),
         (build_mlut, (0.0, 1e-320, 4)),  # infinite density
@@ -290,8 +290,12 @@ class TestLayoutChecks:
         (build_llut, (0.0, 1e200, 16)),
         (build_mlut, (0.0, 1e-300, 16)),  # density beyond float32
         (build_llut, (-3e38, 3e38, 16)),  # x - p beyond float32
-        (build_dlut, (4, 6, 120)),  # 2**136 is beyond float32
-        (build_dlut, (4, 6, -160)),  # 2**-160 is 0 in float32
+        (build_dlut, (120, 136, 6)),  # 2**136 is beyond float32
+        (build_dlut, (-160, -144, 6)),  # 2**-160 is 0 in float32
+        (build_dlut, (3, 3, 6)),  # no octave
+        (build_dllut, (0, -2, 6)),  # octaves the wrong way round
+        (build_dlut, (-16, 16, 0)),  # no mantissa bits
+        (build_dllut, (0, 4, 24)),  # more mantissa bits than float32 has
     ])
     def test_refused(self, build, args):
         with counting() as c, pytest.raises(RangeError):
@@ -309,8 +313,8 @@ class TestLayoutChecks:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_widest_d_range_queries_without_overflow(self):
-        top = build_dlut(ATAN, 4, 6, 112)  # up to 2**128
-        bottom = build_dlut(ATAN, 4, 6, -126)
+        top = build_dlut(ATAN, 112, 128, 6)  # up to 2**128
+        bottom = build_dlut(ATAN, -126, -110, 6)
         f32_max = float(np.finfo(np.float32).max)
         for t, xs in ((top, [2.0 ** 112, f32_max]), (bottom, [2.0 ** -126])):
             assert np.all(np.isfinite(dlut_query_interp(t, np.array(xs))))
@@ -323,6 +327,23 @@ class TestLayoutChecks:
         assert t.spec.size == 100 == len(t.entries) - interp
 
     def test_d_spec_size_counts_cells(self):
-        t = build_dlut(TANH, 3, 5, -4)
+        t = build_dlut(TANH, -4, 4, 5)
         assert t.spec.size == 8 << 5 == len(t.entries) - 1
         assert t.spec.hi_exponent == 4
+
+    @pytest.mark.parametrize("base, hi", [(-16, 3), (-16, 4), (0, 3), (5, 6),
+                                          (-126, 128)])
+    def test_any_octave_count(self, base, hi):
+        """A D layout takes any count of octaves, 19, 20, 3, 1 and 254
+        among them; the top cell interpolates towards the guard node."""
+        t = build_dlut(ATAN, base, hi, 2)
+        s = t.spec
+        assert (s.lo, s.hi) == (2.0 ** base, 2.0 ** hi)
+        assert s.size == (hi - base) << 2 == len(t.entries) - 1
+        assert node_of(t, s.size) == s.hi
+        top = s.hi * (1 - 2.0 ** -24)  # the float32 below 2**hi
+        got = dlut_query_interp(t, np.array([s.lo, top]))
+        assert got[0] == t.entries[0]
+        assert t.entries[-2] <= got[1] <= t.entries[-1]
+        with pytest.raises(RangeError):
+            at(dlut_query_interp, t, s.hi)

@@ -41,6 +41,28 @@ class TestReduce2Pi:
             with pytest.raises(DomainError):
                 reduce_2pi(np.array([1.0, x]))
 
+    def test_stays_below_the_sin_tables_top(self):
+        """The D/DL sin tables stop at 2^3, above 2*pi: every reduced
+        input lies in [0, 2*pi), the float32 neighbours of multiples of
+        2*pi of either sign and any magnitude included."""
+        k = np.concatenate([np.arange(1.0, 4097.0),
+                            np.exp2(np.arange(12.0, 126.0))])
+        m = np.concatenate([k, -k]) * TWO_PI
+        m32 = m.astype(np.float32)
+        xs = np.concatenate([m, np.nextafter(m, np.inf),
+                             np.nextafter(m, -np.inf), m32,
+                             np.nextafter(m32, np.float32(np.inf)),
+                             np.nextafter(m32, np.float32(-np.inf))])
+        r = reduce_2pi(xs.astype(np.float64))
+        assert np.all((0.0 <= r) & (r < TWO_PI)) and TWO_PI < 2.0 ** 3
+        assert r.max() > TWO_PI - 1e-9 and np.count_nonzero(r == 0.0)
+        for method in (api.MethodId.DLUT_INTERP, api.MethodId.DLLUT_INTERP):
+            ev = api.build_evaluator(api.FunctionId.SIN,
+                                     api.EvaluatorConfig(method=method))
+            assert ev.tables[0].spec.hi == 2.0 ** 3
+            out, _ = ev.evaluate_batch(m32)
+            assert np.all(np.abs(out) <= 1.0)
+
 
 class TestQuadrants:
     def test_reduce_all_quadrants(self):

@@ -27,8 +27,8 @@ def _tables():
         "llut_i": build_llut(EXP, 0.0, 1.0, 128, interpolated=True),
         "fixed": build_fixed_llut(SIN, 0.0, 6.0, 256),
         "fixed_i": build_fixed_llut(SIN, 0.0, 6.0, 256, interpolated=True),
-        "dlut": build_dlut(TANH, 4, 6, -8),
-        "dllut": build_dllut(TANH, 4, 6, 0),
+        "dlut": build_dlut(TANH, -8, 8, 6),
+        "dllut": build_dllut(TANH, 0, 16, 6),
     }
 
 
@@ -41,7 +41,7 @@ class TestRoundTrip:
 
     def test_magic(self):
         blob = dump_table(_tables()["mlut"])
-        assert blob[:4] == b"TPL2"
+        assert blob[:4] == b"TPL3"
 
     def test_entries_bit_exact(self):
         for t in _tables().values():
@@ -248,7 +248,7 @@ class TestLayoutFields:
     """Record fields that no layout accepts are refused as malformed."""
 
     def test_d_entries_disagree_with_the_octaves(self):
-        # exp_bits 4 says 16 octaves; keep the entries of 3 and the guard.
+        # The fields say 16 octaves; keep the entries of 3 and the guard.
         t = _tables()["dlut"]
         cells = 3 << t.spec.mant_bits
         blob = bytearray(_DUMPS["dlut"][:52])
@@ -257,13 +257,15 @@ class TestLayoutFields:
         with pytest.raises(TableFormatError, match="octaves"):
             load_table(bytes(blob))
 
+    # A D record's base_exponent, hi_exponent and mant_bits fields.
     @pytest.mark.parametrize("offset, value", [
-        (40, 2 ** 40), (40, -2 ** 40), (40, 2 ** 63 - 1), (40, -2 ** 63),
-        (24, 2 ** 62), (24, 12), (24, -1), (32, 24), (32, 2 ** 62),
-        (40, 120), (40, -160)],  # octaves float32 queries cannot reach
+        (24, 2 ** 40), (24, -2 ** 40), (24, 2 ** 63 - 1), (24, -2 ** 63),
+        (32, 2 ** 62), (32, 129), (32, -8), (40, 24), (40, 2 ** 62),
+        (24, 120), (24, -160), (40, 0)],  # octaves float32 cannot reach,
+        # or none, or cells without mantissa bits
         ids=["base-2^40", "base--2^40", "base-max", "base-min",
-             "exp_bits-2^62", "exp_bits-12", "exp_bits--1", "mant_bits-24",
-             "mant_bits-2^62", "base-120", "base--160"])
+             "hi-2^62", "hi-129", "hi--8", "mant_bits-24",
+             "mant_bits-2^62", "base-120", "base--160", "mant_bits-0"])
     def test_d_field_out_of_bounds(self, offset, value):
         low_count = struct.unpack_from("<I", _DUMPS["dllut"], 52 + 48)[0]
         d_part = 52 + 52 + 4 * low_count  # after the DL header and L part
@@ -290,9 +292,11 @@ class TestLayoutFields:
             load_table(bytes(blob))
 
     def test_previous_magic_is_refused(self):
-        blob = b"TPLT" + _DUMPS["mlut"][4:]
-        with pytest.raises(TableFormatError, match="magic"):
-            load_table(blob)
+        # TPL2 stored a D-LUT's exp_bits where TPL3 stores hi_exponent.
+        for magic in (b"TPLT", b"TPL2"):
+            blob = magic + _DUMPS["mlut"][4:]
+            with pytest.raises(TableFormatError, match="magic"):
+                load_table(blob)
 
 
 
@@ -317,9 +321,9 @@ class TestDLParts:
     def test_seeded_round_trips(self):
         rng = np.random.default_rng(21)
         for _ in range(24):
-            exp_bits, mant_bits, base = (int(rng.integers(lo, hi))
-                                         for lo, hi in ((1, 6), (1, 9), (-20, 8)))
-            t = build_dllut(TANH, exp_bits, mant_bits, base)
+            octaves, mant_bits, base = (int(rng.integers(lo, hi))
+                                        for lo, hi in ((1, 33), (1, 9), (-20, 8)))
+            t = build_dllut(TANH, base, base + octaves, mant_bits)
             blob = dump_table(t)
             back = load_table(blob)
             assert dump_table(back) == blob
@@ -331,3 +335,25 @@ class TestDLParts:
                                  rng.uniform(0.0, top, 16)])
             assert np.array_equal(dllut_query_interp(back, xs),
                                   dllut_query_interp(t, xs))
+
+
+class TestOctaveCounts:
+    """A TPL3 record stores hi_exponent, so any count of octaves, not
+    only a power of two, round-trips."""
+
+    @pytest.mark.parametrize("build, base, hi", [
+        (build_dlut, -16, 3), (build_dllut, 0, 3)], ids=["D-19", "DL-3"])
+    def test_round_trip(self, build, base, hi):
+        t = build(TANH, base, hi, 8)
+        blob = dump_table(t)
+        assert blob[:4] == b"TPL3"
+        back = load_table(blob)
+        assert dump_table(back) == blob and back.spec == t.spec
+        d = back.sub_high.spec if build is build_dllut else back.spec
+        assert (d.base_exponent, d.hi_exponent, d.size) == (
+            base, hi, (hi - base) << 8)
+        top = float(np.nextafter(np.float32(2.0 ** hi), 0))
+        xs = np.array([2.0 ** base, 1.5, top])
+        query = (dllut_query_interp if build is build_dllut
+                 else dlut_query_interp)
+        assert np.array_equal(query(back, xs), query(t, xs))

@@ -30,6 +30,7 @@ from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, SUPPORT,
 from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
+from pimfuncs.fixedpoint import RAW_MAX, SCALE
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
@@ -259,22 +260,22 @@ class TestDTables:
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     @pytest.mark.parametrize("interpolated", (True,))  # D-LUTs always are
     def test_dlut(self, mant_bits, interpolated):
-        lut, entries = _built(build_dlut, TANH, 5, mant_bits, -16)
+        lut, entries = _built(build_dlut, TANH, -16, 16, mant_bits)
         assert lut.interpolated is interpolated
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
         assert entries == len(lut.entries) == (32 << mant_bits) + 1
 
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     def test_dllut(self, mant_bits):
-        lut, entries = _built(build_dllut, SIN, 4, mant_bits, 0)
+        lut, entries = _built(build_dllut, SIN, 0, 16, mant_bits)
         low, high = lut.sub_low, lut.sub_high
         assert _bits(low.entries) == _bits(_ml_loop(math.sin, low))
         assert _bits(high.entries) == _bits(_d_loop(math.sin, high))
         assert entries == len(low.entries) + len(high.entries)
 
     def test_gelu_tables(self):
-        for lut in (build_dlut(gelu_exact, 5, 8, -16),
-                    build_dllut(gelu_exact, 5, 8, 0).sub_high):
+        for lut in (build_dlut(gelu_exact, -16, 16, 8),
+                    build_dllut(gelu_exact, 0, 32, 8).sub_high):
             assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
 
 
@@ -313,6 +314,48 @@ _TWIN_ML = [(f, m, fmt) for f in (FunctionId.SIN, FunctionId.COS,
                                   FunctionId.LOG) for m, fmt in _ML_CONFIGS]
 _TWIN_D = [(f, m) for f in (FunctionId.SIN, FunctionId.TANH)
            for m in (MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP)]
+
+
+def _settled_by_spacing(v, fixed):
+    """The settle test with its margin's ulp taken by ``np.spacing``."""
+    m = SETTLE_ULPS * np.spacing(np.abs(v))
+    lo, hi = v - m, v + m
+    if fixed:
+        lo, hi = np.rint(lo * SCALE), np.rint(hi * SCALE)
+        same = (lo == hi) & (np.abs(lo) < RAW_MAX)
+    else:
+        same = (lo.astype(np.float32).view(np.uint32)
+                == hi.astype(np.float32).view(np.uint32))
+    return same & np.isfinite(lo) & np.isfinite(hi) & (v != 0)
+
+
+def _settle_probes() -> np.ndarray:
+    """2**20 random double bit patterns, 2**20 more with exponents near
+    float32's and Q3.28's ranges, each binade edge and its neighbours,
+    and the special values, both signs."""
+    rng = np.random.default_rng(1 << 20)
+    anywhere = rng.integers(0, 1 << 64, 1 << 20, dtype=np.uint64)
+    near = (rng.integers(0, 1 << 52, 1 << 20, dtype=np.uint64)
+            | (rng.integers(1023 - 160, 1023 + 140, 1 << 20,
+                            dtype=np.uint64) << np.uint64(52)))
+    edges = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    edges = np.concatenate([edges, edges + np.uint64(1),
+                            edges[1:] - np.uint64(1)])
+    bits = np.concatenate([anywhere, near, edges])
+    specials = np.array(_SPECIALS + (math.inf, math.nan, 1.7976931348623157e308))
+    v = np.concatenate([bits.view(np.float64), specials])
+    return np.concatenate([v, -v])
+
+
+@pytest.mark.parametrize("fixed", (False, True), ids=("float", "fixed"))
+def test_settle_ulp_matches_spacing(fixed):
+    """The settle test's frexp ulp gives the masks ``np.spacing`` gives."""
+    v = _settle_probes()
+    with np.errstate(all="ignore"):
+        want = _settled_by_spacing(v, fixed)
+        got = pimfuncs.lut._settled(v, fixed)
+    assert v.size > 2_000_000 and 0 < np.count_nonzero(want) < v.size
+    assert np.array_equal(got, want)
 
 
 class TestTwinHosts:
@@ -386,7 +429,7 @@ class TestTwinHosts:
                     8192, interpolated=True)
         assert np.asarray(lut.entries).tobytes() == _ml_loop(
             math.sin, lut, fixed).tobytes()
-        lut = build_dlut(twin(TANH, _perturbed(np.tanh)), 5, 10, -16)
+        lut = build_dlut(twin(TANH, _perturbed(np.tanh)), -16, 16, 10)
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
 
     @pytest.mark.parametrize("fixed", (False, True))
@@ -666,7 +709,7 @@ class TestHostProperties:
         assert all(_is_twin_of(h, cndf_exact) for h in hosts)
         tabulated = [f for f, _, _ in _every_tabulated_host(monkeypatch)]
         named = [h for hosts, _ in _TABLE_CELLS.values() for h, _, _ in hosts]
-        named += [h for h, _ in _D_CELLS.values()] + [CNDF_HOST]
+        named += [h for h, *_ in _D_CELLS.values()] + [CNDF_HOST]
         assert {id(h) for h in named} <= {id(f) for f in tabulated}
         start = [f for f in tabulated if not any(f is h for h in named)]
         assert sorted({_lifted(f).__name__ for f in start}) == [
@@ -687,8 +730,8 @@ class TestHostProperties:
 
     @pytest.mark.parametrize("build,args", [
         (build_mlut, (0.0, 1.0, 16)), (build_llut, (0.0, 1.0, 16)),
-        (build_fixed_llut, (0.0, 1.0, 16)), (build_dlut, (5, 4, -16)),
-        (build_dllut, (5, 4, 0))], ids=["M", "L", "fixed-L", "D", "DL"])
+        (build_fixed_llut, (0.0, 1.0, 16)), (build_dlut, (-16, 16, 4)),
+        (build_dllut, (0, 32, 4))], ids=["M", "L", "fixed-L", "D", "DL"])
     @pytest.mark.parametrize("host", [math.sin, twin(math.sin, np.sin)],
                              ids=["bare", "bare-twin"])
     def test_bare_scalar_host_raises_type_error(self, host, build, args):
