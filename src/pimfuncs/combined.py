@@ -3,11 +3,13 @@
 A coarse start table replaces the first ``lut_addr_bits`` CORDIC
 iterations: the rotation target's top bits address a cell holding the
 exactly pre-rotated vector (scaled by the inverse gain of the iterations
-that remain) together with the angle already consumed.  Evaluation then
-runs only the remaining fine iterations, so per-call cost drops while the
-angle resolution of the skipped iterations is preserved exactly.  The
-fine iterations are the plain CORDIC loop, over int64 arrays of raw
-Q3.28 values, which :func:`cordic_lut_rotate` takes and returns.
+that remain) together with the angle already consumed.  Each coordinate
+is libm's cos or sin (cosh or sinh) times that gain, rounded once to
+Q3.28.  Evaluation then runs only the remaining fine iterations, so
+per-call cost drops while the angle resolution of the skipped iterations
+is preserved exactly.  The fine iterations are the plain CORDIC loop,
+over int64 arrays of raw Q3.28 values, which :func:`cordic_lut_rotate`
+takes and returns.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ class CordicLutTables:
         return self.rem_tables.n_iter
 
 
+def _scaled(host, scale: float, x: np.ndarray) -> np.ndarray:
+    """``host(x) * scale``, the host of a start-table column."""
+    return host(x) * scale
+
+
 def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
                      n_iter: int = 28) -> CordicLutTables:
     """Build the start table plus the remaining-iteration angle table.
@@ -63,9 +70,10 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     cos, sin = ((partial(mapped, math.cos), partial(mapped, math.sin))
                 if mode is CordicMode.CIRCULAR
                 else (partial(mapped, math.cosh), partial(mapped, math.sinh)))
-    cells = np.stack([to_fixed(tabulate(cos, theta, count) * inv_g_rem),
-                      to_fixed(tabulate(sin, theta, count) * inv_g_rem),
-                      to_fixed(theta(np.arange(count)))], axis=1)
+    cells = np.stack([
+        tabulate(partial(_scaled, cos, inv_g_rem), theta, count, fixed=True),
+        tabulate(partial(_scaled, sin, inv_g_rem), theta, count, fixed=True),
+        to_fixed(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
     return CordicLutTables(cells=cells, rem_tables=rem, density_n=b - 1)
 

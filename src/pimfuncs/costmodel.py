@@ -7,7 +7,6 @@ active, tallying is a no-op.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 
@@ -80,18 +79,24 @@ def tally(name: str, n: int = 1) -> None:
         setattr(c, name, getattr(c, name) + n)
 
 
-@contextmanager
-def counting():
-    c = OpCounts()
-    token = _stack.set(_stack.get() + (c,))
-    try:
-        yield c
-    finally:
-        _stack.reset(token)
+class counting:
+    """``with counting() as c``: a fresh OpCounts ``c`` takes every tally
+    made inside, and on exit, exception or not, is folded into the
+    enclosing one."""
+
+    __slots__ = ("counts", "token")
+
+    def __enter__(self) -> OpCounts:
+        self.counts = OpCounts()
+        self.token = _stack.set(_stack.get() + (self.counts,))
+        return self.counts
+
+    def __exit__(self, *exc_info) -> None:
+        _stack.reset(self.token)
         stack = _stack.get()
         if stack:
             parent = stack[-1]
-            parent += c  # OpCounts.__iadd__ adds in place
+            parent += self.counts  # OpCounts.__iadd__ adds in place
 
 
 def with_counting(thunk):

@@ -22,11 +22,11 @@ each refuses what float32 queries cannot address.  The builders and
 the built table's, and a DL record's L part must be
 :func:`build_dllut`'s: 2**mant_bits cells up to the D part.
 
-Every builder tabulates through :func:`tabulate`: the nodes come from one
-vectorized formula per kind (``p + a / k`` for M and L, an ``ldexp`` of
-the address's mantissa and exponent fields for D), and the host function
-is called on them a chunk of TABULATE_CHUNK nodes at a time, so the
-temporaries alive at once are bounded by the chunk size.
+Every builder takes its entries from :func:`tabulate`: the nodes come
+from one vectorized formula per kind (``p + a / k`` for M and L, an
+``ldexp`` of the address's mantissa and exponent fields for D), and the
+host function is called on them a chunk of TABULATE_CHUNK nodes at a
+time, so the temporaries alive at once are bounded by the chunk size.
 
 A host is a function of a float64 array that returns libm's doubles,
 elementwise.  A libm function is lifted to one where it is named, as
@@ -46,10 +46,10 @@ erf, can differ from libm in the last bits (by up to 3 ulps), so
 :func:`tabulate` keeps a twin value ``v`` only where Ziv's rounding test
 settles it: ``v`` is nonzero, and ``v - m`` and ``v + m``, with
 ``m = SETTLE_ULPS`` ulps of ``v``, are finite and round to the same
-stored entry (float32, or the Q3.28 raw of a fixed table).  libm's value
-lies between them, so it has that entry too.  Every other node goes to
-the host, in address order and in one call per chunk, so each entry,
-and each exception a per-node loop would raise, is libm's.
+stored entry (float32, or the Q3.28 raw of a fixed table), which is the
+entry: libm's value lies between them.  Every other node goes to the
+host, in address order and in one call per chunk, so each entry, and
+each exception a per-node loop would raise, is libm's.
 
 Every query takes a 1-d array, float64 or (fixed variants) raw Q3.28
 int64, and returns one float32 or raw Q3.28 result per element; one
@@ -98,46 +98,60 @@ def twin(host, ufunc):
     return twinned
 
 
-def _settled(v: np.ndarray, fixed: bool) -> np.ndarray:
-    """Where ``v`` is nonzero and every double within SETTLE_ULPS ulps of
-    it is finite and has its stored entry: float32, or a Q3.28 raw inside
-    (-RAW_MAX, RAW_MAX), which only doubles in (-8, 8) round to.  The
-    ulp is np.spacing's wherever ``v`` is finite and nonzero, but cheaper."""
-    m = SETTLE_ULPS * np.maximum(np.ldexp(1.0, np.frexp(v)[1] - 53), 5e-324)
-    lo, hi = v - m, v + m
-    if fixed:
+def _settled(v: np.ndarray, fixed: bool):
+    """Where float64 ``v`` is nonzero and every double within m =
+    SETTLE_ULPS ulps of it is finite and has its stored entry (float32, or
+    a Q3.28 raw inside (-RAW_MAX, RAW_MAX)), and the entry of ``v - m``,
+    ``v``'s own where it settles.  The ulp, 2**-52 times v's exponent
+    field floored at 2**-1074, is np.spacing's for finite nonzero ``v``."""
+    field = (v.view(np.int64) & 0x7FF << 52).view(np.float64)
+    m = field * (SETTLE_ULPS * 2.0 ** -52)  # scaling by 2**10 is exact
+    np.maximum(m, SETTLE_ULPS * 2.0 ** -1074, out=m)
+    lo, hi = v - m, np.add(v, m, out=m)
+    if fixed:  # |lo| < RAW_MAX refuses a NaN or an infinity
         lo, hi = np.rint(lo * SCALE), np.rint(hi * SCALE)
-        same = (lo == hi) & (np.abs(lo) < RAW_MAX)
-    else:  # bits, not ==, which takes -0.0 for 0.0
-        same = (lo.astype(np.float32).view(np.uint32)
-                == hi.astype(np.float32).view(np.uint32))
-    return same & np.isfinite(lo) & np.isfinite(hi) & (v != 0)
+        return (lo == hi) & (np.abs(lo) < RAW_MAX) & (v != 0), lo
+    lo32 = lo.astype(np.float32)  # compared in bits, so ±0 never settle
+    same = lo32.view(np.uint32) == hi.astype(np.float32).view(np.uint32)
+    return same & np.isfinite(hi - lo), lo32
 
 
 def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
-    """``f(nodes(a))`` for each address ``a`` in [0, count), as float64.
+    """The stored entries of ``f(nodes(a))`` for each address ``a`` in
+    [0, count): float32, or int64 Q3.28 raws if ``fixed``.
 
     ``nodes`` maps an int64 address array to the double nodes at those
     addresses, and ``f``, a host (see the module docstring), is called
     once per chunk on float64 nodes.  The last chunk takes in a remainder
-    shorter than TABULATE_CHUNK, so no chunk is a lone guard node.  The
-    values of a :func:`twin` are settled against ``fixed`` tables' Q3.28
-    entries, or else float32 ones.
+    shorter than TABULATE_CHUNK, so no chunk is a lone guard node.  A
+    settled :func:`twin` value's entry is the settle test's rounding; the
+    host's values are rounded after the last chunk, in address order, so
+    its exception in any chunk precedes a refused entry's RangeError or
+    float32 overflow warning.
     """
     twin_of = getattr(f, "twin", None)
-    out = np.empty(count)
+    out = np.empty(count, dtype=np.int64 if fixed else np.float32)
+    addrs = np.arange(count)
+    sent, values = [], []  # the addresses the host sees, and its values
     chunks = max(1, count // TABULATE_CHUNK)
     for i in range(chunks):
         start = i * TABULATE_CHUNK
         stop = count if i == chunks - 1 else start + TABULATE_CHUNK
-        x = np.asarray(nodes(np.arange(start, stop)), dtype=np.float64)
-        values = out[start:stop]
-        left = slice(None)  # every node, unless a twin settles some
+        a = addrs[start:stop]
+        x = np.asarray(nodes(a), dtype=np.float64)
         if twin_of is not None:
             with np.errstate(all="ignore"):
-                values[:] = twin_of(x)
-                left = np.flatnonzero(~_settled(values, fixed))
-        values[left] = f(x[left])
+                settled, out[start:stop] = _settled(twin_of(x), fixed)
+            if not fixed:  # an overflow goes to the host, whose cast warns
+                settled &= np.isfinite(out[start:stop])
+            a, x = a[~settled], x[~settled]
+        sent.append(a)
+        values.append(f(x))
+    values = np.concatenate(values)
+    entries = to_fixed(values) if fixed else values.astype(np.float32)
+    if twin_of is None:  # the host saw every node
+        return entries
+    out[np.concatenate(sent)] = entries
     return out
 
 
@@ -246,9 +260,8 @@ def _tabulated(f, spec: SpacingSpec, interpolated: bool,
                fixed: bool = False) -> FuzzyLut:
     """The table of ``f`` at the nodes of ``spec``, guard entry included."""
     count = spec.size + interpolated
-    values = tabulate(f, _nodes(spec), count, fixed)
+    entries = tabulate(f, _nodes(spec), count, fixed)
     tally("table_setup_entries", count)
-    entries = to_fixed(values) if fixed else values.astype(np.float32)
     return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
                     fixed=fixed)
 
@@ -335,11 +348,13 @@ def build_llut(f, lo: float, hi: float, size: int,
 
 
 def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    """Table position ldexp(x - p, n) in float32: no multiply."""
+    """Table position ldexp(x - p, n) in float32: no multiply, and in
+    range no overflow to guard against, as |x - p| * 2**n <= size + 1."""
     _check_range(lut, x)
     s = lut.spec
     tally("float_add", x.size)
-    return ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
+    tally("ldexp_op", x.size)
+    return np.ldexp(x.astype(np.float32) - np.float32(s.p), s.n)
 
 
 def llut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 
 from pimfuncs.costmodel import counting, with_counting
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import to_fixed, to_float
-from pimfuncs.lut import (build_dllut, build_dlut,
+from pimfuncs.fixedpoint import ldexp32, to_fixed, to_float
+from pimfuncs.lut import (_l_position, build_dllut, build_dlut,
                           build_fixed_llut, build_llut, build_mlut,
                           dllut_query_interp, dlut_query_interp,
                           fixed_llut_query, fixed_llut_query_interp,
@@ -117,6 +117,30 @@ class TestLlutAddressing:
         x32 = xs.astype(np.float32).astype(np.float64)
         np.testing.assert_allclose(llut_query_interp(t, x32), np.sin(x32),
                                    rtol=0, atol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lo, hi, size", [
+        (0.0, 2 * math.pi, 4096), (-1.0, 1.0, 65536), (0.0, 1e-30, 64),
+        (1.0, 1.0 + 2.0 ** -20, 1024), (0.0, 1e6, 16),
+        (-float(np.finfo(np.float32).max) / 8,
+         float(np.finfo(np.float32).max) / 8, 16),
+    ], ids=["sin", "unit", "n=105", "n=30", "n<0", "widest"])
+    @pytest.mark.parametrize("interpolated", [False, True])
+    def test_position_at_range_ends_is_ldexp32s(self, lo, hi, size,
+                                                interpolated):
+        """At spec.lo and spec.hi, where |x - p| * 2**n is largest, the
+        position has ldexp32's bits, one ldexp_op per element, and no
+        overflow warning."""
+        t = build_llut(ATAN, lo, hi, size, interpolated=interpolated)
+        s = t.spec
+        x = np.array([s.lo, s.hi])
+        got, c = with_counting(lambda: _l_position(t, x))
+        want = ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
+        assert got.dtype == np.float32
+        assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+        assert c.ldexp_op == 2
+        query = llut_query_interp if interpolated else llut_query
+        assert np.all(np.isfinite(query(t, x)))
 
 
 class TestFixedLlut:

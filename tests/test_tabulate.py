@@ -27,10 +27,10 @@ from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, SUPPORT,
                           EvaluatorConfig, MethodId, NumberFormat,
                           build_evaluator, cndf_exact, erf_twin, gelu_exact,
                           supported, table_kernel)
-from pimfuncs.combined import TABLE_SPAN, build_cordic_lut
+from pimfuncs.combined import TABLE_SPAN, _scaled, build_cordic_lut
 from pimfuncs.cordic import CordicMode, generate_cordic_tables
 from pimfuncs.errors import RangeError
-from pimfuncs.fixedpoint import RAW_MAX, SCALE
+from pimfuncs.fixedpoint import RAW_MAX, SCALE, to_fixed
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
@@ -155,8 +155,9 @@ class TestTabulate:
         out = tabulate(partial(mapped, f), lambda a: a * 0.001, count)
         nodes = [a * 0.001 for a in range(count)]
         assert seen == nodes
-        assert out.dtype == np.float64
-        assert _bits(out) == _bits(np.array([math.cos(v) for v in nodes]))
+        assert out.dtype == np.float32
+        assert _bits(out) == _bits(np.array([math.cos(v) for v in nodes],
+                                            dtype=np.float32))
 
     @pytest.mark.parametrize("count", (1, TABULATE_CHUNK, 2 * TABULATE_CHUNK + 3))
     def test_array_formula_called_once_per_float64_chunk(self, count):
@@ -172,7 +173,7 @@ class TestTabulate:
         assert [c.size for c in seen] == {
             1: [1], TABULATE_CHUNK: [TABULATE_CHUNK],
             2 * TABULATE_CHUNK + 3: [TABULATE_CHUNK, TABULATE_CHUNK + 3]}[count]
-        assert _bits(out) == _bits(np.arange(count) * 0.125)
+        assert _bits(out) == _bits((np.arange(count) * 0.125).astype(np.float32))
 
     @pytest.mark.parametrize("k", (1, 11, 12, 13, 17))
     def test_interpolated_table_has_no_one_node_chunk(self, k):
@@ -353,9 +354,60 @@ def test_settle_ulp_matches_spacing(fixed):
     v = _settle_probes()
     with np.errstate(all="ignore"):
         want = _settled_by_spacing(v, fixed)
-        got = pimfuncs.lut._settled(v, fixed)
+        got, _ = pimfuncs.lut._settled(v, fixed)
     assert v.size > 2_000_000 and 0 < np.count_nonzero(want) < v.size
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fixed", (False, True), ids=("float", "fixed"))
+def test_settled_entry_is_the_values_own_rounding(fixed):
+    """Wherever a value settles, the entry the settle test returns is the
+    value's own: its float32, or its ``to_fixed`` raw, never refused."""
+    v = _settle_probes()
+    with np.errstate(all="ignore"):
+        settled, entries = pimfuncs.lut._settled(v, fixed)
+        v, entries = v[settled], entries[settled]
+        want = to_fixed(v) if fixed else v.astype(np.float32)
+    assert v.size > 1000
+    if fixed:
+        assert np.array_equal(entries, want)
+    else:
+        assert _bits(entries) == _bits(want)
+
+
+class TestFailingBuild:
+    """A build that fails raises what the per-node loop and a rounding of
+    the whole table after it raise: the host's exception from a later
+    chunk before an earlier entry's refusal, and numpy's float32
+    overflow warning, twin or not."""
+
+    @pytest.mark.parametrize("twinned", (False, True), ids=("bare", "twin"))
+    def test_later_host_exception_precedes_refused_entry(self, twinned):
+        calls = []
+
+        def host(x):
+            calls.append(x.size)
+            if len(calls) > 1:
+                raise ValueError("host fails on a later chunk")
+            return np.full_like(x, 100.0)  # outside Q3.28
+        f = twin(host, lambda x: np.full_like(x, 100.0)) if twinned else host
+        with pytest.raises(ValueError, match="later chunk"):
+            build_fixed_llut(f, 0.0, 1.0, 3 * TABULATE_CHUNK)
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("host", (EXP, twin(EXP, np.exp)),
+                             ids=("bare", "twin"))
+    def test_float32_overflow_warns(self, host):
+        """exp above 88.7 overflows float32: the build warns, and with the
+        warning ignored the table is the per-node loop's, inf included."""
+        with pytest.raises(RuntimeWarning, match="overflow encountered in cast"):
+            build_llut(host, 0.0, 100.0, 64)
+        with np.errstate(over="ignore"):
+            lut = build_llut(host, 0.0, 100.0, 64)
+            want = _ml_loop(math.exp, lut)
+        assert np.isinf(want).any()
+        assert _bits(lut.entries) == _bits(want)
 
 
 class TestTwinHosts:
@@ -556,7 +608,7 @@ class TestErfTwin:
         nodes = np.arange(count) + 1.0
         assert seen == [[v for v in nodes[start:stop].tolist() if v % 3 == 0]
                         for start, stop in _chunks(count)]
-        assert _bits(out) == _bits(nodes * 0.5)
+        assert _bits(out) == _bits((nodes * 0.5).astype(np.float32))
 
 
 # Each twin host and the range its tables' nodes cover: the M/L hosts on
@@ -693,9 +745,10 @@ def _every_tabulated_host(monkeypatch) -> list:
 
 class TestHostProperties:
     def test_hosts_are_the_tabulated_ones(self, monkeypatch):
-        """The CNDF and GELU tables take twins of the exact formulas, and
-        every host tabulated, the CORDIC+LUT start tables' included, maps
-        a float64 array to float64 of the same shape."""
+        """The CNDF and GELU tables take twins of the exact formulas, the
+        CORDIC+LUT start tables scale a lifted cos, sin, cosh or sinh, and
+        every host tabulated maps a float64 array to float64 of the same
+        shape."""
         assert _is_twin_of(_D_CELLS[FunctionId.GELU][0], gelu_exact)
         hosts = []
 
@@ -712,7 +765,8 @@ class TestHostProperties:
         named += [h for h, *_ in _D_CELLS.values()] + [CNDF_HOST]
         assert {id(h) for h in named} <= {id(f) for f in tabulated}
         start = [f for f in tabulated if not any(f is h for h in named)]
-        assert sorted({_lifted(f).__name__ for f in start}) == [
+        assert all(f.func is _scaled for f in start)
+        assert sorted({_lifted(f.args[0]).__name__ for f in start}) == [
             "cos", "cosh", "sin", "sinh"]
         x = np.linspace(1.0, 2.0, 12).reshape(3, 4)
         for f in named + start:
