@@ -82,6 +82,8 @@ def mapped(f, x) -> np.ndarray:
     """``f`` of each element of ``x``, in order, as float64 shaped as
     ``x``: a scalar libm function ``f`` lifted to an array host."""
     x = np.asarray(x, dtype=np.float64)
+    if not x.size:  # a chunk whose every node the twin settled
+        return np.empty(x.shape)
     return np.fromiter(map(f, x.ravel().tolist()), np.float64,
                        x.size).reshape(x.shape)
 

@@ -2,9 +2,10 @@
 
 Each step maps float64 (or raw Q3.28 int64) arrays elementwise, for LUT
 and CORDIC pipelines alike.  Reductions run in double precision, and each
-op is tallied once per element at single-precision-op weight.  A kernel
-runs between a reduction and the extension that undoes it: ``reduce_2pi``
-then ``quadrant_reduce``/``quadrant_adjust`` for sin/cos/tan,
+op is tallied once per element that takes it, at single-precision-op
+weight; comparisons are not tallied.  A kernel runs between a reduction
+and the extension that undoes it: ``reduce_2pi`` then
+``quadrant_reduce``/``quadrant_adjust`` for sin/cos/tan,
 ``exp_split``/``exp_extend``, ``split_float``/``log_extend``,
 ``sqrt_reduce``/``sqrt_extend``, and ``reflect_odd`` for odd functions.
 """
@@ -44,17 +45,21 @@ def piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
 
 
 def reduce_2pi(x: np.ndarray) -> np.ndarray:
-    """Map finite inputs into [0, 2*pi) in double precision.
-
+    """Map finite inputs into [0, 2*pi) in double precision; only
+    |x| >= 2*pi takes, and tallies, the remainder, as fmod is exact and
+    returns a smaller x as is.  Negative results fold up by one add each.
     Accuracy degrades for |x| beyond ~2**40 (no Payne-Hanek machinery).
     """
-    bad = ~np.isfinite(x)
-    if np.count_nonzero(bad):
-        raise DomainError("reduce_2pi requires finite input, "
-                          f"got {float(x[bad][0])}")
-    tally("float_mul", x.size)
-    tally("float_add", x.size)
-    r = np.fmod(x, TWO_PI)  # exact, so |r| < 2*pi
+    far = x[~(np.abs(x) < TWO_PI)]  # NaN and +-inf included
+    r = x
+    if far.size:
+        bad = ~np.isfinite(far)
+        if np.count_nonzero(bad):
+            raise DomainError("reduce_2pi requires finite input, "
+                              f"got {float(far[bad][0])}")
+        tally("float_mul", far.size)
+        tally("float_add", far.size)
+        r = np.fmod(x, TWO_PI)  # exact, so |r| < 2*pi, and x where |x| < 2*pi
     neg = r < 0.0
     folds = int(np.count_nonzero(neg))
     tally("float_add", folds)

@@ -1,14 +1,16 @@
 """Golden outputs: exact result bits, op counts and set-up of every default
 cell.
 
-The digests and workload pins were recorded from the per-element scalar
-implementation; the set-up pins (modelled table bytes and generated
-entries) and the +-1e10 edge values were added later, in a re-recording
-that left every earlier pin as it was.  Any change that alters a result
-bit, an op count or a table's size, for any supported (function,
-method, format) cell or workload variant, fails here.  Edge evaluations
-that raised when the values were recorded are not pinned, so a later
-fix may turn them into values.
+The batch results and workload pins were recorded from the per-element
+scalar implementation; the set-up pins (modelled table bytes and
+generated entries) and the +-1e10 edge values were added later, in a
+re-recording that left every earlier pin as it was.  Each cell's batch
+is pinned twice, by the sha256 of its result bits and by its op counts,
+so a change to the counts alone shows that the results held.  Any
+change that alters a result bit, an op count or a table's size, for any
+supported (function, method, format) cell or workload variant, fails
+here.  Edge evaluations that raised when the values were recorded are
+not pinned, so a later fix may turn them into values.
 
 To re-record after a change that alters results on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` and replace the tables.
@@ -45,16 +47,12 @@ def _inputs(key: str) -> np.ndarray:
     return np.random.default_rng(seed).uniform(lo, hi, N_INPUTS).astype(np.float32)
 
 
-def _counts_repr(counts) -> str:
-    return repr(sorted(counts.as_dict().items()))
-
-
-def batch_digest(key: str) -> str:
+def batch_pin(key: str) -> tuple:
+    """The sha256 of a cell's batch result bits, and its op counts."""
     function, cfg = CELLS[key]
     out, counts = build_evaluator(function, cfg).evaluate_batch(_inputs(key))
     h = hashlib.sha256(np.ascontiguousarray(out, dtype=np.float32).tobytes())
-    h.update(_counts_repr(counts).encode())
-    return h.hexdigest()
+    return h.hexdigest(), counts
 
 
 def edge_bits(key: str) -> list:
@@ -88,7 +86,9 @@ def workload_pin(name: str, variant: str) -> tuple:
 
 @pytest.mark.parametrize("key", sorted(CELLS))
 def test_batch_outputs_and_counts(key):
-    assert batch_digest(key) == BATCH_DIGESTS[key]
+    bits, counts = batch_pin(key)
+    assert bits == BATCH_OUTPUTS[key]
+    assert counts == BATCH_COUNTS[key]
 
 
 @pytest.mark.parametrize("key", sorted(CELLS))
@@ -110,11 +110,22 @@ def test_workload_results(name, variant):
     assert workload_pin(name, variant) == WORKLOAD_PINS[f"{name}/{variant}"]
 
 
+def _ops_literal(counts) -> str:
+    """``counts`` as an OpCounts call of its nonzero fields, indented."""
+    ops = ", ".join(f"{k}={n}" for k, n in counts.as_dict().items() if n)
+    return textwrap.fill(f"OpCounts({ops})", 70, initial_indent=" " * 8,
+                         subsequent_indent=" " * 17)
+
+
 def _record() -> None:
-    """Print the four tables below from the implementation at hand."""
-    print("BATCH_DIGESTS = {")
-    for key in sorted(CELLS):
-        print(f'    "{key}":\n        "{batch_digest(key)}",')
+    """Print the five tables below from the implementation at hand."""
+    pins = {key: batch_pin(key) for key in sorted(CELLS)}
+    print("BATCH_OUTPUTS = {")
+    for key, (bits, _) in pins.items():
+        print(f'    "{key}":\n        "{bits}",')
+    print("}\n\nBATCH_COUNTS = {")
+    for key, (_, counts) in pins.items():
+        print(f'    "{key}":\n{_ops_literal(counts)},')
     print("}\n\nEDGE_BITS = {")
     for key in sorted(CELLS):
         lines = textwrap.wrap(" ".join(edge_bits(key)), 54)
@@ -127,131 +138,293 @@ def _record() -> None:
     for name, (_, variants) in WORKLOADS.items():
         for v in variants:
             rmse, dev, counts = workload_pin(name, v)
-            ops = ", ".join(f"{k}={n}" for k, n in counts.as_dict().items() if n)
-            ops = textwrap.fill(f"OpCounts({ops})", 70, initial_indent=" " * 8,
-                                subsequent_indent=" " * 17)
-            print(f'    "{name}/{v}": (\n        {rmse!r}, {dev!r},\n{ops}),')
+            print(f'    "{name}/{v}": (\n        {rmse!r}, {dev!r},\n'
+                  f'{_ops_literal(counts)}),')
     print("}")
 
 
 
-BATCH_DIGESTS = {
+BATCH_OUTPUTS = {
     "cos/cordic-lut/float":
-        "f2498226d12ad78c69c5fed32fdbfb395c156c600ad8d3427d4e84a5df0650e9",
+        "f9a1df89f7a17f383a5f84bcb28ded5b04687c08f99c1d54ca75450fbd370b87",
     "cos/cordic/float":
-        "916b323a99b2de58945f514c648e26a22cd78a44be2e691205ce9dea3e9af07b",
+        "2ab3ba6d9dbd7ed67b3d1ad94e3f1196541c49f50e973dd701bce7a671b45e6b",
     "cos/llut-interp/fixed":
-        "c32c19d1328538ae845d3d831b46c2c61f493eb6b6ef5495eada81820d2203e9",
+        "9d3718f9644800012765e4de8768ba18590da72894029e45f24c8b07ce094007",
     "cos/llut-interp/float":
-        "de007e56e014fd2bd01b633941b002487f4a757e27b5dd045bedcf5413dbe7f5",
+        "9ad12ddf05ec9f28065003ab97b0b9193909cba7dd85a26436ada15b13b250ea",
     "cos/llut/fixed":
-        "0b9ad64e60492ef6fce25f6e2f512ebf0b36cde648ad1d93c148bb407d0a09eb",
+        "85223475942c237ad65917bd81dbf2158badb1acf2228b5fc126453e3292ba21",
     "cos/llut/float":
-        "f7c7eb952dcd25ef606a24fa6432f65dace8ca8124a0fb4b69e07bb7d7145f17",
+        "8b47a58ca5dd25f2007c944cdf6eb069ffa8f57e1a8484967e2820fd57b06574",
     "cos/mlut-interp/float":
-        "10e93d0f61bc19e7d36022452765f57b17d3e89ed5d8ab18f331d254a92d7e7b",
+        "8aa1bcad8f6cabd03ce75c248aedcee6dcaefc32fdfad42d17138fea6626284a",
     "cos/mlut/float":
-        "a23b3468e35d0930c0eb1f8c06c55f42d7bb3253c0d89bd1914b08e748f2866e",
+        "ad8c58ba68ffa0ea2fe55498789651f6e2d030b6e1bcab3e253293243ab14fab",
     "cosh/cordic-lut/float":
-        "6654dbd2b3e968bc860afab64d3190341d1c73b212896183b4c7b8ce8ade5aa2",
+        "a09507b34b549c62f5c3387af377d4ca552437fb6c4e7cdec10e1bd98933620a",
     "cosh/cordic/float":
-        "39a6948b42ee049f895db881129124b110001b94d0224a5aa1fb1642308da5ce",
+        "a6c9cc7d1e74adadde4f8f46667571f47ef39b3e72071da158370828e6ca11ba",
     "exp/cordic-lut/float":
-        "3f3a0f9488f90af4526ae32cdcb1fd018bfe2a162552df61cc55dcf2a53129c2",
+        "3942231ff6ce77c5e2053e08681a1a79ecedff3fba1a1dd958bfb0aec571eb82",
     "exp/cordic/float":
-        "9792c407fdd30003231e7146a4ec6e11b83627941debde69817b32e0212adeba",
+        "b2dffa0aaf42a6d20af82f81a9496afe117378a55cf81261012995789620b9fa",
     "exp/llut-interp/fixed":
-        "908e6fc67445c84e16ed27d8ed922e54b0d9d018d4644ca68fe0b556fa52c688",
+        "48626c3a81529f797fcfea8cb44a3de8c39c8812ae93cb019e004ce1dfc984b5",
     "exp/llut-interp/float":
-        "0b6aab7f81b5091f8f51f2f9aa21ddac5ce4ecd2001288fe173b2af008c075e8",
+        "87cf269f512edb1890758d20cd261369cea6c1ea87b39fc00b875a5fa7cbf456",
     "exp/llut/fixed":
-        "d084ce73548c2304067a4c02bb01002df2501ab862f9fd59ec71f8f2f228e016",
+        "b930f9f5a352ec9c23c19d12ab24eac849c5d201b627dd883089ab3fd16ad92e",
     "exp/llut/float":
-        "e67d514372ff2ce567f2847d3f2798f5fb22e3f586ff5895e89d8b5b063b66c7",
+        "28838f691b23c6cdb3d91b7d3a610e8f9bee01dd195d9abab7fb99386d508d69",
     "exp/mlut-interp/float":
-        "77c88f73534e40efa236c1da84642f0cbaa0bd812e9dee6a83e0fc4f8c95c480",
+        "7053a452797fecc0302bb9bd7abbcba81bba23c08043cfa60715f1e2c3925b03",
     "exp/mlut/float":
-        "d19a2a79a170b3610f7976b0586b88b2159d056da9d59d3246128ea7f6a99cdc",
+        "4008ea93b8f9b9dc786f771c5b8faf1f82251dcef9c4b18ad01f47ae15a48b17",
     "gelu/dllut-interp/float":
-        "cd764ac17f31262657739ef02cd13748e89a44c7fc99b3ee4ba38afa0279e85e",
+        "ecd505e90a1ecd1e75ab16c28374b798b99e3fd59477d9d6c6b30f8bc3c0054c",
     "gelu/dlut-interp/float":
-        "20cbe404311d904563e32ba61c8cfef1f461e9f803377c4fea7eb188f7d3af3f",
+        "e7c876758ed30ca701833ee99bdd5459d2228a227c0fbf9593af4e3467d8c9b3",
     "log/cordic/float":
-        "75211d3654980b256b66648040755c54ade73d191ce7e32ec72c0ab985ebdd30",
+        "baaf6379a5c13c77674855ed29e317dadcb2ee867789aa3a1fa65eabcce27a91",
     "log/llut-interp/fixed":
-        "9ea849014c3fe79c84dd886a212f366f1b6822ba4b9a39120abfc6b519c0a2c5",
+        "22dc0ae503605e1177773608b2aa8f435bbb4252877418191bfd5fddea96c44e",
     "log/llut-interp/float":
-        "9d08f7f9fb8db6b5e218f7aff1ceca26088c5311f2b2bfb1924b0fc93f27c538",
+        "93c5e2917ff377b9f855679c6ef3d5507b2d3d0fdd830ff4b2cb49e83691a42e",
     "log/llut/fixed":
-        "29ddc4ce23764af5b6aade33f1057b246c7c5e5426ae49ecbbd3ae8ae7a5aa28",
+        "31278b6377534057055c95e4e8f818dd9698521a41b68b8adaa2ff12fe9c37f6",
     "log/llut/float":
-        "9c043aa936e841ef43dab8391c78a1c3fac31ede7c7e3eefd7ba216a79df2f77",
+        "6f2e663dc5cf96bf77f8dfab417f952c10e08e52427732885d83d93f0572e714",
     "log/mlut-interp/float":
-        "5407d309d24cc3d7f83fbce8c1e3e46159dba91b0ebf24d91895ba43c2804c25",
+        "998deeea978b6d30a3a9471d63d177b698699fe80fb15e925ca7291d149f5737",
     "log/mlut/float":
-        "3f4daf50e6da71b8dc11b3fa7ad61b07e111572b977cb6ba6c0bf4ae98d5b3c0",
+        "6847f643dc944eea9390a643544ae6a9abd0d3a30ed43128fe5f6d608ba476ec",
     "sin/cordic-lut/float":
-        "cf4508a62c2ecce95dd6dcf6adf58690066206ea75dcaaea2ddc7df5a6eb5283",
+        "203eb64fbb28a13fcf00d7c16ff99b85e779098148365b9b2cbaf9214fbe9bd9",
     "sin/cordic/float":
-        "ae8215ee48f77e0031b95f716a6e5f20a2181004afa8c2dc70723162c584f3e9",
+        "d592e5b2aaeb0a4ee35c5f7832025cd6d54fbbf7fec3fd8fa1181ee422e174a3",
     "sin/dllut-interp/float":
-        "b9dc7e2c2667630ee61176dc897cf35a552105040a5dadbc19ca368b0eec0944",
+        "b42abc21eed74fa932eb0794391d622152b09e5301ba1d0ecbf75e0694eec21a",
     "sin/dlut-interp/float":
-        "5d4fccf66d72714f0259f374c4e3d76a43bb35209d550d217155880fa1f42282",
+        "601946c7140f0cbeea040fe7f172acfdc7e792fc225cbfa0e97b0382e1c71fcc",
     "sin/llut-interp/fixed":
-        "a6105bcaf94fa5904385096ed1733b0221a90e92174cee87cd5991625b64699f",
+        "dc77b2a315f13c4ab6a61c3d5f193b2bae797b37beb0309c2b7ba80b760c304f",
     "sin/llut-interp/float":
-        "ef1c38913c61a7c60b98817680c2c34cc62c065053d8574e94c2a82446f53fba",
+        "122b0d17877720becd150a0e444b651eb89f1e89f4550f12f0dfb593e8d14eac",
     "sin/llut/fixed":
-        "7f005da74763c4fe4d5824e734c1ada1a04bbb2b3359f06f13399f2addd5e343",
+        "c8ac711f87ae8712888beb902f60004adb487d0fe4307bd05fbff44863035c33",
     "sin/llut/float":
-        "a5c6540deea55624fed4888a6c1cb0b1a87c1da79d3756e8d8bb2ed063b5a214",
+        "d4677468a6bd9012dfb56fe465194111eb5893a0144b08fe6d7c7bfe7bf2f0a3",
     "sin/mlut-interp/float":
-        "5b167c5d691a456b71aaaf3f14cefc97bda6f27c5308d582696a2811f6cd515a",
+        "f0ab3709fde31d576e96155f7e96abc17a991fd99f65f8dc515f8ee3e49f9e0e",
     "sin/mlut/float":
-        "1ec857932bf25aca3b5e7e01640b891e31cc946252402507d55729edc45a2660",
+        "652f1f79ba16a6ab6b4c09c71876dd0cfede953edd0397c9213522223b08d439",
     "sinh/cordic-lut/float":
-        "df4a5a1a0ea447bd6012ab15cc79aa828b5b35816d8320fe88ee8eefa9393ee5",
+        "bdd41d82f6e7bfc30976868fb311dd875c7a5b176e79856e65d90e66099c6bf4",
     "sinh/cordic/float":
-        "533eba00107a7a504705417d34cf75ffd1d62217034a0b14ce0628aabbc3dfd8",
+        "662c3ead8a1e49c685b45f82a528fd746e167292ce4657bfec5532a61ee94042",
     "sqrt/cordic/float":
-        "862ff95f5f2e907bfef23aa5219dae80b35e4cbf40ff4c54c4721d5d2e224c67",
+        "2e61ccdf06ced2957be742cf13151e876c83875db9089e7dacfd53cd5dec79e9",
     "sqrt/llut-interp/fixed":
-        "f8c655ab6a72fc98e39634e73e6fbc439c3c0ae8507790c931f656528357cbbb",
+        "a0d220d1cd6761d3f0152a92a26a5054e8a20c1b03d5812d35e5d6f94f88d4c1",
     "sqrt/llut-interp/float":
-        "62a7926153373c128a92da3f621c7f862eaf56e303a884ad00b39ac443f439b5",
+        "f38cb3fde0e67650e69161d283fcf5c75c8f904bedbc75e9c1b2d6d53b0fe682",
     "sqrt/llut/fixed":
-        "608caac723f97284bf15712600fc7a36923ca0b1629c7a19248052a532669761",
+        "7c6ef39711d3d322a64befe1ba0d668bc00ae45a707f8208b1f42f029aa9b4ad",
     "sqrt/llut/float":
-        "4025a8f599366e84d1267d5b19f9ea6888f49761d01a6fa33f603b58e97d5870",
+        "8463973536ff39f33665599ba6584e40753f275a4647249001259ec829065d04",
     "sqrt/mlut-interp/float":
-        "586d8a9bed2d7cc0289b8dafe247ce4d748c3709aeb907de3f6f4f9524ac10c7",
+        "0e43fdacb3e7672994a0ef4c63e9b7eefffed069764018ea835060262a3773c5",
     "sqrt/mlut/float":
-        "b1251a04b0a0348cb19f5884ecb3a2a2054711d0db209c2cea7b42f6f0101da4",
+        "19207ef95848ac5dcdf4db2d433fea1d9399f59bb6bbb071a88dcc3c9c1591ce",
     "tan/cordic-lut/float":
-        "d2e9321a6c9496e3a510acfbc5d248bc57896f6037139c7474e28a60cf178a88",
+        "3ea9fbc30689e2e02b50d7e893eab35ba5d112206098345a3a49bb7435c2e48b",
     "tan/cordic/float":
-        "5130051c721b2cff373272d5c4eb7f02199810d8b1d0abd1fd27c0fd600f9a04",
+        "e57feaa5ddf15e1474578cf5441c3b0b71791eb675d98e7b17694199010024dd",
     "tan/llut-interp/fixed":
-        "fb660b9ec52e3f9e5ee3a5a55551c3383a5708457ad7ef481ee86b6a305a8b4f",
+        "42fde8bcd96ff34db65d0ed2ea274e58e9cd2aec97b5186bfe62fbb2a6bcc41b",
     "tan/llut-interp/float":
-        "965c90298b90f7f2f9639778e1334363dae0eec698546a963551dc02f6a4ab75",
+        "9abdaf3f22db48ae4b207ac3a27583e9e0e09653a2cc0b5a844622dd45477c2b",
     "tan/llut/fixed":
-        "0d1466eea81f37de3a4eedde6ab3cad858bd0b2354caa0def266d275089feeb1",
+        "0178add5a35bee96a1f1dfb574685462f3b538604bd9838fa89f73c55990a0ce",
     "tan/llut/float":
-        "3988b3793808e77e39675f4b51103a1544b68bf012fa71a8bc178e1a67273f32",
+        "6205367a3681f94464d939bc9dcbd2c656fda15914aed490dfc985aaa148437b",
     "tan/mlut-interp/float":
-        "050a6aeb0b407458aec24013fa589ebf5e1e5c3d16f035c2850bcabd78c5f264",
+        "c246c9a030906f1849f4b006cb5a924b37c0697ecdb21186704f70df1842bf8f",
     "tan/mlut/float":
-        "662ee0074db9680b763c8b27493734a8f90058aa5dcc98cc70f0f5fa1c4a1614",
+        "e1e8079781f108fc1fef53c7b2ccabca47326ceb0d498ae28f9851e8be0d0574",
     "tanh/cordic-lut/float":
-        "d3bc675b6b764fb433e1d52a249e991225bec47f2bab1d038b4e16c80227f85a",
+        "690b874a9e2a80f5716221dd2cc8bb860591d2c6ff115e3ed39df7d28352582b",
     "tanh/cordic/float":
-        "ea2790956bfddbf469aeb1073304583d68b052009a167a9129c576973c0610a8",
+        "2a64b684cbccae81adf671e52771aff8da1e70d3fb145f4a1e01cee8c56fc41b",
     "tanh/dllut-interp/float":
-        "8479f33ebcdf138a77d3e718312ed1de00c88ee8599f5973ce31cba7a8e55545",
+        "eba5971497a10b99ab5434eca2c91b64738752e40534e5cd4c887684d1c51d80",
     "tanh/dlut-interp/float":
-        "897d903e3b86e00656c92a356af032f297794dcf64deba20e569439fc0f06ff7",
+        "0a3d42e3e7fa56886d040952aa308dd7b4c6df837816306649e2f4a10bb4f4b0",
+}
+
+BATCH_COUNTS = {
+    "cos/cordic-lut/float":
+        OpCounts(int_add=35606, int_shift=23040, lut_lookup=512),
+    "cos/cordic/float":
+        OpCounts(int_add=43790, int_shift=28672),
+    "cos/llut-interp/fixed":
+        OpCounts(int_add=1536, int_shift=1024, int_mul=512,
+                 lut_lookup=1024),
+    "cos/llut-interp/float":
+        OpCounts(float_add=2048, float_mul=512, ldexp_op=512,
+                 lut_lookup=1024),
+    "cos/llut/fixed":
+        OpCounts(int_add=1024, int_shift=512, lut_lookup=512),
+    "cos/llut/float":
+        OpCounts(float_add=512, ldexp_op=512, lut_lookup=512),
+    "cos/mlut-interp/float":
+        OpCounts(float_add=2048, float_mul=1024, lut_lookup=1024),
+    "cos/mlut/float":
+        OpCounts(float_add=512, float_mul=512, lut_lookup=512),
+    "cosh/cordic-lut/float":
+        OpCounts(int_add=61346, int_shift=40095, float_add=1516,
+                 float_mul=1516, ldexp_op=1516, lut_lookup=891),
+    "cosh/cordic/float":
+        OpCounts(int_add=75774, int_shift=50008, float_add=1524,
+                 float_mul=1524, ldexp_op=1524),
+    "exp/cordic-lut/float":
+        OpCounts(int_add=35328, int_shift=23040, float_add=512,
+                 float_mul=1024, ldexp_op=512, lut_lookup=512),
+    "exp/cordic/float":
+        OpCounts(int_add=43520, int_shift=28672, float_add=512,
+                 float_mul=1024, ldexp_op=512),
+    "exp/llut-interp/fixed":
+        OpCounts(int_add=1536, int_shift=1024, int_mul=512,
+                 float_add=512, float_mul=512, ldexp_op=512,
+                 lut_lookup=1024),
+    "exp/llut-interp/float":
+        OpCounts(float_add=2560, float_mul=1024, ldexp_op=1024,
+                 lut_lookup=1024),
+    "exp/llut/fixed":
+        OpCounts(int_add=1024, int_shift=512, float_add=512,
+                 float_mul=512, ldexp_op=512, lut_lookup=512),
+    "exp/llut/float":
+        OpCounts(float_add=1024, float_mul=512, ldexp_op=1024,
+                 lut_lookup=512),
+    "exp/mlut-interp/float":
+        OpCounts(float_add=2560, float_mul=1536, ldexp_op=512,
+                 lut_lookup=1024),
+    "exp/mlut/float":
+        OpCounts(float_add=1024, float_mul=1024, ldexp_op=512,
+                 lut_lookup=512),
+    "gelu/dllut-interp/float":
+        OpCounts(int_add=446, int_shift=892, float_add=1414,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
+    "gelu/dlut-interp/float":
+        OpCounts(int_add=512, int_shift=1024, float_add=1279,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
+    "log/cordic/float":
+        OpCounts(int_add=43008, int_shift=28672, float_add=512,
+                 float_mul=512, ldexp_op=512),
+    "log/llut-interp/fixed":
+        OpCounts(int_add=1536, int_shift=1024, int_mul=512,
+                 float_add=512, float_mul=512, lut_lookup=1024),
+    "log/llut-interp/float":
+        OpCounts(float_add=2560, float_mul=1024, ldexp_op=512,
+                 lut_lookup=1024),
+    "log/llut/fixed":
+        OpCounts(int_add=1024, int_shift=512, float_add=512,
+                 float_mul=512, lut_lookup=512),
+    "log/llut/float":
+        OpCounts(float_add=1024, float_mul=512, ldexp_op=512,
+                 lut_lookup=512),
+    "log/mlut-interp/float":
+        OpCounts(float_add=2560, float_mul=1536, lut_lookup=1024),
+    "log/mlut/float":
+        OpCounts(float_add=1024, float_mul=1024, lut_lookup=512),
+    "sin/cordic-lut/float":
+        OpCounts(int_add=35583, int_shift=23040, lut_lookup=512),
+    "sin/cordic/float":
+        OpCounts(int_add=43716, int_shift=28672),
+    "sin/dllut-interp/float":
+        OpCounts(int_add=430, int_shift=860, float_add=1188,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
+    "sin/dlut-interp/float":
+        OpCounts(int_add=512, int_shift=1024, float_add=1024,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
+    "sin/llut-interp/fixed":
+        OpCounts(int_add=1536, int_shift=1024, int_mul=512,
+                 lut_lookup=1024),
+    "sin/llut-interp/float":
+        OpCounts(float_add=2048, float_mul=512, ldexp_op=512,
+                 lut_lookup=1024),
+    "sin/llut/fixed":
+        OpCounts(int_add=1024, int_shift=512, lut_lookup=512),
+    "sin/llut/float":
+        OpCounts(float_add=512, ldexp_op=512, lut_lookup=512),
+    "sin/mlut-interp/float":
+        OpCounts(float_add=2048, float_mul=1024, lut_lookup=1024),
+    "sin/mlut/float":
+        OpCounts(float_add=512, float_mul=512, lut_lookup=512),
+    "sinh/cordic-lut/float":
+        OpCounts(int_add=61976, int_shift=40500, float_add=1552,
+                 float_mul=1552, ldexp_op=1552, lut_lookup=900),
+    "sinh/cordic/float":
+        OpCounts(int_add=75946, int_shift=50120, float_add=1532,
+                 float_mul=1532, ldexp_op=1532),
+    "sqrt/cordic/float":
+        OpCounts(int_add=43008, int_shift=29016, int_mul=512,
+                 ldexp_op=512),
+    "sqrt/llut-interp/fixed":
+        OpCounts(int_add=1536, int_shift=1380, int_mul=512,
+                 ldexp_op=512, lut_lookup=1024),
+    "sqrt/llut-interp/float":
+        OpCounts(int_shift=342, float_add=2048, float_mul=512,
+                 ldexp_op=1024, lut_lookup=1024),
+    "sqrt/llut/fixed":
+        OpCounts(int_add=1024, int_shift=853, ldexp_op=512,
+                 lut_lookup=512),
+    "sqrt/llut/float":
+        OpCounts(int_shift=339, float_add=512, ldexp_op=1024,
+                 lut_lookup=512),
+    "sqrt/mlut-interp/float":
+        OpCounts(int_shift=337, float_add=2048, float_mul=1024,
+                 ldexp_op=512, lut_lookup=1024),
+    "sqrt/mlut/float":
+        OpCounts(int_shift=327, float_add=512, float_mul=512,
+                 ldexp_op=512, lut_lookup=512),
+    "tan/cordic-lut/float":
+        OpCounts(int_add=34816, int_shift=23040, float_div=512,
+                 lut_lookup=512),
+    "tan/cordic/float":
+        OpCounts(int_add=43008, int_shift=28672, float_div=512),
+    "tan/llut-interp/fixed":
+        OpCounts(int_add=3072, int_shift=2048, int_mul=1024,
+                 float_add=239, float_div=512, lut_lookup=2048),
+    "tan/llut-interp/float":
+        OpCounts(float_add=4364, float_mul=1024, float_div=512,
+                 ldexp_op=1024, lut_lookup=2048),
+    "tan/llut/fixed":
+        OpCounts(int_add=2048, int_shift=1024, float_add=255,
+                 float_div=512, lut_lookup=1024),
+    "tan/llut/float":
+        OpCounts(float_add=1282, float_div=512, ldexp_op=1024,
+                 lut_lookup=1024),
+    "tan/mlut-interp/float":
+        OpCounts(float_add=4347, float_mul=2048, float_div=512,
+                 lut_lookup=2048),
+    "tan/mlut/float":
+        OpCounts(float_add=1286, float_mul=1024, float_div=512,
+                 lut_lookup=1024),
+    "tanh/cordic-lut/float":
+        OpCounts(int_add=65826, int_shift=42975, float_add=1772,
+                 float_mul=1772, float_div=512, ldexp_op=1772,
+                 lut_lookup=955),
+    "tanh/cordic/float":
+        OpCounts(int_add=80074, int_shift=52808, float_add=1724,
+                 float_mul=1724, float_div=512, ldexp_op=1724),
+    "tanh/dllut-interp/float":
+        OpCounts(int_add=463, int_shift=926, float_add=1122,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
+    "tanh/dlut-interp/float":
+        OpCounts(int_add=512, int_shift=1024, float_add=1024,
+                 float_mul=512, ldexp_op=512, lut_lookup=1024),
 }
 
 EDGE_BITS = {

@@ -37,9 +37,12 @@ class TestReduce2Pi:
         np.testing.assert_allclose(np.sin(r), np.sin(xs), atol=1e-9)
 
     def test_non_finite_rejected(self):
-        for x in (math.inf, math.nan):
-            with pytest.raises(DomainError):
-                reduce_2pi(np.array([1.0, x]))
+        """NaN and +-inf raise, naming the first non-finite input."""
+        for xs, name in (([1.0, math.inf], "inf"), ([1.0, math.nan], "nan"),
+                         ([1.0, 1e10, -math.inf, math.nan], "-inf"),
+                         ([-1.0, math.nan, math.inf], "nan")):
+            with pytest.raises(DomainError, match=f"got {name}$"):
+                reduce_2pi(np.array(xs))
 
     def test_stays_below_the_sin_tables_top(self):
         """The D/DL sin tables stop at 2^3, above 2*pi: every reduced
@@ -62,6 +65,47 @@ class TestReduce2Pi:
             assert ev.tables[0].spec.hi == 2.0 ** 3
             out, _ = ev.evaluate_batch(m32)
             assert np.all(np.abs(out) <= 1.0)
+
+    # Seeded doubles on (-4pi, 4pi); the double and float32 neighbours of
+    # +-2pi; +-0 and subnormals of both precisions; large magnitudes.
+    _TWO_PI32 = np.float32(TWO_PI)
+    _EDGES = np.array([
+        TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0),
+        _TWO_PI32, np.nextafter(_TWO_PI32, np.float32(0.0)),
+        np.nextafter(_TWO_PI32, np.float32(7.0)), 0.0, 5e-324, 1e-310,
+        np.float32(1e-45), np.float32(1e-40), 1e10, 3e38])
+    _INPUTS = np.concatenate([
+        np.random.default_rng(23).uniform(-4.0 * np.pi, 4.0 * np.pi, 400),
+        _EDGES, -_EDGES])
+
+    @staticmethod
+    def _reference(x):
+        """np.fmod, then a fold of the negative remainders up by 2*pi."""
+        r = np.fmod(x, TWO_PI)
+        r = np.where(r < 0.0, r + TWO_PI, r)
+        return np.where(r >= TWO_PI, r - TWO_PI, r)
+
+    def test_bits_and_tallies(self):
+        """The fmod's bits, with its multiply and add tallied only for
+        |x| >= 2*pi, and one add per fold: element by element, then in
+        one batch."""
+        for x in self._INPUTS:
+            xs = np.array([x])
+            with counting() as c:
+                r = reduce_2pi(xs)
+            assert r.view(np.uint64) == self._reference(xs).view(np.uint64)
+            far = int(abs(x) >= TWO_PI)
+            fold = int(np.fmod(x, TWO_PI) < 0.0)
+            assert c == OpCounts(float_mul=far, float_add=far + fold), x
+        xs = self._INPUTS
+        with counting() as c:
+            r = reduce_2pi(xs)
+        np.testing.assert_array_equal(r.view(np.uint64),
+                                      self._reference(xs).view(np.uint64))
+        far = np.count_nonzero(np.abs(xs) >= TWO_PI)
+        folds = np.count_nonzero(np.fmod(xs, TWO_PI) < 0.0)
+        assert 0 < far < xs.size and folds
+        assert c == OpCounts(float_mul=far, float_add=far + folds)
 
 
 class TestQuadrants:
