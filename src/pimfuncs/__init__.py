@@ -7,7 +7,7 @@ op mix of every evaluation observable.
 """
 
 from .api import (EvaluatorConfig, Evaluator, FunctionId, MethodId,
-                  NumberFormat, build_evaluator, supported)
+                  NumberFormat, build_evaluator, config_for, supported)
 from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
                         load_weights, weighted_cost, with_counting)
 from .errors import (DomainError, FixedOverflowError, PimFuncsError,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluatorConfig", "Evaluator", "FunctionId", "MethodId", "NumberFormat",
-    "build_evaluator", "supported",
+    "build_evaluator", "config_for", "supported",
     "DEFAULT_WEIGHTS", "OpCounts", "SetupReport", "counting", "load_weights",
     "weighted_cost", "with_counting",
     "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",

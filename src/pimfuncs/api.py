@@ -13,9 +13,10 @@ array steps wrap it: ``_TABLE_CELLS`` (M/L-LUTs, whose tables and
 queries ``table_kernel`` builds), ``_D_CELLS`` (D/DL-LUTs), and
 ``_CORDIC_CELLS`` (CORDIC and CORDIC+LUT: each function's mode and
 ``cordic`` step, and whether the step takes a rotator or vectoring
-tables).  ``SUPPORT`` and the dispatch follow from them.  Builders
-and queries are looked up through their modules when a cell is built,
-never at import.
+tables).  A ``_FAMILIES`` row adds each family's formats and sizing
+field; ``SUPPORT``, ``config_for`` and the dispatch read the rows.
+Builders and queries are looked up through their modules when a cell is
+built, never at import.
 
 ``EvaluatorConfig`` holds what callers size; the constants fix the rest.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
-from .errors import DomainError, UnsupportedCombinationError
+from .errors import DomainError, RangeError, UnsupportedCombinationError
 from .fixedpoint import ldexp32, to_fixed, to_float
 from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi,
                        reflect_odd, sqrt_via, tan_extend)
@@ -191,7 +193,10 @@ class Evaluator:
 
     def evaluate(self, x) -> np.float32:
         """One value, rounded to float32 as ``evaluate_batch`` rounds it."""
-        return self.pipeline(_as_float32([x]).astype(np.float64))[0]
+        x32 = _as_float32(x)
+        if x32.ndim:
+            raise DomainError(f"evaluate takes one value, not shape {x32.shape}")
+        return self.pipeline(x32.reshape(1).astype(np.float64))[0]
 
     def evaluate_batch(self, xs) -> tuple[np.ndarray, OpCounts]:
         arr = _as_float32(xs)
@@ -213,13 +218,14 @@ def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig):
     query: a map from a float64 array on [lo, hi] to float32 results.
 
     The one place where a (method, format) pair picks a table builder and
-    a query.  Fixed-point queries need shift-only addressing, so only the
-    L-LUTs have a fixed variant; it converts at the query's boundary.
+    a query.  The fixed variant, which only the L-LUTs offer
+    (``_FAMILIES``), converts at the query's boundary.
     """
-    fixed = cfg.number_format is NumberFormat.FIXED
-    if cfg.method not in (_L_LUTS if fixed else _M_LUTS + _L_LUTS):
+    if not (cfg.method in _M_LUTS + _L_LUTS
+            and cfg.number_format in _FAMILY[cfg.method].formats):
         raise UnsupportedCombinationError(
-            f"no {cfg.number_format.value} M/L table for {cfg.method.value}")
+            f"no {_named(cfg.number_format)} M/L table for {_named(cfg.method)}")
+    fixed = cfg.number_format is NumberFormat.FIXED
     interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
     if fixed:
         table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp)
@@ -353,6 +359,7 @@ _CORDIC_CELLS = {
     FunctionId.LOG: (_HYP, cordic.log_array, False),
     FunctionId.SQRT: (_HYP, cordic.sqrt_array, False),
 }
+_ROTATING = [f for f, (*_, rotates) in _CORDIC_CELLS.items() if rotates]
 
 
 def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
@@ -367,26 +374,42 @@ def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
     return (tables,), partial(step, kernel)
 
 
-# (methods, functions they implement, cell builder) per method family.
+# A method family: its methods, the functions they offer (a cell table's
+# keys), their number formats (FIXED needs shift-only addressing: L-LUTs
+# only), the EvaluatorConfig field that sizes them, and the cell builder.
+_Family = namedtuple("_Family", "methods functions formats sizing build")
+_FLOAT = (NumberFormat.FLOAT,)
 _FAMILIES = (
-    (_M_LUTS + _L_LUTS, frozenset(_TABLE_CELLS), _table_cell),
-    ((MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP), frozenset(_D_CELLS),
-     _d_cell),
-    ((MethodId.CORDIC,), frozenset(_CORDIC_CELLS), _cordic_cell),
-    ((MethodId.CORDIC_LUT,),
-     frozenset(f for f, (*_, rotates) in _CORDIC_CELLS.items() if rotates),
-     _cordic_cell),
+    _Family(_M_LUTS, _TABLE_CELLS, _FLOAT, "lut_size", _table_cell),
+    _Family(_L_LUTS, _TABLE_CELLS, tuple(NumberFormat), "lut_size", _table_cell),
+    _Family((MethodId.DLUT_INTERP, MethodId.DLLUT_INTERP), _D_CELLS, _FLOAT,
+            "mant_bits", _d_cell),
+    _Family((MethodId.CORDIC,), _CORDIC_CELLS, _FLOAT, "n_iter", _cordic_cell),
+    _Family((MethodId.CORDIC_LUT,), _ROTATING, _FLOAT, "n_iter", _cordic_cell),
 )
-
+_FAMILY = {m: family for family in _FAMILIES for m in family.methods}
 # Which functions each method implements.
-SUPPORT = {m: fs for methods, fs, _ in _FAMILIES for m in methods}
-_BUILD_CELL = {m: build for methods, _, build in _FAMILIES for m in methods}
+SUPPORT = {m: frozenset(family.functions) for m, family in _FAMILY.items()}
 
 
 def supported(function: FunctionId, method: MethodId,
               number_format: NumberFormat = NumberFormat.FLOAT) -> bool:
-    return function in SUPPORT[method] and (
-        number_format is NumberFormat.FLOAT or method in _L_LUTS)
+    return (function in SUPPORT.get(method, ())
+            and number_format in _FAMILY[method].formats)
+
+
+def config_for(method: MethodId, number_format: NumberFormat,
+               size: int) -> EvaluatorConfig:
+    """``method``'s config in ``number_format``, its sizing field ``size``."""
+    if method not in _FAMILY:
+        raise UnsupportedCombinationError(f"no method {method!r}")
+    return EvaluatorConfig(method=method, number_format=number_format,
+                           **{_FAMILY[method].sizing: size})
+
+
+def _named(v) -> str:
+    """An enum member by its value, anything else (a caller's typo) by repr."""
+    return v.value if isinstance(v, Enum) else repr(v)
 
 
 def _table_bytes(table) -> int:
@@ -401,11 +424,15 @@ def _table_bytes(table) -> int:
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
     if not supported(function, config.method, config.number_format):
         raise UnsupportedCombinationError(
-            f"{function.value} is not available via {config.method.value} "
-            f"in {config.number_format.value} format")
+            f"{_named(function)} is not available via {_named(config.method)} "
+            f"in {_named(config.number_format)} format")
+    family = _FAMILY[config.method]
+    size = getattr(config, family.sizing)
+    if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+        raise RangeError(f"{family.sizing} must be an integer, got {size!r}")
     t0 = time.perf_counter()
     with counting() as c:
-        tables, pipeline = _BUILD_CELL[config.method](function, config)
+        tables, pipeline = family.build(function, config)
     setup = SetupReport(wall_seconds=time.perf_counter() - t0,
                         bytes=sum(map(_table_bytes, tables)),
                         table_entries=c.table_setup_entries)

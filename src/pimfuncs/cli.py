@@ -16,10 +16,10 @@ import sys
 
 from . import lut
 from .api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                  build_evaluator)
+                  build_evaluator, config_for)
 from .costmodel import load_weights, weighted_cost
 from .errors import PimFuncsError, UnsupportedCombinationError
-from .harness import WORKLOADS, _config_for, emit_csv, rmse_sweep
+from .harness import WORKLOADS, emit_csv, rmse_sweep
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -36,7 +36,8 @@ def _parser() -> argparse.ArgumentParser:
                     choices=[m.value for m in MethodId])
     sw.add_argument("--sizes", required=True,
                     help="comma-separated table sizes or iteration counts")
-    sw.add_argument("--format", default="float", choices=["float", "fixed"])
+    sw.add_argument("--format", default="float",
+                    choices=[f.value for f in NumberFormat])
     sw.add_argument("--samples", type=int, default=1 << 16)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", required=True)
@@ -63,7 +64,8 @@ def _parser() -> argparse.ArgumentParser:
                     choices=[m.value for m in MethodId
                              if m is not MethodId.CORDIC
                              and m is not MethodId.CORDIC_LUT])
-    tb.add_argument("--format", default="float", choices=["float", "fixed"])
+    tb.add_argument("--format", default="float",
+                    choices=[f.value for f in NumberFormat])
     tb.add_argument("--size", type=int,
                     help="table size, as in sweep --sizes (mantissa bits "
                          "for dlut/dllut); default: the evaluator's own")
@@ -110,7 +112,7 @@ def _cmd_table(args) -> int:
     method = MethodId(args.method)
     fmt = NumberFormat(args.format)
     cfg = (EvaluatorConfig(method=method, number_format=fmt)
-           if args.size is None else _config_for(method, fmt, args.size))
+           if args.size is None else config_for(method, fmt, args.size))
     ev = build_evaluator(FunctionId(args.function), cfg)
     if len(ev.tables) != 1:
         raise UnsupportedCombinationError(f"{args.function} holds "

@@ -4,23 +4,22 @@ A coarse start table replaces the first ``lut_addr_bits`` CORDIC
 iterations: the rotation target's top bits address a cell holding the
 exactly pre-rotated vector (scaled by the inverse gain of the iterations
 that remain) together with the angle already consumed.  Each coordinate
-is libm's cos or sin (cosh or sinh) times that gain, rounded once to
-Q3.28.  Evaluation then runs only the remaining fine iterations, so
-per-call cost drops while the angle resolution of the skipped iterations
-is preserved exactly.  The fine iterations are the plain CORDIC loop,
-over int64 arrays of raw Q3.28 values, which :func:`cordic_lut_rotate`
-takes and returns.
+is libm's, of the mode's rotation (``cordic.MODES``), times that gain,
+rounded once to Q3.28.  Evaluation then runs only the remaining fine
+iterations, so per-call cost drops while the angle resolution of the
+skipped iterations is preserved exactly.  The fine iterations are the
+plain CORDIC loop, over int64 arrays of raw Q3.28 values, which
+:func:`cordic_lut_rotate` takes and returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .cordic import (CordicMode, CordicTables, _angle_bytes, _iterate,
+from .cordic import (MODES, CordicMode, CordicTables, _angle_bytes, _iterate,
                      generate_cordic_tables)
 from .costmodel import tally
 from .errors import RangeError
@@ -54,25 +53,25 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     """Build the start table plus the remaining-iteration angle table.
 
     ``n_iter`` is the total effective precision; the loop at evaluation
-    time performs ``n_iter - lut_addr_bits`` iterations.
+    time performs ``n_iter - lut_addr_bits`` iterations, at least one and
+    at most the plain mode's largest ``n_iter``.
     """
     b = lut_addr_bits
     if not (2 <= b <= 20):
         raise RangeError(f"lut_addr_bits {b} outside [2, 20]")
-    if n_iter <= b:
-        raise RangeError(f"n_iter {n_iter} must exceed lut_addr_bits {b}")
+    top = b + MODES[mode].max_iter
+    if not (b < n_iter <= top):
+        raise RangeError(f"{mode.value} n_iter {n_iter} outside "
+                         f"[{b + 1}, {top}] with lut_addr_bits {b}")
 
     rem = generate_cordic_tables(mode, n_iter - b, first_index=b)
     inv_g_rem = 1.0 / rem.gain
     count = (1 << b) + 1  # guard cell at theta = TABLE_SPAN
     step = TABLE_SPAN / (1 << b)
     theta = lambda a: a * step  # exact: step is a power of two
-    cos, sin = ((partial(mapped, math.cos), partial(mapped, math.sin))
-                if mode is CordicMode.CIRCULAR
-                else (partial(mapped, math.cosh), partial(mapped, math.sinh)))
     cells = np.stack([
-        tabulate(partial(_scaled, cos, inv_g_rem), theta, count, fixed=True),
-        tabulate(partial(_scaled, sin, inv_g_rem), theta, count, fixed=True),
+        *(tabulate(partial(_scaled, partial(mapped, f), inv_g_rem), theta,
+                   count, fixed=True) for f in MODES[mode].rotation),
         to_fixed(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
     return CordicLutTables(cells=cells, rem_tables=rem, density_n=b - 1)

@@ -17,6 +17,7 @@ take a rotator, ``rotate(raw_angles) -> (x_raw, y_raw)``: plain CORDIC
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,9 +36,19 @@ class CordicMode(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-# Iteration indices repeated for hyperbolic convergence (standard schedule
-# for up to 30 performed iterations).
-HYPERBOLIC_REPEATS = (4, 13)
+HYPERBOLIC_REPEATS = (4, 13)  # the standard schedule, up to 30 iterations
+
+# One row per mode, as in Walther's unified CORDIC: the angle of iteration
+# i as a function of 2**-i; the m of its scale factor sqrt(1 + m 2**-2i);
+# the largest n_iter and the first index; the indices performed twice for
+# convergence; and the libm (x, y) of a rotation of (1, 0) by an angle,
+# which the CORDIC+LUT start table tabulates.
+_Mode = namedtuple("_Mode", "angle m max_iter first repeats rotation")
+MODES = {
+    CordicMode.CIRCULAR: _Mode(math.atan, 1.0, 32, 0, (), (math.cos, math.sin)),
+    CordicMode.HYPERBOLIC: _Mode(math.atanh, -1.0, 30, 1, HYPERBOLIC_REPEATS,
+                                 (math.cosh, math.sinh)),
+}
 
 # Largest |x| routed to the direct hyperbolic rotation; beyond this the
 # exp-based identities take over.
@@ -55,50 +66,29 @@ class CordicTables:
     max_angle: float  # convergence bound: sum of performed angles
 
 
-def _angle(mode: CordicMode, i: int) -> float:
-    if mode is CordicMode.CIRCULAR:
-        return math.atan(2.0 ** -i)
-    return math.atanh(2.0 ** -i)
-
-
-def _build_schedule(mode: CordicMode, n_iter: int, first_index: int) -> list:
-    schedule: list[int] = []
-    i = first_index
-    while len(schedule) < n_iter:
-        schedule.append(i)
-        if mode is CordicMode.HYPERBOLIC and i in HYPERBOLIC_REPEATS and len(schedule) < n_iter:
-            schedule.append(i)
-        i += 1
-    return schedule
-
-
 def generate_cordic_tables(mode: CordicMode, n_iter: int,
                            first_index: int | None = None) -> CordicTables:
     """Precompute the angle table and combined inverse gain.
 
     ``first_index`` supports the CORDIC+LUT hybrid, which starts at a later
-    iteration; plain callers leave it at the mode default.
+    iteration; plain callers leave it at the mode default, and an index
+    below that clamps to it.
     """
-    if mode is CordicMode.CIRCULAR:
-        if not (1 <= n_iter <= 32):
-            raise RangeError(f"circular n_iter {n_iter} outside [1, 32]")
-        start = 0 if first_index is None else first_index
-    else:
-        if not (1 <= n_iter <= 30):
-            raise RangeError(f"hyperbolic n_iter {n_iter} outside [1, 30]")
-        start = 1 if first_index is None else max(1, first_index)
-
-    schedule = _build_schedule(mode, n_iter, start)
-    angles = {i: _angle(mode, i) for i in sorted(set(schedule))}
+    row = MODES[mode]
+    if not (1 <= n_iter <= row.max_iter):
+        raise RangeError(f"{mode.value} n_iter {n_iter} outside "
+                         f"[1, {row.max_iter}]")
+    start = row.first if first_index is None else max(row.first, first_index)
+    # Each index once, or twice if it repeats, up to n_iter iterations.
+    schedule = [i for i in range(start, start + n_iter)
+                for _ in range(1 + (i in row.repeats))][:n_iter]
+    angles = {i: row.angle(2.0 ** -i) for i in schedule}
 
     gain = 1.0
     max_angle = 0.0
     for i in schedule:
         max_angle += angles[i]
-        if mode is CordicMode.CIRCULAR:
-            gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
-        else:
-            gain *= math.sqrt(1.0 - 2.0 ** (-2 * i))
+        gain *= math.sqrt(1.0 + row.m * 2.0 ** (-2 * i))
     tally("table_setup_entries", len(angles) + 1)
     # One conversion for the whole table; tolist() gives Python ints.
     *raws, inv_gain = to_fixed([*angles.values(), 1.0 / gain]).tolist()

@@ -34,18 +34,18 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 
 import numpy as np
 
 from . import lut
 from .api import (CNDF_HOST, EvaluatorConfig, FunctionId, MethodId,
-                  NumberFormat, _horner, build_evaluator, cndf_exact,
-                  gelu_exact, table_kernel)
+                  NumberFormat, _horner, _saturated, build_evaluator,
+                  cndf_exact, config_for, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError
-from .rangeext import exp_via, log_via, piecewise, sqrt_via
+from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
 
@@ -72,14 +72,8 @@ _REFERENCE = {
               math.exp, math.log)
 } | {FunctionId.SQRT: np.sqrt, FunctionId.GELU: gelu_exact}
 
-# Method -> the EvaluatorConfig field a sweep's size_or_iters sets; a D
-# table's size is its mantissa field width, 2**mant_bits cells per octave.
-_SIZING_FIELD = dict.fromkeys(MethodId, "lut_size") | {
-    MethodId.CORDIC: "n_iter", MethodId.CORDIC_LUT: "n_iter",
-    MethodId.DLUT_INTERP: "mant_bits", MethodId.DLLUT_INTERP: "mant_bits"}
 
-
-@dataclass
+@dataclass  # its fields in order are its CSV columns (``_rows``)
 class AccuracyReport:
     function: str
     method: str
@@ -90,8 +84,8 @@ class AccuracyReport:
     rmse: float
     max_abs_err: float
     ulp_err: float
-    op_counts: OpCounts
     memory_bytes: int
+    op_counts: OpCounts
     setup_seconds: float
 
 
@@ -112,12 +106,6 @@ def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
     return _REFERENCE[function](xs32.astype(np.float64))
 
 
-def _config_for(method: MethodId, number_format: NumberFormat,
-                size_or_iters: int) -> EvaluatorConfig:
-    return EvaluatorConfig(method=method, number_format=number_format,
-                           **{_SIZING_FIELD[method]: size_or_iters})
-
-
 def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
                seed: int = 0, number_format: NumberFormat = NumberFormat.FLOAT,
                n_samples: int = SWEEP_SAMPLES) -> list[AccuracyReport]:
@@ -136,7 +124,7 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
     ref = reference_values(function, xs)
     reports = []
     for param in sorted(sizes_or_iters):
-        ev = build_evaluator(function, _config_for(method, number_format, param))
+        ev = build_evaluator(function, config_for(method, number_format, param))
         out, counts = ev.evaluate_batch(xs)
         err = out.astype(np.float64) - ref
         rmse = float(np.sqrt(np.mean(err * err)))
@@ -239,24 +227,23 @@ SOFTMAX_VECTOR_LEN = 1024
 
 def _make_cndf_lut(number_format: NumberFormat):
     """CNDF from an interpolated L-LUT over [0, 8), saturated to 0 or 1
-    beyond +-8; float32 results."""
-    cfg = EvaluatorConfig(method=MethodId.LLUT_INTERP, lut_size=CNDF_LUT_SIZE,
-                          number_format=number_format)
-    _, query = table_kernel(CNDF_HOST, 0.0, 8.0, cfg)
-    return lambda x: piecewise(~(np.abs(x) >= 8.0), x, _reflected(query),
-                               lambda v: (v >= 8.0).astype(np.float32))
+    from the table's end on; float32 results."""
+    cfg = config_for(MethodId.LLUT_INTERP, number_format, CNDF_LUT_SIZE)
+    table, query = table_kernel(CNDF_HOST, 0.0, 8.0, cfg)
+    return partial(_saturated, table.spec.hi, partial(np.less, 0.0),
+                   _reflected(query))
 
 
-# Workload variant -> the config of its kernels; None is the polynomial
-# baseline.  A variant's CNDF is an L-LUT in its number format.
-_workload_config = partial(EvaluatorConfig, lut_size=WORKLOAD_LUT_SIZE)
+# Workload variant -> the config of its kernels (M/L tables of
+# WORKLOAD_LUT_SIZE entries); None is the polynomial baseline.  A
+# variant's CNDF is an L-LUT in its number format.
+_table_config = partial(config_for, size=WORKLOAD_LUT_SIZE)
 _VARIANTS = {
     "PolynomialBaseline": None,
-    "MLutInterp": _workload_config(MethodId.MLUT_INTERP),
-    "LLutInterp": _workload_config(MethodId.LLUT_INTERP),
-    "FixedLLutInterp": _workload_config(MethodId.LLUT_INTERP,
-                                        NumberFormat.FIXED),
-    "CordicLut": _workload_config(MethodId.CORDIC_LUT),
+    "MLutInterp": _table_config(MethodId.MLUT_INTERP, NumberFormat.FLOAT),
+    "LLutInterp": _table_config(MethodId.LLUT_INTERP, NumberFormat.FLOAT),
+    "FixedLLutInterp": _table_config(MethodId.LLUT_INTERP, NumberFormat.FIXED),
+    "CordicLut": EvaluatorConfig(MethodId.CORDIC_LUT),
 }
 
 
@@ -425,11 +412,8 @@ def amortization_crossover(setup_entries_a: int, per_call_cost_a: float,
 # CSV emission
 # ---------------------------------------------------------------------------
 
-_ACC_FIELDS = ("function", "method", "number_format", "size_or_iters",
-               "n_samples", "seed", "rng", "rmse", "max_abs_err", "ulp_err",
-               "memory_bytes") + OP_FIELDS
-_WL_FIELDS = ("workload", "variant", "n_elements", "seed", "rng", "rmse",
-              "max_sum_dev") + OP_FIELDS
+# A report field that is not one CSV column -> its columns.
+_COLUMNS = {"seed": ("seed", "rng"), "op_counts": OP_FIELDS}
 
 
 def _fmt(v) -> str:
@@ -439,23 +423,17 @@ def _fmt(v) -> str:
 
 
 def _rows(reports, include_timing: bool):
-    first = reports[0] if reports else None
-    if first is None or isinstance(first, AccuracyReport):
-        fields = _ACC_FIELDS + (("setup_seconds",) if include_timing else ())
-    else:
-        fields = _WL_FIELDS + (("wall_seconds",) if include_timing else ())
-    rows = []
-    for r in reports:
-        row = {}
-        for f in fields:
-            if f == "rng":
-                row[f] = RNG_ID
-            elif f in OP_FIELDS:
-                row[f] = _fmt(getattr(r.op_counts, f))
-            else:
-                row[f] = _fmt(getattr(r, f))
-        rows.append(row)
-    return fields, rows
+    """The CSV columns and rows of reports of one dataclass (an empty list
+    is of ``AccuracyReport``): its fields in order, ``rng`` after
+    ``seed``, ``op_counts`` spread over OP_FIELDS, and the last field, the
+    wall time, only with ``include_timing``."""
+    names = [f.name for f in fields(type(reports[0]) if reports
+                                    else AccuracyReport)]
+    if not include_timing:
+        names.pop()
+    columns = [c for n in names for c in _COLUMNS.get(n, (n,))]
+    values = (vars(r) | r.op_counts.as_dict() | {"rng": RNG_ID} for r in reports)
+    return columns, [{c: _fmt(v[c]) for c in columns} for v in values]
 
 
 def emit_csv(reports, path, include_timing: bool = False) -> None:
@@ -464,9 +442,9 @@ def emit_csv(reports, path, include_timing: bool = False) -> None:
 
 
 def csv_text(reports, include_timing: bool = False) -> str:
-    fields, rows = _rows(list(reports), include_timing)
+    columns, rows = _rows(list(reports), include_timing)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\r\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()

@@ -6,7 +6,7 @@ import pytest
 
 from pimfuncs import OpCounts, lut
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                          build_evaluator, gelu_exact, supported)
+                          build_evaluator, config_for, gelu_exact, supported)
 from pimfuncs.errors import DomainError, RangeError, UnsupportedCombinationError
 
 F = FunctionId
@@ -66,6 +66,47 @@ class TestSupportMatrix:
             build_evaluator(F.SIN, EvaluatorConfig(
                 method=M.MLUT, number_format=NumberFormat.FIXED))
 
+    @pytest.mark.parametrize("function,config", (
+        (F.SIN, EvaluatorConfig(method="cordic")),
+        ("sin", EvaluatorConfig(method=M.LLUT)),
+        (F.SIN, EvaluatorConfig(method=M.LLUT, number_format="fixed")),
+    ), ids=("method-str", "function-str", "format-str"))
+    def test_non_member_build_raises(self, function, config):
+        with pytest.raises(UnsupportedCombinationError):
+            build_evaluator(function, config)
+
+    def test_non_members_are_unsupported(self):
+        assert not supported("sin", M.LLUT)
+        assert not supported(F.SIN, "cordic")
+        assert not supported(F.SIN, M.LLUT, "fixed")
+
+
+def test_only_the_methods_own_size_is_checked():
+    """An unused sizing field is not read: a CORDIC cell builds whatever
+    ``lut_size`` holds."""
+    build_evaluator(F.SIN, EvaluatorConfig(method=M.CORDIC, lut_size=None))
+
+
+# The field each method is sized by: a table's entries, a D table's
+# mantissa bits (2**mant_bits cells per octave), or CORDIC iterations.
+_SIZING_FIELD = dict.fromkeys(MethodId, "lut_size") | {
+    M.CORDIC: "n_iter", M.CORDIC_LUT: "n_iter",
+    M.DLUT_INTERP: "mant_bits", M.DLLUT_INTERP: "mant_bits"}
+
+
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_config_for_sets_the_methods_sizing_field(method):
+    for fmt in NumberFormat:
+        expect = dataclasses.replace(
+            EvaluatorConfig(method=method, number_format=fmt),
+            **{_SIZING_FIELD[method]: 7})
+        assert config_for(method, fmt, 7) == expect
+
+
+def test_config_for_refuses_a_non_member():
+    with pytest.raises(UnsupportedCombinationError):
+        config_for("cordic", NumberFormat.FLOAT, 16)
+
 
 def _all_supported():
     for method in MethodId:
@@ -110,7 +151,14 @@ def test_each_sizing_field_sizes_the_tables(function, method, field, values):
     (F.TANH, M.DLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 24),
     (F.TANH, M.DLLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 24),
     (F.GELU, M.DLLUT_INTERP, NumberFormat.FLOAT, "mant_bits", -1),
-), ids=("mlut", "llut", "fixed-llut", "dlut", "dllut", "dllut-negative"))
+    (F.SIN, M.CORDIC, NumberFormat.FLOAT, "n_iter", 27.5),
+    (F.SIN, M.CORDIC, NumberFormat.FLOAT, "n_iter", True),
+    (F.SIN, M.LLUT_INTERP, NumberFormat.FLOAT, "lut_size", 4096.0),
+    (F.SIN, M.LLUT_INTERP, NumberFormat.FLOAT, "lut_size", None),
+    (F.SIN, M.DLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 8.0),
+), ids=("mlut", "llut", "fixed-llut", "dlut", "dllut", "dllut-negative",
+        "n_iter-float", "n_iter-bool", "lut_size-float", "lut_size-none",
+        "mant_bits-float"))
 def test_size_outside_the_builders_range_raises_range_error(
         function, method, fmt, field, value):
     with pytest.raises(RangeError):
@@ -145,6 +193,16 @@ class TestEvaluatorBehavior:
         for x, o in zip(xs, out):
             assert ev.evaluate(float(x)) == o
         assert counts.lut_lookup == 2 * len(xs)
+
+    def test_evaluate_takes_one_value(self):
+        ev = build_evaluator(F.SIN, EvaluatorConfig(method=M.LLUT_INTERP))
+        for x in (np.array([0.5, 1.5]), [0.5], np.ones((1, 1))):
+            with pytest.raises(DomainError):
+                ev.evaluate(x)
+        for x in (0.5, np.float32(0.5), np.array(0.5)):
+            y = ev.evaluate(x)
+            assert type(y) is np.float32
+            assert y == ev.evaluate_batch([0.5])[0][0]
 
     def test_batch_preserves_shape(self):
         ev = build_evaluator(F.EXP, EvaluatorConfig(method=M.CORDIC))

@@ -37,6 +37,16 @@ class TestBuild:
         with pytest.raises(RangeError):
             build_cordic_lut(CordicMode.CIRCULAR, 8, 8)
 
+    @pytest.mark.parametrize("mode,top", ((CordicMode.CIRCULAR, 38),
+                                          (CordicMode.HYPERBOLIC, 36)))
+    def test_n_iter_bound_is_the_callers(self, mode, top):
+        """The start table adds lut_addr_bits to the plain mode's bound,
+        and a refusal quotes the n_iter passed."""
+        assert build_cordic_lut(mode, 6, top).n_iter == top - 6
+        with pytest.raises(RangeError, match=rf"n_iter {top + 1} outside "
+                                             rf"\[7, {top}\]"):
+            build_cordic_lut(mode, 6, top + 1)
+
     def test_setup_entries_tallied(self):
         _, c = with_counting(lambda: build_cordic_lut(CordicMode.CIRCULAR, 4, 20))
         # 17 cells of 3 values, plus the remaining angle table

@@ -61,6 +61,12 @@ class TestTableGeneration:
         with pytest.raises(RangeError):
             generate_cordic_tables(CordicMode.HYPERBOLIC, 31)
 
+    @pytest.mark.parametrize("mode", list(CordicMode))
+    def test_first_index_below_the_modes_clamps(self, mode):
+        plain = generate_cordic_tables(mode, 12)
+        assert generate_cordic_tables(mode, 12, -3) == plain
+        assert plain.schedule[0] == (0 if mode is CordicMode.CIRCULAR else 1)
+
     # first_index None is plain CORDIC's; 2..20 are CORDIC+LUT's address
     # widths, whose remaining iterations start there.
     @pytest.mark.parametrize("first_index", [None, *range(2, 21)])

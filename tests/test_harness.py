@@ -218,7 +218,39 @@ class TestCrossover:
         assert amortization_crossover(4097, 150.0, 29, 20.0) == 0.0
 
 
+_OPS = ("int_add,int_shift,int_mul,float_add,float_mul,float_div,ldexp_op,"
+        "lut_lookup,table_setup_entries")
+_ACC_HEADER = ("function,method,number_format,size_or_iters,n_samples,seed,"
+               "rng,rmse,max_abs_err,ulp_err,memory_bytes," + _OPS)
+_WL_HEADER = ("workload,variant,n_elements,seed,rng,rmse,max_sum_dev,"
+              + _OPS)
+
+
 class TestCsv:
+    @pytest.mark.parametrize("timing,suffix", ((False, ""),
+                                               (True, ",setup_seconds")),
+                             ids=("untimed", "timed"))
+    def test_accuracy_header(self, timing, suffix):
+        reports = rmse_sweep(FunctionId.SIN, MethodId.LLUT, [256],
+                             n_samples=16)
+        header = csv_text(reports, include_timing=timing).split("\r\n")[0]
+        assert header == _ACC_HEADER + suffix
+
+    @pytest.mark.parametrize("timing,suffix", ((False, ""),
+                                               (True, ",wall_seconds")),
+                             ids=("untimed", "timed"))
+    def test_workload_header(self, timing, suffix):
+        text = csv_text([run_sigmoid(50, "LLutInterp", seed=5)],
+                        include_timing=timing)
+        assert text.split("\r\n")[0] == _WL_HEADER + suffix
+
+    @pytest.mark.parametrize("timing,suffix", ((False, ""),
+                                               (True, ",setup_seconds")),
+                             ids=("untimed", "timed"))
+    def test_empty_is_the_accuracy_header(self, timing, suffix):
+        assert csv_text([], include_timing=timing) == (
+            _ACC_HEADER + suffix + "\r\n")
+
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)
