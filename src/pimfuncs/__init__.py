@@ -9,11 +9,10 @@ op mix of every evaluation observable.
 from .api import (EvaluatorConfig, Evaluator, FunctionId, MethodId,
                   NumberFormat, build_evaluator, config_for, supported)
 from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
-                        load_weights, weighted_cost, with_counting)
+                        load_weights, weighted_cost)
 from .errors import (DomainError, FixedOverflowError, PimFuncsError,
                      RangeError, TableFormatError,
                      UnsupportedCombinationError)
-from .fixedpoint import ldexp32, split_float, to_fixed, to_float
 
 __version__ = "0.1.0"
 
@@ -21,9 +20,8 @@ __all__ = [
     "EvaluatorConfig", "Evaluator", "FunctionId", "MethodId", "NumberFormat",
     "build_evaluator", "config_for", "supported",
     "DEFAULT_WEIGHTS", "OpCounts", "SetupReport", "counting", "load_weights",
-    "weighted_cost", "with_counting",
+    "weighted_cost",
     "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",
     "TableFormatError", "UnsupportedCombinationError",
-    "ldexp32", "split_float", "to_fixed", "to_float",
     "__version__",
 ]

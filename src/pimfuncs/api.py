@@ -35,7 +35,7 @@ import numpy as np
 
 from . import combined, cordic, lut
 from .costmodel import OpCounts, SetupReport, counting, tally
-from .errors import DomainError, RangeError, UnsupportedCombinationError
+from .errors import DomainError, UnsupportedCombinationError, integral
 from .fixedpoint import ldexp32, to_fixed, to_float
 from .rangeext import (TWO_PI, exp_via, log_via, piecewise, reduce_2pi,
                        reflect_odd, sqrt_via, tan_extend)
@@ -250,7 +250,8 @@ def _tan(q_sin, q_cos, x):
 # lifted and twinned (lut.twin): numpy's ufunc gives each entry it
 # settles, and libm, mapped over the nodes, the rest (math.pow(2.0, r) is
 # 2.0 ** r, bit for bit).  sqrt's host is np.sqrt, correctly rounded, as
-# math.sqrt is.
+# math.sqrt is.  The polynomial baseline (``harness``) fits its exp, log
+# and sqrt to the same rows.
 _SIN = lut.twin(partial(lut.mapped, math.sin), np.sin)
 _COS = lut.twin(partial(lut.mapped, math.cos), np.cos)
 _EXP2 = lut.twin(partial(lut.mapped, partial(math.pow, 2.0)), np.exp2)
@@ -260,9 +261,9 @@ _TABLE_CELLS = {
     FunctionId.SIN: (((_SIN, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
     FunctionId.COS: (((_COS, 0.0, TWO_PI),), lambda q, x: q(reduce_2pi(x))),
     FunctionId.TAN: (((_SIN, 0.0, TWO_PI), (_COS, 0.0, TWO_PI)), _tan),
-    FunctionId.EXP: (((_EXP2, 0.0, 1.0),), lambda q, x: exp_via(q, x)),
-    FunctionId.LOG: (((_LOG, 1.0, 2.0),), lambda q, x: log_via(q, x)),
-    FunctionId.SQRT: (((np.sqrt, 0.5, 2.0),), lambda q, x: sqrt_via(q, x)),
+    FunctionId.EXP: (((_EXP2, 0.0, 1.0),), exp_via),
+    FunctionId.LOG: (((_LOG, 1.0, 2.0),), log_via),
+    FunctionId.SQRT: (((np.sqrt, 0.5, 2.0),), sqrt_via),
 }
 
 
@@ -394,14 +395,17 @@ SUPPORT = {m: frozenset(family.functions) for m, family in _FAMILY.items()}
 
 def supported(function: FunctionId, method: MethodId,
               number_format: NumberFormat = NumberFormat.FLOAT) -> bool:
-    return (function in SUPPORT.get(method, ())
+    """Whether the cell exists; False for any non-member of an enum."""
+    return (isinstance(function, FunctionId) and isinstance(method, MethodId)
+            and isinstance(number_format, NumberFormat)
+            and function in SUPPORT[method]
             and number_format in _FAMILY[method].formats)
 
 
 def config_for(method: MethodId, number_format: NumberFormat,
                size: int) -> EvaluatorConfig:
     """``method``'s config in ``number_format``, its sizing field ``size``."""
-    if method not in _FAMILY:
+    if not isinstance(method, MethodId):
         raise UnsupportedCombinationError(f"no method {method!r}")
     return EvaluatorConfig(method=method, number_format=number_format,
                            **{_FAMILY[method].sizing: size})
@@ -422,14 +426,15 @@ def _table_bytes(table) -> int:
 
 
 def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
+    if not isinstance(config, EvaluatorConfig):
+        raise UnsupportedCombinationError(
+            f"config must be an EvaluatorConfig, got {config!r}")
     if not supported(function, config.method, config.number_format):
         raise UnsupportedCombinationError(
             f"{_named(function)} is not available via {_named(config.method)} "
             f"in {_named(config.number_format)} format")
     family = _FAMILY[config.method]
-    size = getattr(config, family.sizing)
-    if not isinstance(size, numbers.Integral) or isinstance(size, bool):
-        raise RangeError(f"{family.sizing} must be an integer, got {size!r}")
+    integral(family.sizing, getattr(config, family.sizing))
     t0 = time.perf_counter()
     with counting() as c:
         tables, pipeline = family.build(function, config)

@@ -22,7 +22,7 @@ import numpy as np
 from .cordic import (MODES, CordicMode, CordicTables, _angle_bytes, _iterate,
                      generate_cordic_tables)
 from .costmodel import tally
-from .errors import RangeError
+from .errors import RangeError, integral, refuse
 from .fixedpoint import FRAC_BITS, check_raw, fixed_shift, fixed_sub, to_fixed
 from .lut import mapped, tabulate
 
@@ -57,6 +57,8 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     at most the plain mode's largest ``n_iter``.
     """
     b = lut_addr_bits
+    integral("lut_addr_bits", b)
+    integral("n_iter", n_iter)
     if not (2 <= b <= 20):
         raise RangeError(f"lut_addr_bits {b} outside [2, 20]")
     top = b + MODES[mode].max_iter
@@ -83,10 +85,8 @@ def cordic_lut_rotate(tables: CordicLutTables, theta: np.ndarray):
     ``theta`` is an int64 array of raw Q3.28 angles in [0, TABLE_SPAN];
     the results are int64 raw arrays that must stay inside Q3.28.
     """
-    bad = (theta < 0) | (theta > TABLE_SPAN_RAW)
-    if np.count_nonzero(bad):
-        raise RangeError(f"theta {theta[bad][0] / (1 << FRAC_BITS):.6f} "
-                         f"outside start-table span [0, {TABLE_SPAN}]")
+    refuse((theta < 0) | (theta > TABLE_SPAN_RAW), theta, RangeError,
+           "theta raw {} outside start-table span [0, {}]", TABLE_SPAN_RAW)
     shift = FRAC_BITS - tables.density_n
     tally("int_add", theta.size)
     a = fixed_shift(theta + (1 << (shift - 1)), shift)  # nearest cell

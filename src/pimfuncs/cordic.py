@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .costmodel import tally
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, integral, refuse
 from .fixedpoint import (SCALE, check_raw, fixed_add, fixed_mul, ldexp32,
                          to_fixed, to_float)
 from .rangeext import (LN_2, exp_extend, exp_split, exp_via, log_via,
@@ -75,6 +75,7 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
     below that clamps to it.
     """
     row = MODES[mode]
+    integral("n_iter", n_iter)
     if not (1 <= n_iter <= row.max_iter):
         raise RangeError(f"{mode.value} n_iter {n_iter} outside "
                          f"[1, {row.max_iter}]")
@@ -130,10 +131,9 @@ def cordic_rotate(tables: CordicTables, theta: np.ndarray):
     ``theta`` is an int64 array of raw Q3.28 angles; so are the results,
     which must stay inside Q3.28.
     """
-    bad = np.abs(theta) / SCALE > tables.max_angle * 1.0005
-    if np.count_nonzero(bad):
-        raise RangeError(f"theta {theta[bad][0] / SCALE:.6f} outside "
-                         f"convergence range +-{tables.max_angle:.4f}")
+    angle = theta / SCALE
+    refuse(np.abs(angle) > tables.max_angle * 1.0005, angle, RangeError,
+           "theta {:.6f} outside convergence range +-{:.4f}", tables.max_angle)
     x, y, _ = _iterate(tables, np.full(theta.shape, tables.inv_gain),
                        np.zeros_like(theta), theta)
     return check_raw(x), check_raw(y)
@@ -145,14 +145,12 @@ def cordic_vector(tables: CordicTables, x0: np.ndarray, y0: np.ndarray):
     Hyperbolic mode returns (gain * sqrt(x0^2 - y0^2), atanh(y0/x0)).
     Takes and returns int64 raw arrays, as :func:`cordic_rotate`.
     """
-    if np.count_nonzero(x0 <= 0):
-        raise DomainError("vectoring requires x0 > 0")
+    refuse(x0 <= 0, x0, DomainError, "vectoring requires x0 > 0, got raw {}")
     ratio = np.abs(y0) / x0
     limit = math.tanh(tables.max_angle) if tables.mode is CordicMode.HYPERBOLIC \
         else math.tan(min(tables.max_angle, 1.55))
-    bad = ratio > limit * 1.0005
-    if np.count_nonzero(bad):
-        raise RangeError(f"atanh/atan({ratio[bad][0]:.4f}) outside convergence range")
+    refuse(ratio > limit * 1.0005, ratio, RangeError,
+           "atanh/atan({:.4f}) outside convergence range")
     x, _, t = _iterate(tables, x0, y0, np.zeros_like(x0), vectoring=True)
     return check_raw(x), check_raw(t)
 

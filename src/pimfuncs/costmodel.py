@@ -99,13 +99,6 @@ class counting:
             parent += self.counts  # OpCounts.__iadd__ adds in place
 
 
-def with_counting(thunk):
-    """Run ``thunk()`` under a fresh accumulator; return (result, OpCounts)."""
-    with counting() as c:
-        result = thunk()
-    return result, c
-
-
 def _check_weights(weights: dict) -> dict:
     for key, w in weights.items():
         if key not in OP_FIELDS:

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its two refusal rules."""
+
+import numbers
+
+import numpy as np
 
 
 class PimFuncsError(Exception):
@@ -23,3 +27,17 @@ class UnsupportedCombinationError(PimFuncsError):
 
 class TableFormatError(PimFuncsError, ValueError):
     """A serialized table is truncated, malformed or inconsistent."""
+
+
+def refuse(bad, values, error, message: str, *args) -> None:
+    """Raise ``error`` for the whole array if ``bad`` holds anywhere, with
+    ``message`` formatted with the first offending element of the array
+    ``values`` (as a Python number), then ``args``."""
+    if np.count_nonzero(bad):
+        raise error(message.format(values[bad][0].item(), *args))
+
+
+def integral(name: str, value) -> None:
+    """RangeError unless ``value`` is an integer; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise RangeError(f"{name} must be an integer, got {value!r}")

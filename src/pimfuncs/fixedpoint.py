@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .costmodel import tally
-from .errors import DomainError, FixedOverflowError, RangeError
+from .errors import DomainError, FixedOverflowError, RangeError, refuse
 
 FRAC_BITS = 28
 SCALE = 1 << FRAC_BITS
@@ -27,14 +27,10 @@ def to_fixed(x) -> np.ndarray:
     float64; every element must satisfy |x| < 8.  A float gives a 0-d
     result."""
     x = np.asarray(x, dtype=np.float64)
-    bad = ~(np.abs(x) < 8.0)
-    if np.count_nonzero(bad):
-        raise RangeError(f"{float(x[bad][0])} outside Q3.28 range (-8, 8)")
+    refuse(~(np.abs(x) < 8.0), x, RangeError, "{} outside Q3.28 range (-8, 8)")
     # x * 2**28 is exact for doubles in range, so rint is a true RNE.
     raw = np.rint(x * SCALE).astype(np.int64)
-    if np.count_nonzero(raw > RAW_MAX):
-        raise RangeError(f"{float(x[raw > RAW_MAX][0])} rounds outside "
-                         "Q3.28 range")
+    refuse(raw > RAW_MAX, x, RangeError, "{} rounds outside Q3.28 range")
     return raw
 
 
@@ -45,9 +41,8 @@ def to_float(raw) -> np.ndarray:
 
 def check_raw(raw: np.ndarray) -> np.ndarray:
     """``raw`` itself, once every element is inside signed 32 bits."""
-    bad = (raw < RAW_MIN) | (raw > RAW_MAX)
-    if np.count_nonzero(bad):
-        raise FixedOverflowError(f"fixed-point overflow: raw {int(raw[bad][0])}")
+    refuse((raw < RAW_MIN) | (raw > RAW_MAX), raw, FixedOverflowError,
+           "fixed-point overflow: raw {}")
     return raw
 
 
@@ -81,10 +76,8 @@ def fixed_mul(a, b) -> np.ndarray:
 def split_float(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exponents, mantissas in [1, 2)) with x = mantissa * 2**exponent,
     elementwise over positive finite values."""
-    bad = ~((x > 0.0) & np.isfinite(x))
-    if np.count_nonzero(bad):
-        raise DomainError("split_float requires positive finite input, "
-                          f"got {float(x[bad][0])}")
+    refuse(~((x > 0.0) & np.isfinite(x)), x, DomainError,
+           "split_float requires positive finite input, got {}")
     m, e = np.frexp(x)
     return e - 1, 2.0 * m
 

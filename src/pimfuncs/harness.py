@@ -40,12 +40,11 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import lut
-from .api import (CNDF_HOST, EvaluatorConfig, FunctionId, MethodId,
-                  NumberFormat, _horner, _saturated, build_evaluator,
+from .api import (_TABLE_CELLS, CNDF_HOST, EvaluatorConfig, FunctionId,
+                  MethodId, NumberFormat, _horner, _saturated, build_evaluator,
                   cndf_exact, config_for, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError
-from .rangeext import exp_via, log_via, sqrt_via
 
 RNG_ID = "pcg64"
 
@@ -153,21 +152,19 @@ def _polynomial(coeffs, x) -> np.ndarray:
     return _horner(coeffs, x.astype(np.float32))
 
 
-# Function -> (range split, reduced domain, degree, host fitted on it).
-_POLY_FITS = {
-    "exp": (exp_via, (0.0, 1.0), 6, np.exp2),
-    "log": (log_via, (1.0, 2.0), 8, np.log),
-    "sqrt": (sqrt_via, (0.5, 2.0), 8, np.sqrt),
-}
+# Function -> the degree of its power series.
+_POLY_DEGREES = {"exp": 6, "log": 8, "sqrt": 8}
 
 
 @lru_cache(maxsize=None)
 def _poly_kernel(function: str):
     """The baseline's array kernel of ``function``: a least-squares power
-    series, fitted host-side on the reduced domain, inside the range split."""
-    via, (lo, hi), degree, host = _POLY_FITS[function]
+    series, fitted host-side to the numpy twin of the table cell's host on
+    its reduced domain, inside the cell's range split."""
+    ((host, lo, hi),), via = _TABLE_CELLS[FunctionId(function)]
     xs = np.linspace(lo, hi, 512)
-    fit = np.polynomial.Polynomial.fit(xs, host(xs), degree).convert()
+    fit = np.polynomial.Polynomial.fit(xs, getattr(host, "twin", host)(xs),
+                                       _POLY_DEGREES[function]).convert()
     return partial(via, partial(_polynomial,
                                 tuple(float(c) for c in fit.coef[::-1])))
 
@@ -221,7 +218,6 @@ BS_RANGES = {
 }
 
 CNDF_LUT_SIZE = 8192
-WORKLOAD_LUT_SIZE = 4096
 SOFTMAX_VECTOR_LEN = 1024
 
 
@@ -234,15 +230,13 @@ def _make_cndf_lut(number_format: NumberFormat):
                    _reflected(query))
 
 
-# Workload variant -> the config of its kernels (M/L tables of
-# WORKLOAD_LUT_SIZE entries); None is the polynomial baseline.  A
-# variant's CNDF is an L-LUT in its number format.
-_table_config = partial(config_for, size=WORKLOAD_LUT_SIZE)
+# Workload variant -> its kernels' config, at the default sizes, or None
+# for the polynomial baseline; its CNDF is an L-LUT in its number format.
 _VARIANTS = {
     "PolynomialBaseline": None,
-    "MLutInterp": _table_config(MethodId.MLUT_INTERP, NumberFormat.FLOAT),
-    "LLutInterp": _table_config(MethodId.LLUT_INTERP, NumberFormat.FLOAT),
-    "FixedLLutInterp": _table_config(MethodId.LLUT_INTERP, NumberFormat.FIXED),
+    "MLutInterp": EvaluatorConfig(MethodId.MLUT_INTERP),
+    "LLutInterp": EvaluatorConfig(MethodId.LLUT_INTERP),
+    "FixedLLutInterp": EvaluatorConfig(MethodId.LLUT_INTERP, NumberFormat.FIXED),
     "CordicLut": EvaluatorConfig(MethodId.CORDIC_LUT),
 }
 

@@ -16,7 +16,8 @@ lo and carry one guard entry so entries[a + 1] never branches.
 Each kind has one layout, which holds all of its size and range checks:
 M from (lo, hi, size), L from (lo, n, size), D from (base_exponent,
 hi_exponent, mant_bits), any count of octaves of 2**mant_bits cells;
-each refuses what float32 queries cannot address.  The builders and
+each refuses what float32 queries cannot address, and more than
+MAX_CELLS cells, before any entry is allocated.  The builders and
 :func:`load_table` both make their specs through it, and a table record
 (magic ``TPL3``) stores those inputs, so a loaded table's spec equals
 the built table's, and a DL record's L part must be
@@ -67,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costmodel import tally
-from .errors import RangeError, TableFormatError
+from .errors import RangeError, TableFormatError, refuse
 from .fixedpoint import (FRAC_BITS, RAW_MAX, SCALE, check_raw, ldexp32,
                          to_fixed)
 from .rangeext import piecewise
@@ -75,6 +76,7 @@ from .rangeext import piecewise
 PARAM_BLOCK_BYTES = 48  # serialized header + parameter fields
 TABULATE_CHUNK = 4096  # nodes per host call
 SETTLE_ULPS = 2 ** 10  # a twin's margin, far above its few ulps from libm
+MAX_CELLS = 1 << 24  # 64 MiB of 4-byte entries: one UPMEM DPU's MRAM bank
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -191,8 +193,9 @@ def _m_layout(lo: float, hi: float, size: int,
               interpolated: bool) -> SpacingSpec:
     """M spec of ``size`` cells on exactly [lo, hi]; float32 queries need
     |lo|, |hi| <= FLT_MAX / 2, so x - p is finite, and a finite density."""
-    if not (lo < hi) or size < 2:
-        raise RangeError("need lo < hi and size >= 2")
+    if not (lo < hi and 2 <= size <= MAX_CELLS):
+        raise RangeError(f"need lo < hi and 2 <= size <= {MAX_CELLS}, "
+                         f"got [{lo}, {hi}] and {size}")
     k = size / (hi - lo)
     if not (max(-lo, hi) <= _F32_MAX / 2 and k <= _F32_MAX):
         raise RangeError(f"[{lo}, {hi}] of density {k} is beyond float32")
@@ -204,8 +207,9 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
               fixed: bool) -> SpacingSpec:
     """L spec of ``size`` cells of width 2**-n from lo; a fixed table's
     raw addressing needs n in [0, FRAC_BITS] and a range inside Q3.28."""
-    if size < 2 or not -1074 <= n <= 1023:
-        raise RangeError("need size >= 2 and -1074 <= n <= 1023")
+    if not (2 <= size <= MAX_CELLS and -1074 <= n <= 1023):
+        raise RangeError(f"need 2 <= size <= {MAX_CELLS} and "
+                         f"-1074 <= n <= 1023, got {size} and {n}")
     k = 2.0 ** n
     hi = lo + size / k
     if not max(-lo, hi) <= _F32_MAX / 2:
@@ -230,11 +234,13 @@ def _d_layout(base_exponent: int, hi_exponent: int,
     if not -126 <= base_exponent < hi_exponent <= 128:
         raise RangeError(f"D-LUT range [2^{base_exponent}, 2^{hi_exponent}) "
                          "is empty or not in float32's [2^-126, 2^128)")
+    size = (hi_exponent - base_exponent) << mant_bits
+    if size > MAX_CELLS:
+        raise RangeError(f"D-LUT of {size} cells is over {MAX_CELLS}")
     return SpacingSpec(kind="D", mant_bits=mant_bits,
                        base_exponent=base_exponent, hi_exponent=hi_exponent,
                        lo=math.ldexp(1.0, base_exponent),
-                       hi=math.ldexp(1.0, hi_exponent),
-                       size=(hi_exponent - base_exponent) << mant_bits)
+                       hi=math.ldexp(1.0, hi_exponent), size=size)
 
 
 def _nodes(s: SpacingSpec):
@@ -279,10 +285,8 @@ def build_mlut(f, lo: float, hi: float, size: int,
 
 def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
     s = lut.spec
-    bad = ~((s.lo <= x) & (x <= s.hi))
-    if np.count_nonzero(bad):
-        raise RangeError(f"{float(x[bad][0])} outside covered range "
-                         f"[{s.lo}, {s.hi}]")
+    refuse(~((s.lo <= x) & (x <= s.hi)), x, RangeError,
+           "{} outside covered range [{}, {}]", s.lo, s.hi)
 
 
 def _clamp(a: np.ndarray, hi: int) -> np.ndarray:
@@ -412,10 +416,9 @@ def _dlut_address(s: SpacingSpec, x32: np.ndarray):
     """Addresses from the exponent and top mantissa bits; also the bits."""
     bits = x32.view(np.uint32).astype(np.int64)
     e = ((bits >> 23) & 0xFF) - 127
-    bad = (x32 <= 0.0) | (e < s.base_exponent) | (e >= s.hi_exponent)
-    if np.count_nonzero(bad):
-        raise RangeError(f"{float(x32[bad][0])} outside D-LUT range "
-                         f"[2^{s.base_exponent}, 2^{s.hi_exponent})")
+    refuse((x32 <= 0.0) | (e < s.base_exponent) | (e >= s.hi_exponent), x32,
+           RangeError, "{} outside D-LUT range [2^{}, 2^{})",
+           s.base_exponent, s.hi_exponent)
     tally("int_add", x32.size)
     tally("int_shift", 2 * x32.size)
     top = (bits & 0x7FFFFF) >> (23 - s.mant_bits)
@@ -462,9 +465,8 @@ def build_dllut(f, base_exponent: int, hi_exponent: int,
 
 
 def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    if np.count_nonzero(x < 0.0):
-        raise RangeError("DL-LUT query requires x >= 0; negative inputs are "
-                         "the symmetry wrapper's job")
+    refuse(x < 0.0, x, RangeError, "DL-LUT query requires x >= 0, got {}; "
+           "negative inputs are the symmetry wrapper's job")
     return piecewise(x < lut.sub_high.spec.lo, x,
                      lambda v: llut_query_interp(lut.sub_low, v),
                      lambda v: dlut_query_interp(lut.sub_high, v))

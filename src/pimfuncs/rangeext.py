@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .costmodel import tally
-from .errors import DomainError
+from .errors import DomainError, refuse
 from .fixedpoint import ldexp32, split_float, to_fixed
 
 TWO_PI = 2.0 * math.pi
@@ -53,10 +53,8 @@ def reduce_2pi(x: np.ndarray) -> np.ndarray:
     far = x[~(np.abs(x) < TWO_PI)]  # NaN and +-inf included
     r = x
     if far.size:
-        bad = ~np.isfinite(far)
-        if np.count_nonzero(bad):
-            raise DomainError("reduce_2pi requires finite input, "
-                              f"got {float(far[bad][0])}")
+        refuse(~np.isfinite(far), far, DomainError,
+               "reduce_2pi requires finite input, got {}")
         tally("float_mul", far.size)
         tally("float_add", far.size)
         r = np.fmod(x, TWO_PI)  # exact, so |r| < 2*pi, and x where |x| < 2*pi
@@ -106,9 +104,7 @@ def exp_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tally("float_add", x.size)
     t = x * LOG2_E
     i = np.floor(t)
-    bad = ~np.isfinite(i)
-    if np.count_nonzero(bad):
-        raise DomainError(f"exp requires finite input, got {float(x[bad][0])}")
+    refuse(~np.isfinite(i), x, DomainError, "exp requires finite input, got {}")
     return i, t - i
 
 

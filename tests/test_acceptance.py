@@ -14,7 +14,7 @@ import numpy as np
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, supported)
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
-from pimfuncs.costmodel import with_counting, weighted_cost
+from pimfuncs.costmodel import counting, weighted_cost
 from pimfuncs.fixedpoint import to_fixed, to_float
 from pimfuncs.harness import (DEFAULT_DOMAINS, amortization_crossover,
                               csv_text, reference_values, rmse_sweep,
@@ -108,7 +108,8 @@ def test_c03_fixed_point_floor(capfd):
 
 def test_c04_multiplication_budgets(capfd):
     def fmuls(fn, *args):
-        _, c = with_counting(lambda: fn(*args))
+        with counting() as c:
+            fn(*args)
         return c.float_mul
 
     m = build_mlut(SIN, 0.0, 6.0, 256)
@@ -122,7 +123,8 @@ def test_c04_multiplication_budgets(capfd):
            fmuls(dlut_query_interp, d, x))
     tables = generate_cordic_tables(CordicMode.CIRCULAR, 28)
     theta = to_fixed(np.array([0.7]))
-    _, cc = with_counting(lambda: cordic_rotate(tables, theta))
+    with counting() as cc:
+        cordic_rotate(tables, theta)
     ok = got == (0, 1, 1, 2, 1) and cc.int_mul == 0 and cc.float_mul == 0
     _verdict(capfd, 4, "multiplication-budgets", ok,
              f"L/Li/M/Mi/Di float_mul={got} (want (0,1,1,2,1)), "
@@ -144,7 +146,8 @@ def test_c05_cost_flatness_and_growth(capfd):
     theta = to_fixed(np.array([0.7]))
     for n in (8, 16, 24):
         t = generate_cordic_tables(CordicMode.CIRCULAR, n)
-        _, c = with_counting(lambda: cordic_rotate(t, theta))
+        with counting() as c:
+            cordic_rotate(t, theta)
         shifts.append((c.int_shift, c.int_add))
     affine = (shifts[1][0] - shifts[0][0] == shifts[2][0] - shifts[1][0] > 0
               and shifts[1][1] - shifts[0][1] == shifts[2][1] - shifts[1][1] > 0)
@@ -208,8 +211,10 @@ def test_c08_setup_eval_crossover(capfd):
     ev_c = build_evaluator(FunctionId.SIN, EvaluatorConfig(method=MethodId.CORDIC))
     ev_l = build_evaluator(FunctionId.SIN,
                            EvaluatorConfig(method=MethodId.LLUT_INTERP))
-    _, cc = with_counting(lambda: ev_c.evaluate(2.5))
-    _, cl = with_counting(lambda: ev_l.evaluate(2.5))
+    with counting() as cc:
+        ev_c.evaluate(2.5)
+    with counting() as cl:
+        ev_l.evaluate(2.5)
     cost_c, cost_l = weighted_cost(cc), weighted_cost(cl)
     n_star = amortization_crossover(ev_c.setup.table_entries, cost_c,
                                     ev_l.setup.table_entries, cost_l)
@@ -250,14 +255,18 @@ def test_c10_baseline_ordering(capfd):
     from pimfuncs.harness import _kernel
     ev = build_evaluator(FunctionId.EXP,
                          EvaluatorConfig(method=MethodId.LLUT_INTERP))
-    _, c_lut_exp = with_counting(lambda: ev.evaluate(1.234))
+    with counting() as c_lut_exp:
+        ev.evaluate(1.234)
     x = np.array([1.234])  # one element each
     poly_exp = _kernel("exp", "PolynomialBaseline")
     poly_cndf = _kernel("cndf", "PolynomialBaseline")
-    _, c_poly_exp = with_counting(lambda: poly_exp(x))
+    with counting() as c_poly_exp:
+        poly_exp(x)
     cndf = _kernel("cndf", "LLutInterp")
-    _, c_lut_cndf = with_counting(lambda: cndf(x))
-    _, c_poly_cndf = with_counting(lambda: poly_cndf(x))
+    with counting() as c_lut_cndf:
+        cndf(x)
+    with counting() as c_poly_cndf:
+        poly_cndf(x)
     ok = (weighted_cost(c_poly_exp) > weighted_cost(c_lut_exp)
           and weighted_cost(c_poly_cndf) > weighted_cost(c_lut_cndf))
     _verdict(capfd, 10, "baseline-ordering", ok,

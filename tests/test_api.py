@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,7 +71,13 @@ class TestSupportMatrix:
         (F.SIN, EvaluatorConfig(method="cordic")),
         ("sin", EvaluatorConfig(method=M.LLUT)),
         (F.SIN, EvaluatorConfig(method=M.LLUT, number_format="fixed")),
-    ), ids=("method-str", "function-str", "format-str"))
+        ([], EvaluatorConfig(method=M.LLUT)),
+        (F.SIN, EvaluatorConfig(method=[])),
+        (F.SIN, None),
+        (F.SIN, SimpleNamespace(method=M.LLUT, number_format=NumberFormat.FLOAT,
+                                lut_size=64)),
+    ), ids=("method-str", "function-str", "format-str", "function-list",
+            "method-list", "config-none", "config-lookalike"))
     def test_non_member_build_raises(self, function, config):
         with pytest.raises(UnsupportedCombinationError):
             build_evaluator(function, config)
@@ -79,6 +86,11 @@ class TestSupportMatrix:
         assert not supported("sin", M.LLUT)
         assert not supported(F.SIN, "cordic")
         assert not supported(F.SIN, M.LLUT, "fixed")
+
+    @pytest.mark.parametrize("args", (([], M.LLUT), (F.SIN, [])),
+                             ids=("function-list", "method-list"))
+    def test_unhashable_arguments_are_unsupported(self, args):
+        assert not supported(*args)
 
 
 def test_only_the_methods_own_size_is_checked():
@@ -106,6 +118,11 @@ def test_config_for_sets_the_methods_sizing_field(method):
 def test_config_for_refuses_a_non_member():
     with pytest.raises(UnsupportedCombinationError):
         config_for("cordic", NumberFormat.FLOAT, 16)
+
+
+def test_config_for_refuses_an_unhashable_method():
+    with pytest.raises(UnsupportedCombinationError):
+        config_for([], NumberFormat.FLOAT, 16)
 
 
 def _all_supported():
@@ -156,9 +173,12 @@ def test_each_sizing_field_sizes_the_tables(function, method, field, values):
     (F.SIN, M.LLUT_INTERP, NumberFormat.FLOAT, "lut_size", 4096.0),
     (F.SIN, M.LLUT_INTERP, NumberFormat.FLOAT, "lut_size", None),
     (F.SIN, M.DLUT_INTERP, NumberFormat.FLOAT, "mant_bits", 8.0),
+    (F.SIN, M.LLUT, NumberFormat.FLOAT, "lut_size", 2 ** 40),
+    (F.EXP, M.MLUT_INTERP, NumberFormat.FLOAT, "lut_size", 2 ** 24 + 1),
+    (F.LOG, M.LLUT, NumberFormat.FIXED, "lut_size", 2 ** 24 + 1),
 ), ids=("mlut", "llut", "fixed-llut", "dlut", "dllut", "dllut-negative",
         "n_iter-float", "n_iter-bool", "lut_size-float", "lut_size-none",
-        "mant_bits-float"))
+        "mant_bits-float", "llut-2^40", "mlut-over-cap", "fixed-llut-over-cap"))
 def test_size_outside_the_builders_range_raises_range_error(
         function, method, fmt, field, value):
     with pytest.raises(RangeError):

@@ -90,6 +90,16 @@ def test_table_dump_unsupported_cell(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_table_dump_refuses_a_table_over_the_cap(tmp_path, capsys):
+    path = tmp_path / "t.tplt"
+    argv = ["table", "dump", "--path", str(path), "--method", "llut",
+            "--size", str(2 ** 24 + 1)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_table_load_truncated_file(tmp_path, capsys):
     path = tmp_path / "t.tplt"
     assert main(["table", "dump", "--path", str(path), "--size", "64"]) == 0

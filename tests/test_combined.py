@@ -6,7 +6,7 @@ import pytest
 from pimfuncs.combined import (build_cordic_lut, cordic_lut_memory_bytes,
                                cordic_lut_rotate)
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
-from pimfuncs.costmodel import with_counting
+from pimfuncs.costmodel import counting
 from pimfuncs.errors import RangeError
 from pimfuncs.fixedpoint import to_fixed, to_float
 
@@ -37,6 +37,16 @@ class TestBuild:
         with pytest.raises(RangeError):
             build_cordic_lut(CordicMode.CIRCULAR, 8, 8)
 
+    @pytest.mark.parametrize("args, name", (((6, 10.0), "n_iter"),
+                                            ((6, np.float64(28.0)), "n_iter"),
+                                            ((6.0, 28), "lut_addr_bits"),
+                                            ((True, 28), "lut_addr_bits")),
+                             ids=("n_iter-float", "n_iter-np-float",
+                                  "bits-float", "bits-bool"))
+    def test_sizes_must_be_integers(self, args, name):
+        with pytest.raises(RangeError, match=f"{name} must be an integer"):
+            build_cordic_lut(CordicMode.CIRCULAR, *args)
+
     @pytest.mark.parametrize("mode,top", ((CordicMode.CIRCULAR, 38),
                                           (CordicMode.HYPERBOLIC, 36)))
     def test_n_iter_bound_is_the_callers(self, mode, top):
@@ -48,7 +58,8 @@ class TestBuild:
             build_cordic_lut(mode, 6, top + 1)
 
     def test_setup_entries_tallied(self):
-        _, c = with_counting(lambda: build_cordic_lut(CordicMode.CIRCULAR, 4, 20))
+        with counting() as c:
+            build_cordic_lut(CordicMode.CIRCULAR, 4, 20)
         # 17 cells of 3 values, plus the remaining angle table
         assert c.table_setup_entries >= 17 * 3
 
@@ -88,15 +99,18 @@ class TestRotation:
 class TestCost:
     def test_no_multiplies(self):
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
-        _, c = with_counting(lambda: cordic_lut_rotate(t, fx(1.0)))
+        with counting() as c:
+            cordic_lut_rotate(t, fx(1.0))
         assert c.int_mul == 0
         assert c.float_mul == 0
 
     def test_cheaper_than_full_cordic(self):
         hybrid = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
         full = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        _, ch = with_counting(lambda: cordic_lut_rotate(hybrid, fx(1.0)))
-        _, cf = with_counting(lambda: cordic_rotate(full, fx(1.0)))
+        with counting() as ch:
+            cordic_lut_rotate(hybrid, fx(1.0))
+        with counting() as cf:
+            cordic_rotate(full, fx(1.0))
         assert ch.int_shift < cf.int_shift
         assert ch.int_add < cf.int_add
         assert ch.lut_lookup == 1

@@ -9,7 +9,7 @@ from pimfuncs import (EvaluatorConfig, FunctionId, MethodId, build_evaluator,
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
 from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_rotate,
                              cordic_vector, generate_cordic_tables)
-from pimfuncs.costmodel import with_counting
+from pimfuncs.costmodel import counting
 from pimfuncs.errors import DomainError, RangeError
 from pimfuncs.fixedpoint import RAW_MAX, RAW_MIN, SCALE, to_fixed, to_float
 from pimfuncs.harness import DEFAULT_DOMAINS
@@ -52,6 +52,13 @@ class TestTableGeneration:
     def test_hyperbolic_convergence_bound(self):
         t = generate_cordic_tables(CordicMode.HYPERBOLIC, 28)
         assert t.max_angle == pytest.approx(1.1182, abs=1e-3)
+
+    @pytest.mark.parametrize("mode", list(CordicMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n_iter", (True, 3.0, np.float64(12.0)),
+                             ids=("bool", "float", "np-float"))
+    def test_n_iter_must_be_an_integer(self, mode, n_iter):
+        with pytest.raises(RangeError, match="n_iter must be an integer"):
+            generate_cordic_tables(mode, n_iter)
 
     def test_iteration_limits(self):
         with pytest.raises(RangeError):
@@ -105,7 +112,8 @@ class TestRotation:
     def test_loop_op_counts(self):
         # 28 iterations: exactly 2 shifts + 3 adds each, zero multiplies
         t = generate_cordic_tables(CordicMode.CIRCULAR, 28)
-        _, c = with_counting(lambda: cordic_rotate(t, fx(0.7)))
+        with counting() as c:
+            cordic_rotate(t, fx(0.7))
         assert c.int_shift == 56
         assert c.int_add == 84
         assert c.int_mul == 0
@@ -179,12 +187,14 @@ class TestRawArrays:
     @pytest.mark.parametrize("name", sorted(_raw_array_cases()))
     def test_array_equals_per_element(self, name):
         fn, raws = _raw_array_cases()[name]
-        (ax, ay), counts = with_counting(lambda: fn(*raws))
+        with counting() as counts:
+            ax, ay = fn(*raws)
         assert ax.dtype == ay.dtype == np.int64
         n = raws[0].size
         per_element = []
         for k in range(n):
-            (ex, ey), c = with_counting(lambda: fn(*(r[k:k + 1] for r in raws)))
+            with counting() as c:
+                ex, ey = fn(*(r[k:k + 1] for r in raws))
             assert ex.dtype == ey.dtype == np.int64
             assert (ax[k], ay[k]) == (ex[0], ey[0])
             per_element.append(c.as_dict())

@@ -5,8 +5,7 @@ import threading
 import pytest
 
 from pimfuncs.costmodel import (DEFAULT_WEIGHTS, OP_FIELDS, OpCounts, counting,
-                                load_weights, tally, weighted_cost,
-                                with_counting)
+                                load_weights, tally, weighted_cost)
 
 
 def test_tally_outside_context_is_noop():
@@ -14,13 +13,9 @@ def test_tally_outside_context_is_noop():
 
 
 def test_with_counting_captures():
-    def thunk():
+    with counting() as c:
         tally("int_add", 3)
         tally("float_div")
-        return "ok"
-
-    result, c = with_counting(thunk)
-    assert result == "ok"
     assert c.int_add == 3
     assert c.float_div == 1
     assert c.float_mul == 0

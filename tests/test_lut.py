@@ -4,10 +4,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pimfuncs.costmodel import counting, with_counting
+from pimfuncs.costmodel import counting
 from pimfuncs.errors import RangeError
 from pimfuncs.fixedpoint import ldexp32, to_fixed, to_float
-from pimfuncs.lut import (_l_position, build_dllut, build_dlut,
+from pimfuncs.lut import (MAX_CELLS, _l_position, build_dllut, build_dlut,
                           build_fixed_llut, build_llut, build_mlut,
                           dllut_query_interp, dlut_query_interp,
                           fixed_llut_query, fixed_llut_query_interp,
@@ -99,7 +99,8 @@ class TestLlutAddressing:
 
     def test_no_multiply_per_query(self):
         t = build_llut(SIN, 0.0, 6.0, 1024)
-        _, c = with_counting(lambda: at(llut_query, t, 2.5))
+        with counting() as c:
+            at(llut_query, t, 2.5)
         assert c.float_mul == 0
         assert c.int_mul == 0
         assert c.ldexp_op == 1
@@ -107,7 +108,8 @@ class TestLlutAddressing:
 
     def test_one_multiply_interp(self):
         t = build_llut(SIN, 0.0, 6.0, 1024, interpolated=True)
-        _, c = with_counting(lambda: at(llut_query_interp, t, 2.5))
+        with counting() as c:
+            at(llut_query_interp, t, 2.5)
         assert c.float_mul == 1
         assert c.lut_lookup == 2
 
@@ -134,7 +136,8 @@ class TestLlutAddressing:
         t = build_llut(ATAN, lo, hi, size, interpolated=interpolated)
         s = t.spec
         x = np.array([s.lo, s.hi])
-        got, c = with_counting(lambda: _l_position(t, x))
+        with counting() as c:
+            got = _l_position(t, x)
         want = ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
         assert got.dtype == np.float32
         assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
@@ -153,8 +156,8 @@ class TestFixedLlut:
 
     def test_interp_uses_int_mul_only(self):
         t = build_fixed_llut(SIN, 0.0, 6.0, 1024, interpolated=True)
-        _, c = with_counting(
-            lambda: fixed_at(fixed_llut_query_interp, t, [2.5]))
+        with counting() as c:
+            fixed_at(fixed_llut_query_interp, t, [2.5])
         assert c.float_mul == 0
         assert c.int_mul == 1
 
@@ -234,7 +237,8 @@ class TestDlut:
 
     def test_one_float_multiply(self):
         t = build_dlut(TANH, base_exponent=-16, hi_exponent=16, mant_bits=8)
-        _, c = with_counting(lambda: at(dlut_query_interp, t, 0.37))
+        with counting() as c:
+            at(dlut_query_interp, t, 0.37)
         assert c.float_mul == 1
         assert c.int_mul == 0
 
@@ -289,10 +293,11 @@ class TestMemoryAccounting:
                                        + lut_memory_bytes(t.sub_high))
 
     def test_setup_entries_tallied(self):
-        _, c = with_counting(lambda: build_mlut(SIN, 0.0, 5.0, 128))
+        with counting() as c:
+            build_mlut(SIN, 0.0, 5.0, 128)
         assert c.table_setup_entries == 128
-        _, c = with_counting(
-            lambda: build_llut(SIN, 0.0, 5.0, 128, interpolated=True))
+        with counting() as c:
+            build_llut(SIN, 0.0, 5.0, 128, interpolated=True)
         assert c.table_setup_entries == 129
 
 
@@ -320,6 +325,10 @@ class TestLayoutChecks:
         (build_dllut, (0, -2, 6)),  # octaves the wrong way round
         (build_dlut, (-16, 16, 0)),  # no mantissa bits
         (build_dllut, (0, 4, 24)),  # more mantissa bits than float32 has
+        (build_mlut, (0.0, 1.0, MAX_CELLS + 1)),  # beyond one MRAM bank
+        (build_llut, (0.0, 1.0, MAX_CELLS + 1)),
+        (build_fixed_llut, (0.0, 1.0, MAX_CELLS + 1)),
+        (build_dlut, (-112, 17, 17)),  # 129 octaves of 2**17 cells
     ])
     def test_refused(self, build, args):
         with counting() as c, pytest.raises(RangeError):

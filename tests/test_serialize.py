@@ -261,11 +261,13 @@ class TestLayoutFields:
     @pytest.mark.parametrize("offset, value", [
         (24, 2 ** 40), (24, -2 ** 40), (24, 2 ** 63 - 1), (24, -2 ** 63),
         (32, 2 ** 62), (32, 129), (32, -8), (40, 24), (40, 2 ** 62),
-        (24, 120), (24, -160), (40, 0)],  # octaves float32 cannot reach,
-        # or none, or cells without mantissa bits
+        (24, 120), (24, -160), (40, 0), (40, 21)],  # octaves float32
+        # cannot reach, or none, cells without mantissa bits, or 16 octaves
+        # of 2**21 cells, beyond the MAX_CELLS cap
         ids=["base-2^40", "base--2^40", "base-max", "base-min",
              "hi-2^62", "hi-129", "hi--8", "mant_bits-24",
-             "mant_bits-2^62", "base-120", "base--160", "mant_bits-0"])
+             "mant_bits-2^62", "base-120", "base--160", "mant_bits-0",
+             "mant_bits-over-cap"])
     def test_d_field_out_of_bounds(self, offset, value):
         low_count = struct.unpack_from("<I", _DUMPS["dllut"], 52 + 48)[0]
         d_part = 52 + 52 + 4 * low_count  # after the DL header and L part
