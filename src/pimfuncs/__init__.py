@@ -12,7 +12,7 @@ from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
                         load_weights, weighted_cost)
 from .errors import (DomainError, FixedOverflowError, PimFuncsError,
                      RangeError, TableFormatError,
-                     UnsupportedCombinationError)
+                     UnsupportedCombinationError, WeightError)
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "DEFAULT_WEIGHTS", "OpCounts", "SetupReport", "counting", "load_weights",
     "weighted_cost",
     "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",
-    "TableFormatError", "UnsupportedCombinationError",
+    "TableFormatError", "UnsupportedCombinationError", "WeightError",
     "__version__",
 ]

@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .cordic import (MODES, CordicMode, CordicTables, _angle_bytes, _iterate,
-                     generate_cordic_tables)
+from .cordic import (CordicMode, CordicTables, _angle_bytes, _iterate,
+                     generate_cordic_tables, mode_row)
 from .costmodel import tally
 from .errors import RangeError, integral, refuse
 from .fixedpoint import FRAC_BITS, check_raw, fixed_shift, fixed_sub, to_fixed
@@ -56,12 +56,13 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     time performs ``n_iter - lut_addr_bits`` iterations, at least one and
     at most the plain mode's largest ``n_iter``.
     """
+    row = mode_row(mode)
     b = lut_addr_bits
     integral("lut_addr_bits", b)
     integral("n_iter", n_iter)
     if not (2 <= b <= 20):
         raise RangeError(f"lut_addr_bits {b} outside [2, 20]")
-    top = b + MODES[mode].max_iter
+    top = b + row.max_iter
     if not (b < n_iter <= top):
         raise RangeError(f"{mode.value} n_iter {n_iter} outside "
                          f"[{b + 1}, {top}] with lut_addr_bits {b}")
@@ -73,7 +74,7 @@ def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
     theta = lambda a: a * step  # exact: step is a power of two
     cells = np.stack([
         *(tabulate(partial(_scaled, partial(mapped, f), inv_g_rem), theta,
-                   count, fixed=True) for f in MODES[mode].rotation),
+                   count, fixed=True) for f in row.rotation),
         to_fixed(theta(np.arange(count)))], axis=1)
     tally("table_setup_entries", count * 3)
     return CordicLutTables(cells=cells, rem_tables=rem, density_n=b - 1)

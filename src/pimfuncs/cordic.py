@@ -24,9 +24,10 @@ from enum import Enum
 import numpy as np
 
 from .costmodel import tally
-from .errors import DomainError, RangeError, integral, refuse
-from .fixedpoint import (SCALE, check_raw, fixed_add, fixed_mul, ldexp32,
-                         to_fixed, to_float)
+from .errors import (DomainError, RangeError, UnsupportedCombinationError,
+                     integral, refuse)
+from .fixedpoint import (SCALE, check_raw, fixed_add, fixed_mul, fixed_sub,
+                         ldexp32, to_fixed, to_float)
 from .rangeext import (LN_2, exp_extend, exp_split, exp_via, log_via,
                        quadrant_adjust, quadrant_reduce, reduce_2pi, sqrt_via)
 
@@ -49,6 +50,14 @@ MODES = {
     CordicMode.HYPERBOLIC: _Mode(math.atanh, -1.0, 30, 1, HYPERBOLIC_REPEATS,
                                  (math.cosh, math.sinh)),
 }
+
+
+def mode_row(mode: CordicMode) -> _Mode:
+    """``mode``'s MODES row; UnsupportedCombinationError for a non-member."""
+    if not isinstance(mode, CordicMode):
+        raise UnsupportedCombinationError(f"no CORDIC mode {mode!r}")
+    return MODES[mode]
+
 
 # Largest |x| routed to the direct hyperbolic rotation; beyond this the
 # exp-based identities take over.
@@ -74,7 +83,7 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
     iteration; plain callers leave it at the mode default, and an index
     below that clamps to it.
     """
-    row = MODES[mode]
+    row = mode_row(mode)
     integral("n_iter", n_iter)
     if not (1 <= n_iter <= row.max_iter):
         raise RangeError(f"{mode.value} n_iter {n_iter} outside "
@@ -174,37 +183,34 @@ def _pow2_angles(r: np.ndarray) -> np.ndarray:
     return to_fixed(r * LN_2)
 
 
-def _pow2_finish(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """2**r from the rotated (cosh, sinh) of :func:`_pow2_angles`."""
-    return to_float(fixed_add(xc, yc))
-
-
 def exp_array(rotate, x: np.ndarray) -> np.ndarray:
     """exp via exponent splitting and a hyperbolic rotation on [0, ln 2)."""
-    return exp_via(lambda r: _pow2_finish(*rotate(_pow2_angles(r))), x)
+    return exp_via(lambda r: to_float(fixed_add(*rotate(_pow2_angles(r)))), x)
 
 
 def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
-    """Stacked (sinh, cosh) from one hyperbolic rotation: of x itself
-    where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN too) of the r ln 2
-    angles of exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give
-    sinh and cosh.  A side with no elements does no work."""
+    """Stacked (sinh, cosh) from one hyperbolic rotation per element: of
+    x itself where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN too) of the
+    angle r ln 2 of the split |x| log2(e) = i + r.  That rotation's
+    cosh + sinh is 2**r and its cosh - sinh is 2**-r, which extend to
+    exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give sinh and
+    cosh.  A side with no elements does no work."""
     near = np.abs(x) <= HYP_DIRECT_MAX
     k = int(np.count_nonzero(near))
     if k == x.size:  # an empty x too, so every batch rotates once
         xc, yc = rotate(to_fixed(x))
         return to_float(np.stack([yc, xc]))
     far = x[~near]
-    ax = np.abs(far)
-    i, r = exp_split(np.concatenate([ax, -ax]))
+    i, r = exp_split(np.abs(far))
     theta = _pow2_angles(r)
     if k:
         theta = np.concatenate([to_fixed(x[near]), theta])
     xc, yc = rotate(theta)
-    # Halving 2**r before the extension by 2**i keeps exp(|x|)/2 finite
-    # up to |x| ~ 89.4, where exp(|x|) itself overflows float32.
-    hp, hm = exp_extend(ldexp32(_pow2_finish(xc[k:], yc[k:]), -1),
-                        i).reshape(2, -1)
+    xf, yf = xc[k:], yc[k:]
+    pm = np.stack([fixed_add(xf, yf), fixed_sub(xf, yf)])  # 2**r, 2**-r
+    # Halving before the extension by 2**i and 2**-i keeps exp(|x|)/2
+    # finite up to |x| ~ 89.4, where exp(|x|) itself overflows float32.
+    hp, hm = exp_extend(ldexp32(to_float(pm), -1), np.stack([i, -i]))
     tally("float_add", 2 * far.size)
     s = hp - hm
     out = np.empty((2,) + x.shape, dtype=np.float32)

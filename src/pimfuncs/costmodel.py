@@ -7,8 +7,12 @@ active, tallying is a no-op.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
+
+from .errors import WeightError
 
 # Relative op weights approximating hardware where a float multiply is far
 # more expensive than an add.  Configurable, never presented as cycle truth.
@@ -99,12 +103,15 @@ class counting:
             parent += self.counts  # OpCounts.__iadd__ adds in place
 
 
-def _check_weights(weights: dict) -> dict:
+def _check_weights(weights) -> dict:
+    if not isinstance(weights, Mapping):
+        raise WeightError(f"weights must be a mapping, got {weights!r}")
     for key, w in weights.items():
         if key not in OP_FIELDS:
-            raise ValueError(f"unknown op field in weights: {key}")
-        if not 0 <= w < float("inf"):  # NaN fails this too
-            raise ValueError(f"weight {w} for {key} is not finite and >= 0")
+            raise WeightError(f"unknown op field in weights: {key!r}")
+        # NaN fails the bound too
+        if not (isinstance(w, numbers.Real) and 0 <= w < float("inf")):
+            raise WeightError(f"weight {w!r} for {key} is not finite and >= 0")
     return weights
 
 
@@ -116,11 +123,15 @@ def weighted_cost(counts: OpCounts, weights: dict | None = None) -> float:
 def load_weights(path) -> dict:
     """Parse a key=value weight profile file; '#' starts a comment."""
     weights = dict(DEFAULT_WEIGHTS)
-    with open(path) as fh:
+    # Bytes that are not UTF-8 read as U+FFFD, which no key or float has.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
-            weights[key.strip()] = float(value)
+            try:
+                weights[key.strip()] = float(value)
+            except ValueError:
+                raise WeightError(f"malformed weight line {line!r}") from None
     return _check_weights(weights)

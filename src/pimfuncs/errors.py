@@ -29,6 +29,11 @@ class TableFormatError(PimFuncsError, ValueError):
     """A serialized table is truncated, malformed or inconsistent."""
 
 
+class WeightError(PimFuncsError, ValueError):
+    """A weight profile names an unknown op, holds a weight that is not a
+    finite number >= 0, or does not parse."""
+
+
 def refuse(bad, values, error, message: str, *args) -> None:
     """Raise ``error`` for the whole array if ``bad`` holds anywhere, with
     ``message`` formatted with the first offending element of the array

@@ -7,7 +7,7 @@ from pimfuncs.combined import (build_cordic_lut, cordic_lut_memory_bytes,
                                cordic_lut_rotate)
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import counting
-from pimfuncs.errors import RangeError
+from pimfuncs.errors import RangeError, UnsupportedCombinationError
 from pimfuncs.fixedpoint import to_fixed, to_float
 
 
@@ -30,6 +30,11 @@ class TestBuild:
         t = build_cordic_lut(CordicMode.CIRCULAR, 6, 28)
         assert t.rem_tables.schedule[0] == 6
         assert t.rem_tables.n_iter == 22
+
+    @pytest.mark.parametrize("mode", ("circular", None))
+    def test_mode_must_be_a_member(self, mode):
+        with pytest.raises(UnsupportedCombinationError, match="CORDIC mode"):
+            build_cordic_lut(mode, 6, 28)
 
     def test_parameter_validation(self):
         with pytest.raises(RangeError):

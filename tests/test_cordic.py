@@ -3,14 +3,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pimfuncs import (EvaluatorConfig, FunctionId, MethodId, build_evaluator,
                       combined, cordic, counting, supported)
 from pimfuncs.combined import build_cordic_lut, cordic_lut_rotate
-from pimfuncs.cordic import (HYPERBOLIC_REPEATS, CordicMode, cordic_rotate,
-                             cordic_vector, generate_cordic_tables)
+from pimfuncs.cordic import (HYP_DIRECT_MAX, HYPERBOLIC_REPEATS, CordicMode,
+                             cordic_rotate, cordic_vector,
+                             generate_cordic_tables)
 from pimfuncs.costmodel import counting
-from pimfuncs.errors import DomainError, RangeError
+from pimfuncs.errors import (DomainError, RangeError,
+                             UnsupportedCombinationError)
 from pimfuncs.fixedpoint import RAW_MAX, RAW_MIN, SCALE, to_fixed, to_float
 from pimfuncs.harness import DEFAULT_DOMAINS
 
@@ -59,6 +62,11 @@ class TestTableGeneration:
     def test_n_iter_must_be_an_integer(self, mode, n_iter):
         with pytest.raises(RangeError, match="n_iter must be an integer"):
             generate_cordic_tables(mode, n_iter)
+
+    @pytest.mark.parametrize("mode", ("circular", None))
+    def test_mode_must_be_a_member(self, mode):
+        with pytest.raises(UnsupportedCombinationError, match="CORDIC mode"):
+            generate_cordic_tables(mode, 8)
 
     def test_iteration_limits(self):
         with pytest.raises(RangeError):
@@ -375,13 +383,13 @@ _HYP_BATCHES = {"near": _HYP_NEAR, "far": _HYP_FAR, "empty": [],
 
 @pytest.fixture
 def iterate_calls(monkeypatch):
-    """The number of ``_iterate`` calls made so far, as a one-item list."""
-    calls = [0]
+    """The angle count of each ``_iterate`` call so far, in call order."""
+    calls = []
     original = cordic._iterate
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counted(tables, x, *args, **kwargs):
+        calls.append(x.size)
+        return original(tables, x, *args, **kwargs)
     monkeypatch.setattr(cordic, "_iterate", counted)
     monkeypatch.setattr(combined, "_iterate", counted)
     return calls
@@ -396,11 +404,11 @@ class TestOneRotation:
         function, method = cell
         ev = build_evaluator(function, EvaluatorConfig(method=method))
         lo, hi = DEFAULT_DOMAINS[function]
-        iterate_calls[0] = 0
+        iterate_calls.clear()
         ev.evaluate_batch(np.linspace(lo, hi, 37))
-        assert iterate_calls == [1]
+        assert len(iterate_calls) == 1
         ev.evaluate((lo + hi) / 2)
-        assert iterate_calls == [2]
+        assert len(iterate_calls) == 2
 
     @pytest.mark.parametrize("method", [MethodId.CORDIC, MethodId.CORDIC_LUT])
     @pytest.mark.parametrize("function", [FunctionId.SINH, FunctionId.COSH,
@@ -409,11 +417,35 @@ class TestOneRotation:
     def test_hyperbolic_batches(self, method, function, batch, iterate_calls):
         ev = build_evaluator(function, EvaluatorConfig(method=method))
         xs = np.asarray(_HYP_BATCHES[batch], dtype=np.float32)
-        iterate_calls[0] = 0
+        iterate_calls.clear()
         out, batch_counts = ev.evaluate_batch(xs)
-        assert iterate_calls == [1]
+        assert iterate_calls == [xs.size]  # one angle per element, near or far
         with counting() as scalar_counts:
             scalar = np.asarray([ev.evaluate(x) for x in xs], dtype=np.float32)
-        assert iterate_calls == [1 + xs.size]
+        assert iterate_calls == [xs.size] + [1] * xs.size
         assert out.view(np.uint32).tolist() == scalar.view(np.uint32).tolist()
         assert batch_counts == scalar_counts
+
+
+_HYP_CELLS = {(f, m): build_evaluator(f, EvaluatorConfig(method=m))
+              for f in (FunctionId.SINH, FunctionId.COSH, FunctionId.TANH)
+              for m in (MethodId.CORDIC, MethodId.CORDIC_LUT)}
+# sinh and cosh within the bound of test_sinh_cosh, tanh within 3e-7.
+_HYP_REL = {FunctionId.SINH: 3e-6, FunctionId.COSH: 3e-6,
+            FunctionId.TANH: 3e-7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(HYP_DIRECT_MAX, 89.4, exclude_min=True),
+                min_size=1, max_size=16),
+       st.lists(st.booleans(), min_size=16, max_size=16))
+def test_far_hyperbolic_cells_match_math(magnitudes, negative):
+    """The six hyperbolic CORDIC cells on +-(1.1, 89.4], where sinh_cosh
+    takes exp(|x|)/2 and exp(-|x|)/2 from one rotation."""
+    xs = np.float32([-m if n else m for m, n in zip(magnitudes, negative)])
+    xs = xs[np.abs(xs) > HYP_DIRECT_MAX]  # the evaluator sees float32(x)
+    for (f, _), ev in _HYP_CELLS.items():
+        out, _ = ev.evaluate_batch(xs)
+        host = getattr(math, f.value)
+        for x, y in zip(xs.tolist(), out.tolist()):
+            assert y == pytest.approx(host(x), rel=_HYP_REL[f]), (f, x)

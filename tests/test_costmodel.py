@@ -6,6 +6,7 @@ import pytest
 
 from pimfuncs.costmodel import (DEFAULT_WEIGHTS, OP_FIELDS, OpCounts, counting,
                                 load_weights, tally, weighted_cost)
+from pimfuncs.errors import PimFuncsError
 
 
 def test_tally_outside_context_is_noop():
@@ -85,6 +86,30 @@ def test_weighted_cost_validates():
 def test_weighted_cost_refuses_weight(w):
     with pytest.raises(ValueError):
         weighted_cost(OpCounts(), {"float_mul": w})
+
+
+@pytest.mark.parametrize("weights", (
+    {"float_mul": math.nan}, {"float_mul": -1.0}, {"float_mul": math.inf},
+    {"bogus_field": 1.0}, {"float_mul": "16"}, {"float_mul": None},
+    [("float_mul", 16.0)]), ids=("nan", "negative", "inf", "unknown-key",
+                                 "str", "none", "not-a-mapping"))
+def test_weight_errors_are_library_errors(weights):
+    """A bad profile raises one PimFuncsError that is also a ValueError."""
+    with pytest.raises(PimFuncsError) as info:
+        weighted_cost(OpCounts(), weights)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("text", (b"float_mul=nan\n", b"float_mul=-2\n",
+                                  b"not_an_op=3\n", b"float_mul=abc\n",
+                                  b"float_mul\n", b"float_mul=\n",
+                                  b"float_mul=\xff\xfe\n"))
+def test_load_weights_errors_are_library_errors(tmp_path, text):
+    prof = tmp_path / "w.txt"
+    prof.write_bytes(text)
+    with pytest.raises(PimFuncsError) as info:
+        load_weights(prof)
+    assert isinstance(info.value, ValueError)
 
 
 def test_default_weights_cover_cost_fields():

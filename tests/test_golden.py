@@ -162,9 +162,9 @@ BATCH_OUTPUTS = {
     "cos/mlut/float":
         "ad8c58ba68ffa0ea2fe55498789651f6e2d030b6e1bcab3e253293243ab14fab",
     "cosh/cordic-lut/float":
-        "a09507b34b549c62f5c3387af377d4ca552437fb6c4e7cdec10e1bd98933620a",
+        "11b737983281462f5eb838d31b273e701d2b70c7aa1af0c15a7949b92e1afc98",
     "cosh/cordic/float":
-        "a6c9cc7d1e74adadde4f8f46667571f47ef39b3e72071da158370828e6ca11ba",
+        "05b95f6207be1fb386b2e25fc36e9804332363e57245bdd9f94582c12f14550f",
     "exp/cordic-lut/float":
         "3942231ff6ce77c5e2053e08681a1a79ecedff3fba1a1dd958bfb0aec571eb82",
     "exp/cordic/float":
@@ -222,7 +222,7 @@ BATCH_OUTPUTS = {
     "sinh/cordic-lut/float":
         "bdd41d82f6e7bfc30976868fb311dd875c7a5b176e79856e65d90e66099c6bf4",
     "sinh/cordic/float":
-        "662c3ead8a1e49c685b45f82a528fd746e167292ce4657bfec5532a61ee94042",
+        "99aa8a8a82e10b2d095861ede77b9454e563120febfdbe7f5364046a6d1a0d0f",
     "sqrt/cordic/float":
         "2e61ccdf06ced2957be742cf13151e876c83875db9089e7dacfd53cd5dec79e9",
     "sqrt/llut-interp/fixed":
@@ -254,7 +254,7 @@ BATCH_OUTPUTS = {
     "tan/mlut/float":
         "e1e8079781f108fc1fef53c7b2ccabca47326ceb0d498ae28f9851e8be0d0574",
     "tanh/cordic-lut/float":
-        "690b874a9e2a80f5716221dd2cc8bb860591d2c6ff115e3ed39df7d28352582b",
+        "3f284d27ddbb397504dbb6d33ec46d2b7558d5191ea4cf13d4dabcd27be1e367",
     "tanh/cordic/float":
         "2a64b684cbccae81adf671e52771aff8da1e70d3fb145f4a1e01cee8c56fc41b",
     "tanh/dllut-interp/float":
@@ -283,11 +283,11 @@ BATCH_COUNTS = {
     "cos/mlut/float":
         OpCounts(float_add=512, float_mul=512, lut_lookup=512),
     "cosh/cordic-lut/float":
-        OpCounts(int_add=61346, int_shift=40095, float_add=1516,
-                 float_mul=1516, ldexp_op=1516, lut_lookup=891),
+        OpCounts(int_add=35574, int_shift=23040, float_add=1137,
+                 float_mul=758, ldexp_op=1516, lut_lookup=512),
     "cosh/cordic/float":
-        OpCounts(int_add=75774, int_shift=50008, float_add=1524,
-                 float_mul=1524, ldexp_op=1524),
+        OpCounts(int_add=43770, int_shift=28672, float_add=1143,
+                 float_mul=762, ldexp_op=1524),
     "exp/cordic-lut/float":
         OpCounts(int_add=35328, int_shift=23040, float_add=512,
                  float_mul=1024, ldexp_op=512, lut_lookup=512),
@@ -363,11 +363,11 @@ BATCH_COUNTS = {
     "sin/mlut/float":
         OpCounts(float_add=512, float_mul=512, lut_lookup=512),
     "sinh/cordic-lut/float":
-        OpCounts(int_add=61976, int_shift=40500, float_add=1552,
-                 float_mul=1552, ldexp_op=1552, lut_lookup=900),
+        OpCounts(int_add=35592, int_shift=23040, float_add=1164,
+                 float_mul=776, ldexp_op=1552, lut_lookup=512),
     "sinh/cordic/float":
-        OpCounts(int_add=75946, int_shift=50120, float_add=1532,
-                 float_mul=1532, ldexp_op=1532),
+        OpCounts(int_add=43774, int_shift=28672, float_add=1149,
+                 float_mul=766, ldexp_op=1532),
     "sqrt/cordic/float":
         OpCounts(int_add=43008, int_shift=29016, int_mul=512,
                  ldexp_op=512),
@@ -413,12 +413,12 @@ BATCH_COUNTS = {
         OpCounts(float_add=1286, float_mul=1024, float_div=512,
                  lut_lookup=1024),
     "tanh/cordic-lut/float":
-        OpCounts(int_add=65826, int_shift=42975, float_add=1772,
-                 float_mul=1772, float_div=512, ldexp_op=1772,
-                 lut_lookup=955),
+        OpCounts(int_add=35702, int_shift=23040, float_add=1329,
+                 float_mul=886, float_div=512, ldexp_op=1772,
+                 lut_lookup=512),
     "tanh/cordic/float":
-        OpCounts(int_add=80074, int_shift=52808, float_add=1724,
-                 float_mul=1724, float_div=512, ldexp_op=1724),
+        OpCounts(int_add=43870, int_shift=28672, float_add=1293,
+                 float_mul=862, float_div=512, ldexp_op=1724),
     "tanh/dllut-interp/float":
         OpCounts(int_add=463, int_shift=926, float_add=1122,
                  float_mul=512, ldexp_op=512, lut_lookup=1024),
