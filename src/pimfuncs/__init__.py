@@ -10,8 +10,8 @@ from .api import (EvaluatorConfig, Evaluator, FunctionId, MethodId,
                   NumberFormat, build_evaluator, config_for, supported)
 from .costmodel import (DEFAULT_WEIGHTS, OpCounts, SetupReport, counting,
                         load_weights, weighted_cost)
-from .errors import (DomainError, FixedOverflowError, PimFuncsError,
-                     RangeError, TableFormatError,
+from .errors import (DomainError, FixedOverflowError, PathError,
+                     PimFuncsError, RangeError, TableFormatError,
                      UnsupportedCombinationError, WeightError)
 
 __version__ = "0.1.0"
@@ -21,7 +21,8 @@ __all__ = [
     "build_evaluator", "config_for", "supported",
     "DEFAULT_WEIGHTS", "OpCounts", "SetupReport", "counting", "load_weights",
     "weighted_cost",
-    "DomainError", "FixedOverflowError", "PimFuncsError", "RangeError",
-    "TableFormatError", "UnsupportedCombinationError", "WeightError",
+    "DomainError", "FixedOverflowError", "PathError", "PimFuncsError",
+    "RangeError", "TableFormatError", "UnsupportedCombinationError",
+    "WeightError",
     "__version__",
 ]

@@ -14,7 +14,7 @@ queries ``table_kernel`` builds), ``_D_CELLS`` (D/DL-LUTs), and
 ``_CORDIC_CELLS`` (CORDIC and CORDIC+LUT: each function's mode and
 ``cordic`` step, and whether the step takes a rotator or vectoring
 tables).  A ``_FAMILIES`` row adds each family's formats and sizing
-field; ``SUPPORT``, ``config_for`` and the dispatch read the rows.
+field; ``supported``, ``config_for`` and the dispatch read the rows.
 Builders and queries are looked up through their modules when a cell is
 built, never at import.
 
@@ -389,8 +389,6 @@ _FAMILIES = (
     _Family((MethodId.CORDIC_LUT,), _ROTATING, _FLOAT, "n_iter", _cordic_cell),
 )
 _FAMILY = {m: family for family in _FAMILIES for m in family.methods}
-# Which functions each method implements.
-SUPPORT = {m: frozenset(family.functions) for m, family in _FAMILY.items()}
 
 
 def supported(function: FunctionId, method: MethodId,
@@ -398,7 +396,7 @@ def supported(function: FunctionId, method: MethodId,
     """Whether the cell exists; False for any non-member of an enum."""
     return (isinstance(function, FunctionId) and isinstance(method, MethodId)
             and isinstance(number_format, NumberFormat)
-            and function in SUPPORT[method]
+            and function in _FAMILY[method].functions
             and number_format in _FAMILY[method].formats)
 
 

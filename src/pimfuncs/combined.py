@@ -49,7 +49,7 @@ def _scaled(host, scale: float, x: np.ndarray) -> np.ndarray:
 
 
 def build_cordic_lut(mode: CordicMode, lut_addr_bits: int,
-                     n_iter: int = 28) -> CordicLutTables:
+                     n_iter: int) -> CordicLutTables:
     """Build the start table plus the remaining-iteration angle table.
 
     ``n_iter`` is the total effective precision; the loop at evaluation

@@ -8,15 +8,18 @@ active, tallying is a no-op.
 from __future__ import annotations
 
 import numbers
+import sys
 from collections.abc import Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
-from .errors import WeightError
+from .errors import UnsupportedCombinationError, WeightError, opened
 
 # Relative op weights approximating hardware where a float multiply is far
-# more expensive than an add.  Configurable, never presented as cycle truth.
-DEFAULT_WEIGHTS = {
+# more expensive than an add.  Configurable, never presented as cycle truth;
+# read-only, so a caller's profile is a copy.
+DEFAULT_WEIGHTS = MappingProxyType({
     "int_shift": 1.0,
     "int_add": 1.0,
     "int_mul": 8.0,
@@ -26,11 +29,7 @@ DEFAULT_WEIGHTS = {
     "ldexp_op": 2.0,
     "lut_lookup": 2.0,
     "table_setup_entries": 0.0,
-}
-
-# Cost charged per generated table entry when amortizing setup against
-# per-call cost (see harness.amortization_crossover).
-SETUP_ENTRY_WEIGHT = 4.0
+})
 
 
 @dataclass
@@ -52,9 +51,6 @@ class OpCounts:
         for f in OP_FIELDS:
             setattr(self, f, getattr(self, f) + getattr(other, f))
         return self
-
-    def total(self) -> int:
-        return sum(getattr(self, f) for f in OP_FIELDS)
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in OP_FIELDS}
@@ -109,13 +105,16 @@ def _check_weights(weights) -> dict:
     for key, w in weights.items():
         if key not in OP_FIELDS:
             raise WeightError(f"unknown op field in weights: {key!r}")
-        # NaN fails the bound too
-        if not (isinstance(w, numbers.Real) and 0 <= w < float("inf")):
+        # NaN fails the bound too, and so does an int beyond the doubles
+        if not (isinstance(w, numbers.Real) and 0 <= w <= sys.float_info.max):
             raise WeightError(f"weight {w!r} for {key} is not finite and >= 0")
     return weights
 
 
-def weighted_cost(counts: OpCounts, weights: dict | None = None) -> float:
+def weighted_cost(counts: OpCounts, weights: Mapping | None = None) -> float:
+    if not isinstance(counts, OpCounts):
+        raise UnsupportedCombinationError(
+            f"counts must be an OpCounts, got {counts!r}")
     weights = _check_weights(DEFAULT_WEIGHTS if weights is None else weights)
     return sum(weights.get(f, 0.0) * getattr(counts, f) for f in OP_FIELDS)
 
@@ -124,7 +123,7 @@ def load_weights(path) -> dict:
     """Parse a key=value weight profile file; '#' starts a comment."""
     weights = dict(DEFAULT_WEIGHTS)
     # Bytes that are not UTF-8 read as U+FFFD, which no key or float has.
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with opened(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:

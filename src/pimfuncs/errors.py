@@ -1,6 +1,8 @@
-"""Exception types shared across the library, and its two refusal rules."""
+"""Exception types shared across the library, and its three refusal rules."""
 
 import numbers
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,6 +36,10 @@ class WeightError(PimFuncsError, ValueError):
     finite number >= 0, or does not parse."""
 
 
+class PathError(PimFuncsError, OSError):
+    """A file path is not a path, or opening, reading or writing it failed."""
+
+
 def refuse(bad, values, error, message: str, *args) -> None:
     """Raise ``error`` for the whole array if ``bad`` holds anywhere, with
     ``message`` formatted with the first offending element of the array
@@ -46,3 +52,17 @@ def integral(name: str, value) -> None:
     """RangeError unless ``value`` is an integer; a bool is not one."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise RangeError(f"{name} must be an integer, got {value!r}")
+
+
+@contextmanager
+def opened(path, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)`` of a str, bytes or os.PathLike path
+    (an int, a file descriptor to ``open``, is refused), with any OSError
+    of opening it or inside the block re-raised as PathError."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise PathError(f"not a file path: {path!r}")
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise PathError(f"{os.fsdecode(path)}: {exc.strerror or exc}") from exc

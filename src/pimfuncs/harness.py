@@ -43,8 +43,8 @@ from . import lut
 from .api import (_TABLE_CELLS, CNDF_HOST, EvaluatorConfig, FunctionId,
                   MethodId, NumberFormat, _horner, _saturated, build_evaluator,
                   cndf_exact, config_for, gelu_exact, table_kernel)
-from .costmodel import OP_FIELDS, SETUP_ENTRY_WEIGHT, OpCounts, counting, tally
-from .errors import RangeError, UnsupportedCombinationError
+from .costmodel import OP_FIELDS, OpCounts, counting, tally
+from .errors import RangeError, UnsupportedCombinationError, opened
 
 RNG_ID = "pcg64"
 
@@ -115,8 +115,9 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
     is evaluated in double precision on those same float32 inputs, so the
     errors are the kernel's own and exclude input quantization.
     """
-    if n_samples < 1:
-        raise RangeError(f"n_samples must be at least 1, got {n_samples}")
+    if not 1 <= n_samples <= lut.MAX_CELLS:
+        raise RangeError(f"n_samples must be at least 1 and at most "
+                         f"{lut.MAX_CELLS}, got {n_samples}")
     lo, hi = DEFAULT_DOMAINS[function]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, n_samples).astype(np.float32)
@@ -253,9 +254,10 @@ def _kernel(function: str, variant: str):
 
 def _kernels(workload: str, variant: str, n: int, *functions: str) -> tuple:
     """The kernels of ``functions`` in ``variant``, if ``workload`` runs it
-    and the count ``n`` of its inputs is at least 1."""
-    if n < 1:
-        raise RangeError(f"n must be at least 1, got {n}")
+    and the count ``n`` of its inputs is in [1, lut.MAX_CELLS]."""
+    if not 1 <= n <= lut.MAX_CELLS:
+        raise RangeError(f"n must be at least 1 and at most {lut.MAX_CELLS}, "
+                         f"got {n}")
     variants = WORKLOADS[workload][1]
     if variant not in variants:
         raise UnsupportedCombinationError(
@@ -383,26 +385,6 @@ WORKLOADS = {
 
 
 # ---------------------------------------------------------------------------
-# Amortization crossover
-# ---------------------------------------------------------------------------
-
-def amortization_crossover(setup_entries_a: int, per_call_cost_a: float,
-                           setup_entries_b: int,
-                           per_call_cost_b: float) -> float | None:
-    """Smallest call count N at which variant B's total cost drops below A's.
-
-    Setup is charged in deterministic setup-entry units
-    (``SETUP_ENTRY_WEIGHT`` per generated table entry), not wall-clock.
-    Returns None when B never overtakes A.
-    """
-    setup_gap = (setup_entries_b - setup_entries_a) * SETUP_ENTRY_WEIGHT
-    rate_gap = per_call_cost_a - per_call_cost_b
-    if rate_gap <= 0.0:
-        return None if setup_gap >= 0.0 else 0.0
-    return max(0.0, setup_gap / rate_gap)
-
-
-# ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
 
@@ -431,7 +413,7 @@ def _rows(reports, include_timing: bool):
 
 
 def emit_csv(reports, path, include_timing: bool = False) -> None:
-    with open(path, "w", newline="") as fh:
+    with opened(path, "w", newline="") as fh:
         fh.write(csv_text(reports, include_timing))
 
 

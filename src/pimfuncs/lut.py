@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costmodel import tally
-from .errors import RangeError, TableFormatError, refuse
+from .errors import RangeError, TableFormatError, opened, refuse
 from .fixedpoint import (FRAC_BITS, RAW_MAX, SCALE, check_raw, ldexp32,
                          to_fixed)
 from .rangeext import piecewise
@@ -244,24 +244,13 @@ def _d_layout(base_exponent: int, hi_exponent: int,
 
 
 def _nodes(s: SpacingSpec):
-    """The node formula of a table kind: int64 addresses to double nodes."""
+    """The node formula of an M, L or D spec: int64 addresses to doubles."""
     if s.kind in ("M", "L"):
         return lambda a: s.p + a / s.k
-    if s.kind != "D":
-        raise RangeError("a DL-LUT has no addresses of its own; use its "
-                         "sub_low or sub_high part")
     m = s.mant_bits  # address = step:frac; node (1 + frac/2**m) * 2**(base+step)
     # An int32 exponent takes np.ldexp's fast loop; int64 does not.
     return lambda a: np.ldexp(1.0 + (a & ((1 << m) - 1)) / (1 << m),
                               (s.base_exponent + (a >> m)).astype(np.int32))
-
-
-def node_of(lut: FuzzyLut, addr: int) -> float:
-    """Pseudo-inverse a^-1: the exact preimage stored at an address.
-
-    A DL-LUT raises RangeError: its addresses are its parts',
-    ``lut.sub_low`` and ``lut.sub_high``, so ask the part instead."""
-    return float(_nodes(lut.spec)(np.array([addr]))[0])
 
 
 def _tabulated(f, spec: SpacingSpec, interpolated: bool,
@@ -578,10 +567,10 @@ def load_table(buf: bytes) -> FuzzyLut:
 
 def save_table(lut: FuzzyLut, path) -> int:
     """Write ``dump_table(lut)`` to ``path``; returns the bytes written."""
-    with open(path, "wb") as fh:
+    with opened(path, "wb") as fh:
         return fh.write(dump_table(lut))
 
 
 def load_table_file(path) -> FuzzyLut:
-    with open(path, "rb") as fh:
+    with opened(path, "rb") as fh:
         return load_table(fh.read())

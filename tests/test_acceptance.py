@@ -16,9 +16,9 @@ from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
 from pimfuncs.cordic import CordicMode, cordic_rotate, generate_cordic_tables
 from pimfuncs.costmodel import counting, weighted_cost
 from pimfuncs.fixedpoint import to_fixed, to_float
-from pimfuncs.harness import (DEFAULT_DOMAINS, amortization_crossover,
-                              csv_text, reference_values, rmse_sweep,
-                              run_blackscholes, run_sigmoid, run_softmax)
+from pimfuncs.harness import (DEFAULT_DOMAINS, csv_text, reference_values,
+                              rmse_sweep, run_blackscholes, run_sigmoid,
+                              run_softmax)
 from pimfuncs.lut import (build_dlut, build_llut, build_mlut,
                           dlut_query_interp, llut_query, llut_query_interp,
                           mapped, mlut_query, mlut_query_interp)
@@ -216,13 +216,14 @@ def test_c08_setup_eval_crossover(capfd):
     with counting() as cl:
         ev_l.evaluate(2.5)
     cost_c, cost_l = weighted_cost(cc), weighted_cost(cl)
-    n_star = amortization_crossover(ev_c.setup.table_entries, cost_c,
-                                    ev_l.setup.table_entries, cost_l)
 
-    def total(entries, per_call, n):
+    def total(entries, per_call, n):  # setup charged 4 per table entry
         return entries * 4.0 + per_call * n
 
-    ok = (n_star is not None and n_star > 0
+    # N*: the call count at which the L-LUT's larger setup is paid back.
+    n_star = ((ev_l.setup.table_entries - ev_c.setup.table_entries) * 4.0
+              / (cost_c - cost_l))
+    ok = (n_star > 0
           and total(ev_c.setup.table_entries, cost_c, n_star / 2)
           < total(ev_l.setup.table_entries, cost_l, n_star / 2)
           and total(ev_c.setup.table_entries, cost_c, n_star * 2)

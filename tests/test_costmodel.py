@@ -6,7 +6,7 @@ import pytest
 
 from pimfuncs.costmodel import (DEFAULT_WEIGHTS, OP_FIELDS, OpCounts, counting,
                                 load_weights, tally, weighted_cost)
-from pimfuncs.errors import PimFuncsError
+from pimfuncs.errors import PimFuncsError, UnsupportedCombinationError
 
 
 def test_tally_outside_context_is_noop():
@@ -68,7 +68,6 @@ def test_opcounts_add():
     assert s.int_add == 11 and s.float_mul == 2 and s.lut_lookup == 4
     a += b
     assert a.int_add == 11
-    assert s.total() == sum(s.as_dict().values())
 
 
 def test_weighted_cost_default():
@@ -88,15 +87,32 @@ def test_weighted_cost_refuses_weight(w):
         weighted_cost(OpCounts(), {"float_mul": w})
 
 
+@pytest.mark.parametrize("counts", (None, "float_mul", {"float_mul": 1}, 3))
+def test_weighted_cost_refuses_counts_that_are_not_opcounts(counts):
+    with pytest.raises(UnsupportedCombinationError, match="OpCounts"):
+        weighted_cost(counts)
+
+
+def test_default_weights_are_read_only():
+    """No caller can change what every later default cost reads (the
+    same value is written back, so a writable dict is left as it was)."""
+    with pytest.raises(TypeError):
+        DEFAULT_WEIGHTS["float_mul"] = DEFAULT_WEIGHTS["float_mul"]
+    assert weighted_cost(OpCounts(float_mul=10)) == 160.0
+    assert weighted_cost(OpCounts(float_mul=10), DEFAULT_WEIGHTS) == 160.0
+
+
 @pytest.mark.parametrize("weights", (
     {"float_mul": math.nan}, {"float_mul": -1.0}, {"float_mul": math.inf},
     {"bogus_field": 1.0}, {"float_mul": "16"}, {"float_mul": None},
-    [("float_mul", 16.0)]), ids=("nan", "negative", "inf", "unknown-key",
-                                 "str", "none", "not-a-mapping"))
+    [("float_mul", 16.0)], {"float_mul": 10 ** 400}),
+    ids=("nan", "negative", "inf", "unknown-key", "str", "none",
+         "not-a-mapping", "beyond-the-doubles"))
 def test_weight_errors_are_library_errors(weights):
-    """A bad profile raises one PimFuncsError that is also a ValueError."""
+    """A bad profile raises one PimFuncsError that is also a ValueError;
+    an int weight past the largest double would overflow the sum."""
     with pytest.raises(PimFuncsError) as info:
-        weighted_cost(OpCounts(), weights)
+        weighted_cost(OpCounts(float_mul=1), weights)
     assert isinstance(info.value, ValueError)
 
 

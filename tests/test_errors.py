@@ -1,15 +1,19 @@
 """The one refusal rule for arrays: every array check raises a library
-error for the whole array, and its message names the first bad element."""
+error for the whole array, and its message names the first bad element.
+And the one way the library opens a file: a path that is not one, or
+that cannot be opened, read or written, raises PathError."""
 
 import math
+import os
 from functools import partial
 
 import numpy as np
 import pytest
 
-from pimfuncs import combined, cordic, fixedpoint, lut, rangeext
+from pimfuncs import combined, cordic, fixedpoint, harness, lut, rangeext
 from pimfuncs.cordic import CordicMode
-from pimfuncs.errors import PimFuncsError
+from pimfuncs.costmodel import load_weights
+from pimfuncs.errors import PathError, PimFuncsError
 
 SIN = partial(lut.mapped, math.sin)
 _CIRC = cordic.generate_cordic_tables(CordicMode.CIRCULAR, 28)
@@ -56,3 +60,42 @@ def test_refusal_names_the_bad_element(site):
     with pytest.raises(PimFuncsError) as info:
         check(np.array([good, bad], dtype=dtype))
     assert named in str(info.value)
+
+
+# Every library function that takes a file path, called on ``path``.
+_PATH_CALLS = {
+    "load_weights": load_weights,
+    "load_table_file": lut.load_table_file,
+    "save_table": partial(lut.save_table, _M),
+    "emit_csv": partial(harness.emit_csv, []),
+}
+
+
+def _closed_descriptor(tmp_path) -> int:
+    """A descriptor number this test opened and closed, never 0-2."""
+    fd = os.open(tmp_path / "closed", os.O_WRONLY | os.O_CREAT)
+    os.close(fd)
+    assert fd > 2
+    return fd
+
+
+# A path that is not one, or names no file that can be opened as asked.
+_BAD_PATHS = {
+    "missing": lambda tmp_path: tmp_path / "missing" / "file",
+    "directory": lambda tmp_path: tmp_path,
+    "none": lambda tmp_path: None,
+    "closed-descriptor": _closed_descriptor,
+}
+
+
+@pytest.mark.parametrize("path", sorted(_BAD_PATHS))
+@pytest.mark.parametrize("call", sorted(_PATH_CALLS))
+def test_bad_path_raises_path_error(tmp_path, call, path):
+    """A PathError is an OSError too, so callers that catch OSError (the
+    CLI among them) keep working; an int is never taken as a descriptor."""
+    bad = _BAD_PATHS[path](tmp_path)
+    with pytest.raises(PathError) as info:
+        _PATH_CALLS[call](bad)
+    assert isinstance(info.value, OSError)
+    if isinstance(bad, os.PathLike):
+        assert str(bad) in str(info.value)

@@ -7,9 +7,9 @@ from pimfuncs.api import FunctionId, MethodId
 from pimfuncs.costmodel import counting
 from pimfuncs.errors import (DomainError, PimFuncsError, RangeError,
                              UnsupportedCombinationError)
-from pimfuncs.harness import (WORKLOADS, _kernel, amortization_crossover,
-                              csv_text, emit_csv, rmse_sweep,
-                              run_blackscholes, run_sigmoid, run_softmax)
+from pimfuncs.harness import (WORKLOADS, _kernel, csv_text, emit_csv,
+                              rmse_sweep, run_blackscholes, run_sigmoid,
+                              run_softmax)
 
 
 def polynomial(function):
@@ -181,17 +181,18 @@ class TestSoftmax:
 
 
 class TestCountBelowOne:
-    """A count below 1 is refused before any table is built."""
+    """A count below 1, or above lut.MAX_CELLS, is refused before any
+    table is built or input drawn."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 1 << 40])
     def test_runners(self, name, n):
         runner, variants = WORKLOADS[name]
         with counting() as c, pytest.raises(RangeError, match="at least 1"):
             runner(n, variants[1])
         assert c.table_setup_entries == 0
 
-    @pytest.mark.parametrize("n_samples", [0, -5])
+    @pytest.mark.parametrize("n_samples", [0, -5, 1 << 40])
     def test_rmse_sweep(self, n_samples):
         with counting() as c, pytest.raises(RangeError, match="at least 1"):
             rmse_sweep(FunctionId.SIN, MethodId.LLUT_INTERP, [64],
@@ -202,22 +203,6 @@ class TestCountBelowOne:
         # At least one row of 1,024; n_elements is the count that ran.
         assert run_softmax(1, "LLutInterp").n_elements == 1024
         assert run_softmax(3000, "LLutInterp").n_elements == 2048
-
-
-class TestCrossover:
-    def test_llut_overtakes_cordic(self):
-        # CORDIC: tiny table, expensive calls; LUT: big table, cheap calls
-        n_star = amortization_crossover(29, 150.0, 4097, 20.0)
-        assert n_star is not None and n_star > 0
-        # at N* the totals match; after it the LUT variant is cheaper
-        assert 29 * 4.0 + n_star * 150.0 == pytest.approx(
-            4097 * 4.0 + n_star * 20.0, rel=1e-9)
-
-    def test_no_crossover_when_slower_and_bigger(self):
-        assert amortization_crossover(29, 20.0, 4097, 150.0) is None
-
-    def test_dominant_from_start(self):
-        assert amortization_crossover(4097, 150.0, 29, 20.0) == 0.0
 
 
 _OPS = ("int_add,int_shift,int_mul,float_add,float_mul,float_div,ldexp_op,"

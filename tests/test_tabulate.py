@@ -23,7 +23,7 @@ import pimfuncs.combined
 import pimfuncs.harness
 import pimfuncs.lut
 from pimfuncs import counting
-from pimfuncs.api import (_D_CELLS, _TABLE_CELLS, CNDF_HOST, SUPPORT,
+from pimfuncs.api import (_D_CELLS, _FAMILY, _TABLE_CELLS, CNDF_HOST,
                           EvaluatorConfig, MethodId, NumberFormat,
                           build_evaluator, cndf_exact, erf_twin, gelu_exact,
                           supported, table_kernel)
@@ -732,8 +732,8 @@ def _every_tabulated_host(monkeypatch) -> list:
     builds every supported cell, both CNDF tables and the CORDIC+LUT
     start tables."""
     tables = _spied_tabulate(monkeypatch, pimfuncs.lut, pimfuncs.combined)
-    for method, functions in SUPPORT.items():
-        for function in functions:
+    for method, family in _FAMILY.items():
+        for function in family.functions:
             for fmt in NumberFormat:
                 if supported(function, method, fmt):
                     build_evaluator(function, EvaluatorConfig(
