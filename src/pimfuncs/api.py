@@ -312,7 +312,7 @@ def _saturated(top, above, kernel, x):
 
 
 # function -> (host f, octaves [base, hi) of the D-LUT and of the DL-LUT's
-# D part as exponents, f at |x| >= 2**hi or None if no input gets there,
+# D octaves as exponents, f at |x| >= 2**hi or None if no input gets there,
 # step(query, lo, x)).  Past 2**hi, float32 tanh is +-1 and GELU x (+0 at
 # -x); sin reduces into [0, 2*pi).  Inputs below the table's ``lo`` (0 for
 # DL) bypass it too, and no bypass tallies an op.  Hosts are twins.

@@ -101,11 +101,9 @@ def _cmd_table(args) -> int:
     if args.action == "load":
         table = lut.load_table_file(args.path)
         s = table.spec
-        entries = ("composite" if table.entries is None
-                   else str(len(table.entries)))
         end = "]" if s.kind in ("M", "L") else ")"  # D/DL refuse hi
         print(f"kind={s.kind} interpolated={table.interpolated} "
-              f"fixed={table.fixed} entries={entries} "
+              f"fixed={table.fixed} entries={len(table.entries)} "
               f"range=[{s.lo!r}, {s.hi!r}{end} bytes={lut.lut_memory_bytes(table)}")
         return 0
 

@@ -44,7 +44,7 @@ from .api import (_TABLE_CELLS, CNDF_HOST, EvaluatorConfig, FunctionId,
                   MethodId, NumberFormat, _horner, _saturated, build_evaluator,
                   cndf_exact, config_for, gelu_exact, table_kernel)
 from .costmodel import OP_FIELDS, OpCounts, counting, tally
-from .errors import RangeError, UnsupportedCombinationError, opened
+from .errors import RangeError, UnsupportedCombinationError, integral, opened
 
 RNG_ID = "pcg64"
 
@@ -105,6 +105,15 @@ def reference_values(function: FunctionId, xs32: np.ndarray) -> np.ndarray:
     return _REFERENCE[function](xs32.astype(np.float64))
 
 
+def _check_draw(seed, name: str, count) -> None:
+    """RangeError unless seed >= 0 and 1 <= count <= lut.MAX_CELLS."""
+    integral("seed", seed)
+    integral(name, count)
+    if seed < 0 or not 1 <= count <= lut.MAX_CELLS:
+        raise RangeError(f"need seed >= 0 and {name} at least 1 and at most "
+                         f"{lut.MAX_CELLS}, got {seed} and {count}")
+
+
 def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
                seed: int = 0, number_format: NumberFormat = NumberFormat.FLOAT,
                n_samples: int = SWEEP_SAMPLES) -> list[AccuracyReport]:
@@ -115,15 +124,19 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
     is evaluated in double precision on those same float32 inputs, so the
     errors are the kernel's own and exclude input quantization.
     """
-    if not 1 <= n_samples <= lut.MAX_CELLS:
-        raise RangeError(f"n_samples must be at least 1 and at most "
-                         f"{lut.MAX_CELLS}, got {n_samples}")
+    if not isinstance(function, FunctionId):
+        raise UnsupportedCombinationError(f"no function {function!r}")
+    _check_draw(seed, "n_samples", n_samples)
+    try:
+        params = sorted(sizes_or_iters)
+    except TypeError:
+        raise RangeError(f"not a list of sizes: {sizes_or_iters!r}") from None
     lo, hi = DEFAULT_DOMAINS[function]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, n_samples).astype(np.float32)
     ref = reference_values(function, xs)
     reports = []
-    for param in sorted(sizes_or_iters):
+    for param in params:
         ev = build_evaluator(function, config_for(method, number_format, param))
         out, counts = ev.evaluate_batch(xs)
         err = out.astype(np.float64) - ref
@@ -252,12 +265,11 @@ def _kernel(function: str, variant: str):
     return build_evaluator(FunctionId(function), cfg).pipeline
 
 
-def _kernels(workload: str, variant: str, n: int, *functions: str) -> tuple:
+def _kernels(workload: str, variant: str, n: int, seed: int,
+             *functions: str) -> tuple:
     """The kernels of ``functions`` in ``variant``, if ``workload`` runs it
-    and the count ``n`` of its inputs is in [1, lut.MAX_CELLS]."""
-    if not 1 <= n <= lut.MAX_CELLS:
-        raise RangeError(f"n must be at least 1 and at most {lut.MAX_CELLS}, "
-                         f"got {n}")
+    and ``_check_draw`` passes its seed and count ``n`` of inputs."""
+    _check_draw(seed, "n", n)
     variants = WORKLOADS[workload][1]
     if variant not in variants:
         raise UnsupportedCombinationError(
@@ -304,7 +316,7 @@ def _bs_sample(n: int, seed: int) -> tuple:
 
 def run_blackscholes(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
     exp_f, log_f, sqrt_f, cndf_f = _kernels(
-        "blackscholes", method_variant, n, "exp", "log", "sqrt", "cndf")
+        "blackscholes", method_variant, n, seed, "exp", "log", "sqrt", "cndf")
     s, k, r, v, t = (col.astype(np.float64) for col in _bs_sample(n, seed))
 
     def price():
@@ -345,7 +357,7 @@ def _softmax_reference(xs) -> np.ndarray:
 
 
 def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    exp_f, = _kernels("sigmoid", method_variant, n, "exp")
+    exp_f, = _kernels("sigmoid", method_variant, n, seed, "exp")
     xs = np.random.default_rng(seed).uniform(-8.0, 8.0, n).astype(np.float32)
 
     def sigmoid():
@@ -358,7 +370,7 @@ def run_sigmoid(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
 
 
 def run_softmax(n: int, method_variant: str, seed: int = 0) -> WorkloadResult:
-    exp_f, = _kernels("softmax", method_variant, n, "exp")
+    exp_f, = _kernels("softmax", method_variant, n, seed, "exp")
     n_vec, k = max(1, n // SOFTMAX_VECTOR_LEN), SOFTMAX_VECTOR_LEN
     xs = np.random.default_rng(seed).uniform(-8.0, 8.0, (n_vec, k)
                                              ).astype(np.float32)

@@ -7,27 +7,27 @@ variants).  Address generation per kind:
   M:  a(x) = round((x - p) * k)          one float multiply
   L:  a(x) = round(ldexp(x - p, n))      no multiply, density 2**n
   D:  exponent/mantissa bit extraction   no multiply
-  DL: L-LUT on [0, 2**base_exponent), D-LUT from there to 2**hi_exponent
+  DL: L cells on [0, 2**base_exponent), then D octaves, in one table
 
 Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
 spacing/2); interpolated tables (D and DL always) put the first node at
 lo and carry one guard entry so entries[a + 1] never branches.
 
 Each kind has one layout, which holds all of its size and range checks:
-M from (lo, hi, size), L from (lo, n, size), D from (base_exponent,
-hi_exponent, mant_bits), any count of octaves of 2**mant_bits cells;
-each refuses what float32 queries cannot address, and more than
-MAX_CELLS cells, before any entry is allocated.  The builders and
-:func:`load_table` both make their specs through it, and a table record
-(magic ``TPL3``) stores those inputs, so a loaded table's spec equals
-the built table's, and a DL record's L part must be
-:func:`build_dllut`'s: 2**mant_bits cells up to the D part.
+M from (lo, hi, size), L from (lo, n, size), D and DL from
+(base_exponent, hi_exponent, mant_bits), any count of octaves of
+2**mant_bits cells; each refuses what float32 queries cannot address,
+and more than MAX_CELLS cells, before any entry is allocated.  The
+builders and :func:`load_table` both make their specs through it, and a
+table record (magic ``TPL3``) stores those inputs and the entries, so a
+loaded table's spec equals the built table's.
 
 Every builder takes its entries from :func:`tabulate`: the nodes come
 from one vectorized formula per kind (``p + a / k`` for M and L, an
-``ldexp`` of the address's mantissa and exponent fields for D), and the
-host function is called on them a chunk of TABULATE_CHUNK nodes at a
-time, so the temporaries alive at once are bounded by the chunk size.
+``ldexp`` of the address's mantissa and exponent fields for D, each on
+its own addresses for DL), and the host function is called on them a
+chunk of TABULATE_CHUNK nodes at a time, so the temporaries alive at
+once are bounded by the chunk size.
 
 A host is a function of a float64 array that returns libm's doubles,
 elementwise.  A libm function is lifted to one where it is named, as
@@ -163,8 +163,8 @@ def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
 class SpacingSpec:
     kind: str  # 'M', 'L', 'D', 'DL'
     p: float = 0.0
-    k: float = 0.0  # density (M); 2**n for L
-    n: int = 0  # power-of-two density exponent (L)
+    k: float = 0.0  # density (M); 2**n for L and DL's L cells
+    n: int = 0  # power-of-two density exponent (L, DL)
     mant_bits: int = 0
     base_exponent: int = 0
     hi_exponent: int = 0
@@ -176,13 +176,11 @@ class SpacingSpec:
 
 @dataclass
 class FuzzyLut:
+    """A table of any kind: its spec and one flat array of entries."""
     spec: SpacingSpec
-    entries: np.ndarray | None
+    entries: np.ndarray
     interpolated: bool
     fixed: bool = False
-    # DL-LUT composite parts
-    sub_low: "FuzzyLut | None" = None
-    sub_high: "FuzzyLut | None" = None
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +241,30 @@ def _d_layout(base_exponent: int, hi_exponent: int,
                        hi=math.ldexp(1.0, hi_exponent), size=size)
 
 
+def _dl_layout(base_exponent: int, hi_exponent: int,
+               mant_bits: int) -> SpacingSpec:
+    """DL spec: 2**mant_bits L cells on [0, 2**base_exponent), then octaves."""
+    d = _d_layout(base_exponent, hi_exponent, mant_bits)
+    n, size = mant_bits - base_exponent, d.size + (1 << mant_bits)
+    if size > MAX_CELLS:
+        raise RangeError(f"DL-LUT of {size} cells is over {MAX_CELLS}")
+    return replace(d, kind="DL", n=n, k=2.0 ** n, lo=0.0, size=size)
+
+
 def _nodes(s: SpacingSpec):
-    """The node formula of an M, L or D spec: int64 addresses to doubles."""
+    """The node formula of a spec: int64 addresses to doubles."""
     if s.kind in ("M", "L"):
         return lambda a: s.p + a / s.k
-    m = s.mant_bits  # address = step:frac; node (1 + frac/2**m) * 2**(base+step)
+    m = s.mant_bits
+    if s.kind == "DL":  # the L cells' formula, then the D octaves'
+        cells, octaves = (_nodes(replace(s, kind=kind)) for kind in "LD")
+
+        def dl(a):
+            x, low = np.empty(a.shape), a < 1 << m
+            x[low], x[~low] = cells(a[low]), octaves(a[~low] - (1 << m))
+            return x
+        return dl
+    # address = step:frac; node (1 + frac/2**m) * 2**(base+step).
     # An int32 exponent takes np.ldexp's fast loop; int64 does not.
     return lambda a: np.ldexp(1.0 + (a & ((1 << m) - 1)) / (1 << m),
                               (s.base_exponent + (a >> m)).astype(np.int32))
@@ -411,7 +428,8 @@ def _dlut_address(s: SpacingSpec, x32: np.ndarray):
     tally("int_add", x32.size)
     tally("int_shift", 2 * x32.size)
     top = (bits & 0x7FFFFF) >> (23 - s.mant_bits)
-    return ((e - s.base_exponent) << s.mant_bits) | top, bits
+    first = s.base_exponent - (s.kind == "DL")  # DL: its L cells come first
+    return ((e - first) << s.mant_bits) | top, bits
 
 
 def build_dlut(f, base_exponent: int, hi_exponent: int,
@@ -437,28 +455,26 @@ def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 # DL-LUT
 # ---------------------------------------------------------------------------
 
-def _dl_table(low: FuzzyLut, high: FuzzyLut) -> FuzzyLut:
-    """The DL-LUT of an L part below 2**base_exponent and a D part above,
-    whose fields it shares."""
-    spec = replace(high.spec, kind="DL", lo=0.0, size=0)
-    return FuzzyLut(spec=spec, entries=None, interpolated=True,
-                    sub_low=low, sub_high=high)
-
-
 def build_dllut(f, base_exponent: int, hi_exponent: int,
                 mant_bits: int) -> FuzzyLut:
-    """Interpolated L-LUT below 2**base_exponent, D-LUT to 2**hi_exponent."""
-    high = build_dlut(f, base_exponent, hi_exponent, mant_bits)  # checks them
-    low = build_llut(f, 0.0, high.spec.lo, 1 << mant_bits, interpolated=True)
-    return _dl_table(low, high)
+    """Interpolated DL-LUT: 2**mant_bits L cells below 2**base_exponent,
+    then the D octaves to 2**hi_exponent and their guard entry."""
+    return _tabulated(f, _dl_layout(base_exponent, hi_exponent, mant_bits),
+                      True)
 
 
 def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     refuse(x < 0.0, x, RangeError, "DL-LUT query requires x >= 0, got {}; "
            "negative inputs are the symmetry wrapper's job")
-    return piecewise(x < lut.sub_high.spec.lo, x,
-                     lambda v: llut_query_interp(lut.sub_low, v),
-                     lambda v: dlut_query_interp(lut.sub_high, v))
+    s = lut.spec
+
+    def linear(v):  # llut_query_interp's, clamped to the last L cell
+        t = _l_position(lut, v)
+        a = _clamp(np.floor(t).astype(np.int64), (1 << s.mant_bits) - 1)
+        tally("float_add", a.size)
+        return _lerp(lut, a, t - a.astype(np.float32))
+    return piecewise(x < math.ldexp(1.0, s.base_exponent), x, linear,
+                     lambda v: dlut_query_interp(lut, v))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +482,6 @@ def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def lut_memory_bytes(lut: FuzzyLut) -> int:
-    if lut.spec.kind == "DL":
-        return lut_memory_bytes(lut.sub_low) + lut_memory_bytes(lut.sub_high)
     return len(lut.entries) * 4 + PARAM_BLOCK_BYTES
 
 
@@ -475,7 +489,7 @@ _KIND_TAG = {"M": 0, "L": 1, "D": 2, "DL": 3}
 _TAG_KIND = {v: k for k, v in _KIND_TAG.items()}
 _MAGIC = b"TPL3"
 _HEADER = struct.Struct("<4sBBxx")
-# (lo, hi) of M or (lo, n) of L; base_exponent, hi_exponent, mant_bits of D
+# (lo, hi) of M or (lo, n) of L; base_exponent, hi_exponent, mant_bits of D, DL
 _PARAMS = struct.Struct("<ddqqq")
 _COUNT = struct.Struct("<I")
 
@@ -485,11 +499,8 @@ def dump_table(lut: FuzzyLut) -> bytes:
     head = _HEADER.pack(_MAGIC, _KIND_TAG[lut.spec.kind], flags)
     s = lut.spec
     pair = {"M": (s.lo, s.hi), "L": (s.lo, float(s.n))}.get(s.kind, (0.0, 0.0))
-    body = _PARAMS.pack(*pair, s.base_exponent, s.hi_exponent, s.mant_bits)
-    if s.kind == "DL":
-        body += _COUNT.pack(0)
-        return head + body + dump_table(lut.sub_low) + dump_table(lut.sub_high)
-    body += _COUNT.pack(len(lut.entries))
+    body = (_PARAMS.pack(*pair, s.base_exponent, s.hi_exponent, s.mant_bits)
+            + _COUNT.pack(len(lut.entries)))
     return head + body + np.asarray(
         lut.entries, dtype="<i4" if lut.fixed else "<f4").tobytes()
 
@@ -505,9 +516,9 @@ def _require(ok: bool, what: str) -> None:
         raise TableFormatError(f"malformed table record: {what}")
 
 
-def _load_one(buf: bytes, off: int,
-              part_of_dl: bool = False) -> tuple[FuzzyLut, int]:
-    (magic, tag, flags), off = _unpack(_HEADER, buf, off)
+def load_table(buf: bytes) -> FuzzyLut:
+    """Parse one serialized table; raises TableFormatError on bad input."""
+    (magic, tag, flags), off = _unpack(_HEADER, buf, 0)
     if magic != _MAGIC:
         raise TableFormatError(f"bad table magic {magic!r}, not {_MAGIC!r}")
     _require(tag in _TAG_KIND, f"unknown kind tag {tag}")
@@ -515,22 +526,6 @@ def _load_one(buf: bytes, off: int,
     (first, second, *d_fields), off = _unpack(_PARAMS, buf, off)
     (count,), off = _unpack(_COUNT, buf, off)
     kind, interpolated, fixed = _TAG_KIND[tag], bool(flags & 1), bool(flags & 2)
-
-    if kind == "DL":
-        _require(not part_of_dl, "DL-LUT nested in a DL-LUT")
-        _require(count == 0, "DL-LUT record with its own entries")
-        low, off = _load_one(buf, off, part_of_dl=True)
-        high, off = _load_one(buf, off, part_of_dl=True)
-        _require(low.spec.kind == "L" and high.spec.kind == "D"
-                 and low.interpolated and high.interpolated and not low.fixed,
-                 "DL-LUT parts must be interpolated float L- and D-LUTs")
-        h = high.spec
-        _require([h.base_exponent, h.hi_exponent, h.mant_bits] == d_fields,
-                 "DL-LUT fields disagree with its D-LUT part")
-        _require((low.spec.lo, low.spec.hi, low.spec.size)
-                 == (0.0, h.lo, 1 << h.mant_bits),
-                 "DL-LUT's L part does not end at its D part's lower bound")
-        return _dl_table(low, high), off
 
     _require(count <= (len(buf) - off) // 4,
              f"{count} entries run past the end of the buffer")
@@ -542,9 +537,9 @@ def _load_one(buf: bytes, off: int,
 
     size = count - interpolated
     try:
-        if kind == "D":
-            _require(interpolated, "D-LUT without its guard entry")
-            spec = _d_layout(*d_fields)
+        if kind in ("D", "DL"):
+            _require(interpolated, f"{kind}-LUT without its guard entry")
+            spec = (_d_layout if kind == "D" else _dl_layout)(*d_fields)
             _require(size == spec.size, "entries do not fill its octaves")
         elif kind == "L":
             _require(second.is_integer(), "L-LUT density exponent")
@@ -553,16 +548,10 @@ def _load_one(buf: bytes, off: int,
             spec = _m_layout(first, second, size, interpolated)
     except RangeError as exc:
         raise TableFormatError(f"malformed table record: {exc}") from None
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    fixed=fixed), off
-
-
-def load_table(buf: bytes) -> FuzzyLut:
-    """Parse one serialized table; raises TableFormatError on bad input."""
-    lut, off = _load_one(buf, 0)
     if off != len(buf):
         raise TableFormatError("trailing bytes after table record")
-    return lut
+    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
+                    fixed=fixed)
 
 
 def save_table(lut: FuzzyLut, path) -> int:

@@ -296,6 +296,28 @@ def _table_query(ev):
     return lambda x: query(table, np.array([x], dtype=np.float64))[0]
 
 
+class TestDLSplit:
+    """Float32 inputs whose reduction, fmod(|x|, 2*pi) in double, lands in
+    [1 - 2**-25, 1): below the DL-LUT's split at 2**0, but 1.0 in float32,
+    so the L position is 2**mant_bits, read as the last L cell with delta
+    1, which gives float32 sin(1) at every mant_bits.  Only sin reaches
+    this through the evaluator: its reduction makes a new double."""
+
+    XS = (16892107423744.0, 3.3175630315582915e18, 5.360795485841648e28)
+
+    @pytest.mark.parametrize("mant_bits", (1, 8, 12))
+    def test_sin_rounding_up_to_the_split(self, mant_bits):
+        xs = np.array(self.XS + tuple(-x for x in self.XS), dtype=np.float32)
+        r = np.fmod(np.abs(xs.astype(np.float64)), 2.0 * math.pi)
+        assert np.all(r < 1.0) and np.all(r.astype(np.float32) == 1.0)
+        ev = build_evaluator(F.SIN, EvaluatorConfig(
+            method=M.DLLUT_INTERP, mant_bits=mant_bits))
+        out, counts = ev.evaluate_batch(xs)
+        assert out.view(np.uint32).tolist() == [0x3F576AA4] * 3 + [0xBF576AA4] * 3
+        assert counts == OpCounts(float_add=30, float_mul=12, ldexp_op=6,
+                                  lut_lookup=12)
+
+
 @pytest.mark.parametrize("method", _D_METHODS)
 class TestDTableSaturation:
     """tanh and GELU are constant in float32 above their tables' octaves

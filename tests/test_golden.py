@@ -667,7 +667,7 @@ SETUP_PINS = {
     "exp/llut/float": (16432, 4096),
     "exp/mlut-interp/float": (16436, 4097),
     "exp/mlut/float": (16432, 4096),
-    "gelu/dllut-interp/float": (4200, 1026),
+    "gelu/dllut-interp/float": (4148, 1025),
     "gelu/dlut-interp/float": (19508, 4865),
     "log/cordic/float": (108, 27),
     "log/llut-interp/fixed": (16436, 4097),
@@ -678,7 +678,7 @@ SETUP_PINS = {
     "log/mlut/float": (16432, 4096),
     "sin/cordic-lut/float": (872, 218),
     "sin/cordic/float": (116, 29),
-    "sin/dllut-interp/float": (4200, 1026),
+    "sin/dllut-interp/float": (4148, 1025),
     "sin/dlut-interp/float": (19508, 4865),
     "sin/llut-interp/fixed": (16436, 4097),
     "sin/llut-interp/float": (16436, 4097),
@@ -705,7 +705,7 @@ SETUP_PINS = {
     "tan/mlut/float": (32864, 8192),
     "tanh/cordic-lut/float": (868, 217),
     "tanh/cordic/float": (108, 27),
-    "tanh/dllut-interp/float": (5224, 1282),
+    "tanh/dllut-interp/float": (5172, 1281),
     "tanh/dlut-interp/float": (20532, 5121),
 }
 

@@ -205,6 +205,35 @@ class TestCountBelowOne:
         assert run_softmax(3000, "LLutInterp").n_elements == 2048
 
 
+class TestWrongArguments:
+    """A function that is not a FunctionId, and a count or seed that is
+    not a non-negative integer, are refused with a library error before
+    any input is drawn or table built."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: rmse_sweep("sin", MethodId.LLUT, [64], n_samples=8),
+         UnsupportedCombinationError),
+        (lambda: rmse_sweep(FunctionId.SIN, MethodId.LLUT, [64], seed=-1,
+                            n_samples=8), RangeError),
+        (lambda: rmse_sweep(FunctionId.SIN, MethodId.LLUT, [64],
+                            n_samples=None), RangeError),
+        (lambda: rmse_sweep(FunctionId.SIN, MethodId.LLUT, 64, n_samples=8),
+         RangeError),
+        (lambda: run_blackscholes(100, "LLutInterp", seed=-1), RangeError),
+        (lambda: run_sigmoid(100, "LLutInterp", seed=1.5), RangeError),
+        (lambda: run_softmax("x", "LLutInterp"), RangeError),
+    ], ids=["sweep-function-str", "sweep-seed-negative", "sweep-samples-none",
+            "sweep-sizes-bare-int", "blackscholes-seed-negative",
+            "sigmoid-seed-float", "softmax-n-str"])
+    def test_refused(self, monkeypatch, call, error):
+        def drawn(*args):
+            raise AssertionError("an input was drawn")
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        with counting() as c, pytest.raises(error):
+            call()
+        assert c.table_setup_entries == 0
+
+
 _OPS = ("int_add,int_shift,int_mul,float_add,float_mul,float_div,ldexp_op,"
         "lut_lookup,table_setup_entries")
 _ACC_HEADER = ("function,method,number_format,size_or_iters,n_samples,seed,"

@@ -25,7 +25,7 @@ def at(query, t, x):
 
 
 def node_of(t, addr):
-    """The node stored at address ``addr`` of an M, L or D table ``t``."""
+    """The node stored at address ``addr`` of a table ``t``."""
     return float(_nodes(t.spec)(np.array([addr]))[0])
 
 
@@ -276,9 +276,27 @@ class TestDllut:
             at(dllut_query_interp, t, 1e39)
 
     def test_node_of_points_to_the_parts(self):
-        """A DL-LUT has no addresses of its own; its parts answer."""
-        t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
-        assert node_of(t.sub_low, 0) == 0.0 and node_of(t.sub_high, 0) == 1.0
+        """A DL-LUT's first 2**mant_bits addresses are L cells of width
+        2**(base - mant_bits) from 0; the D octaves' nodes follow, from
+        the one node 2**base on."""
+        t = build_dllut(TANH, base_exponent=-2, hi_exponent=3, mant_bits=4)
+        for a in range(len(t.entries)):
+            step, frac = divmod(a, 16)
+            want = (a * 2.0 ** -6 if step == 0
+                    else math.ldexp(1.0 + frac / 16, step - 3))
+            assert node_of(t, a) == want, a
+        assert node_of(t, 16) == 0.25 and node_of(t, len(t.entries) - 1) == 8
+
+    def test_split_rounding_up_reads_the_last_l_cell(self):
+        """A double below 2**base that float32 rounds up to it takes the
+        L position 2**mant_bits, clamped to the last L cell with delta 1:
+        entries[255] + (entries[256] - entries[255]) * 1, which is 0 here
+        in float32, not entries[256]."""
+        host = partial(mapped, lambda v: 3.0 if v < 1.0 else 2.0 ** -30)
+        t = build_dllut(host, base_exponent=0, hi_exponent=2, mant_bits=8)
+        x = 1.0 - 2.0 ** -30
+        assert np.float32(x) == 1.0 and t.entries[256] == 2.0 ** -30
+        assert at(dllut_query_interp, t, x) == 0.0
 
 
 class TestMemoryAccounting:
@@ -291,9 +309,10 @@ class TestMemoryAccounting:
         assert lut_memory_bytes(t) == 257 * 4 + 48
 
     def test_dllut_sums_parts(self):
+        """One record: 2**mant_bits L cells, 16 octaves of D cells and one
+        guard entry, so the node 2**base is stored once."""
         t = build_dllut(TANH, base_exponent=0, hi_exponent=16, mant_bits=8)
-        assert lut_memory_bytes(t) == (lut_memory_bytes(t.sub_low)
-                                       + lut_memory_bytes(t.sub_high))
+        assert lut_memory_bytes(t) == (256 + (16 << 8) + 1) * 4 + 48
 
     def test_setup_entries_tallied(self):
         with counting() as c:
@@ -332,6 +351,7 @@ class TestLayoutChecks:
         (build_llut, (0.0, 1.0, MAX_CELLS + 1)),
         (build_fixed_llut, (0.0, 1.0, MAX_CELLS + 1)),
         (build_dlut, (-112, 17, 17)),  # 129 octaves of 2**17 cells
+        (build_dllut, (-112, 16, 17)),  # 128 octaves and the L cells
     ])
     def test_refused(self, build, args):
         with counting() as c, pytest.raises(RangeError):
@@ -354,6 +374,19 @@ class TestLayoutChecks:
         f32_max = float(np.finfo(np.float32).max)
         for t, xs in ((top, [2.0 ** 112, f32_max]), (bottom, [2.0 ** -126])):
             assert np.all(np.isfinite(dlut_query_interp(t, np.array(xs))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_widest_dl_range_queries_without_overflow(self):
+        """A DL table's L cells are ldexp-addressed, so their density
+        2**(mant_bits - base_exponent) need not be a float32: the DL
+        layouts take the D layouts' whole range."""
+        top = build_dllut(ATAN, 127, 128, 2)  # L density 2**-125
+        bottom = build_dllut(ATAN, -126, -120, 4)  # L density 2**130
+        f32_max = float(np.finfo(np.float32).max)
+        for t, xs in ((top, [0.0, 2.0 ** 126, 2.0 ** 127, f32_max]),
+                      (bottom, [0.0, 2.0 ** -149, 2.0 ** -127, 2.0 ** -121])):
+            out = dllut_query_interp(t, np.array(xs))
+            assert np.array_equal(out, np.arctan(xs).astype(np.float32))
 
     @pytest.mark.parametrize("build", [build_mlut, build_llut,
                                        build_fixed_llut])

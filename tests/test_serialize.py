@@ -46,12 +46,8 @@ class TestRoundTrip:
     def test_entries_bit_exact(self):
         for t in _tables().values():
             back = load_table(dump_table(t))
-            if t.entries is None:
-                assert np.array_equal(t.sub_low.entries, back.sub_low.entries)
-                assert np.array_equal(t.sub_high.entries, back.sub_high.entries)
-            else:
-                assert np.array_equal(np.asarray(t.entries),
-                                      np.asarray(back.entries))
+            assert np.array_equal(np.asarray(t.entries),
+                                  np.asarray(back.entries))
 
     def test_flags_preserved(self):
         tb = _tables()
@@ -126,16 +122,6 @@ class TestValidation:
 _DUMPS = {name: dump_table(t) for name, t in _tables().items()}
 
 
-def _header_positions(blob: bytes) -> list:
-    """Offsets of every byte in the fixed-size header of each record."""
-    positions, off = [], 0
-    while off < len(blob):
-        positions += range(off, off + 52)
-        tag, count = blob[off + 4], struct.unpack_from("<I", blob, off + 48)[0]
-        off += 52 + (0 if tag == 3 else 4 * count)  # a DL record's parts follow
-    return positions
-
-
 def _loads_or_rejects(blob: bytes) -> None:
     try:
         load_table(blob)
@@ -174,15 +160,22 @@ class TestUntrustedInput:
             load_table(bytes(blob))
 
     def test_nested_dl_record(self):
-        head = _DUMPS["dllut"][:52]  # a DL record header with no parts
-        with pytest.raises(TableFormatError, match="nested"):
-            load_table(head * 3)
+        """A DL record of the earlier nested form, a header counting no
+        entries of its own followed by an L and a D record, is refused:
+        its count does not fill the L cells and octaves its fields name."""
+        head = bytearray(_DUMPS["dllut"][:52])
+        struct.pack_into("<I", head, 48, 0)
+        blob = bytes(head) + dump_table(build_llut(
+            TANH, 0.0, 1.0, 64, interpolated=True)) + dump_table(
+            build_dlut(TANH, 0, 16, 6))
+        with pytest.raises(TableFormatError, match="do not fill"):
+            load_table(blob)
 
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(sorted(_DUMPS)), data=st.data())
     def test_changed_bytes_load_or_raise_library_errors(self, name, data):
         blob = bytearray(_DUMPS[name])
-        position = (st.sampled_from(_header_positions(blob))
+        position = (st.integers(0, 51)  # the record's fixed-size header
                     | st.integers(0, len(blob) - 1))
         changes = data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
                                      min_size=1, max_size=8))
@@ -269,11 +262,9 @@ class TestLayoutFields:
              "mant_bits-2^62", "base-120", "base--160", "mant_bits-0",
              "mant_bits-over-cap"])
     def test_d_field_out_of_bounds(self, offset, value):
-        low_count = struct.unpack_from("<I", _DUMPS["dllut"], 52 + 48)[0]
-        d_part = 52 + 52 + 4 * low_count  # after the DL header and L part
-        for name, start in (("dlut", 0), ("dllut", 0), ("dllut", d_part)):
+        for name in ("dlut", "dllut"):
             blob = bytearray(_DUMPS[name])
-            struct.pack_into("<q", blob, start + offset, value)
+            struct.pack_into("<q", blob, offset, value)
             with pytest.raises(TableFormatError):
                 load_table(bytes(blob))
 
@@ -301,24 +292,9 @@ class TestLayoutFields:
                 load_table(blob)
 
 
-
-_DL_LOW = 52  # a DL record's L part follows its header
-
-
 class TestDLParts:
-    """A DL record's L part is the one build_dllut makes: 2**mant_bits
-    float cells from 0 to its D part's lower bound."""
-
-    @pytest.mark.parametrize("offset, fmt, value", [
-        (_DL_LOW + 16, "<d", 7.0),  # 64 cells of width 2**-7: [0, 0.5]
-        (_DL_LOW + 8, "<d", 0.25),
-        (_DL_LOW + 5, "<B", 3)],  # fixed entries
-        ids=["ends-at-0.5", "from-0.25", "fixed"])
-    def test_other_l_part_is_refused(self, offset, fmt, value):
-        blob = bytearray(_DUMPS["dllut"])  # D part from 1
-        struct.pack_into(fmt, blob, offset, value)
-        with pytest.raises(TableFormatError, match="DL-LUT"):
-            load_table(bytes(blob))
+    """A DL record is one table: 2**mant_bits L cells from 0, then the D
+    octaves, whose fields it stores."""
 
     def test_seeded_round_trips(self):
         rng = np.random.default_rng(21)
@@ -329,11 +305,11 @@ class TestDLParts:
             blob = dump_table(t)
             back = load_table(blob)
             assert dump_table(back) == blob
-            assert (back.spec, back.sub_low.spec, back.sub_high.spec) == (
-                t.spec, t.sub_low.spec, t.sub_high.spec)
-            h = t.sub_high.spec
-            top = float(np.nextafter(np.float32(h.hi), 0))  # D ranges are [lo, hi)
-            xs = np.concatenate([[0.0, h.lo / 2, h.lo, top],
+            assert back.spec == t.spec
+            assert np.array_equal(back.entries, t.entries)
+            split = 2.0 ** base
+            top = float(np.nextafter(np.float32(t.spec.hi), 0))  # [lo, hi)
+            xs = np.concatenate([[0.0, split / 2, split, top],
                                  rng.uniform(0.0, top, 16)])
             assert np.array_equal(dllut_query_interp(back, xs),
                                   dllut_query_interp(t, xs))
@@ -351,9 +327,9 @@ class TestOctaveCounts:
         assert blob[:4] == b"TPL3"
         back = load_table(blob)
         assert dump_table(back) == blob and back.spec == t.spec
-        d = back.sub_high.spec if build is build_dllut else back.spec
+        d = back.spec
         assert (d.base_exponent, d.hi_exponent, d.size) == (
-            base, hi, (hi - base) << 8)
+            base, hi, (hi - base + (build is build_dllut)) << 8)
         top = float(np.nextafter(np.float32(2.0 ** hi), 0))
         xs = np.array([2.0 ** base, 1.5, top])
         query = (dllut_query_interp if build is build_dllut

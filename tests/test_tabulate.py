@@ -34,7 +34,7 @@ from pimfuncs.fixedpoint import RAW_MAX, SCALE, to_fixed
 from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               _bs_sample, _make_cndf_lut, _sigmoid_reference,
                               reference_values)
-from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, build_dllut,
+from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, _nodes, build_dllut,
                           build_dlut, build_fixed_llut, build_llut,
                           build_mlut, mapped, tabulate, twin)
 
@@ -101,6 +101,14 @@ def _d_loop(f, lut):
     if lut.interpolated:
         entries[count] = f(math.ldexp(1.0, s.hi_exponent))
     return entries
+
+
+def _node_loop(f, lut):
+    """A loop over every address of ``lut``, its guard entry included,
+    each node from ``lut._nodes(spec)`` of that one address."""
+    nodes = _nodes(lut.spec)
+    return np.asarray([f(float(nodes(np.array([a]))[0]))
+                       for a in range(len(lut.entries))], dtype=np.float32)
 
 
 def _built(build, *args, **kwargs):
@@ -269,15 +277,14 @@ class TestDTables:
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     def test_dllut(self, mant_bits):
         lut, entries = _built(build_dllut, SIN, 0, 16, mant_bits)
-        low, high = lut.sub_low, lut.sub_high
-        assert _bits(low.entries) == _bits(_ml_loop(math.sin, low))
-        assert _bits(high.entries) == _bits(_d_loop(math.sin, high))
-        assert entries == len(low.entries) + len(high.entries)
+        assert _bits(lut.entries) == _bits(_node_loop(math.sin, lut))
+        assert entries == len(lut.entries) == (17 << mant_bits) + 1
 
     def test_gelu_tables(self):
-        for lut in (build_dlut(gelu_exact, -16, 16, 8),
-                    build_dllut(gelu_exact, 0, 32, 8).sub_high):
-            assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
+        lut = build_dlut(gelu_exact, -16, 16, 8)
+        assert _bits(lut.entries) == _bits(_d_loop(_gelu, lut))
+        lut = build_dllut(gelu_exact, 0, 32, 8)
+        assert _bits(lut.entries) == _bits(_node_loop(_gelu, lut))
 
 
 def _perturbed(ufunc):
@@ -452,12 +459,9 @@ class TestTwinHosts:
     def test_d_evaluator_tables(self, function, method, mant_bits):
         (table,) = build_evaluator(function, EvaluatorConfig(
             method=method, mant_bits=mant_bits)).tables
+        loop = _node_loop if method is MethodId.DLLUT_INTERP else _d_loop
         f = _SCALAR_REFERENCE[function]
-        if method is MethodId.DLLUT_INTERP:
-            assert _bits(table.sub_low.entries) == _bits(
-                _ml_loop(f, table.sub_low))
-            table = table.sub_high
-        assert _bits(table.entries) == _bits(_d_loop(f, table))
+        assert _bits(table.entries) == _bits(loop(f, table))
 
     @pytest.mark.parametrize("function,config", [
         (FunctionId.SIN, EvaluatorConfig(method=MethodId.LLUT_INTERP,
@@ -568,11 +572,8 @@ class TestErfTwin:
     def test_gelu_tables(self, method, mant_bits):
         (table,) = build_evaluator(FunctionId.GELU, EvaluatorConfig(
             method=method, mant_bits=mant_bits)).tables
-        if method is MethodId.DLLUT_INTERP:
-            assert _bits(table.sub_low.entries) == _bits(
-                _ml_loop(_gelu, table.sub_low))
-            table = table.sub_high
-        assert _bits(table.entries) == _bits(_d_loop(_gelu, table))
+        loop = _node_loop if method is MethodId.DLLUT_INTERP else _d_loop
+        assert _bits(table.entries) == _bits(loop(_gelu, table))
 
     @pytest.mark.parametrize("build", [
         lambda: _make_cndf_lut(NumberFormat.FLOAT),
