@@ -423,7 +423,9 @@ def _table_bytes(table) -> int:
     return cordic._angle_bytes(table)
 
 
-def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
+def _checked(function: FunctionId, config: EvaluatorConfig) -> _Family:
+    """``config``'s family row, once ``config`` is an EvaluatorConfig of a
+    supported cell of ``function`` whose sizing field is an integer."""
     if not isinstance(config, EvaluatorConfig):
         raise UnsupportedCombinationError(
             f"config must be an EvaluatorConfig, got {config!r}")
@@ -433,6 +435,11 @@ def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
             f"in {_named(config.number_format)} format")
     family = _FAMILY[config.method]
     integral(family.sizing, getattr(config, family.sizing))
+    return family
+
+
+def build_evaluator(function: FunctionId, config: EvaluatorConfig) -> Evaluator:
+    family = _checked(function, config)
     t0 = time.perf_counter()
     with counting() as c:
         tables, pipeline = family.build(function, config)

@@ -81,14 +81,19 @@ def generate_cordic_tables(mode: CordicMode, n_iter: int,
 
     ``first_index`` supports the CORDIC+LUT hybrid, which starts at a later
     iteration; plain callers leave it at the mode default, and an index
-    below that clamps to it.
+    below that clamps to it.  An index above 63 is refused: an int64 raw
+    shifted by 63 or more is 0 or -1, whatever its value.
     """
     row = mode_row(mode)
     integral("n_iter", n_iter)
     if not (1 <= n_iter <= row.max_iter):
         raise RangeError(f"{mode.value} n_iter {n_iter} outside "
                          f"[1, {row.max_iter}]")
-    start = row.first if first_index is None else max(row.first, first_index)
+    start = row.first
+    if first_index is not None:
+        start = max(start, integral("first_index", first_index))
+        if start > 63:
+            raise RangeError("first_index must be at most 63")
     # Each index once, or twice if it repeats, up to n_iter iterations.
     schedule = [i for i in range(start, start + n_iter)
                 for _ in range(1 + (i in row.repeats))][:n_iter]

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and its three refusal rules."""
+"""Exception types shared across the library, and its refusal rules."""
 
 import numbers
 import os
@@ -48,10 +48,27 @@ def refuse(bad, values, error, message: str, *args) -> None:
         raise error(message.format(values[bad][0].item(), *args))
 
 
-def integral(name: str, value) -> None:
-    """RangeError unless ``value`` is an integer; a bool is not one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+def integral(name: str, value) -> int:
+    """``value`` as an int; RangeError unless it is an integer (a numpy
+    integer included), and a bool is not one.  An exact int skips the
+    slower ABC check."""
+    if type(value) is not int and (isinstance(value, bool) or not
+                                   isinstance(value, numbers.Integral)):
         raise RangeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real(name: str, value) -> float:
+    """``value`` as a double; RangeError unless it is a real number (a
+    numpy scalar included, not an array or a bool) that converts to one;
+    an exact float skips the ABC check, as in :func:`integral`."""
+    if type(value) is not float and (isinstance(value, bool) or not
+                                     isinstance(value, numbers.Real)):
+        raise RangeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise RangeError(f"{name} is beyond the doubles") from None
 
 
 @contextmanager

@@ -41,8 +41,9 @@ import numpy as np
 
 from . import lut
 from .api import (_TABLE_CELLS, CNDF_HOST, EvaluatorConfig, FunctionId,
-                  MethodId, NumberFormat, _horner, _saturated, build_evaluator,
-                  cndf_exact, config_for, gelu_exact, table_kernel)
+                  MethodId, NumberFormat, _checked, _horner, _saturated,
+                  build_evaluator, cndf_exact, config_for, gelu_exact,
+                  table_kernel)
 from .costmodel import OP_FIELDS, OpCounts, counting, tally
 from .errors import RangeError, UnsupportedCombinationError, integral, opened
 
@@ -131,13 +132,16 @@ def rmse_sweep(function: FunctionId, method: MethodId, sizes_or_iters,
         params = sorted(sizes_or_iters)
     except TypeError:
         raise RangeError(f"not a list of sizes: {sizes_or_iters!r}") from None
+    configs = [config_for(method, number_format, p) for p in params]
+    for config in configs:
+        _checked(function, config)
     lo, hi = DEFAULT_DOMAINS[function]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, n_samples).astype(np.float32)
     ref = reference_values(function, xs)
     reports = []
-    for param in params:
-        ev = build_evaluator(function, config_for(method, number_format, param))
+    for param, config in zip(params, configs):
+        ev = build_evaluator(function, config)
         out, counts = ev.evaluate_batch(xs)
         err = out.astype(np.float64) - ref
         rmse = float(np.sqrt(np.mean(err * err)))

@@ -13,21 +13,24 @@ Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
 spacing/2); interpolated tables (D and DL always) put the first node at
 lo and carry one guard entry so entries[a + 1] never branches.
 
-Each kind has one layout, which holds all of its size and range checks:
-M from (lo, hi, size), L from (lo, n, size), D and DL from
+Each kind has one layout, which holds all of its argument, size and
+range checks: M from (lo, hi, size), L from (lo, n, size), D and DL from
 (base_exponent, hi_exponent, mant_bits), any count of octaves of
-2**mant_bits cells; each refuses what float32 queries cannot address,
-and more than MAX_CELLS cells, before any entry is allocated.  The
-builders and :func:`load_table` both make their specs through it, and a
-table record (magic ``TPL3``) stores those inputs and the entries, so a
-loaded table's spec equals the built table's.
+2**mant_bits cells.  Each takes a bound as a double and an integer field
+(a numpy one too) as an int, and refuses with RangeError any other
+argument, what float32 queries cannot address, and more than MAX_CELLS
+cells, before any entry is allocated.  The builders and
+:func:`load_table` both make their specs through it, and a table record
+(magic ``TPL3``) stores those inputs and the entries, so a loaded
+table's spec equals the built table's.
 
 Every builder takes its entries from :func:`tabulate`: the nodes come
 from one vectorized formula per kind (``p + a / k`` for M and L, an
 ``ldexp`` of the address's mantissa and exponent fields for D, each on
 its own addresses for DL), and the host function is called on them a
-chunk of TABULATE_CHUNK nodes at a time, so the temporaries alive at
-once are bounded by the chunk size.
+chunk of TABULATE_CHUNK nodes at a time.  Each chunk is rounded to its
+entries before the next is computed, so the temporaries alive at once,
+beyond the entries, are bounded by the chunk size.
 
 A host is a function of a float64 array that returns libm's doubles,
 elementwise.  A libm function is lifted to one where it is named, as
@@ -68,7 +71,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costmodel import tally
-from .errors import RangeError, TableFormatError, opened, refuse
+from .errors import (RangeError, TableFormatError, integral, opened, real,
+                     refuse)
 from .fixedpoint import (FRAC_BITS, RAW_MAX, SCALE, check_raw, ldexp32,
                          to_fixed)
 from .rangeext import piecewise
@@ -128,20 +132,20 @@ def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
     addresses, and ``f``, a host (see the module docstring), is called
     once per chunk on float64 nodes.  The last chunk takes in a remainder
     shorter than TABULATE_CHUNK, so no chunk is a lone guard node.  A
-    settled :func:`twin` value's entry is the settle test's rounding; the
-    host's values are rounded after the last chunk, in address order, so
-    its exception in any chunk precedes a refused entry's RangeError or
-    float32 overflow warning.
+    settled :func:`twin` value's entry is the settle test's rounding, and
+    the host's values are rounded to entries in the chunk that computed
+    them.  So a failing build raises at its first failing chunk, in
+    address order: that chunk's host exception if there is one, else its
+    entry refusal (RangeError outside Q3.28, or numpy's float32 overflow
+    warning).
     """
     twin_of = getattr(f, "twin", None)
     out = np.empty(count, dtype=np.int64 if fixed else np.float32)
-    addrs = np.arange(count)
-    sent, values = [], []  # the addresses the host sees, and its values
     chunks = max(1, count // TABULATE_CHUNK)
     for i in range(chunks):
         start = i * TABULATE_CHUNK
         stop = count if i == chunks - 1 else start + TABULATE_CHUNK
-        a = addrs[start:stop]
+        a = np.arange(start, stop)
         x = np.asarray(nodes(a), dtype=np.float64)
         if twin_of is not None:
             with np.errstate(all="ignore"):
@@ -149,13 +153,8 @@ def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
             if not fixed:  # an overflow goes to the host, whose cast warns
                 settled &= np.isfinite(out[start:stop])
             a, x = a[~settled], x[~settled]
-        sent.append(a)
-        values.append(f(x))
-    values = np.concatenate(values)
-    entries = to_fixed(values) if fixed else values.astype(np.float32)
-    if twin_of is None:  # the host saw every node
-        return entries
-    out[np.concatenate(sent)] = entries
+        values = f(x)
+        out[a] = to_fixed(values) if fixed else values.astype(np.float32)
     return out
 
 
@@ -191,6 +190,7 @@ def _m_layout(lo: float, hi: float, size: int,
               interpolated: bool) -> SpacingSpec:
     """M spec of ``size`` cells on exactly [lo, hi]; float32 queries need
     |lo|, |hi| <= FLT_MAX / 2, so x - p is finite, and a finite density."""
+    lo, hi, size = real("lo", lo), real("hi", hi), integral("size", size)
     if not (lo < hi and 2 <= size <= MAX_CELLS):
         raise RangeError(f"need lo < hi and 2 <= size <= {MAX_CELLS}, "
                          f"got [{lo}, {hi}] and {size}")
@@ -205,6 +205,7 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
               fixed: bool) -> SpacingSpec:
     """L spec of ``size`` cells of width 2**-n from lo; a fixed table's
     raw addressing needs n in [0, FRAC_BITS] and a range inside Q3.28."""
+    lo, n, size = real("lo", lo), integral("n", n), integral("size", size)
     if not (2 <= size <= MAX_CELLS and -1074 <= n <= 1023):
         raise RangeError(f"need 2 <= size <= {MAX_CELLS} and "
                          f"-1074 <= n <= 1023, got {size} and {n}")
@@ -227,6 +228,9 @@ def _d_layout(base_exponent: int, hi_exponent: int,
     """D spec of the octaves [2**base_exponent, 2**hi_exponent), each of
     2**mant_bits cells.  Queries read float32 exponent fields, so the
     octaves must lie in float32's normal range [2^-126, 2^128)."""
+    base_exponent, hi_exponent, mant_bits = (
+        integral("base_exponent", base_exponent),
+        integral("hi_exponent", hi_exponent), integral("mant_bits", mant_bits))
     if not 1 <= mant_bits <= 23:
         raise RangeError("need 1 <= mant_bits <= 23")
     if not -126 <= base_exponent < hi_exponent <= 128:
@@ -245,7 +249,7 @@ def _dl_layout(base_exponent: int, hi_exponent: int,
                mant_bits: int) -> SpacingSpec:
     """DL spec: 2**mant_bits L cells on [0, 2**base_exponent), then octaves."""
     d = _d_layout(base_exponent, hi_exponent, mant_bits)
-    n, size = mant_bits - base_exponent, d.size + (1 << mant_bits)
+    n, size = d.mant_bits - d.base_exponent, d.size + (1 << d.mant_bits)
     if size > MAX_CELLS:
         raise RangeError(f"DL-LUT of {size} cells is over {MAX_CELLS}")
     return replace(d, kind="DL", n=n, k=2.0 ** n, lo=0.0, size=size)

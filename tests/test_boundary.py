@@ -1,5 +1,6 @@
 """The public boundary, fuzzed: only PimFuncsError subclasses leave the
-library, and the command line exits 0, 1 or 2 without a traceback.
+library, its low-level table builders included, and the command line
+exits 0, 1 or 2 without a traceback.
 
 Arguments come from one pool of wrong values.  Every size in it is
 either refused (below 1, 2^24 + 1, 2^40, beyond int64) or builds at
@@ -11,6 +12,7 @@ import contextlib
 import inspect
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import pimfuncs
 from pimfuncs import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
-                      OpCounts, PimFuncsError, build_evaluator)
+                      OpCounts, PimFuncsError, build_evaluator, combined,
+                      cordic, lut)
 from pimfuncs.cli import main
 from pimfuncs.costmodel import OP_FIELDS
 from pimfuncs.harness import WORKLOADS
@@ -94,6 +97,37 @@ def test_only_library_errors_escape(files, data):
         args.append(data.draw(pool))
     try:
         f(*args)
+    except PimFuncsError:
+        pass
+
+
+# The low-level builders: each one's leading host (sin, which never
+# raises on a finite node) or CORDIC modes, then a small good value of
+# each numeric argument, and for M/L tables the interpolated flags.
+_SIN = partial(lut.mapped, math.sin)
+_MODES = tuple(cordic.CordicMode)
+_ML = (0.0, 1.0, 64)
+_BUILDERS = (
+    (lut.build_mlut, (_SIN,), _ML, (False, True)),
+    (lut.build_llut, (_SIN,), _ML, (False, True)),
+    (lut.build_fixed_llut, (_SIN,), _ML, (False, True)),
+    (lut.build_dlut, (_SIN,), (-2, 2, 4), ()),
+    (lut.build_dllut, (_SIN,), (0, 2, 4), ()),
+    (cordic.generate_cordic_tables, _MODES, (8, 2), ()),
+    (combined.build_cordic_lut, _MODES, (4, 12), ()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_builders_let_only_library_errors_escape(data):
+    """Each numeric argument is a wrong value or a small good one."""
+    build, lead, good, flags = data.draw(st.sampled_from(_BUILDERS))
+    args = [data.draw(st.sampled_from(lead))]
+    args += [data.draw(st.sampled_from(_WRONG) | st.just(g)) for g in good]
+    args += [data.draw(st.sampled_from(flags))] if flags else []
+    try:
+        build(*args)
     except PimFuncsError:
         pass
 

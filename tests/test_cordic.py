@@ -76,6 +76,14 @@ class TestTableGeneration:
         with pytest.raises(RangeError):
             generate_cordic_tables(CordicMode.HYPERBOLIC, 31)
 
+    @pytest.mark.parametrize("first_index", (2.5, "a", np.float64(4.0), 64,
+                                             10 ** 400),
+                             ids=("float", "str", "np-float", "above-63",
+                                  "beyond-doubles"))
+    def test_first_index_must_be_an_integer_up_to_63(self, first_index):
+        with pytest.raises(RangeError, match="first_index"):
+            generate_cordic_tables(CordicMode.CIRCULAR, 8, first_index)
+
     @pytest.mark.parametrize("mode", list(CordicMode))
     def test_first_index_below_the_modes_clamps(self, mode):
         plain = generate_cordic_tables(mode, 12)

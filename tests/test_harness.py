@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pimfuncs.harness
 from pimfuncs.api import FunctionId, MethodId
 from pimfuncs.costmodel import counting
 from pimfuncs.errors import (DomainError, PimFuncsError, RangeError,
@@ -206,9 +207,10 @@ class TestCountBelowOne:
 
 
 class TestWrongArguments:
-    """A function that is not a FunctionId, and a count or seed that is
-    not a non-negative integer, are refused with a library error before
-    any input is drawn or table built."""
+    """A function that is not a FunctionId, a count or seed that is not
+    a non-negative integer, and a sweep's method, format or size that no
+    cell takes, are refused with a library error before any input is
+    drawn, reference computed or table built."""
 
     @pytest.mark.parametrize("call, error", [
         (lambda: rmse_sweep("sin", MethodId.LLUT, [64], n_samples=8),
@@ -222,13 +224,24 @@ class TestWrongArguments:
         (lambda: run_blackscholes(100, "LLutInterp", seed=-1), RangeError),
         (lambda: run_sigmoid(100, "LLutInterp", seed=1.5), RangeError),
         (lambda: run_softmax("x", "LLutInterp"), RangeError),
+        (lambda: rmse_sweep(FunctionId.SIN, "llut-interp", [64]),
+         UnsupportedCombinationError),
+        (lambda: rmse_sweep(FunctionId.SIN, MethodId.LLUT, [64, 64.5]),
+         RangeError),
+        (lambda: rmse_sweep(FunctionId.LOG, MethodId.CORDIC_LUT, [12]),
+         UnsupportedCombinationError),
+        (lambda: rmse_sweep(FunctionId.SIN, MethodId.LLUT, [64],
+                            number_format="fixed"),
+         UnsupportedCombinationError),
     ], ids=["sweep-function-str", "sweep-seed-negative", "sweep-samples-none",
             "sweep-sizes-bare-int", "blackscholes-seed-negative",
-            "sigmoid-seed-float", "softmax-n-str"])
+            "sigmoid-seed-float", "softmax-n-str", "sweep-method-str",
+            "sweep-size-float", "sweep-unsupported-cell", "sweep-format-str"])
     def test_refused(self, monkeypatch, call, error):
         def drawn(*args):
             raise AssertionError("an input was drawn")
         monkeypatch.setattr(np.random, "default_rng", drawn)
+        monkeypatch.setattr(pimfuncs.harness, "reference_values", drawn)
         with counting() as c, pytest.raises(error):
             call()
         assert c.table_setup_entries == 0

@@ -358,6 +358,43 @@ class TestLayoutChecks:
             build(SIN, *args)
         assert c.table_setup_entries == 0
 
+    @pytest.mark.parametrize("build, args", [
+        *((b, (0.0, 1.0, size)) for b in (build_mlut, build_llut,
+                                          build_fixed_llut)
+          for size in (64.5, 64.0)),
+        (build_dlut, (-4, 2, 8.0)), (build_dlut, (-4, 2.5, 8)),
+        (build_dllut, (0, 2, 8.0)), (build_dlut, (None, 2, 8)),
+        (build_mlut, (None, 1.0, 64)), (build_llut, (0.0, 1j, 64)),
+        (build_mlut, (0.0, 10 ** 400, 64)),
+        (build_llut, (np.zeros((2, 3)), 1.0, 64)),
+    ], ids=[*(f"{b}-size-{size}" for b in ("M", "L", "fixed-L")
+              for size in (64.5, 64.0)),
+            "D-mant_bits-float", "D-hi_exponent-float", "DL-mant_bits-float",
+            "D-base_exponent-None", "M-lo-None", "L-hi-complex",
+            "M-hi-beyond-doubles", "L-lo-array"])
+    def test_wrong_argument_refused(self, build, args):
+        """An integer field that is not an integer, and a bound that is
+        not a real number convertible to a double, are refused by the
+        layout with RangeError."""
+        with counting() as c, pytest.raises(RangeError):
+            build(SIN, *args)
+        assert c.table_setup_entries == 0
+
+    @pytest.mark.parametrize("build, args, ints", [
+        (build_dllut, (np.int64(-3), 2, 4), (-3, 2, 4)),
+        (build_dlut, (np.int64(-3), np.int32(2), np.int8(4)), (-3, 2, 4)),
+        (build_mlut, (0.0, 1.0, np.int64(64)), (0.0, 1.0, 64)),
+        (build_llut, (np.float32(0.5), 1.0, np.uint16(64)), (0.5, 1.0, 64)),
+    ], ids=["DL-base", "D-all", "M-size", "L-lo-and-size"])
+    def test_numpy_scalars_build_as_python_numbers(self, build, args, ints):
+        """A numpy integer field is taken as its int, and a numpy bound as
+        its double: the table and spec equal those of Python numbers."""
+        got, want = build(SIN, *args), build(SIN, *ints)
+        assert got.spec == want.spec
+        assert {type(v) for v in (got.spec.base_exponent, got.spec.size,
+                                  got.spec.lo)} <= {int, float}
+        assert got.entries.tobytes() == want.entries.tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("query", [mlut_query, mlut_query_interp])
     def test_widest_m_range_queries_without_overflow(self, query):

@@ -12,6 +12,7 @@ rather than imported from the library.  Sizes straddle the chunk edges.
 """
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -383,24 +384,30 @@ def test_settled_entry_is_the_values_own_rounding(fixed):
 
 
 class TestFailingBuild:
-    """A build that fails raises what the per-node loop and a rounding of
-    the whole table after it raise: the host's exception from a later
-    chunk before an earlier entry's refusal, and numpy's float32
-    overflow warning, twin or not."""
+    """A build that fails raises at its first failing chunk, in address
+    order: that chunk's host exception if there is one, else its entry
+    refusal (RangeError outside Q3.28, or numpy's float32 overflow
+    warning), twin or not; no later chunk is computed."""
 
+    @pytest.mark.parametrize("raise_on", (1, 2), ids=("host-raises-first",
+                                                      "entry-refused-first"))
     @pytest.mark.parametrize("twinned", (False, True), ids=("bare", "twin"))
-    def test_later_host_exception_precedes_refused_entry(self, twinned):
+    def test_first_failing_chunk_raises(self, twinned, raise_on):
+        """Chunk 1's host values are 100.0, outside Q3.28, unless the
+        host raises there; it raises on chunk ``raise_on``."""
         calls = []
 
         def host(x):
             calls.append(x.size)
-            if len(calls) > 1:
-                raise ValueError("host fails on a later chunk")
-            return np.full_like(x, 100.0)  # outside Q3.28
+            if len(calls) == raise_on:
+                raise ValueError(f"host fails on chunk {raise_on}")
+            return np.full_like(x, 100.0)
         f = twin(host, lambda x: np.full_like(x, 100.0)) if twinned else host
-        with pytest.raises(ValueError, match="later chunk"):
+        error, match = ((ValueError, "chunk 1") if raise_on == 1
+                        else (RangeError, "100.0 outside Q3.28"))
+        with pytest.raises(error, match=match):
             build_fixed_llut(f, 0.0, 1.0, 3 * TABULATE_CHUNK)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("host", (EXP, twin(EXP, np.exp)),
@@ -415,6 +422,33 @@ class TestFailingBuild:
             want = _ml_loop(math.exp, lut)
         assert np.isinf(want).any()
         assert _bits(lut.entries) == _bits(want)
+
+
+_ONE_MIB = 1 << 20
+_LARGE_BUILDS = {
+    "sqrt-L": lambda: build_llut(np.sqrt, 1.0, 2.0, 1 << 20),
+    "sin-M": lambda: build_mlut(twin(SIN, np.sin), 0.0, 2.0 * math.pi, 1 << 20),
+    "sin-L": lambda: build_llut(twin(SIN, np.sin), 0.0, 2.0 * math.pi, 1 << 20),
+    "sin-fixed-L": lambda: build_fixed_llut(twin(SIN, np.sin), 0.0,
+                                            2.0 * math.pi, 1 << 20),
+    "tanh-D": lambda: build_dlut(twin(TANH, np.tanh), -16, 0, 16),
+    "tanh-DL": lambda: build_dllut(twin(TANH, np.tanh), 0, 4, 16),
+}
+
+
+@pytest.mark.parametrize("name", list(_LARGE_BUILDS))
+def test_build_holds_one_chunk_of_temporaries(name):
+    """Each chunk is rounded to its entries before the next is computed,
+    so a 2**20-cell build (5 * 2**16 for the DL table) allocates under
+    1 MiB beyond its entries at its peak, measured by tracemalloc."""
+    tracemalloc.start()
+    try:
+        lut = _LARGE_BUILDS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lut.entries) >= 5 << 16
+    assert peak - lut.entries.nbytes < _ONE_MIB
 
 
 class TestTwinHosts:
