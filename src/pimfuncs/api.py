@@ -228,14 +228,14 @@ def table_kernel(f, lo: float, hi: float, cfg: EvaluatorConfig):
     fixed = cfg.number_format is NumberFormat.FIXED
     interp = cfg.method in (MethodId.MLUT_INTERP, MethodId.LLUT_INTERP)
     if fixed:
-        table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size, interp)
+        table = lut.build_fixed_llut(f, lo, hi, cfg.lut_size)
         fq = lut.fixed_llut_query_interp if interp else lut.fixed_llut_query
         return table, lambda r: to_float(fq(table, to_fixed(r)))
     if cfg.method in _L_LUTS:
-        table = lut.build_llut(f, lo, hi, cfg.lut_size, interp)
+        table = lut.build_llut(f, lo, hi, cfg.lut_size)
         query = lut.llut_query_interp if interp else lut.llut_query
     else:
-        table = lut.build_mlut(f, lo, hi, cfg.lut_size, interp)
+        table = lut.build_mlut(f, lo, hi, cfg.lut_size)
         query = lut.mlut_query_interp if interp else lut.mlut_query
     return table, partial(query, table)
 

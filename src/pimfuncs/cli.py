@@ -102,8 +102,8 @@ def _cmd_table(args) -> int:
         table = lut.load_table_file(args.path)
         s = table.spec
         end = "]" if s.kind in ("M", "L") else ")"  # D/DL refuse hi
-        print(f"kind={s.kind} interpolated={table.interpolated} "
-              f"fixed={table.fixed} entries={len(table.entries)} "
+        print(f"kind={s.kind} fixed={table.fixed} "
+              f"entries={len(table.entries)} "
               f"range=[{s.lo!r}, {s.hi!r}{end} bytes={lut.lut_memory_bytes(table)}")
         return 0
 

@@ -4,14 +4,15 @@ Table construction is host-side and runs in double precision; queries are
 the device-side kernels and stay in float32 (or Q3.28 for the fixed
 variants).  Address generation per kind:
 
-  M:  a(x) = round((x - p) * k)          one float multiply
-  L:  a(x) = round(ldexp(x - p, n))      no multiply, density 2**n
+  M:  a(x) = round((x - lo) * k)         one float multiply
+  L:  a(x) = round(ldexp(x - lo, n))     no multiply, density 2**n
   D:  exponent/mantissa bit extraction   no multiply
   DL: L cells on [0, 2**base_exponent), then D octaves, in one table
 
-Non-interpolated M- and L-LUTs center cells on their nodes (p = lo +
-spacing/2); interpolated tables (D and DL always) put the first node at
-lo and carry one guard entry so entries[a + 1] never branches.
+Every table puts its first node at lo and carries one guard entry past
+its last cell, so one M or L table answers both queries: the nearest
+one rounds to a node, the interpolated one's entries[a + 1] never
+branches.
 
 Each kind has one layout, which holds all of its argument, size and
 range checks: M from (lo, hi, size), L from (lo, n, size), D and DL from
@@ -21,11 +22,11 @@ range checks: M from (lo, hi, size), L from (lo, n, size), D and DL from
 argument, what float32 queries cannot address, and more than MAX_CELLS
 cells, before any entry is allocated.  The builders and
 :func:`load_table` both make their specs through it, and a table record
-(magic ``TPL3``) stores those inputs and the entries, so a loaded
+(magic ``TPL4``) stores those inputs and the entries, so a loaded
 table's spec equals the built table's.
 
 Every builder takes its entries from :func:`tabulate`: the nodes come
-from one vectorized formula per kind (``p + a / k`` for M and L, an
+from one vectorized formula per kind (``lo + a / k`` for M and L, an
 ``ldexp`` of the address's mantissa and exponent fields for D, each on
 its own addresses for DL), and the host function is called on them a
 chunk of TABULATE_CHUNK nodes at a time.  Each chunk is rounded to its
@@ -161,7 +162,6 @@ def tabulate(f, nodes, count: int, fixed: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class SpacingSpec:
     kind: str  # 'M', 'L', 'D', 'DL'
-    p: float = 0.0
     k: float = 0.0  # density (M); 2**n for L and DL's L cells
     n: int = 0  # power-of-two density exponent (L, DL)
     mant_bits: int = 0
@@ -169,8 +169,8 @@ class SpacingSpec:
     hi_exponent: int = 0
     lo: float = 0.0
     hi: float = 0.0  # covered upper bound: closed for M/L, open for D/DL
-    size: int = 0  # cells; an interpolated table has one more entry
-    p_raw: int = 0  # Q3.28 raw p of a fixed L-LUT
+    size: int = 0  # cells; the table has one more entry, its guard
+    lo_raw: int = 0  # Q3.28 raw lo of a fixed L-LUT
 
 
 @dataclass
@@ -178,7 +178,6 @@ class FuzzyLut:
     """A table of any kind: its spec and one flat array of entries."""
     spec: SpacingSpec
     entries: np.ndarray
-    interpolated: bool
     fixed: bool = False
 
 
@@ -186,10 +185,9 @@ class FuzzyLut:
 # Layouts: the one place each kind's sizes and ranges are checked
 # ---------------------------------------------------------------------------
 
-def _m_layout(lo: float, hi: float, size: int,
-              interpolated: bool) -> SpacingSpec:
+def _m_layout(lo: float, hi: float, size: int) -> SpacingSpec:
     """M spec of ``size`` cells on exactly [lo, hi]; float32 queries need
-    |lo|, |hi| <= FLT_MAX / 2, so x - p is finite, and a finite density."""
+    |lo|, |hi| <= FLT_MAX / 2, so x - lo is finite, and a finite density."""
     lo, hi, size = real("lo", lo), real("hi", hi), integral("size", size)
     if not (lo < hi and 2 <= size <= MAX_CELLS):
         raise RangeError(f"need lo < hi and 2 <= size <= {MAX_CELLS}, "
@@ -197,12 +195,10 @@ def _m_layout(lo: float, hi: float, size: int,
     k = size / (hi - lo)
     if not (max(-lo, hi) <= _F32_MAX / 2 and k <= _F32_MAX):
         raise RangeError(f"[{lo}, {hi}] of density {k} is beyond float32")
-    p = lo if interpolated else lo + (hi - lo) / (2 * size)
-    return SpacingSpec(kind="M", p=p, k=k, lo=lo, hi=hi, size=size)
+    return SpacingSpec(kind="M", k=k, lo=lo, hi=hi, size=size)
 
 
-def _l_layout(lo: float, n: int, size: int, interpolated: bool,
-              fixed: bool) -> SpacingSpec:
+def _l_layout(lo: float, n: int, size: int, fixed: bool) -> SpacingSpec:
     """L spec of ``size`` cells of width 2**-n from lo; a fixed table's
     raw addressing needs n in [0, FRAC_BITS] and a range inside Q3.28."""
     lo, n, size = real("lo", lo), integral("n", n), integral("size", size)
@@ -213,14 +209,13 @@ def _l_layout(lo: float, n: int, size: int, interpolated: bool,
     hi = lo + size / k
     if not max(-lo, hi) <= _F32_MAX / 2:
         raise RangeError(f"L-LUT range [{lo}, {hi}] is beyond float32")
-    p = lo if interpolated else lo + 1.0 / (2 * k)
     # Queries arrive as Q3.28, so any covered range within [-8, 8] works;
     # node inputs to f stay double so the 8.0 guard node is fine.
     if fixed and not (0 <= n <= FRAC_BITS and -8.0 < lo and hi <= 8.0):
         raise RangeError(f"a fixed L-LUT needs 0 <= n <= {FRAC_BITS} and "
                          f"its range inside Q3.28, got {n} and [{lo}, {hi}]")
-    return SpacingSpec(kind="L", p=p, k=k, n=n, lo=lo, hi=hi, size=size,
-                       p_raw=int(to_fixed(p)) if fixed else 0)
+    return SpacingSpec(kind="L", k=k, n=n, lo=lo, hi=hi, size=size,
+                       lo_raw=int(to_fixed(lo)) if fixed else 0)
 
 
 def _d_layout(base_exponent: int, hi_exponent: int,
@@ -258,7 +253,7 @@ def _dl_layout(base_exponent: int, hi_exponent: int,
 def _nodes(s: SpacingSpec):
     """The node formula of a spec: int64 addresses to doubles."""
     if s.kind in ("M", "L"):
-        return lambda a: s.p + a / s.k
+        return lambda a: s.lo + a / s.k
     m = s.mant_bits
     if s.kind == "DL":  # the L cells' formula, then the D octaves'
         cells, octaves = (_nodes(replace(s, kind=kind)) for kind in "LD")
@@ -274,23 +269,20 @@ def _nodes(s: SpacingSpec):
                               (s.base_exponent + (a >> m)).astype(np.int32))
 
 
-def _tabulated(f, spec: SpacingSpec, interpolated: bool,
-               fixed: bool = False) -> FuzzyLut:
+def _tabulated(f, spec: SpacingSpec, fixed: bool = False) -> FuzzyLut:
     """The table of ``f`` at the nodes of ``spec``, guard entry included."""
-    count = spec.size + interpolated
+    count = spec.size + 1
     entries = tabulate(f, _nodes(spec), count, fixed)
     tally("table_setup_entries", count)
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    fixed=fixed)
+    return FuzzyLut(spec=spec, entries=entries, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
 # M-LUT
 # ---------------------------------------------------------------------------
 
-def build_mlut(f, lo: float, hi: float, size: int,
-               interpolated: bool = False) -> FuzzyLut:
-    return _tabulated(f, _m_layout(lo, hi, size, interpolated), interpolated)
+def build_mlut(f, lo: float, hi: float, size: int) -> FuzzyLut:
+    return _tabulated(f, _m_layout(lo, hi, size))
 
 
 def _check_range(lut: FuzzyLut, x: np.ndarray) -> None:
@@ -316,25 +308,26 @@ def _lerp(lut: FuzzyLut, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _nearest(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
     """Entry of the node nearest each table position ``t``."""
-    a = _clamp(np.rint(t).astype(np.int64), lut.spec.size - 1)
+    a = _clamp(np.rint(t).astype(np.int64), lut.spec.size)
     tally("lut_lookup", a.size)
     return lut.entries[a]
 
 
-def _interpolate(lut: FuzzyLut, t: np.ndarray) -> np.ndarray:
-    """Linear interpolation between the nodes either side of ``t``."""
-    a = _clamp(np.floor(t).astype(np.int64), lut.spec.size - 1)
+def _interpolate(lut: FuzzyLut, t: np.ndarray, last: int) -> np.ndarray:
+    """Linear interpolation between the nodes either side of ``t``, in
+    the cell floor(t) clamped to [0, last]."""
+    a = _clamp(np.floor(t).astype(np.int64), last)
     tally("float_add", a.size)
     return _lerp(lut, a, t - a.astype(np.float32))
 
 
 def _m_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    """Table position (x - p) * k in float32: one multiply."""
+    """Table position (x - lo) * k in float32: one multiply."""
     _check_range(lut, x)
     s = lut.spec
     tally("float_add", x.size)
     tally("float_mul", x.size)
-    return (x.astype(np.float32) - np.float32(s.p)) * np.float32(s.k)
+    return (x.astype(np.float32) - np.float32(s.lo)) * np.float32(s.k)
 
 
 def mlut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -342,35 +335,32 @@ def mlut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 
 
 def mlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    return _interpolate(lut, _m_position(lut, x))
+    return _interpolate(lut, _m_position(lut, x), lut.spec.size - 1)
 
 
 # ---------------------------------------------------------------------------
 # L-LUT (float and fixed entries)
 # ---------------------------------------------------------------------------
 
-def _l_table(f, lo: float, hi: float, size: int, interpolated: bool,
-             fixed: bool) -> FuzzyLut:
+def _l_table(f, lo: float, hi: float, size: int, fixed: bool) -> FuzzyLut:
     """The L-LUT of ``size`` cells from lo: rounding the M density of
     [lo, hi] down to 2**n expands the covered range."""
-    n = math.floor(math.log2(_m_layout(lo, hi, size, interpolated).k))
-    return _tabulated(f, _l_layout(lo, n, size, interpolated, fixed),
-                      interpolated, fixed)
+    n = math.floor(math.log2(_m_layout(lo, hi, size).k))
+    return _tabulated(f, _l_layout(lo, n, size, fixed), fixed)
 
 
-def build_llut(f, lo: float, hi: float, size: int,
-               interpolated: bool = False) -> FuzzyLut:
-    return _l_table(f, lo, hi, size, interpolated, fixed=False)
+def build_llut(f, lo: float, hi: float, size: int) -> FuzzyLut:
+    return _l_table(f, lo, hi, size, fixed=False)
 
 
 def _l_position(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    """Table position ldexp(x - p, n) in float32: no multiply, and in
-    range no overflow to guard against, as |x - p| * 2**n <= size + 1."""
+    """Table position ldexp(x - lo, n) in float32: no multiply, and in
+    range no overflow to guard against, as |x - lo| * 2**n <= size."""
     _check_range(lut, x)
     s = lut.spec
     tally("float_add", x.size)
     tally("ldexp_op", x.size)
-    return np.ldexp(x.astype(np.float32) - np.float32(s.p), s.n)
+    return np.ldexp(x.astype(np.float32) - np.float32(s.lo), s.n)
 
 
 def llut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -378,25 +368,24 @@ def llut_query(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
 
 
 def llut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
-    return _interpolate(lut, _l_position(lut, x))
+    return _interpolate(lut, _l_position(lut, x), lut.spec.size - 1)
 
 
-def build_fixed_llut(f, lo: float, hi: float, size: int,
-                     interpolated: bool = False) -> FuzzyLut:
+def build_fixed_llut(f, lo: float, hi: float, size: int) -> FuzzyLut:
     """L-LUT with Q3.28 entries and shift-based raw addressing."""
-    return _l_table(f, lo, hi, size, interpolated, fixed=True)
+    return _l_table(f, lo, hi, size, fixed=True)
 
 
 def fixed_llut_query(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
-    """Raw Q3.28 input; the address is a rounding shift of x - p."""
+    """Raw Q3.28 input; the address is a rounding shift of x - lo."""
     _check_range(lut, raw / SCALE)
     s = lut.spec
     shift = FRAC_BITS - s.n
     tally("int_add", 2 * raw.size)
     tally("int_shift", raw.size)
-    a = (raw - s.p_raw + ((1 << shift) >> 1)) >> shift  # round to nearest
+    a = (raw - s.lo_raw + ((1 << shift) >> 1)) >> shift  # round to nearest
     tally("lut_lookup", raw.size)
-    return lut.entries[_clamp(a, s.size - 1)]
+    return lut.entries[_clamp(a, s.size)]
 
 
 def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
@@ -406,7 +395,7 @@ def fixed_llut_query_interp(lut: FuzzyLut, raw: np.ndarray) -> np.ndarray:
     shift = FRAC_BITS - s.n
     size = s.size
     tally("int_add", raw.size)
-    diff = _clamp(raw - s.p_raw, size << shift)
+    diff = _clamp(raw - s.lo_raw, size << shift)
     tally("int_shift", 2 * raw.size)
     a = diff >> shift
     delta_raw = (diff & ((1 << shift) - 1)) << s.n  # fraction in Q3.28
@@ -440,8 +429,7 @@ def build_dlut(f, base_exponent: int, hi_exponent: int,
                mant_bits: int) -> FuzzyLut:
     """Interpolated D-LUT over [2**base_exponent, 2**hi_exponent); the
     guard entry is the node 2**hi_exponent."""
-    return _tabulated(f, _d_layout(base_exponent, hi_exponent, mant_bits),
-                      True)
+    return _tabulated(f, _d_layout(base_exponent, hi_exponent, mant_bits))
 
 
 def dlut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
@@ -463,21 +451,16 @@ def build_dllut(f, base_exponent: int, hi_exponent: int,
                 mant_bits: int) -> FuzzyLut:
     """Interpolated DL-LUT: 2**mant_bits L cells below 2**base_exponent,
     then the D octaves to 2**hi_exponent and their guard entry."""
-    return _tabulated(f, _dl_layout(base_exponent, hi_exponent, mant_bits),
-                      True)
+    return _tabulated(f, _dl_layout(base_exponent, hi_exponent, mant_bits))
 
 
 def dllut_query_interp(lut: FuzzyLut, x: np.ndarray) -> np.ndarray:
     refuse(x < 0.0, x, RangeError, "DL-LUT query requires x >= 0, got {}; "
            "negative inputs are the symmetry wrapper's job")
     s = lut.spec
-
-    def linear(v):  # llut_query_interp's, clamped to the last L cell
-        t = _l_position(lut, v)
-        a = _clamp(np.floor(t).astype(np.int64), (1 << s.mant_bits) - 1)
-        tally("float_add", a.size)
-        return _lerp(lut, a, t - a.astype(np.float32))
-    return piecewise(x < math.ldexp(1.0, s.base_exponent), x, linear,
+    return piecewise(x < math.ldexp(1.0, s.base_exponent), x,
+                     lambda v: _interpolate(lut, _l_position(lut, v),
+                                            (1 << s.mant_bits) - 1),
                      lambda v: dlut_query_interp(lut, v))
 
 
@@ -491,7 +474,7 @@ def lut_memory_bytes(lut: FuzzyLut) -> int:
 
 _KIND_TAG = {"M": 0, "L": 1, "D": 2, "DL": 3}
 _TAG_KIND = {v: k for k, v in _KIND_TAG.items()}
-_MAGIC = b"TPL3"
+_MAGIC = b"TPL4"
 _HEADER = struct.Struct("<4sBBxx")
 # (lo, hi) of M or (lo, n) of L; base_exponent, hi_exponent, mant_bits of D, DL
 _PARAMS = struct.Struct("<ddqqq")
@@ -499,8 +482,7 @@ _COUNT = struct.Struct("<I")
 
 
 def dump_table(lut: FuzzyLut) -> bytes:
-    flags = (1 if lut.interpolated else 0) | (2 if lut.fixed else 0)
-    head = _HEADER.pack(_MAGIC, _KIND_TAG[lut.spec.kind], flags)
+    head = _HEADER.pack(_MAGIC, _KIND_TAG[lut.spec.kind], 2 * lut.fixed)
     s = lut.spec
     pair = {"M": (s.lo, s.hi), "L": (s.lo, float(s.n))}.get(s.kind, (0.0, 0.0))
     body = (_PARAMS.pack(*pair, s.base_exponent, s.hi_exponent, s.mant_bits)
@@ -526,10 +508,10 @@ def load_table(buf: bytes) -> FuzzyLut:
     if magic != _MAGIC:
         raise TableFormatError(f"bad table magic {magic!r}, not {_MAGIC!r}")
     _require(tag in _TAG_KIND, f"unknown kind tag {tag}")
-    _require(flags <= 3, f"unknown flags {flags:#x}")
+    _require(flags in (0, 2), f"unknown flags {flags:#x}")  # bit 1: fixed
     (first, second, *d_fields), off = _unpack(_PARAMS, buf, off)
     (count,), off = _unpack(_COUNT, buf, off)
-    kind, interpolated, fixed = _TAG_KIND[tag], bool(flags & 1), bool(flags & 2)
+    kind, fixed = _TAG_KIND[tag], flags == 2
 
     _require(count <= (len(buf) - off) // 4,
              f"{count} entries run past the end of the buffer")
@@ -539,23 +521,22 @@ def load_table(buf: bytes) -> FuzzyLut:
     entries = entries.astype(np.int64) if fixed else entries.copy()
     off += count * 4
 
-    size = count - interpolated
+    size = count - 1  # the guard entry
     try:
         if kind in ("D", "DL"):
-            _require(interpolated, f"{kind}-LUT without its guard entry")
             spec = (_d_layout if kind == "D" else _dl_layout)(*d_fields)
-            _require(size == spec.size, "entries do not fill its octaves")
+            _require(size == spec.size,
+                     "entries do not fill its octaves and guard entry")
         elif kind == "L":
             _require(second.is_integer(), "L-LUT density exponent")
-            spec = _l_layout(first, int(second), size, interpolated, fixed)
+            spec = _l_layout(first, int(second), size, fixed)
         else:
-            spec = _m_layout(first, second, size, interpolated)
+            spec = _m_layout(first, second, size)
     except RangeError as exc:
         raise TableFormatError(f"malformed table record: {exc}") from None
     if off != len(buf):
         raise TableFormatError("trailing bytes after table record")
-    return FuzzyLut(spec=spec, entries=entries, interpolated=interpolated,
-                    fixed=fixed)
+    return FuzzyLut(spec=spec, entries=entries, fixed=fixed)
 
 
 def save_table(lut: FuzzyLut, path) -> int:

@@ -112,14 +112,12 @@ def test_c04_multiplication_budgets(capfd):
             fn(*args)
         return c.float_mul
 
-    m = build_mlut(SIN, 0.0, 6.0, 256)
-    mi = build_mlut(SIN, 0.0, 6.0, 256, interpolated=True)
+    m = build_mlut(SIN, 0.0, 6.0, 256)  # each table serves both queries
     l = build_llut(SIN, 0.0, 6.0, 256)
-    li = build_llut(SIN, 0.0, 6.0, 256, interpolated=True)
     d = build_dlut(TANH, -16, 16, 8)
     x = np.array([2.5])  # one query each
-    got = (fmuls(llut_query, l, x), fmuls(llut_query_interp, li, x),
-           fmuls(mlut_query, m, x), fmuls(mlut_query_interp, mi, x),
+    got = (fmuls(llut_query, l, x), fmuls(llut_query_interp, l, x),
+           fmuls(mlut_query, m, x), fmuls(mlut_query_interp, m, x),
            fmuls(dlut_query_interp, d, x))
     tables = generate_cordic_tables(CordicMode.CIRCULAR, 28)
     theta = to_fixed(np.array([0.7]))

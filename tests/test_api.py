@@ -145,6 +145,24 @@ def test_each_combination_evaluates(function, method, fmt):
     assert got == pytest.approx(expect, rel=tol, abs=tol)
 
 
+_INTERP_TWIN = {M.MLUT: M.MLUT_INTERP, M.LLUT: M.LLUT_INTERP}
+
+
+@pytest.mark.parametrize(
+    "function,method,fmt",
+    [c for c in _all_supported() if c[1] in _INTERP_TWIN],
+    ids=lambda v: getattr(v, "value", str(v)))
+def test_nearest_cell_shares_its_interp_twins_tables(function, method, fmt):
+    """One M/L table serves both queries, so a nearest-entry cell builds
+    the spec and entry bits of its interpolated twin's tables."""
+    near, twin = (build_evaluator(function, EvaluatorConfig(
+        method=m, number_format=fmt)).tables
+        for m in (method, _INTERP_TWIN[method]))
+    assert [t.spec for t in near] == [t.spec for t in twin]
+    assert ([t.entries.tobytes() for t in near]
+            == [t.entries.tobytes() for t in twin])
+
+
 def test_config_holds_only_the_sizing_fields():
     assert {f.name for f in dataclasses.fields(EvaluatorConfig)} == {
         "method", "number_format", "n_iter", "lut_size", "mant_bits"}

@@ -42,7 +42,7 @@ _WRONG = _NOT_PATHS + ("", "sin", "llut", b"fixed", True, False, 0, -1,
 def files(tmp_path_factory):
     """A temporary directory holding a junk table and a bad weight file."""
     d = tmp_path_factory.mktemp("boundary")
-    (d / "junk.tplt").write_bytes(b"TPL3\x01\x00\x00\x00" + bytes(range(40)))
+    (d / "junk.tplt").write_bytes(b"TPL4\x01\x00\x00\x00" + bytes(range(40)))
     (d / "bad.txt").write_text("float_mul=abc\n")
     (d / "good.txt").write_text("float_mul=8\n")
     return d
@@ -103,18 +103,18 @@ def test_only_library_errors_escape(files, data):
 
 # The low-level builders: each one's leading host (sin, which never
 # raises on a finite node) or CORDIC modes, then a small good value of
-# each numeric argument, and for M/L tables the interpolated flags.
+# each numeric argument.
 _SIN = partial(lut.mapped, math.sin)
 _MODES = tuple(cordic.CordicMode)
 _ML = (0.0, 1.0, 64)
 _BUILDERS = (
-    (lut.build_mlut, (_SIN,), _ML, (False, True)),
-    (lut.build_llut, (_SIN,), _ML, (False, True)),
-    (lut.build_fixed_llut, (_SIN,), _ML, (False, True)),
-    (lut.build_dlut, (_SIN,), (-2, 2, 4), ()),
-    (lut.build_dllut, (_SIN,), (0, 2, 4), ()),
-    (cordic.generate_cordic_tables, _MODES, (8, 2), ()),
-    (combined.build_cordic_lut, _MODES, (4, 12), ()),
+    (lut.build_mlut, (_SIN,), _ML),
+    (lut.build_llut, (_SIN,), _ML),
+    (lut.build_fixed_llut, (_SIN,), _ML),
+    (lut.build_dlut, (_SIN,), (-2, 2, 4)),
+    (lut.build_dllut, (_SIN,), (0, 2, 4)),
+    (cordic.generate_cordic_tables, _MODES, (8, 2)),
+    (combined.build_cordic_lut, _MODES, (4, 12)),
 )
 
 
@@ -122,10 +122,9 @@ _BUILDERS = (
 @given(data=st.data())
 def test_builders_let_only_library_errors_escape(data):
     """Each numeric argument is a wrong value or a small good one."""
-    build, lead, good, flags = data.draw(st.sampled_from(_BUILDERS))
+    build, lead, good = data.draw(st.sampled_from(_BUILDERS))
     args = [data.draw(st.sampled_from(lead))]
     args += [data.draw(st.sampled_from(_WRONG) | st.just(g)) for g in good]
-    args += [data.draw(st.sampled_from(flags))] if flags else []
     try:
         build(*args)
     except PimFuncsError:

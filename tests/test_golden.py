@@ -91,12 +91,19 @@ def test_batch_outputs_and_counts(key):
     assert counts == BATCH_COUNTS[key]
 
 
+# Nearest-entry trig cells read the node at 0 itself: sin(±0), tan(±0) = +0.
+PLUS_ZERO_AT_ZERO = {f"{f}/{cell}" for f in ("sin", "tan")
+                     for cell in ("mlut/float", "llut/float", "llut/fixed")}
+
+
 @pytest.mark.parametrize("key", sorted(CELLS))
 def test_edge_values(key):
     got = edge_bits(key)
     for x, want, have in zip(EDGE_VALUES, EDGE_BITS[key].split(), got):
         if want != "-":
             assert have == want, f"{key} at {float(x)!r}"
+    if key in PLUS_ZERO_AT_ZERO:  # EDGE_VALUES opens with +0.0, -0.0
+        assert got[:2] == ["00000000"] * 2, key
 
 
 @pytest.mark.parametrize("key", sorted(CELLS))
@@ -154,13 +161,13 @@ BATCH_OUTPUTS = {
     "cos/llut-interp/float":
         "9ad12ddf05ec9f28065003ab97b0b9193909cba7dd85a26436ada15b13b250ea",
     "cos/llut/fixed":
-        "85223475942c237ad65917bd81dbf2158badb1acf2228b5fc126453e3292ba21",
+        "5c6b605e4b0763dbdb8d2fa3ba555f4b10c41b11a14ddd6f42225921916dc948",
     "cos/llut/float":
-        "8b47a58ca5dd25f2007c944cdf6eb069ffa8f57e1a8484967e2820fd57b06574",
+        "bfe4773afd4076de11ee1a8c9eb78c09d81c1a5af400dc71cb3f2bf6d602507d",
     "cos/mlut-interp/float":
         "8aa1bcad8f6cabd03ce75c248aedcee6dcaefc32fdfad42d17138fea6626284a",
     "cos/mlut/float":
-        "ad8c58ba68ffa0ea2fe55498789651f6e2d030b6e1bcab3e253293243ab14fab",
+        "4410093565814adaeebcfa3ea53c825f9c514d4e5318af492ea7e9ead145bfa0",
     "cosh/cordic-lut/float":
         "11b737983281462f5eb838d31b273e701d2b70c7aa1af0c15a7949b92e1afc98",
     "cosh/cordic/float":
@@ -174,13 +181,13 @@ BATCH_OUTPUTS = {
     "exp/llut-interp/float":
         "87cf269f512edb1890758d20cd261369cea6c1ea87b39fc00b875a5fa7cbf456",
     "exp/llut/fixed":
-        "b930f9f5a352ec9c23c19d12ab24eac849c5d201b627dd883089ab3fd16ad92e",
+        "4a2ff0a4322bfcf1d4a9732bab35979be12f80c055171aaf4f4493eb473804b6",
     "exp/llut/float":
-        "28838f691b23c6cdb3d91b7d3a610e8f9bee01dd195d9abab7fb99386d508d69",
+        "5541db235f8253c7fbbdcf5282e17677cfb800cdadd6ab485fafe833cd80d897",
     "exp/mlut-interp/float":
         "7053a452797fecc0302bb9bd7abbcba81bba23c08043cfa60715f1e2c3925b03",
     "exp/mlut/float":
-        "4008ea93b8f9b9dc786f771c5b8faf1f82251dcef9c4b18ad01f47ae15a48b17",
+        "fdff8640117b28e33be5c53567365a9353229b65832dbe0c8cdd1ff6002d17f6",
     "gelu/dllut-interp/float":
         "ecd505e90a1ecd1e75ab16c28374b798b99e3fd59477d9d6c6b30f8bc3c0054c",
     "gelu/dlut-interp/float":
@@ -192,13 +199,13 @@ BATCH_OUTPUTS = {
     "log/llut-interp/float":
         "93c5e2917ff377b9f855679c6ef3d5507b2d3d0fdd830ff4b2cb49e83691a42e",
     "log/llut/fixed":
-        "31278b6377534057055c95e4e8f818dd9698521a41b68b8adaa2ff12fe9c37f6",
+        "c8da1f80515a7d12a30ec9892aff8b05dddd373d1d295b5672e8ff5b5e552ae8",
     "log/llut/float":
-        "6f2e663dc5cf96bf77f8dfab417f952c10e08e52427732885d83d93f0572e714",
+        "4254d20538ab1ab80090e3c29b63c17f376ca1d91b31d012e55a629c3247c597",
     "log/mlut-interp/float":
         "998deeea978b6d30a3a9471d63d177b698699fe80fb15e925ca7291d149f5737",
     "log/mlut/float":
-        "6847f643dc944eea9390a643544ae6a9abd0d3a30ed43128fe5f6d608ba476ec",
+        "6f9e4761d827fec9d20370de92435f5e3db8d86659ccee1475e88e853642fa23",
     "sin/cordic-lut/float":
         "203eb64fbb28a13fcf00d7c16ff99b85e779098148365b9b2cbaf9214fbe9bd9",
     "sin/cordic/float":
@@ -212,13 +219,13 @@ BATCH_OUTPUTS = {
     "sin/llut-interp/float":
         "122b0d17877720becd150a0e444b651eb89f1e89f4550f12f0dfb593e8d14eac",
     "sin/llut/fixed":
-        "c8ac711f87ae8712888beb902f60004adb487d0fe4307bd05fbff44863035c33",
+        "0b3d2bf4f83beaa5cead96935052cc2996fdcd48a4c1473753139246355e4a4b",
     "sin/llut/float":
-        "d4677468a6bd9012dfb56fe465194111eb5893a0144b08fe6d7c7bfe7bf2f0a3",
+        "8d5eac266687bcec08c73a35580ee51880564a512ad8b1672e98aa7193063e85",
     "sin/mlut-interp/float":
         "f0ab3709fde31d576e96155f7e96abc17a991fd99f65f8dc515f8ee3e49f9e0e",
     "sin/mlut/float":
-        "652f1f79ba16a6ab6b4c09c71876dd0cfede953edd0397c9213522223b08d439",
+        "9493a919032b4cd77f79327f1baa10831466e0a34faab71ef1c4e2e054171c67",
     "sinh/cordic-lut/float":
         "bdd41d82f6e7bfc30976868fb311dd875c7a5b176e79856e65d90e66099c6bf4",
     "sinh/cordic/float":
@@ -230,13 +237,13 @@ BATCH_OUTPUTS = {
     "sqrt/llut-interp/float":
         "f38cb3fde0e67650e69161d283fcf5c75c8f904bedbc75e9c1b2d6d53b0fe682",
     "sqrt/llut/fixed":
-        "7c6ef39711d3d322a64befe1ba0d668bc00ae45a707f8208b1f42f029aa9b4ad",
+        "dfe08fdf59d830fd8afcf6e8c82ecf00d4a26f1dc6baa900fe86503fcb313f72",
     "sqrt/llut/float":
-        "8463973536ff39f33665599ba6584e40753f275a4647249001259ec829065d04",
+        "9abcbee3d7406e3d5be91aa4195825699ebd50d1fd4db132aa45f62991827fbf",
     "sqrt/mlut-interp/float":
         "0e43fdacb3e7672994a0ef4c63e9b7eefffed069764018ea835060262a3773c5",
     "sqrt/mlut/float":
-        "19207ef95848ac5dcdf4db2d433fea1d9399f59bb6bbb071a88dcc3c9c1591ce",
+        "badd388385e9c45e633e9c73d428abe76082345fb9e281983787563ef38521c7",
     "tan/cordic-lut/float":
         "3ea9fbc30689e2e02b50d7e893eab35ba5d112206098345a3a49bb7435c2e48b",
     "tan/cordic/float":
@@ -246,13 +253,13 @@ BATCH_OUTPUTS = {
     "tan/llut-interp/float":
         "9abdaf3f22db48ae4b207ac3a27583e9e0e09653a2cc0b5a844622dd45477c2b",
     "tan/llut/fixed":
-        "0178add5a35bee96a1f1dfb574685462f3b538604bd9838fa89f73c55990a0ce",
+        "6ba4a950cddc6649c2e9b5d53ab05dcd2012186def21169dbc21a414cec995bc",
     "tan/llut/float":
-        "6205367a3681f94464d939bc9dcbd2c656fda15914aed490dfc985aaa148437b",
+        "d0f9512e460c33c2c2204ad6d51dea9ba470bbec2e1470fdc8a2c510c3a37439",
     "tan/mlut-interp/float":
         "c246c9a030906f1849f4b006cb5a924b37c0697ecdb21186704f70df1842bf8f",
     "tan/mlut/float":
-        "e1e8079781f108fc1fef53c7b2ccabca47326ceb0d498ae28f9851e8be0d0574",
+        "bbdf6bdb8b5ad2ee61cf86b4c8b65bba1ed6cc14b7ff5244e58a3a97f0391823",
     "tanh/cordic-lut/float":
         "3f284d27ddbb397504dbb6d33ec46d2b7558d5191ea4cf13d4dabcd27be1e367",
     "tanh/cordic/float":
@@ -445,21 +452,21 @@ EDGE_BITS = {
         "3f800000 3f800000 3f800000 3f800000 3f029af4 3f029af1 "
         "bf73c06c bf73c06c 3f5f84c0 3f5f84c2 bf520bd4 bf520bd5 "),
     "cos/llut/fixed": (
-        "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 "
-        "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f0271f8 3f0272fa "
-        "bf73c103 bf73c15e 3f5f9374 3f5f92e2 bf51ec3e bf51eb93 "),
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 3f02a906 3f02aa07 "
+        "bf73ad6d bf73adc8 3f5f7440 3f5f73ae bf5210d8 bf52102e "),
     "cos/llut/float": (
-        "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 "
-        "3f7ffff8 3f7ffff8 3f7ffff8 3f7ffff8 3f0271f8 3f0272fa "
-        "bf73c103 bf73c15e 3f5f9374 3f5f92e2 bf51ec3e bf51eb93 "),
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 3f02a906 3f02aa07 "
+        "bf73ad6d bf73adc8 3f5f7440 3f5f73ae bf5210d8 bf52102e "),
     "cos/mlut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 3f029af6 3f029aed "
         "bf73c070 bf73c06e 3f5f84c4 3f5f84c7 bf520bd1 bf520bd5 "),
     "cos/mlut/float": (
-        "3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb "
-        "3f7ffffb 3f7ffffb 3f7ffffb 3f7ffffb 3f02c46b 3f02c46b "
-        "bf73bf81 bf73bf81 3f5f9ba5 3f5f9ba5 bf521711 bf521711 "),
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 3f029932 3f029932 "
+        "bf73ced9 bf73ced9 3f5f8327 3f5f8327 bf51fa54 bf51fa54 "),
     "cosh/cordic-lut/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f28e166 7f28e166 "
@@ -485,20 +492,20 @@ EDGE_BITS = {
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
         "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut/fixed": (
-        "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
-        "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 7f800000 001840cc "
         "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/llut/float": (
-        "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
-        "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 7f800000 001840cc "
         "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/mlut-interp/float": (
         "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
         "3f800000 3f800000 3f800000 3f800000 7f800000 001840fc "
         "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "exp/mlut/float": (
-        "3f8002c6 3f8002c6 3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 "
-        "3f8002c6 3f7ffa74 3f8002c6 3f7ffa74 7f800000 00184152 "
+        "3f800000 3f800000 3f800000 3f800000 3f800000 3f800000 "
+        "3f800000 3f800000 3f800000 3f800000 7f800000 001840cc "
         "7f800000 00000000 7f800000 00000000 7f800000 00000000 "),
     "gelu/dllut-interp/float": (
         "00000000 00000000 00000001 00000000 00008bd0 80008af2 "
@@ -518,17 +525,17 @@ EDGE_BITS = {
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
         "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/llut/fixed": (
-        "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
+        "- - c2ce8ed0 - c2b834f6 - c2b39a09 - c2aeac50 - "
+        "408fa2e9 - 41135d8e - 41b834c8 - 42b13191 - "),
     "log/llut/float": (
-        "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
+        "- - c2ce8ed0 - c2b834f6 - c2b39a09 - c2aeac50 - "
+        "408fa2e9 - 41135d8e - 41b834c8 - 42b13191 - "),
     "log/mlut-interp/float": (
         "- - c2ce8ed0 - c2b834f2 - c2b39a05 - c2aeac50 - "
         "408fa2e9 - 41135d8e - 41b834f1 - 42b13196 - "),
     "log/mlut/float": (
-        "- - c2ce8ec0 - c2b834e7 - c2b399fe - c2aeac58 - "
-        "408fa3a1 - 41135df7 - 41b834ff - 42b1319b - "),
+        "- - c2ce8ed0 - c2b834f6 - c2b39a09 - c2aeac50 - "
+        "408fa2e9 - 41135d8e - 41b834c8 - 42b13191 - "),
     "sin/cordic-lut/float": (
         "33600000 33600000 33600000 b3600000 33600000 b3600000 "
         "33600000 b3600000 33600000 b3600000 3f5c2d82 bf5c2d82 "
@@ -554,21 +561,21 @@ EDGE_BITS = {
         "000ae398 00000000 007ffffa 00000000 3f5c2d80 bf5c2d81 "
         "be9c797a 3e9c797c bef99a59 3ef99a52 3f125812 bf125812 "),
     "sin/llut/fixed": (
-        "3a800000 3a800000 3a800000 3a800000 3a800000 3a800000 "
-        "3a800000 3a800000 3a800000 3a800000 3f5c45ce bf5c4536 "
-        "be9c7604 3e9c73ca bef965c2 3ef967cd 3f128562 bf128657 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3f5c252b bf5c2492 "
+        "be9cefdf 3e9ceda6 bef9d584 3ef9d78e 3f1250e2 bf1251d8 "),
     "sin/llut/float": (
-        "3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd "
-        "3a7ffffd 3a7ffffd 3a7ffffd 3a7ffffd 3f5c45ce bf5c4536 "
-        "be9c7604 3e9c73cb bef965c2 3ef967cd 3f128562 bf128657 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3f5c252b bf5c2492 "
+        "be9cefdf 3e9ceda6 bef9d584 3ef9d78e 3f1250e2 bf1251d8 "),
     "sin/mlut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffb 00000000 3f5c2d81 bf5c2d87 "
         "be9c7978 3e9c7984 bef99a63 3ef99a57 3f125812 bf12580d "),
     "sin/mlut/float": (
-        "3a490fd9 3a490fd9 3a490fd9 3a490fd9 3a490fd9 3a490fd9 "
-        "3a490fd9 3a490fd9 3a490fd9 3a490fd9 3f5c14e6 bf5c14e6 "
-        "be9c7f6a 3e9c7f6a bef94862 3ef94862 3f1247f3 bf1247f3 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3f5c2e8e bf5c2e8e "
+        "be9c1faf 3e9c1faf bef9a02d 3ef9a02d 3f127130 bf127130 "),
     "sinh/cordic-lut/float": (
         "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
         "b2400000 b2400000 b2400000 b2400000 7f28e166 ff28e166 "
@@ -587,17 +594,17 @@ EDGE_BITS = {
         "00000000 00000000 1a3504f3 - 1e3ce4e7 - 1f155598 - "
         "1fffffff - 4116f196 - 42c80000 - 47c35000 - 5f705ece - "),
     "sqrt/llut/fixed": (
-        "00000000 00000000 1a351043 - 1e3cef11 - 1f1554f4 - "
-        "1ffff800 - 4116f4fa - 42c80a3d - 47c35889 - 5f705dcc - "),
+        "00000000 00000000 1a3504f3 - 1e3ce43a - 1f155862 - "
+        "20000000 - 4116f196 - 42c80000 - 47c34e0d - 5f706651 - "),
     "sqrt/llut/float": (
-        "00000000 00000000 1a351043 - 1e3cef11 - 1f1554f4 - "
-        "1ffff800 - 4116f4fb - 42c80a3d - 47c35889 - 5f705dcc - "),
+        "00000000 00000000 1a3504f3 - 1e3ce43a - 1f155861 - "
+        "20000000 - 4116f196 - 42c80000 - 47c34e0d - 5f706651 - "),
     "sqrt/mlut-interp/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e7 - 1f155598 - "
         "1fffffff - 4116f196 - 42c80000 - 47c35000 - 5f705ecf - "),
     "sqrt/mlut/float": (
-        "00000000 00000000 1a350d6f - 1e3ce6ef - 1f1555cf - "
-        "20000100 - 4116f421 - 42c8028f - 47c355ea - 5f70642f - "),
+        "00000000 00000000 1a3504f3 - 1e3cdece - 1f15533d - "
+        "1ffffc00 - 4116f196 - 42c7fae1 - 47c34e0d - 5f705dcc - "),
     "tan/cordic-lut/float": (
         "33600000 33600000 33600000 b3600000 33600000 b3600000 "
         "33600000 b3600000 33600000 b3600000 3fd7c921 bfd7c921 "
@@ -615,21 +622,21 @@ EDGE_BITS = {
         "000ae398 00000000 007ffffa 00000000 3fd7c922 bfd7c928 "
         "3ea45656 bea45658 bf0eeffd 3f0eeff8 bf325c71 3f325c70 "),
     "tan/llut/fixed": (
-        "3a800004 3a800004 3a800004 3a800004 3a800004 3a800004 "
-        "3a800004 3a800004 3a800004 3a800004 3fd824c8 bfd82287 "
-        "3ea4524e bea44fba bf0ec87b 3f0eca04 bf32ae89 3f32b045 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3fd7a9bc bfd7a77e "
+        "3ea4df88 bea4dcf4 bf0f1c70 3f0f1df8 bf324f6c 3f325128 "),
     "tan/llut/float": (
-        "3a800003 3a800003 3a800003 3a800003 3a800003 3a800003 "
-        "3a800003 3a800003 3a800003 3a800003 3fd824c8 bfd82287 "
-        "3ea4524e bea44fbb bf0ec87b 3f0eca04 bf32ae89 3f32b045 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3fd7a9bc bfd7a77e "
+        "3ea4df88 bea4dcf4 bf0f1c70 3f0f1df8 bf324f6c 3f325128 "),
     "tan/mlut-interp/float": (
         "00000000 00000000 00000001 00000000 000116c2 00000000 "
         "000ae398 00000000 007ffffb 00000000 3fd7c920 bfd7c935 "
         "3ea45652 bea4565f bf0ef000 3f0eeff8 bf325c73 3f325c6a "),
     "tan/mlut/float": (
-        "3a490fdd 3a490fdd 3a490fdd 3a490fdd 3a490fdd 3a490fdd "
-        "3a490fdd 3a490fdd 3a490fdd 3a490fdd 3fd76ca1 bfd76ca1 "
-        "3ea45d31 bea45d31 bf0eb26f 3f0eb26f bf323f41 3f323f41 "),
+        "00000000 00000000 00000000 00000000 00000000 00000000 "
+        "00000000 00000000 00000000 00000000 3fd7cd12 bfd7cd12 "
+        "3ea3ee55 bea3ee55 bf0ef459 3f0ef459 bf3289ed 3f3289ed "),
     "tanh/cordic-lut/float": (
         "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
         "b2400000 b2400000 b2400000 b2400000 3f800000 bf800000 "
@@ -653,56 +660,56 @@ SETUP_PINS = {
     "cos/cordic/float": (116, 29),
     "cos/llut-interp/fixed": (16436, 4097),
     "cos/llut-interp/float": (16436, 4097),
-    "cos/llut/fixed": (16432, 4096),
-    "cos/llut/float": (16432, 4096),
+    "cos/llut/fixed": (16436, 4097),
+    "cos/llut/float": (16436, 4097),
     "cos/mlut-interp/float": (16436, 4097),
-    "cos/mlut/float": (16432, 4096),
+    "cos/mlut/float": (16436, 4097),
     "cosh/cordic-lut/float": (868, 217),
     "cosh/cordic/float": (108, 27),
     "exp/cordic-lut/float": (868, 217),
     "exp/cordic/float": (108, 27),
     "exp/llut-interp/fixed": (16436, 4097),
     "exp/llut-interp/float": (16436, 4097),
-    "exp/llut/fixed": (16432, 4096),
-    "exp/llut/float": (16432, 4096),
+    "exp/llut/fixed": (16436, 4097),
+    "exp/llut/float": (16436, 4097),
     "exp/mlut-interp/float": (16436, 4097),
-    "exp/mlut/float": (16432, 4096),
+    "exp/mlut/float": (16436, 4097),
     "gelu/dllut-interp/float": (4148, 1025),
     "gelu/dlut-interp/float": (19508, 4865),
     "log/cordic/float": (108, 27),
     "log/llut-interp/fixed": (16436, 4097),
     "log/llut-interp/float": (16436, 4097),
-    "log/llut/fixed": (16432, 4096),
-    "log/llut/float": (16432, 4096),
+    "log/llut/fixed": (16436, 4097),
+    "log/llut/float": (16436, 4097),
     "log/mlut-interp/float": (16436, 4097),
-    "log/mlut/float": (16432, 4096),
+    "log/mlut/float": (16436, 4097),
     "sin/cordic-lut/float": (872, 218),
     "sin/cordic/float": (116, 29),
     "sin/dllut-interp/float": (4148, 1025),
     "sin/dlut-interp/float": (19508, 4865),
     "sin/llut-interp/fixed": (16436, 4097),
     "sin/llut-interp/float": (16436, 4097),
-    "sin/llut/fixed": (16432, 4096),
-    "sin/llut/float": (16432, 4096),
+    "sin/llut/fixed": (16436, 4097),
+    "sin/llut/float": (16436, 4097),
     "sin/mlut-interp/float": (16436, 4097),
-    "sin/mlut/float": (16432, 4096),
+    "sin/mlut/float": (16436, 4097),
     "sinh/cordic-lut/float": (868, 217),
     "sinh/cordic/float": (108, 27),
     "sqrt/cordic/float": (108, 27),
     "sqrt/llut-interp/fixed": (16436, 4097),
     "sqrt/llut-interp/float": (16436, 4097),
-    "sqrt/llut/fixed": (16432, 4096),
-    "sqrt/llut/float": (16432, 4096),
+    "sqrt/llut/fixed": (16436, 4097),
+    "sqrt/llut/float": (16436, 4097),
     "sqrt/mlut-interp/float": (16436, 4097),
-    "sqrt/mlut/float": (16432, 4096),
+    "sqrt/mlut/float": (16436, 4097),
     "tan/cordic-lut/float": (872, 218),
     "tan/cordic/float": (116, 29),
     "tan/llut-interp/fixed": (32872, 8194),
     "tan/llut-interp/float": (32872, 8194),
-    "tan/llut/fixed": (32864, 8192),
-    "tan/llut/float": (32864, 8192),
+    "tan/llut/fixed": (32872, 8194),
+    "tan/llut/float": (32872, 8194),
     "tan/mlut-interp/float": (32872, 8194),
-    "tan/mlut/float": (32864, 8192),
+    "tan/mlut/float": (32872, 8194),
     "tanh/cordic-lut/float": (868, 217),
     "tanh/cordic/float": (108, 27),
     "tanh/dllut-interp/float": (5172, 1281),

@@ -35,30 +35,30 @@ def fixed_at(query, t, xs):
 
 
 class TestMlutAddressing:
-    # 12 cells over [0, 5): k = 12/5 = 2.4, offset centers cells on nodes
+    # 12 cells over [0, 5]: k = 12/5 = 2.4, the first node at lo
     def test_density_and_offset(self):
         t = build_mlut(SIN, 0.0, 5.0, 12)
         assert t.spec.k == pytest.approx(2.4)
-        assert t.spec.p == pytest.approx(5.0 / 24.0, abs=1e-5)  # ~0.20833
+        assert node_of(t, 0) == t.spec.lo == 0.0
 
     def test_worked_address(self):
-        # a(3.0) = round((3.0 - 5/24) * 2.4) = 7
+        # a(3.0) = round(3.0 * 2.4) = round(7.2) = 7
         t = build_mlut(SIN, 0.0, 5.0, 12)
         assert at(mlut_query, t, 3.0) == t.entries[7]
         assert at(mlut_query, t, 3.0) not in (t.entries[6], t.entries[8])
 
     def test_query_at_node_returns_its_entry(self):
         t = build_mlut(SIN, 0.0, 5.0, 12)
-        nodes = np.array([node_of(t, a) for a in range(12)])
+        nodes = np.array([node_of(t, a) for a in range(13)])  # guard too
         assert np.array_equal(mlut_query(t, nodes), t.entries)
 
     def test_worked_pseudo_inverse(self):
         t = build_mlut(SIN, 0.0, 5.0, 12)
-        assert node_of(t, 7) == pytest.approx(3.125, abs=1e-9)
+        assert node_of(t, 7) == pytest.approx(7 / 2.4, abs=1e-9)
 
     def test_entries_hold_node_values(self):
         t = build_mlut(SIN, 0.0, 5.0, 12)
-        for a in range(12):
+        for a in range(13):
             assert t.entries[a] == np.float32(math.sin(node_of(t, a)))
 
     def test_query_returns_nearest_node_value(self):
@@ -75,16 +75,15 @@ class TestMlutAddressing:
             at(mlut_query, t, -0.1)
 
     def test_interp_guard_entry(self):
-        t = build_mlut(SIN, 0.0, 5.0, 12, interpolated=True)
+        t = build_mlut(SIN, 0.0, 5.0, 12)
         assert len(t.entries) == 13
-        assert t.spec.p == 0.0  # interp nodes start at lo
+        assert (node_of(t, 0), node_of(t, 12)) == (t.spec.lo, t.spec.hi)
 
     def test_interp_beats_nearest(self):
-        tn = build_mlut(EXP, 0.0, 1.0, 64)
-        ti = build_mlut(EXP, 0.0, 1.0, 64, interpolated=True)
+        t = build_mlut(EXP, 0.0, 1.0, 64)  # one table, both queries
         xs = np.linspace(0.001, 0.999, 101)
-        err_n = np.max(np.abs(mlut_query(tn, xs) - np.exp(xs)))
-        err_i = np.max(np.abs(mlut_query_interp(ti, xs) - np.exp(xs)))
+        err_n = np.max(np.abs(mlut_query(t, xs) - np.exp(xs)))
+        err_i = np.max(np.abs(mlut_query_interp(t, xs) - np.exp(xs)))
         assert err_i < err_n / 20
 
 
@@ -112,14 +111,14 @@ class TestLlutAddressing:
         assert c.lut_lookup == 1
 
     def test_one_multiply_interp(self):
-        t = build_llut(SIN, 0.0, 6.0, 1024, interpolated=True)
+        t = build_llut(SIN, 0.0, 6.0, 1024)
         with counting() as c:
             at(llut_query_interp, t, 2.5)
         assert c.float_mul == 1
         assert c.lut_lookup == 2
 
     def test_interp_accuracy(self):
-        t = build_llut(SIN, 0.0, 2 * math.pi, 4096, interpolated=True)
+        t = build_llut(SIN, 0.0, 2 * math.pi, 4096)
         xs = np.random.default_rng(3).uniform(0, 2 * math.pi, 500)
         x32 = xs.astype(np.float32).astype(np.float64)
         np.testing.assert_allclose(llut_query_interp(t, x32), np.sin(x32),
@@ -135,15 +134,15 @@ class TestLlutAddressing:
     @pytest.mark.parametrize("interpolated", [False, True])
     def test_position_at_range_ends_is_ldexp32s(self, lo, hi, size,
                                                 interpolated):
-        """At spec.lo and spec.hi, where |x - p| * 2**n is largest, the
+        """At spec.lo and spec.hi, where |x - lo| * 2**n is largest, the
         position has ldexp32's bits, one ldexp_op per element, and no
         overflow warning."""
-        t = build_llut(ATAN, lo, hi, size, interpolated=interpolated)
+        t = build_llut(ATAN, lo, hi, size)
         s = t.spec
         x = np.array([s.lo, s.hi])
         with counting() as c:
             got = _l_position(t, x)
-        want = ldexp32(x.astype(np.float32) - np.float32(s.p), s.n)
+        want = ldexp32(x.astype(np.float32) - np.float32(s.lo), s.n)
         assert got.dtype == np.float32
         assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
         assert c.ldexp_op == 2
@@ -160,15 +159,15 @@ class TestFixedLlut:
                                    llut_query(ff, xs), rtol=0, atol=1e-7)
 
     def test_interp_uses_int_mul_only(self):
-        t = build_fixed_llut(SIN, 0.0, 6.0, 1024, interpolated=True)
+        t = build_fixed_llut(SIN, 0.0, 6.0, 1024)
         with counting() as c:
             fixed_at(fixed_llut_query_interp, t, [2.5])
         assert c.float_mul == 0
         assert c.int_mul == 1
 
     def test_interp_close_to_float_interp(self):
-        ff = build_llut(SIN, 0.0, 6.0, 4096, interpolated=True)
-        fx = build_fixed_llut(SIN, 0.0, 6.0, 4096, interpolated=True)
+        ff = build_llut(SIN, 0.0, 6.0, 4096)
+        fx = build_fixed_llut(SIN, 0.0, 6.0, 4096)
         xs = np.random.default_rng(5).uniform(0, 5.99, 300)
         np.testing.assert_allclose(fixed_at(fixed_llut_query_interp, fx, xs),
                                    llut_query_interp(ff, xs), rtol=0, atol=3e-7)
@@ -188,7 +187,7 @@ class TestFixedLlut:
     @pytest.mark.parametrize("interp", (False, True))
     def test_out_of_range_raises(self, interp):
         # An L-LUT covers [0, 1] at 16 cells; 5.0 would read a clamped cell.
-        t = build_fixed_llut(SIN, 0.0, 1.0, 16, interpolated=interp)
+        t = build_fixed_llut(SIN, 0.0, 1.0, 16)
         query = fixed_llut_query_interp if interp else fixed_llut_query
         s = t.spec
         edges = to_fixed(np.array([s.lo, s.hi]))
@@ -302,10 +301,10 @@ class TestDllut:
 class TestMemoryAccounting:
     def test_entry_bytes(self):
         t = build_mlut(SIN, 0.0, 5.0, 256)
-        assert lut_memory_bytes(t) == 256 * 4 + 48
+        assert lut_memory_bytes(t) == 257 * 4 + 48
 
     def test_guard_entry_counted(self):
-        t = build_llut(SIN, 0.0, 5.0, 256, interpolated=True)
+        t = build_llut(SIN, 0.0, 5.0, 256)
         assert lut_memory_bytes(t) == 257 * 4 + 48
 
     def test_dllut_sums_parts(self):
@@ -317,10 +316,18 @@ class TestMemoryAccounting:
     def test_setup_entries_tallied(self):
         with counting() as c:
             build_mlut(SIN, 0.0, 5.0, 128)
-        assert c.table_setup_entries == 128
-        with counting() as c:
-            build_llut(SIN, 0.0, 5.0, 128, interpolated=True)
         assert c.table_setup_entries == 129
+        with counting() as c:
+            build_llut(SIN, 0.0, 5.0, 128)
+        assert c.table_setup_entries == 129
+
+
+_QUERIES = {
+    (build_mlut, False): mlut_query, (build_mlut, True): mlut_query_interp,
+    (build_llut, False): llut_query, (build_llut, True): llut_query_interp,
+    (build_fixed_llut, False): fixed_llut_query,
+    (build_fixed_llut, True): fixed_llut_query_interp,
+}
 
 
 class TestLayoutChecks:
@@ -399,8 +406,7 @@ class TestLayoutChecks:
     @pytest.mark.parametrize("query", [mlut_query, mlut_query_interp])
     def test_widest_m_range_queries_without_overflow(self, query):
         reach = float(np.finfo(np.float32).max) / 2
-        t = build_mlut(ATAN, -reach, reach, 16,
-                       interpolated=query is mlut_query_interp)
+        t = build_mlut(ATAN, -reach, reach, 16)
         out = query(t, np.array([-reach, 0.0, reach]))
         assert np.all(np.isfinite(out))
 
@@ -429,8 +435,12 @@ class TestLayoutChecks:
                                        build_fixed_llut])
     @pytest.mark.parametrize("interp", [False, True])
     def test_spec_size_counts_cells(self, build, interp):
-        t = build(SIN, 0.0, 1.0, 100, interpolated=interp)
-        assert t.spec.size == 100 == len(t.entries) - interp
+        """100 cells and a guard entry, which either query reads at hi."""
+        t = build(SIN, 0.0, 1.0, 100)
+        assert t.spec.size == 100 == len(t.entries) - 1
+        query, hi = _QUERIES[build, interp], np.array([t.spec.hi])
+        got = query(t, to_fixed(hi) if t.fixed else hi)
+        assert got[0] == t.entries[100]
 
     def test_d_spec_size_counts_cells(self):
         t = build_dlut(TANH, -4, 4, 5)

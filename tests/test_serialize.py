@@ -20,13 +20,15 @@ EXP, SIN, TANH = (partial(mapped, f) for f in (math.exp, math.sin, math.tanh))
 
 
 def _tables():
+    """Each M/L table twice: the "_i" one is read by interpolated queries.
+    Both queries read one table, so each pair is built alike."""
     return {
         "mlut": build_mlut(SIN, 0.0, 5.0, 64),
-        "mlut_i": build_mlut(SIN, 0.0, 5.0, 64, interpolated=True),
+        "mlut_i": build_mlut(SIN, 0.0, 5.0, 64),
         "llut": build_llut(EXP, 0.0, 1.0, 128),
-        "llut_i": build_llut(EXP, 0.0, 1.0, 128, interpolated=True),
+        "llut_i": build_llut(EXP, 0.0, 1.0, 128),
         "fixed": build_fixed_llut(SIN, 0.0, 6.0, 256),
-        "fixed_i": build_fixed_llut(SIN, 0.0, 6.0, 256, interpolated=True),
+        "fixed_i": build_fixed_llut(SIN, 0.0, 6.0, 256),
         "dlut": build_dlut(TANH, -8, 8, 6),
         "dllut": build_dllut(TANH, 0, 16, 6),
     }
@@ -41,7 +43,7 @@ class TestRoundTrip:
 
     def test_magic(self):
         blob = dump_table(_tables()["mlut"])
-        assert blob[:4] == b"TPL3"
+        assert blob[:4] == b"TPL4"
 
     def test_entries_bit_exact(self):
         for t in _tables().values():
@@ -53,7 +55,6 @@ class TestRoundTrip:
         tb = _tables()
         for name, t in tb.items():
             back = load_table(dump_table(t))
-            assert back.interpolated == t.interpolated, name
             assert back.fixed == t.fixed, name
             assert back.spec.kind == t.spec.kind, name
 
@@ -150,11 +151,10 @@ class TestUntrustedInput:
             load_table(bytes(blob))
 
     def test_dlut_record_without_guard_entry(self):
-        # Whole octaves but flags 0, so no guard entry: an interpolating
-        # query in the top cell would read past the end.
+        # Whole octaves but no guard entry: an interpolating query in the
+        # top cell would read past the end.
         entries = len(_tables()["dlut"].entries) - 1
         blob = bytearray(_DUMPS["dlut"][:-4])
-        blob[5] = 0
         struct.pack_into("<I", blob, 48, entries)
         with pytest.raises(TableFormatError, match="guard entry"):
             load_table(bytes(blob))
@@ -166,8 +166,7 @@ class TestUntrustedInput:
         head = bytearray(_DUMPS["dllut"][:52])
         struct.pack_into("<I", head, 48, 0)
         blob = bytes(head) + dump_table(build_llut(
-            TANH, 0.0, 1.0, 64, interpolated=True)) + dump_table(
-            build_dlut(TANH, 0, 16, 6))
+            TANH, 0.0, 1.0, 64)) + dump_table(build_dlut(TANH, 0, 16, 6))
         with pytest.raises(TableFormatError, match="do not fill"):
             load_table(blob)
 
@@ -186,8 +185,8 @@ class TestUntrustedInput:
 
 
 def _sample_configs():
-    """Seeded (kind, build, lo, hi, size, interpolated) draws, the sine
-    M-LUT of 1,000 cells on [0, 2*pi] first."""
+    """Seeded (kind, build, lo, hi, size) draws, the sine M-LUT of 1,000
+    cells on [0, 2*pi] first."""
     rng = np.random.default_rng(13)
     float_ranges = [(0.0, 2 * math.pi), (0.0, 1.0), (1.0, 2.0), (0.5, 2.0),
                     (-3.0, 7.5), (1e-3, 0.1), (-100.0, 250.0)]
@@ -196,37 +195,34 @@ def _sample_configs():
                     (-3.5, -1.5)]
     kinds = [("M", build_mlut, float_ranges), ("L", build_llut, float_ranges),
              ("fixed-L", build_fixed_llut, fixed_ranges)]
-    configs = [("M", build_mlut, 0.0, 2 * math.pi, 1000, False)]
+    configs = [("M", build_mlut, 0.0, 2 * math.pi, 1000)]
     for _ in range(240):
         kind, build, ranges = kinds[rng.integers(len(kinds))]
         lo, hi = ranges[rng.integers(len(ranges))]
-        configs.append((kind, build, lo, hi, int(rng.integers(2, 5000)),
-                        bool(rng.integers(2))))
+        configs.append((kind, build, lo, hi, int(rng.integers(2, 5000))))
     return configs
 
 
-_EDGE_QUERY = {
-    ("M", False): mlut_query, ("M", True): mlut_query_interp,
-    ("L", False): llut_query, ("L", True): llut_query_interp,
+# Each kind's nearest and interpolated queries, and its edge inputs.
+_EDGE_QUERIES = {
+    "M": ((mlut_query, mlut_query_interp), np.asarray),
+    "L": ((llut_query, llut_query_interp), np.asarray),
+    "fixed-L": ((fixed_llut_query, fixed_llut_query_interp), to_fixed),
 }
 
 
 class TestLayoutRoundTrip:
     def test_spec_and_edge_queries_survive_a_round_trip(self):
         mismatches = []
-        for kind, build, lo, hi, size, interp in _sample_configs():
-            t = build(SIN, lo, hi, size, interpolated=interp)
+        for kind, build, lo, hi, size in _sample_configs():
+            t = build(SIN, lo, hi, size)
             back = load_table(dump_table(t))
-            edges = np.array([t.spec.lo, t.spec.hi])
-            if kind == "fixed-L":
-                query = (fixed_llut_query_interp if interp
-                         else fixed_llut_query)
-                edges = to_fixed(edges)
-            else:
-                query = _EDGE_QUERY[kind, interp]
-            if back.spec != t.spec or not np.array_equal(query(back, edges),
-                                                         query(t, edges)):
-                mismatches.append((kind, lo, hi, size, interp))
+            queries, inputs = _EDGE_QUERIES[kind]
+            edges = inputs(np.array([t.spec.lo, t.spec.hi]))
+            if back.spec != t.spec or not all(
+                    np.array_equal(q(back, edges), q(t, edges))
+                    for q in queries):
+                mismatches.append((kind, lo, hi, size))
         assert mismatches == []
 
     def test_sine_mlut_keeps_its_range(self):
@@ -285,11 +281,21 @@ class TestLayoutFields:
             load_table(bytes(blob))
 
     def test_previous_magic_is_refused(self):
-        # TPL2 stored a D-LUT's exp_bits where TPL3 stores hi_exponent.
-        for magic in (b"TPLT", b"TPL2"):
+        # TPL2 stored a D-LUT's exp_bits where later records store
+        # hi_exponent, and a TPL3 nearest-entry M/L record's entries sit at
+        # centred nodes.
+        for magic in (b"TPLT", b"TPL2", b"TPL3"):
             blob = magic + _DUMPS["mlut"][4:]
             with pytest.raises(TableFormatError, match="magic"):
                 load_table(blob)
+
+    @pytest.mark.parametrize("name", ("mlut", "fixed", "dlut"))
+    def test_interpolated_flag_is_refused(self, name):
+        # TPL3's flag bit 0 marked an interpolated table; TPL4 has none.
+        blob = bytearray(_DUMPS[name])
+        blob[5] |= 1
+        with pytest.raises(TableFormatError, match="unknown flags"):
+            load_table(bytes(blob))
 
 
 class TestDLParts:
@@ -316,7 +322,7 @@ class TestDLParts:
 
 
 class TestOctaveCounts:
-    """A TPL3 record stores hi_exponent, so any count of octaves, not
+    """A TPL4 record stores hi_exponent, so any count of octaves, not
     only a power of two, round-trips."""
 
     @pytest.mark.parametrize("build, base, hi", [
@@ -324,7 +330,7 @@ class TestOctaveCounts:
     def test_round_trip(self, build, base, hi):
         t = build(TANH, base, hi, 8)
         blob = dump_table(t)
-        assert blob[:4] == b"TPL3"
+        assert blob[:4] == b"TPL4"
         back = load_table(blob)
         assert dump_table(back) == blob and back.spec == t.spec
         d = back.spec

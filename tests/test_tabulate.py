@@ -37,7 +37,10 @@ from pimfuncs.harness import (CNDF_LUT_SIZE, FunctionId, _bs_reference,
                               reference_values)
 from pimfuncs.lut import (SETTLE_ULPS, TABULATE_CHUNK, _nodes, build_dllut,
                           build_dlut, build_fixed_llut, build_llut,
-                          build_mlut, mapped, tabulate, twin)
+                          build_mlut, fixed_llut_query,
+                          fixed_llut_query_interp, llut_query,
+                          llut_query_interp, mapped, mlut_query,
+                          mlut_query_interp, tabulate, twin)
 
 SIZES = (2, 4095, 4096, 4097, 8192, 65536)
 SEEDS = (0, 1, 7)
@@ -81,26 +84,40 @@ def _bits(a) -> list:
 
 
 def _ml_loop(f, lut, fixed=False):
-    """The per-node loop over p + a / k that M/L builders ran."""
+    """The per-node loop over lo + a / k that M/L builders ran."""
     s = lut.spec
-    nodes = s.p + np.arange(len(lut.entries)) / s.k
+    nodes = s.lo + np.arange(len(lut.entries)) / s.k
     if fixed:
         return np.asarray([_q3_28(f(float(v))) for v in nodes],
                           dtype=np.int64)
     return np.asarray([f(float(v)) for v in nodes], dtype=np.float32)
 
 
+_QUERIES = {("M", False): mlut_query, ("M", True): mlut_query_interp,
+            ("L", False): llut_query, ("L", True): llut_query_interp}
+
+
+def _query_at_lo(lut, interp: bool):
+    """The nearest, or if ``interp`` the interpolated, query of an M/L
+    table at its lo: either reads the first entry, as one table serves
+    both."""
+    x = np.array([lut.spec.lo])
+    if lut.fixed:
+        query = fixed_llut_query_interp if interp else fixed_llut_query
+        return query(lut, to_fixed(x))[0]
+    return _QUERIES[lut.spec.kind, interp](lut, x)[0]
+
+
 def _d_loop(f, lut):
     """The D-LUT address loop, guard entry at 2**hi_exponent included."""
     s = lut.spec
     count = (s.hi_exponent - s.base_exponent) << s.mant_bits
-    entries = np.empty(count + lut.interpolated, dtype=np.float32)
+    entries = np.empty(count + 1, dtype=np.float32)
     for addr in range(count):
         step, frac = divmod(addr, 1 << s.mant_bits)
         entries[addr] = f(math.ldexp(1.0 + frac / (1 << s.mant_bits),
                                      s.base_exponent + step))
-    if lut.interpolated:
-        entries[count] = f(math.ldexp(1.0, s.hi_exponent))
+    entries[count] = f(math.ldexp(1.0, s.hi_exponent))
     return entries
 
 
@@ -200,23 +217,23 @@ class TestTabulate:
 
 class TestMLTables:
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("interpolated", (False, True))
+    @pytest.mark.parametrize("interp", (False, True))
     @pytest.mark.parametrize("build", (build_mlut, build_llut))
-    def test_float_entries(self, build, interpolated, size):
-        lut, entries = _built(build, SIN, 0.0, 2.0 * math.pi, size,
-                              interpolated)
+    def test_float_entries(self, build, interp, size):
+        lut, entries = _built(build, SIN, 0.0, 2.0 * math.pi, size)
         assert lut.entries.dtype == np.float32
         assert _bits(lut.entries) == _bits(_ml_loop(math.sin, lut))
-        assert entries == size + interpolated == len(lut.entries)
+        assert entries == size + 1 == len(lut.entries)
+        assert _query_at_lo(lut, interp) == lut.entries[0]
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("interpolated", (False, True))
-    def test_fixed_entries(self, interpolated, size):
-        lut, entries = _built(build_fixed_llut, EXP, 0.0, 1.0, size,
-                              interpolated)
+    @pytest.mark.parametrize("interp", (False, True))
+    def test_fixed_entries(self, interp, size):
+        lut, entries = _built(build_fixed_llut, EXP, 0.0, 1.0, size)
         assert lut.entries.dtype == np.int64
         assert lut.entries.tolist() == _ml_loop(math.exp, lut, fixed=True).tolist()
-        assert entries == size + interpolated == len(lut.entries)
+        assert entries == size + 1 == len(lut.entries)
+        assert _query_at_lo(lut, interp) == lut.entries[0]
 
     @pytest.mark.parametrize("f", (pytest.param(EXP, id="exp"),
                                    lambda x: np.full_like(x, np.nan)))
@@ -227,7 +244,7 @@ class TestMLTables:
     @pytest.mark.parametrize("fixed", (False, True))
     def test_cndf_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
-        lut = build(cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE, interpolated=True)
+        lut = build(cndf_exact, 0.0, 8.0, CNDF_LUT_SIZE)
         want = _ml_loop(_cndf, lut, fixed)
         assert np.asarray(lut.entries).tobytes() == want.tobytes()
 
@@ -268,12 +285,11 @@ class TestChangedHosts:
 
 class TestDTables:
     @pytest.mark.parametrize("mant_bits", range(1, 13))
-    @pytest.mark.parametrize("interpolated", (True,))  # D-LUTs always are
-    def test_dlut(self, mant_bits, interpolated):
+    @pytest.mark.parametrize("guard", (True,))  # as every table carries
+    def test_dlut(self, mant_bits, guard):
         lut, entries = _built(build_dlut, TANH, -16, 16, mant_bits)
-        assert lut.interpolated is interpolated
         assert _bits(lut.entries) == _bits(_d_loop(math.tanh, lut))
-        assert entries == len(lut.entries) == (32 << mant_bits) + 1
+        assert entries == len(lut.entries) == (32 << mant_bits) + guard
 
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     def test_dllut(self, mant_bits):
@@ -515,8 +531,7 @@ class TestTwinHosts:
     @pytest.mark.parametrize("fixed", (False, True))
     def test_perturbed_twin_gives_libm_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
-        lut = build(twin(SIN, _perturbed(np.sin)), 0.0, 2.0 * math.pi,
-                    8192, interpolated=True)
+        lut = build(twin(SIN, _perturbed(np.sin)), 0.0, 2.0 * math.pi, 8192)
         assert np.asarray(lut.entries).tobytes() == _ml_loop(
             math.sin, lut, fixed).tobytes()
         lut = build_dlut(twin(TANH, _perturbed(np.tanh)), -16, 16, 10)
@@ -528,8 +543,7 @@ class TestTwinHosts:
         entries, so any node the twin settled would show."""
         host, below = _above_midpoint(fixed)
         build = build_fixed_llut if fixed else build_llut
-        lut = build(twin(partial(mapped, host), below), 0.0, 4.0, 4096,
-                    interpolated=True)
+        lut = build(twin(partial(mapped, host), below), 0.0, 4.0, 4096)
         want = _ml_loop(host, lut, fixed)
         assert np.asarray(lut.entries).tobytes() == want.tobytes()
         assert want.tobytes() != _ml_loop(
@@ -544,9 +558,9 @@ class TestTwinHosts:
         size = 2 * TABULATE_CHUNK + 3
         lut = build_llut(twin(partial(mapped, f),
                               lambda x: np.full_like(x, np.nan)),
-                         0.0, 2.0 * math.pi, size, interpolated=True)
+                         0.0, 2.0 * math.pi, size)
         s = lut.spec
-        assert seen == (s.p + np.arange(size + 1) / s.k).tolist()
+        assert seen == (s.lo + np.arange(size + 1) / s.k).tolist()
         assert _bits(lut.entries) == _bits(_ml_loop(math.sin, lut))
 
     @pytest.mark.parametrize("host,ufunc,lo,hi,exc", [
@@ -559,7 +573,7 @@ class TestTwinHosts:
         lifted = partial(mapped, host)
         for f in (lifted, twin(lifted, ufunc)):
             with pytest.raises(exc) as info:
-                build_mlut(f, lo, hi, 64, interpolated=True)
+                build_mlut(f, lo, hi, 64)
             raised.append(info.value.args)
         assert raised[0] == raised[1]
 
@@ -593,13 +607,14 @@ class TestErfTwin:
             np.array([0.0, -0.0]))
 
     @pytest.mark.parametrize("size", (16, 4096, 8192, 65536))
-    @pytest.mark.parametrize("interpolated", (False, True))
+    @pytest.mark.parametrize("interp", (False, True))
     @pytest.mark.parametrize("fixed", (False, True))
-    def test_cndf_tables(self, fixed, interpolated, size):
+    def test_cndf_tables(self, fixed, interp, size):
         build = build_fixed_llut if fixed else build_llut
-        lut = build(CNDF_HOST, 0.0, 8.0, size, interpolated)
+        lut = build(CNDF_HOST, 0.0, 8.0, size)
         assert np.asarray(lut.entries).tobytes() == _ml_loop(
             _cndf, lut, fixed).tobytes()
+        assert _query_at_lo(lut, interp) == lut.entries[0]
 
     @pytest.mark.parametrize("mant_bits", range(1, 13))
     @pytest.mark.parametrize("method", _D_METHODS, ids=lambda m: m.value)
@@ -626,7 +641,7 @@ class TestErfTwin:
     def test_perturbed_twin_gives_libm_table(self, fixed):
         build = build_fixed_llut if fixed else build_llut
         lut = build(twin(cndf_exact, _perturbed(CNDF_HOST.twin)), 0.0, 8.0,
-                    CNDF_LUT_SIZE, interpolated=True)
+                    CNDF_LUT_SIZE)
         assert np.asarray(lut.entries).tobytes() == _ml_loop(
             _cndf, lut, fixed).tobytes()
 
