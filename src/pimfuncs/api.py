@@ -369,7 +369,7 @@ def _cordic_cell(function: FunctionId, cfg: EvaluatorConfig):
     mode, step, rotates = _CORDIC_CELLS[function]
     if cfg.method is MethodId.CORDIC_LUT:
         start = combined.build_cordic_lut(mode, LUT_ADDR_BITS, cfg.n_iter)
-        return (start,), partial(step, combined.rotator(start))
+        return (start,), partial(step, partial(combined.cordic_lut_rotate, start))
     tables = cordic.generate_cordic_tables(mode, cfg.n_iter)
     kernel = partial(cordic.cordic_rotate, tables) if rotates else tables
     return (tables,), partial(step, kernel)

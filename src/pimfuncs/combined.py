@@ -97,14 +97,5 @@ def cordic_lut_rotate(tables: CordicLutTables, theta: np.ndarray):
     return check_raw(x), check_raw(y)
 
 
-def rotator(tables: CordicLutTables):
-    """Rotator over the start table, which covers only [0, TABLE_SPAN]:
-    angles t < 0 rotate by |t| and negate y (cosh is even, sinh odd)."""
-    def rotate(theta):
-        x, y = cordic_lut_rotate(tables, np.abs(theta))
-        return x, np.where(theta < 0, -y, y)
-    return rotate
-
-
 def cordic_lut_memory_bytes(tables: CordicLutTables) -> int:
     return len(tables.cells) * 3 * 4 + _angle_bytes(tables.rem_tables)

@@ -11,7 +11,8 @@ The pipelines map float64 arrays to float32 results elementwise;
 results per element, for callers to pick from or divide (tan).  Most
 take a rotator, ``rotate(raw_angles) -> (x_raw, y_raw)``: plain CORDIC
 (:func:`cordic_rotate` on its tables) or the CORDIC+LUT start table
-(``combined.rotator``), and each call it once per array.
+(``combined.cordic_lut_rotate`` on its tables), and each call it once
+per array, on non-negative angles: an odd result takes x's sign after.
 """
 
 from __future__ import annotations
@@ -194,34 +195,28 @@ def exp_array(rotate, x: np.ndarray) -> np.ndarray:
 
 
 def sinh_cosh(rotate, x: np.ndarray) -> np.ndarray:
-    """Stacked (sinh, cosh) from one hyperbolic rotation per element: of
-    x itself where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN too) of the
-    angle r ln 2 of the split |x| log2(e) = i + r.  That rotation's
-    cosh + sinh is 2**r and its cosh - sinh is 2**-r, which extend to
-    exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give sinh and
-    cosh.  A side with no elements does no work."""
-    near = np.abs(x) <= HYP_DIRECT_MAX
+    """Stacked (sinh, cosh) from one hyperbolic rotation per element of
+    |x|: of |x| itself where |x| <= HYP_DIRECT_MAX, and elsewhere (NaN
+    too) of the angle r ln 2 of the split |x| log2(e) = i + r.  That
+    rotation's cosh + sinh is 2**r and its cosh - sinh is 2**-r, which
+    extend to exp(|x|)/2 and exp(-|x|)/2, whose difference and sum give
+    sinh and cosh.  Every batch rotates once, an empty one too; sinh is
+    negated where x < 0, as in :func:`sin_cos`."""
+    a = np.abs(x)
+    near = a <= HYP_DIRECT_MAX
     k = int(np.count_nonzero(near))
-    if k == x.size:  # an empty x too, so every batch rotates once
-        xc, yc = rotate(to_fixed(x))
-        return to_float(np.stack([yc, xc]))
-    far = x[~near]
-    i, r = exp_split(np.abs(far))
-    theta = _pow2_angles(r)
-    if k:
-        theta = np.concatenate([to_fixed(x[near]), theta])
-    xc, yc = rotate(theta)
+    i, r = exp_split(a[~near])
+    xc, yc = rotate(np.concatenate([to_fixed(a[near]), _pow2_angles(r)]))
     xf, yf = xc[k:], yc[k:]
     pm = np.stack([fixed_add(xf, yf), fixed_sub(xf, yf)])  # 2**r, 2**-r
     # Halving before the extension by 2**i and 2**-i keeps exp(|x|)/2
     # finite up to |x| ~ 89.4, where exp(|x|) itself overflows float32.
     hp, hm = exp_extend(ldexp32(to_float(pm), -1), np.stack([i, -i]))
-    tally("float_add", 2 * far.size)
-    s = hp - hm
+    tally("float_add", 2 * i.size)
     out = np.empty((2,) + x.shape, dtype=np.float32)
-    if k:
-        out[:, near] = to_float(np.stack([yc[:k], xc[:k]]))
-    out[:, ~near] = np.stack([np.where(far < 0, -s, s), hp + hm])
+    out[:, near] = to_float(np.stack([yc[:k], xc[:k]]))
+    out[:, ~near] = np.stack([hp - hm, hp + hm])
+    out[0] = np.where(x < 0, -out[0], out[0])
     return out
 
 

@@ -9,6 +9,7 @@ from pimfuncs import OpCounts, lut
 from pimfuncs.api import (EvaluatorConfig, FunctionId, MethodId, NumberFormat,
                           build_evaluator, config_for, gelu_exact, supported)
 from pimfuncs.errors import DomainError, RangeError, UnsupportedCombinationError
+from pimfuncs.harness import DEFAULT_DOMAINS
 
 F = FunctionId
 M = MethodId
@@ -397,3 +398,34 @@ class TestDTableSaturation:
         ev = build_evaluator(f, EvaluatorConfig(method=method))
         with pytest.raises(RangeError):
             ev.evaluate(math.nan)
+
+
+# The cells whose pipeline evaluates |x| and gives the result its sign
+# afterwards: every CORDIC and CORDIC+LUT trig and hyperbolic cell, and
+# sin and tanh via the D/DL-LUTs.
+_REFLECTING = [(f, m) for m in (M.CORDIC, M.CORDIC_LUT)
+               for f in (F.SIN, F.COS, F.TAN, F.SINH, F.COSH, F.TANH)] + [
+    (f, m) for m in (M.DLUT_INTERP, M.DLLUT_INTERP) for f in (F.SIN, F.TANH)]
+_ODD = (F.SIN, F.TAN, F.SINH, F.TANH)
+# Subnormals, and magnitudes whose Q3.28 raw angle rounds to 0 or is tiny.
+_TINY = np.float32([1e-45, 1e-40, 1e-39, 1.1754942e-38, 2.0 ** -30, 1e-8])
+
+
+@pytest.mark.parametrize("function,method", _REFLECTING,
+                         ids=[f"{f.value}-{m.value}" for f, m in _REFLECTING])
+def test_reflecting_cells_are_bitwise_odd_or_even(function, method):
+    """f(-x) has the bits of -f(x) for sin, tan, sinh and tanh, and of
+    f(x) for cos and cosh, at draws on (0, hi] of the function's domain
+    and at tiny x.  +-0 is the special-value contract's to decide, so it
+    is not drawn.  The M/L cells are left out: their tables span a full
+    period or the whole domain and are read at x itself, so f(-x) and
+    f(x) come from different entries."""
+    hi = DEFAULT_DOMAINS[function][1]
+    xs = np.random.default_rng(0).uniform(0.0, hi, 4096).astype(np.float32)
+    xs = np.concatenate([xs[xs > 0], _TINY])
+    ev = build_evaluator(function, EvaluatorConfig(method=method))
+    pos, _ = ev.evaluate_batch(xs)
+    neg, _ = ev.evaluate_batch(-xs)
+    want = -pos if function in _ODD else pos
+    moved = xs[neg.view(np.uint32) != want.view(np.uint32)]
+    assert moved.size == 0, f"{moved.size} asymmetric, first at {moved[:4]}"

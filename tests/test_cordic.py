@@ -387,6 +387,8 @@ _HYP_NEAR = [-np.nextafter(np.float32(1.1), np.float32(0)), -0.5, 0.0, 0.25,
 _HYP_FAR = [-30.0, -np.float32(1.1), np.float32(1.1), 1.5, 4.0, 89.0]
 _HYP_BATCHES = {"near": _HYP_NEAR, "far": _HYP_FAR, "empty": [],
                 "mixed": [v for pair in zip(_HYP_NEAR, _HYP_FAR) for v in pair]}
+_ROTATORS = {MethodId.CORDIC: (cordic, "cordic_rotate"),
+             MethodId.CORDIC_LUT: (combined, "cordic_lut_rotate")}
 
 
 @pytest.fixture
@@ -433,6 +435,28 @@ class TestOneRotation:
         assert iterate_calls == [xs.size] + [1] * xs.size
         assert out.view(np.uint32).tolist() == scalar.view(np.uint32).tolist()
         assert batch_counts == scalar_counts
+
+    @pytest.mark.parametrize("method", [MethodId.CORDIC, MethodId.CORDIC_LUT])
+    @pytest.mark.parametrize("function", [FunctionId.SINH, FunctionId.COSH,
+                                          FunctionId.TANH])
+    @pytest.mark.parametrize("batch", sorted(_HYP_BATCHES))
+    def test_hyperbolic_batch_calls_rotator_once(self, method, function, batch,
+                                                 monkeypatch):
+        """One rotator call per batch, near, far, mixed or empty, on
+        non-negative angles only.  The rotator is patched on its module
+        before the cell is built, as perfbench's tracer wraps it."""
+        module, name = _ROTATORS[method]
+        original, calls = getattr(module, name), []
+
+        def counted(tables, theta):
+            calls.append(theta.size)
+            assert (theta >= 0).all()
+            return original(tables, theta)
+        monkeypatch.setattr(module, name, counted)
+        ev = build_evaluator(function, EvaluatorConfig(method=method))
+        xs = np.asarray(_HYP_BATCHES[batch], dtype=np.float32)
+        ev.evaluate_batch(xs)
+        assert calls == [xs.size]
 
 
 _HYP_CELLS = {(f, m): build_evaluator(f, EvaluatorConfig(method=m))

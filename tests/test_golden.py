@@ -171,7 +171,7 @@ BATCH_OUTPUTS = {
     "cosh/cordic-lut/float":
         "11b737983281462f5eb838d31b273e701d2b70c7aa1af0c15a7949b92e1afc98",
     "cosh/cordic/float":
-        "05b95f6207be1fb386b2e25fc36e9804332363e57245bdd9f94582c12f14550f",
+        "8de8fd3d8b08d4daa28c49a46f8a722ef1622873cfb0ebdecaed221d78f65a32",
     "exp/cordic-lut/float":
         "3942231ff6ce77c5e2053e08681a1a79ecedff3fba1a1dd958bfb0aec571eb82",
     "exp/cordic/float":
@@ -229,7 +229,7 @@ BATCH_OUTPUTS = {
     "sinh/cordic-lut/float":
         "bdd41d82f6e7bfc30976868fb311dd875c7a5b176e79856e65d90e66099c6bf4",
     "sinh/cordic/float":
-        "99aa8a8a82e10b2d095861ede77b9454e563120febfdbe7f5364046a6d1a0d0f",
+        "5d454d637e96a7e87280f5f2c97026eafe058be946855ccc4aaa12bc7f56b7d0",
     "sqrt/cordic/float":
         "2e61ccdf06ced2957be742cf13151e876c83875db9089e7dacfd53cd5dec79e9",
     "sqrt/llut-interp/fixed":
@@ -263,7 +263,7 @@ BATCH_OUTPUTS = {
     "tanh/cordic-lut/float":
         "3f284d27ddbb397504dbb6d33ec46d2b7558d5191ea4cf13d4dabcd27be1e367",
     "tanh/cordic/float":
-        "2a64b684cbccae81adf671e52771aff8da1e70d3fb145f4a1e01cee8c56fc41b",
+        "cee3cf41faf24c74557fd395c0ea1f40222709a408a4a1b9ee4f9366fff73d82",
     "tanh/dllut-interp/float":
         "eba5971497a10b99ab5434eca2c91b64738752e40534e5cd4c887684d1c51d80",
     "tanh/dlut-interp/float":
@@ -577,12 +577,12 @@ EDGE_BITS = {
         "00000000 00000000 00000000 00000000 3f5c2e8e bf5c2e8e "
         "be9c1faf 3e9c1faf bef9a02d 3ef9a02d 3f127130 bf127130 "),
     "sinh/cordic-lut/float": (
-        "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
-        "b2400000 b2400000 b2400000 b2400000 7f28e166 ff28e166 "
+        "b2400000 b2400000 b2400000 32400000 b2400000 32400000 "
+        "b2400000 32400000 b2400000 32400000 7f28e166 ff28e166 "
         "7f800000 ff800000 7f800000 ff800000 7f800000 ff800000 "),
     "sinh/cordic/float": (
-        "32800000 32800000 32800000 32800000 32800000 32800000 "
-        "32800000 32800000 32800000 32800000 7f28e166 ff28e166 "
+        "32800000 32800000 32800000 b2800000 32800000 b2800000 "
+        "32800000 b2800000 32800000 b2800000 7f28e166 ff28e166 "
         "7f800000 ff800000 7f800000 ff800000 7f800000 ff800000 "),
     "sqrt/cordic/float": (
         "00000000 00000000 1a3504f3 - 1e3ce4e6 - 1f155598 - "
@@ -638,12 +638,12 @@ EDGE_BITS = {
         "00000000 00000000 00000000 00000000 3fd7cd12 bfd7cd12 "
         "3ea3ee55 bea3ee55 bf0ef459 3f0ef459 bf3289ed 3f3289ed "),
     "tanh/cordic-lut/float": (
-        "b2400000 b2400000 b2400000 b2400000 b2400000 b2400000 "
-        "b2400000 b2400000 b2400000 b2400000 3f800000 bf800000 "
+        "b2400000 b2400000 b2400000 32400000 b2400000 32400000 "
+        "b2400000 32400000 b2400000 32400000 3f800000 bf800000 "
         "3f800000 bf800000 3f800000 bf800000 3f800000 bf800000 "),
     "tanh/cordic/float": (
-        "32800000 32800000 32800000 32800000 32800000 32800000 "
-        "32800000 32800000 32800000 32800000 3f800000 bf800000 "
+        "32800000 32800000 32800000 b2800000 32800000 b2800000 "
+        "32800000 b2800000 32800000 b2800000 3f800000 bf800000 "
         "3f800000 bf800000 3f800000 bf800000 3f800000 bf800000 "),
     "tanh/dllut-interp/float": (
         "00000000 00000000 00000001 80000001 000116c2 800116c2 "
